@@ -1,7 +1,7 @@
 /**
  * @file
- * Microarchitecture kernel benchmarks (google-benchmark): the runtime
- * queues, the tagged dataflow reduction versus a serial accumulator,
+ * Microarchitecture kernel benchmarks (google-benchmark): the SPSC
+ * ring, the tagged dataflow reduction versus a serial accumulator,
  * the GATHER-APPLY block kernel and partition construction.
  *
  * With `--layout_grid=PATH` the binary instead measures bytes moved per
@@ -26,22 +26,10 @@
 #include "graph/partition.hh"
 #include "harp/reduction.hh"
 #include "runtime/spsc_ring.hh"
-#include "runtime/task_queue.hh"
 #include "support/logging.hh"
 
 namespace graphabcd {
 namespace {
-
-void
-BM_TaskQueuePushPop(benchmark::State &state)
-{
-    TaskQueue<int> q(1024);
-    for (auto _ : state) {
-        q.tryPush(1);
-        benchmark::DoNotOptimize(q.tryPop());
-    }
-}
-BENCHMARK(BM_TaskQueuePushPop);
 
 void
 BM_SpscRingPushPop(benchmark::State &state)

@@ -37,11 +37,9 @@
  * schedulers it batches activations per block under the control lock,
  * exactly like AsyncEngine.
  *
- * Threading mirrors AsyncEngine: no threads are spawned; the engine
- * opens an Executor::Job with participation numThreads and the calling
- * thread pumps blocks alongside pool workers.  StopToken and the
- * maxEpochs budget halt the run without ever claiming convergence
- * while work remains.
+ * Threading is AsyncEngine's: both run on the shared BlockPump, so
+ * no threads are spawned and StopToken and the maxEpochs budget halt
+ * the run without ever claiming convergence while work remains.
  */
 
 #ifndef GRAPHABCD_CORE_ACCUM_ENGINE_HH
@@ -52,19 +50,16 @@
 #include <cmath>
 #include <concepts>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
+#include "core/block_pump.hh"
 #include "core/engine.hh"
 #include "core/options.hh"
 #include "core/scheduler.hh"
 #include "graph/partition.hh"
 #include "obs/obs.hh"
-#include "runtime/executor.hh"
 #include "support/timer.hh"
 
 namespace graphabcd {
@@ -472,12 +467,10 @@ class AccumState
 };
 
 /**
- * Threaded accumulative engine.  Run-loop structure follows
- * AsyncEngine (one control mutex taken once per block, caller-thread
- * pump, quantum requeue, budget/StopToken halts that never claim
- * convergence), minus the dispatch FIFO: deltas are commutative, so
- * staleness bounding is unnecessary and blocks are claimed straight
- * from the scheduler.
+ * Threaded accumulative engine: the shared BlockPump (core/block_pump.hh)
+ * drives processBlock with a dispatch window of one — deltas are
+ * commutative, so staleness bounding is unnecessary and blocks are
+ * claimed straight from the scheduler.
  *
  * vertexUpdates counts vertices whose value actually moved (Applied) —
  * that is the "vertex updates to tolerance" the Maiter comparison is
@@ -507,131 +500,26 @@ class AccumEngine
     {
         Timer timer;
         state_ = std::make_unique<AccumState<Program>>(graph, program);
-        EngineReport report = runParallel(timer);
-        out_values = state_->valuesSnapshot();
-        report.seconds = timer.seconds();
-        return report;
-    }
-
-    /** Post-run accumulator snapshot (conservation audits). */
-    std::vector<Value>
-    pendingSnapshot() const
-    {
-        return state_ ? state_->pendingSnapshot()
-                      : std::vector<Value>{};
-    }
-
-  private:
-    std::shared_ptr<Executor>
-    pool() const
-    {
-        return options.executor ? options.executor : Executor::shared();
-    }
-
-    /** Per-block tallies a pump reports into the shared counters. */
-    struct BlockTally
-    {
-        std::uint64_t processed = 0;   //!< Applied vertices
-        std::uint64_t folded = 0;
-        std::uint64_t edges = 0;
-        std::uint64_t scatters = 0;
-        double l1 = 0.0;               //!< sum of applied magnitudes
-    };
-
-    EngineReport
-    runParallel(const Timer &timer)
-    {
-        // Root span of this engine run; under the serve layer it nests
-        // into the submitting job's causal tree.
-        obs::Span run_span("engine.accum.run");
-        EngineReport report;
-        const double n = std::max<double>(graph.numVertices(), 1.0);
+        RunAccounting acct("engine.accum.run", graph.numVertices(),
+                           options);
         const std::uint32_t participation =
             std::max(1u, options.numThreads);
-        auto sched = makeScheduler(options.schedule, graph.numBlocks(),
-                                   options.seed, participation);
-        for (BlockId b = 0; b < graph.numBlocks(); b++)
-            sched->activate(b, initialActivationPriority());
+        auto sched = makeSeededScheduler(options.schedule,
+                                         graph.numBlocks(), options.seed,
+                                         participation);
         // Concurrent-push schedulers (OBIM) take activations straight
-        // from the scatter hook; serialized ones get them batched under
-        // the control lock.
+        // from the scatter hook; serialized ones get them batched into
+        // the pump's locked commit.
         const bool direct_push = sched->concurrentPush();
-        const std::uint64_t max_updates =
-            updateBudget(options.maxEpochs, n);
-        constexpr std::uint32_t kQuantum = 32;
-
-        struct Ctl
-        {
-            std::mutex m;
-            std::uint32_t inflight = 0;   //!< claimed, not committed
-            std::uint32_t pumps = 0;      //!< live participants
-            bool halted = false;          //!< stop token or budget
-            double winL1 = 0.0;
-            std::uint64_t winActive = 0;
-            double nextSample = 0.0;
-        } ctl;
-        std::atomic<std::uint64_t> vertex_updates{0};
-        std::atomic<std::uint64_t> block_updates{0};
-        std::atomic<std::uint64_t> edge_traversals{0};
-        std::atomic<std::uint64_t> scatter_writes{0};
         std::atomic<std::uint64_t> foldbacks{0};
-
-        // Resolve metrics once per run; record per block.
-        obs::Histogram &gasHist = obs::histogram(
-            "engine.accum.block_gas_us", obs::latencyBucketsUs());
-        obs::Histogram &fanoutHist = obs::histogram(
-            "engine.accum.scatter_fanout", obs::fanoutBuckets());
         obs::Histogram &residualHist = obs::histogram(
             "engine.accum.residual_mag", obs::magnitudeBuckets());
 
-        const double sampleInterval =
-            options.traceInterval > 0.0 ? options.traceInterval : 1.0;
-        ctl.nextSample = sampleInterval;
-
-        std::shared_ptr<Executor> exec = pool();
-        std::shared_ptr<Executor::Job> job =
-            exec->createJob(participation);
-
-        // ---- ctl.m must be held by callers of the *Locked helpers ----
-
-        auto claimLocked = [&]() -> std::optional<BlockId> {
-            if (!ctl.halted && options.stop.stopRequested())
-                ctl.halted = true;
-            if (!ctl.halted &&
-                vertex_updates.load(std::memory_order_relaxed) >=
-                    max_updates)
-                ctl.halted = true;
-            if (ctl.halted)
-                return std::nullopt;
-            std::optional<BlockId> b = sched->next();
-            if (b)
-                ctl.inflight++;
-            return b;
-        };
-
-        std::function<void()> pumpTask;   // assigned below
-
-        auto spawnLocked = [&] {
-            std::size_t want = std::min<std::size_t>(
-                participation > ctl.pumps ? participation - ctl.pumps
-                                          : 0,
-                sched->activeCount());
-            for (; want > 0; want--) {
-                ctl.pumps++;
-                job->submit(pumpTask);
-            }
-        };
-
-        // Process one block: extract-apply-scatter each vertex.  With
-        // direct_push the scatter hook activates the scheduler inline;
-        // otherwise activations buffer until the locked commit.
-        auto processBlock =
-            [&](BlockId b,
-                std::vector<std::pair<BlockId, double>> &activations,
-                ScatterScratch &scratch)
-            -> BlockTally {
-            BlockTally t;
-            activations.clear();
+        // Extract-apply-scatter each vertex of one block.
+        auto processBlock = [&](BlockId b, ScatterScratch &scratch,
+                                Activations &activations) {
+            BlockWork work;
+            std::uint64_t folded = 0;
             auto on_activate = [&](VertexId dst, double mag) {
                 const BlockId db = graph.blockOf(dst);
                 if (direct_push)
@@ -647,158 +535,50 @@ class AccumEngine
                   case AccumOutcome::Idle:
                     break;
                   case AccumOutcome::Folded:
-                    t.folded++;
+                    folded++;
                     residualHist.record(r.magnitude);
                     break;
                   case AccumOutcome::Applied:
-                    t.processed++;
-                    t.l1 += r.magnitude;
-                    t.edges += graph.outDegree(v);
-                    t.scatters += r.scatters;
+                    work.vertices++;
+                    work.l1 += r.magnitude;
+                    work.edges += graph.outDegree(v);
+                    work.scatters += r.scatters;
                     break;
                 }
             }
-            return t;
+            // Every applied vertex moved by more than the tolerance.
+            work.active = work.vertices;
+            foldbacks.fetch_add(folded, std::memory_order_relaxed);
+            return work;
         };
 
-        auto pump = [&](bool allow_requeue) {
-            std::vector<std::pair<BlockId, double>> activations;
-            ScatterScratch scratch;   // per-participant decode buffer
-            std::uint32_t done = 0;
-            std::optional<BlockId> cur;
-            {
-                std::lock_guard<std::mutex> lock(ctl.m);
-                cur = claimLocked();
-                if (!cur) {
-                    ctl.pumps--;
-                    return;
-                }
-            }
-            for (;;) {
-                BlockTally t;
-                {
-                    obs::ScopedLatency lat(gasHist);
-                    t = processBlock(*cur, activations, scratch);
-                }
-                fanoutHist.record(static_cast<double>(t.scatters));
-                vertex_updates.fetch_add(t.processed,
-                                         std::memory_order_relaxed);
-                block_updates.fetch_add(1, std::memory_order_relaxed);
-                edge_traversals.fetch_add(t.edges,
-                                          std::memory_order_relaxed);
-                scatter_writes.fetch_add(t.scatters,
-                                         std::memory_order_relaxed);
-                foldbacks.fetch_add(t.folded,
-                                    std::memory_order_relaxed);
-                if (options.progress) {
-                    options.progress->accumulate(t.processed, 1,
-                                                 t.edges, t.scatters);
-                }
-                done++;
-                bool requeue = false;
-                {
-                    std::lock_guard<std::mutex> lock(ctl.m);
-                    if (!direct_push) {
-                        for (auto &[dst, delta] : activations)
-                            sched->activate(dst, delta);
-                    }
-                    ctl.inflight--;
-                    if constexpr (obs::kEnabled) {
-                        ctl.winL1 += t.l1;
-                        ctl.winActive += t.processed - t.folded;
-                        if (options.convergence) {
-                            const double ep =
-                                static_cast<double>(
-                                    vertex_updates.load(
-                                        std::memory_order_relaxed)) /
-                                n;
-                            if (ep + 1e-12 >= ctl.nextSample) {
-                                ctl.nextSample = ep + sampleInterval;
-                                obs::ConvergencePoint pt;
-                                pt.epochs = ep;
-                                pt.residual = ctl.winL1;
-                                pt.activeVertices = ctl.winActive;
-                                pt.vertexUpdates = vertex_updates.load(
-                                    std::memory_order_relaxed);
-                                pt.edgeTraversals = edge_traversals.load(
-                                    std::memory_order_relaxed);
-                                pt.wallSeconds = timer.seconds();
-                                options.convergence->record(pt);
-                                ctl.winL1 = 0.0;
-                                ctl.winActive = 0;
-                            }
-                        }
-                    }
-                    if (allow_requeue && done >= kQuantum &&
-                        sched->activeCount() > 0 && !ctl.halted) {
-                        // Keep ctl.pumps: the requeued task inherits
-                        // this participant's slot.
-                        requeue = true;
-                    } else {
-                        cur = claimLocked();
-                        if (cur)
-                            spawnLocked();
-                        else
-                            ctl.pumps--;
-                    }
-                }
-                if (requeue) {
-                    job->submit(pumpTask);
-                    return;
-                }
-                if (!cur)
-                    return;
-            }
-        };
-        pumpTask = [&pump] { pump(/*allow_requeue=*/true); };
-
-        {
-            std::lock_guard<std::mutex> lock(ctl.m);
-            ctl.pumps = 1;   // the calling thread participates
-            spawnLocked();
-        }
-        pump(/*allow_requeue=*/false);
-        job->wait();   // all pool participants drained
-
-        report.stopped = options.stop.stopRequested();
-        report.vertexUpdates = vertex_updates.load();
-        report.blockUpdates = block_updates.load();
-        report.edgeTraversals = edge_traversals.load();
-        report.scatterWrites = scatter_writes.load();
-        report.epochs = static_cast<double>(report.vertexUpdates) / n;
-        // A halted run never claims convergence: the scheduler still
-        // holds the unclaimed work, so empty() is the honest test.  No
-        // lock needed: job->wait() ordered every participant (and all
-        // their activations) before this point.
-        report.converged =
-            !report.stopped && !ctl.halted && sched->empty();
+        const PumpConfig cfg{"engine.accum", participation, 1,
+                             graph.numBlocks(), /*exclusive=*/false};
+        EngineReport report =
+            BlockPump<ScatterScratch, decltype(processBlock)>(
+                cfg, *sched, acct, options, processBlock)
+                .run();
         if constexpr (obs::kEnabled) {
-            report.residual = ctl.winL1;
-            if (options.convergence) {
-                obs::ConvergencePoint pt;
-                pt.epochs = report.epochs;
-                pt.residual = ctl.winL1;
-                pt.activeVertices = ctl.winActive;
-                pt.vertexUpdates = report.vertexUpdates;
-                pt.edgeTraversals = report.edgeTraversals;
-                pt.wallSeconds = timer.seconds();
-                options.convergence->recordFinal(pt);
-            }
             obs::counter("engine.accum.foldbacks").add(foldbacks.load());
             if (report.converged) {
                 obs::counter("engine.accum.updates_to_tolerance")
                     .add(report.vertexUpdates);
             }
-            const SchedulerCounters c = sched->counters();
-            obs::counter("scheduler.activations").add(c.activations);
-            obs::counter("scheduler.heap_pushes").add(c.heapPushes);
-            obs::counter("scheduler.stale_discards")
-                .add(c.staleDiscards);
-            obs::counter("scheduler.refreshes").add(c.refreshes);
         }
+        out_values = state_->valuesSnapshot();
+        report.seconds = timer.seconds();
         return report;
     }
 
+    /** Post-run accumulator snapshot (conservation audits). */
+    std::vector<Value>
+    pendingSnapshot() const
+    {
+        return state_ ? state_->pendingSnapshot()
+                      : std::vector<Value>{};
+    }
+
+  private:
     const BlockPartition &graph;
     Program program;
     EngineOptions options;

@@ -9,21 +9,11 @@
  * whatever SCATTER has most recently published (possibly stale — that is
  * asynchronous BCD), and SCATTER publishes whole values (state-based
  * update information, Sec. IV-A3), so no locks or barriers are needed on
- * the data plane.  The only shared control state is the scheduler plus a
- * bounded dispatch FIFO (the software stand-in for the paper's
- * accelerator task queue), both guarded by one mutex that every
- * participant acquires exactly once per block: commit the previous
- * block's activation batch, refill the FIFO from the scheduler, claim
- * the next block.  The FIFO is bounded, which bounds the
- * update-propagation delay and hence preserves the asynchronous-BCD
- * convergence guarantee (Sec. III-D).
- *
- * Threading: the engine spawns nothing.  It opens an Executor::Job with
- * participation `numThreads` on the shared pool (EngineOptions::executor,
- * defaulting to the process-wide Executor::shared()), and the calling
- * thread pumps blocks alongside the pool workers — so a run always makes
- * progress even on a saturated pool, and N concurrent runs share one set
- * of OS threads instead of spawning N x numThreads.
+ * the data plane.  The run loop is the shared BlockPump
+ * (core/block_pump.hh): one control lock per block and a bounded
+ * dispatch FIFO (the software stand-in for the paper's accelerator task
+ * queue) of 4 x participation blocks, which bounds staleness (Sec.
+ * III-D).  This engine supplies only the fused per-block kernel.
  *
  * ExecMode::Barrier caps participation at one in-flight block (the
  * paper's per-block memory-barrier baseline); ExecMode::Bsp processes
@@ -36,15 +26,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
-#include <functional>
-#include <limits>
 #include <memory>
-#include <mutex>
-#include <optional>
-#include <tuple>
 #include <vector>
 
+#include "core/block_pump.hh"
 #include "core/engine.hh"
 #include "core/options.hh"
 #include "core/scheduler.hh"
@@ -85,19 +70,9 @@ class AsyncEngine
     {
         Timer timer;
         initState();
-
-        EngineReport report;
-        switch (options.mode) {
-          case ExecMode::Async:
-            report = runAsync(/*barrier_per_block=*/false);
-            break;
-          case ExecMode::Barrier:
-            report = runAsync(/*barrier_per_block=*/true);
-            break;
-          case ExecMode::Bsp:
-            report = runBsp();
-            break;
-        }
+        EngineReport report = options.mode == ExecMode::Bsp
+            ? runBsp()
+            : runAsync(options.mode == ExecMode::Barrier);
 
         out_values.resize(graph.numVertices());
         for (VertexId v = 0; v < graph.numVertices(); v++)
@@ -138,360 +113,102 @@ class AsyncEngine
         }
     }
 
-    /** The executor this run draws workers from. */
-    std::shared_ptr<Executor>
-    pool() const
+    /** GATHER-APPLY of vertex v (value `old`) against the current
+     *  edge-carried values. */
+    Value
+    gatherApply(VertexId v, Value old, const BlockEdgesView &slice)
     {
-        return options.executor ? options.executor : Executor::shared();
+        auto acc = program.identity();
+        for (EdgeId e = graph.inEdgeBegin(v); e < graph.inEdgeEnd(v); e++) {
+            Value ev = edgeValues[e].load(std::memory_order_relaxed);
+            acc = program.combine(
+                acc, program.edgeTerm(old, ev, slice.wgt[e - slice.base]));
+        }
+        return program.apply(v, acc, old, graph);
+    }
+
+    /**
+     * SCATTER v's new value onto its out-edges, calling
+     * activate(dst_block, edge_delta) once per edge written.
+     * @return edges written.
+     */
+    template <typename Activate>
+    std::size_t
+    scatter(VertexId v, Value next, ScatterScratch &scratch, BlockId &hint,
+            Activate &&activate)
+    {
+        auto positions = graph.scatterList(v, scratch);
+        if (positions.empty())
+            return 0;
+        // Read the outgoing edges' previous value before the stores
+        // below overwrite it: the activation priority is old-vs-new,
+        // not new-vs-new.
+        const Value old_ev =
+            edgeValues[positions.front()].load(std::memory_order_relaxed);
+        const Value ev = program.edgeValue(v, next, graph);
+        const double edge_delta = program.delta(old_ev, ev);
+        for (EdgeId pos : positions) {
+            edgeValues[pos].store(ev, std::memory_order_relaxed);
+            activate(graph.dstBlockOfEdge(pos, hint), edge_delta);
+        }
+        return positions.size();
     }
 
     /**
      * Fused GATHER-APPLY-SCATTER of one block directly against the
-     * atomic arrays.  `scratch` is per-participant: pumps run
-     * concurrently, so each owns its own decode buffers.
-     * @return (vertices changed, L1 delta).
+     * atomic arrays; the pump's kernel.  `scratch` is per-participant:
+     * pumps run concurrently, so each owns its own decode buffers.
      */
-    std::pair<VertexId, double>
-    processAndCommit(BlockId b,
-                     std::vector<std::pair<BlockId, double>> &activations,
-                     LayoutScratch &scratch)
+    BlockWork
+    processAndCommit(BlockId b, LayoutScratch &scratch,
+                     Activations &activations)
     {
-        VertexId changed = 0;
-        double l1 = 0.0;
-        activations.clear();
+        BlockWork work;
+        work.vertices = graph.blockVertexCount(b);
+        work.edges = graph.blockEdgeCount(b);
         const BlockEdgesView slice = graph.blockEdges(b, scratch.slice);
         BlockId hint = b;
         for (VertexId v = graph.blockBegin(b); v < graph.blockEnd(b);
              v++) {
-            auto acc = program.identity();
-            Value old = values[v].load(std::memory_order_relaxed);
-            for (EdgeId e = graph.inEdgeBegin(v); e < graph.inEdgeEnd(v);
-                 e++) {
-                Value ev = edgeValues[e].load(std::memory_order_relaxed);
-                acc = program.combine(
-                    acc, program.edgeTerm(old, ev,
-                                          slice.wgt[e - slice.base]));
-            }
-            Value next = program.apply(v, acc, old, graph);
-            double d = program.delta(old, next);
-            l1 += d;
+            const Value old = values[v].load(std::memory_order_relaxed);
+            const Value next = gatherApply(v, old, slice);
+            const double d = program.delta(old, next);
+            work.l1 += d;
             values[v].store(next, std::memory_order_relaxed);
             if (d > options.tolerance) {
-                changed++;
-                auto positions = graph.scatterList(v, scratch.scatter);
-                if (positions.empty())
-                    continue;
-                // Read the outgoing edges' previous value before the
-                // stores below overwrite it: the activation priority is
-                // old-vs-new, not new-vs-new.
-                const Value old_ev = edgeValues[positions.front()].load(
-                    std::memory_order_relaxed);
-                const Value ev = program.edgeValue(v, next, graph);
-                const double edge_delta = program.delta(old_ev, ev);
-                for (EdgeId pos : positions) {
-                    edgeValues[pos].store(ev, std::memory_order_relaxed);
-                    activations.emplace_back(
-                        graph.dstBlockOfEdge(pos, hint), edge_delta);
-                }
+                work.active++;
+                scatter(v, next, scratch.scatter, hint,
+                        [&](BlockId dst, double delta) {
+                            activations.emplace_back(dst, delta);
+                        });
             }
         }
-        return {changed, l1};
+        work.scatters = activations.size();
+        return work;
     }
 
     EngineReport
     runAsync(bool barrier_per_block)
     {
-        Timer timer;
-        // Root span of this engine run; under the serve layer it nests
-        // into the submitting job's causal tree.
-        obs::Span run_span("engine.async.run");
-        EngineReport report;
-        const double n = std::max<double>(graph.numVertices(), 1.0);
-        auto sched = makeScheduler(options.schedule, graph.numBlocks(),
-                                   options.seed);
-        for (BlockId b = 0; b < graph.numBlocks(); b++)
-            sched->activate(b, initialActivationPriority());
-
+        RunAccounting acct("engine.async.run", graph.numVertices(),
+                           options);
+        auto sched = makeSeededScheduler(options.schedule,
+                                         graph.numBlocks(), options.seed);
         // Barrier mode admits one in-flight block (participation one,
         // dispatch window one): the per-block memory barrier baseline.
         const std::uint32_t participation =
             barrier_per_block ? 1 : std::max(1u, options.numThreads);
-        const std::size_t dispatchCap =
-            barrier_per_block ? 1 : std::size_t{participation} * 4;
-        const std::uint64_t max_updates =
-            updateBudget(options.maxEpochs, n);
-        // Blocks a pool task pumps before requeueing itself, so
-        // concurrent runs interleave on a shared pool instead of the
-        // first run monopolising the workers to quiescence.
-        constexpr std::uint32_t kQuantum = 32;
-
-        // Bounded dispatch FIFO: blocks move scheduler -> FIFO -> a
-        // pump, which bounds staleness (paper Sec. III-D).  Each item
-        // carries the global block-update count at FIFO-entry time;
-        // the difference read when the item is claimed is the measured
-        // staleness, which FIFO order keeps at <= FIFO capacity +
-        // in-flight participants.
-        struct WorkItem
-        {
-            BlockId block;
-            std::uint64_t stamp;
+        const PumpConfig cfg{
+            "engine.async", participation,
+            barrier_per_block ? 1 : std::size_t{participation} * 4,
+            graph.numBlocks(), /*exclusive=*/true};
+        auto kernel = [this](BlockId b, LayoutScratch &scratch,
+                             Activations &activations) {
+            return processAndCommit(b, scratch, activations);
         };
-        // All control state shares one mutex; every participant takes
-        // it exactly once per block (commit + refill + claim).
-        struct Ctl
-        {
-            std::mutex m;
-            std::deque<WorkItem> fifo;
-            std::uint32_t inflight = 0;   //!< claimed, not committed
-            std::uint32_t pumps = 0;      //!< live participants
-            bool halted = false;          //!< stop token or budget
-            bool droppedWork = false;     //!< halt discarded FIFO items
-            // Convergence sample window (mutated under m, and only
-            // inside `if constexpr (obs::kEnabled)` sections).
-            double winL1 = 0.0;
-            std::uint64_t winActive = 0;
-            double nextSample = 0.0;
-        } ctl;
-        std::atomic<std::uint64_t> vertex_updates{0};
-        std::atomic<std::uint64_t> block_updates{0};
-        std::atomic<std::uint64_t> edge_traversals{0};
-        std::atomic<std::uint64_t> scatter_writes{0};
-
-        // Resolve metrics once per run; recording is per block.
-        obs::Histogram &gasHist = obs::histogram(
-            "engine.async.block_gas_us", obs::latencyBucketsUs());
-        obs::Histogram &fanoutHist = obs::histogram(
-            "engine.async.scatter_fanout", obs::fanoutBuckets());
-        obs::Histogram &staleHist = obs::histogram(
-            "engine.async.staleness_blocks", obs::stalenessBuckets());
-        obs::Gauge &depthGauge = obs::gauge("engine.async.queue_depth");
-
-        // Convergence samples fire at trace-interval epoch boundaries,
-        // inside the per-block locked commit the engine already takes.
-        const double sampleInterval =
-            options.traceInterval > 0.0 ? options.traceInterval : 1.0;
-        ctl.nextSample = sampleInterval;
-
-        std::shared_ptr<Executor> exec = pool();
-        std::shared_ptr<Executor::Job> job =
-            exec->createJob(participation);
-
-        // ---- ctl.m must be held by callers of the *Locked helpers ----
-
-        // Move ready blocks scheduler -> FIFO until the window is full
-        // or the run halts (stop token polled here: once per claim, as
-        // before).
-        auto refillLocked = [&] {
-            if (!ctl.halted && options.stop.stopRequested())
-                ctl.halted = true;
-            while (!ctl.halted && ctl.fifo.size() < dispatchCap) {
-                if (vertex_updates.load(std::memory_order_relaxed) >=
-                    max_updates) {
-                    ctl.halted = true;
-                    break;
-                }
-                std::optional<BlockId> b = sched->next();
-                if (!b)
-                    break;
-                std::uint64_t stamp = 0;
-                if constexpr (obs::kEnabled) {
-                    stamp =
-                        block_updates.load(std::memory_order_relaxed);
-                }
-                ctl.fifo.push_back({*b, stamp});
-            }
-            if (ctl.halted && !ctl.fifo.empty()) {
-                // A halted run drops (not processes) dispatched work,
-                // so an empty scheduler no longer implies quiescence.
-                ctl.droppedWork = true;
-                ctl.fifo.clear();
-            }
-            if constexpr (obs::kEnabled)
-                depthGauge.set(static_cast<double>(ctl.fifo.size()));
-        };
-
-        // Claim the FIFO head.  Measuring staleness inside the locked
-        // claim keeps the FIFO bound exact: only items claimed before
-        // this one can have committed by now.
-        auto claimLocked = [&]() -> std::optional<WorkItem> {
-            if (ctl.fifo.empty())
-                return std::nullopt;
-            WorkItem item = ctl.fifo.front();
-            ctl.fifo.pop_front();
-            ctl.inflight++;
-            if constexpr (obs::kEnabled) {
-                staleHist.record(static_cast<double>(
-                    block_updates.load(std::memory_order_relaxed) -
-                    item.stamp));
-                depthGauge.set(static_cast<double>(ctl.fifo.size()));
-            }
-            return item;
-        };
-
-        std::function<void()> pumpTask;   // assigned below
-
-        // Add pool participants for waiting FIFO items, up to the
-        // participation bound.
-        auto spawnLocked = [&] {
-            std::size_t want = std::min<std::size_t>(
-                participation > ctl.pumps ? participation - ctl.pumps
-                                          : 0,
-                ctl.fifo.size());
-            for (; want > 0; want--) {
-                ctl.pumps++;
-                job->submit(pumpTask);
-            }
-        };
-
-        // One participant: claim-process-commit blocks until no work
-        // is claimable (or, for pool tasks, the quantum expires and the
-        // participant requeues itself behind other runs' tasks).
-        auto pump = [&](bool allow_requeue) {
-            std::vector<std::pair<BlockId, double>> activations;
-            LayoutScratch scratch;   // per-participant decode buffers
-            std::uint32_t done = 0;
-            std::optional<WorkItem> cur;
-            {
-                std::lock_guard<std::mutex> lock(ctl.m);
-                refillLocked();
-                cur = claimLocked();
-                if (!cur) {
-                    ctl.pumps--;
-                    return;
-                }
-            }
-            for (;;) {
-                const BlockId b = cur->block;
-                VertexId chg = 0;
-                double l1 = 0.0;
-                {
-                    obs::ScopedLatency lat(gasHist);
-                    std::tie(chg, l1) =
-                        processAndCommit(b, activations, scratch);
-                    (void)chg;
-                    (void)l1;
-                }
-                fanoutHist.record(
-                    static_cast<double>(activations.size()));
-                vertex_updates.fetch_add(graph.blockVertexCount(b),
-                                         std::memory_order_relaxed);
-                block_updates.fetch_add(1, std::memory_order_relaxed);
-                edge_traversals.fetch_add(graph.blockEdgeCount(b),
-                                          std::memory_order_relaxed);
-                scatter_writes.fetch_add(activations.size(),
-                                         std::memory_order_relaxed);
-                if (options.progress) {
-                    options.progress->accumulate(
-                        graph.blockVertexCount(b), 1,
-                        graph.blockEdgeCount(b), activations.size());
-                }
-                done++;
-                bool requeue = false;
-                {
-                    std::lock_guard<std::mutex> lock(ctl.m);
-                    for (auto &[dst, delta] : activations)
-                        sched->activate(dst, delta);
-                    ctl.inflight--;
-                    if constexpr (obs::kEnabled) {
-                        ctl.winL1 += l1;
-                        ctl.winActive += chg;
-                        if (options.convergence) {
-                            const double ep =
-                                static_cast<double>(
-                                    vertex_updates.load(
-                                        std::memory_order_relaxed)) /
-                                n;
-                            if (ep + 1e-12 >= ctl.nextSample) {
-                                ctl.nextSample = ep + sampleInterval;
-                                obs::ConvergencePoint pt;
-                                pt.epochs = ep;
-                                pt.residual = ctl.winL1;
-                                pt.activeVertices = ctl.winActive;
-                                pt.vertexUpdates = vertex_updates.load(
-                                    std::memory_order_relaxed);
-                                pt.edgeTraversals = edge_traversals.load(
-                                    std::memory_order_relaxed);
-                                pt.wallSeconds = timer.seconds();
-                                options.convergence->record(pt);
-                                ctl.winL1 = 0.0;
-                                ctl.winActive = 0;
-                            }
-                        }
-                    }
-                    refillLocked();
-                    if (allow_requeue && done >= kQuantum &&
-                        !ctl.fifo.empty()) {
-                        // Keep ctl.pumps: the requeued task inherits
-                        // this participant's slot.
-                        requeue = true;
-                    } else {
-                        cur = claimLocked();
-                        if (cur)
-                            spawnLocked();
-                        else
-                            ctl.pumps--;
-                    }
-                }
-                if (requeue) {
-                    job->submit(pumpTask);
-                    return;
-                }
-                if (!cur)
-                    return;
-            }
-        };
-        pumpTask = [&pump] { pump(/*allow_requeue=*/true); };
-
-        {
-            std::lock_guard<std::mutex> lock(ctl.m);
-            ctl.pumps = 1;   // the calling thread participates
-            refillLocked();
-            spawnLocked();
-        }
-        pump(/*allow_requeue=*/false);
-        job->wait();   // all pool participants drained
-
-        report.stopped = options.stop.stopRequested();
-        report.vertexUpdates = vertex_updates.load();
-        report.blockUpdates = block_updates.load();
-        report.edgeTraversals = edge_traversals.load();
-        report.scatterWrites = scatter_writes.load();
-        report.epochs = static_cast<double>(report.vertexUpdates) / n;
-        // A halted run never claims convergence: dispatched blocks are
-        // dropped (not reactivated), so an empty scheduler does not
-        // mean quiescence once work was discarded.  No lock needed:
-        // job->wait() ordered every participant before this point.
-        report.converged =
-            !report.stopped && !ctl.droppedWork && sched->empty();
-        if constexpr (obs::kEnabled) {
-            report.residual = ctl.winL1;
-            if (options.convergence) {
-                obs::ConvergencePoint pt;
-                pt.epochs = report.epochs;
-                pt.residual = ctl.winL1;
-                pt.activeVertices = ctl.winActive;
-                pt.vertexUpdates = report.vertexUpdates;
-                pt.edgeTraversals = report.edgeTraversals;
-                pt.wallSeconds = timer.seconds();
-                options.convergence->recordFinal(pt);
-            }
-        }
-        flushSchedulerCounters(*sched);
-        return report;
-    }
-
-    /** Fold a finished run's scheduler counters into the registry. */
-    static void
-    flushSchedulerCounters(const BlockScheduler &sched)
-    {
-        if constexpr (obs::kEnabled) {
-            const SchedulerCounters c = sched.counters();
-            obs::counter("scheduler.activations").add(c.activations);
-            obs::counter("scheduler.heap_pushes").add(c.heapPushes);
-            obs::counter("scheduler.stale_discards")
-                .add(c.staleDiscards);
-            obs::counter("scheduler.refreshes").add(c.refreshes);
-        }
+        return BlockPump<LayoutScratch, decltype(kernel)>(
+                   cfg, *sched, acct, options, kernel)
+            .run();
     }
 
     EngineReport
@@ -500,27 +217,19 @@ class AsyncEngine
         // Jacobi supersteps with a pool-parallel wave and a global
         // barrier (Job::wait) per iteration; commits go to a double
         // buffer.
-        Timer timer;
-        obs::Span run_span("engine.bsp.run");
-        EngineReport report;
-        const double n = std::max<double>(graph.numVertices(), 1.0);
-        auto sched = makeScheduler(options.schedule, graph.numBlocks(),
-                                   options.seed);
-        for (BlockId b = 0; b < graph.numBlocks(); b++)
-            sched->activate(b, initialActivationPriority());
+        RunAccounting acct("engine.bsp.run", graph.numVertices(),
+                           options);
+        auto sched = makeSeededScheduler(options.schedule,
+                                         graph.numBlocks(), options.seed);
 
         const std::uint32_t participation =
             std::max(1u, options.numThreads);
-        std::shared_ptr<Executor> exec = pool();
+        std::shared_ptr<Executor> exec =
+            options.executor ? options.executor : Executor::shared();
         std::shared_ptr<Executor::Job> job =
             exec->createJob(participation);
 
-        const double sampleInterval =
-            options.traceInterval > 0.0 ? options.traceInterval : 1.0;
-        double nextSample = sampleInterval;
-        double winL1 = 0.0;
-        std::uint64_t winActive = 0;
-
+        bool stopped = false;
         std::vector<BlockId> wave;
         std::vector<BlockUpdate<Value>> updates;
         // Commits run serially after the superstep barrier, so one
@@ -528,7 +237,7 @@ class AsyncEngine
         ScatterScratch commit_scratch;
         while (!sched->empty()) {
             if (options.stop.stopRequested()) {
-                report.stopped = true;
+                stopped = true;
                 break;
             }
             wave.clear();
@@ -558,56 +267,20 @@ class AsyncEngine
             sweep();
             job->wait();   // the global memory barrier
 
-            for (std::size_t i = 0; i < wave.size(); i++) {
-                commitUpdate(wave[i], updates[i], *sched, report,
-                             commit_scratch);
+            BlockWork step;   // the superstep's convergence-window share
+            for (const auto &update : updates) {
+                const BlockWork work =
+                    commitUpdate(update, *sched, commit_scratch);
+                acct.count(work);
+                step.l1 += work.l1;
+                step.active += work.active;
             }
-            report.epochs = static_cast<double>(report.vertexUpdates) / n;
-            if constexpr (obs::kEnabled) {
-                for (const auto &update : updates) {
-                    winL1 += update.l1Delta;
-                    winActive += update.changed;
-                }
-                if (options.convergence &&
-                    report.epochs + 1e-12 >= nextSample) {
-                    nextSample = report.epochs + sampleInterval;
-                    obs::ConvergencePoint pt;
-                    pt.epochs = report.epochs;
-                    pt.residual = winL1;
-                    pt.activeVertices = winActive;
-                    pt.vertexUpdates = report.vertexUpdates;
-                    pt.edgeTraversals = report.edgeTraversals;
-                    pt.wallSeconds = timer.seconds();
-                    options.convergence->record(pt);
-                    winL1 = 0.0;
-                    winActive = 0;
-                }
-            }
-            if (options.progress) {
-                options.progress->publish(report.vertexUpdates,
-                                          report.blockUpdates,
-                                          report.edgeTraversals,
-                                          report.scatterWrites);
-            }
-            if (report.epochs >= options.maxEpochs)
+            acct.observe(step);
+            if (acct.epochs() >= options.maxEpochs)
                 break;
         }
-        report.converged = !report.stopped && sched->empty();
-        if constexpr (obs::kEnabled) {
-            report.residual = winL1;
-            if (options.convergence) {
-                obs::ConvergencePoint pt;
-                pt.epochs = report.epochs;
-                pt.residual = winL1;
-                pt.activeVertices = winActive;
-                pt.vertexUpdates = report.vertexUpdates;
-                pt.edgeTraversals = report.edgeTraversals;
-                pt.wallSeconds = timer.seconds();
-                options.convergence->recordFinal(pt);
-            }
-        }
-        flushSchedulerCounters(*sched);
-        return report;
+        RunAccounting::flushSchedulerCounters(*sched);
+        return acct.finish(stopped, !stopped && sched->empty());
     }
 
     /** Jacobi helper: GATHER-APPLY one block without committing. */
@@ -619,16 +292,8 @@ class AsyncEngine
         const BlockEdgesView slice = graph.blockEdges(b, slice_scratch);
         for (VertexId v = graph.blockBegin(b); v < graph.blockEnd(b);
              v++) {
-            auto acc = program.identity();
-            Value old = values[v].load(std::memory_order_relaxed);
-            for (EdgeId e = graph.inEdgeBegin(v); e < graph.inEdgeEnd(v);
-                 e++) {
-                Value ev = edgeValues[e].load(std::memory_order_relaxed);
-                acc = program.combine(
-                    acc, program.edgeTerm(old, ev,
-                                          slice.wgt[e - slice.base]));
-            }
-            Value next = program.apply(v, acc, old, graph);
+            const Value old = values[v].load(std::memory_order_relaxed);
+            const Value next = gatherApply(v, old, slice);
             double d = program.delta(old, next);
             out.l1Delta += d;
             if (d > options.tolerance)
@@ -640,37 +305,28 @@ class AsyncEngine
     }
 
     /** Jacobi helper: commit + activate one block update. */
-    void
-    commitUpdate(BlockId b, const BlockUpdate<Value> &update,
-                 BlockScheduler &sched, EngineReport &report,
+    BlockWork
+    commitUpdate(const BlockUpdate<Value> &update, BlockScheduler &sched,
                  ScatterScratch &scatter_scratch)
     {
-        const VertexId begin = graph.blockBegin(b);
-        BlockId hint = b;
+        BlockWork work{update.newValues.size(), 1,
+                       graph.blockEdgeCount(update.block), 0,
+                       update.changed, update.l1Delta};
+        const VertexId begin = graph.blockBegin(update.block);
+        BlockId hint = update.block;
         for (std::size_t i = 0; i < update.newValues.size(); i++) {
             const VertexId v = begin + static_cast<VertexId>(i);
             values[v].store(update.newValues[i],
                             std::memory_order_relaxed);
             if (update.deltas[i] > options.tolerance) {
-                auto positions = graph.scatterList(v, scatter_scratch);
-                if (positions.empty())
-                    continue;
-                const Value old_ev = edgeValues[positions.front()].load(
-                    std::memory_order_relaxed);
-                const Value ev = program.edgeValue(v, update.newValues[i],
-                                                   graph);
-                const double edge_delta = program.delta(old_ev, ev);
-                for (EdgeId pos : positions) {
-                    edgeValues[pos].store(ev, std::memory_order_relaxed);
-                    sched.activate(graph.dstBlockOfEdge(pos, hint),
-                                   edge_delta);
-                    report.scatterWrites++;
-                }
+                work.scatters += scatter(
+                    v, update.newValues[i], scatter_scratch, hint,
+                    [&sched](BlockId dst, double delta) {
+                        sched.activate(dst, delta);
+                    });
             }
         }
-        report.blockUpdates++;
-        report.vertexUpdates += update.newValues.size();
-        report.edgeTraversals += graph.blockEdgeCount(b);
+        return work;
     }
 
     const BlockPartition &graph;

@@ -23,66 +23,19 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
+#include <optional>
 #include <type_traits>
 #include <vector>
 
 #include "core/options.hh"
+#include "core/run_accounting.hh"
 #include "core/scheduler.hh"
 #include "core/state.hh"
 #include "core/vertex_program.hh"
 #include "graph/partition.hh"
 #include "obs/obs.hh"
-#include "support/timer.hh"
 
 namespace graphabcd {
-
-/**
- * Update budget in vertex updates, shared by the threaded engines.
- * maxEpochs * |V| is computed in double and can exceed the uint64
- * range, where the bare cast is UB; clamp to UINT64_MAX (and to 0 for
- * non-positive budgets).
- */
-inline std::uint64_t
-updateBudget(double max_epochs, double n)
-{
-    constexpr std::uint64_t kMax =
-        std::numeric_limits<std::uint64_t>::max();
-    const double budget = max_epochs * n;
-    if (!(budget > 0.0))
-        return 0;
-    if (budget >= static_cast<double>(kMax))
-        return kMax;
-    return static_cast<std::uint64_t>(budget);
-}
-
-/** One sample of a convergence trace. */
-struct TracePoint
-{
-    double epochs = 0.0;     //!< |V|-normalised vertex updates so far
-    double blockDelta = 0.0; //!< L1 delta of the most recent update
-};
-
-/** Outcome and work accounting of an engine run. */
-struct EngineReport
-{
-    double epochs = 0.0;          //!< vertexUpdates / |V|
-    std::uint64_t blockUpdates = 0;
-    std::uint64_t vertexUpdates = 0;
-    std::uint64_t edgeTraversals = 0;
-    std::uint64_t scatterWrites = 0;
-    bool converged = false;       //!< quiescent before maxEpochs
-    bool stopped = false;         //!< ended early by EngineOptions::stop
-    double seconds = 0.0;         //!< host wall-clock (monotonic) of the run
-    /**
-     * L1 value delta accumulated over the last convergence sample
-     * window (roughly one epoch).  0 at quiescence, and always 0 under
-     * GRAPHABCD_OBS=OFF — residual accounting rides the observability
-     * hooks so the uninstrumented hot loop stays byte-comparable.
-     */
-    double residual = 0.0;
-    std::vector<TracePoint> trace;
-};
 
 /**
  * Single-threaded BCD engine over a partitioned graph.
@@ -134,9 +87,7 @@ class SerialEngine
         if ((stop_fn || options.convergence) &&
             options.traceInterval <= 0.0)
             options.traceInterval = 1.0;
-        return options.mode == ExecMode::Bsp
-            ? runJacobi(state, trace_fn, stop_fn)
-            : runGaussSeidel(state, trace_fn, stop_fn);
+        return runSteps(state, trace_fn, stop_fn);
     }
 
     /** Convenience: fresh state, run, return (report, values). */
@@ -156,92 +107,39 @@ class SerialEngine
     }
 
   private:
-    /** Publish live counters for serve-layer status snapshots. */
-    void
-    publishProgress(const EngineReport &report) const
+    /** SCATTER one update, activating its destination blocks; count it. */
+    BlockWork
+    commit(BcdState<Program> &state, BlockScheduler &sched,
+           RunAccounting &acct, const BlockUpdate<Value> &update)
     {
-        if (options.progress) {
-            options.progress->publish(report.vertexUpdates,
-                                      report.blockUpdates,
-                                      report.edgeTraversals,
-                                      report.scatterWrites);
-        }
-    }
-    /** Initial activation: every block at the same large priority. */
-    void
-    seedScheduler(BlockScheduler &sched) const
-    {
-        for (BlockId b = 0; b < graph.numBlocks(); b++)
-            sched.activate(b, initialActivationPriority());
+        const std::uint64_t scatters = state.commitBlock(
+            graph, program, update, options.tolerance,
+            [&sched](BlockId dst, double delta) {
+                sched.activate(dst, delta);
+            });
+        const BlockWork work{update.newValues.size(), 1,
+                             graph.blockEdgeCount(update.block), scatters,
+                             update.changed, update.l1Delta};
+        acct.count(work);
+        return work;
     }
 
     /**
-     * Residual accumulator for one convergence sample window.  Only
-     * mutated inside `if constexpr (obs::kEnabled)` sections, so the
-     * OFF build's loop body is unchanged.
+     * The run loop.  A step is one block under Gauss-Seidel (its
+     * SCATTER commits before the next block is picked) or one Jacobi
+     * superstep (mode Bsp: the whole active set is GATHER-APPLIED
+     * against a frozen snapshot, then committed behind a global
+     * barrier).  The trace observer and StopFn run at trace-interval
+     * boundaries between steps.
      */
-    struct ConvWindow
-    {
-        double l1 = 0.0;            //!< sum of block l1Delta
-        std::uint64_t active = 0;   //!< vertices moved > tol
-    };
-
-    /** Publish one sample into options.convergence and reset `win`. */
-    void
-    sampleConvergence(EngineReport &report, const Timer &timer,
-                      ConvWindow &win, bool final)
-    {
-        if constexpr (obs::kEnabled) {
-            report.residual = win.l1;
-            if (options.convergence) {
-                obs::ConvergencePoint p;
-                p.epochs = report.epochs;
-                p.residual = win.l1;
-                p.activeVertices = win.active;
-                p.vertexUpdates = report.vertexUpdates;
-                p.edgeTraversals = report.edgeTraversals;
-                p.wallSeconds = timer.seconds();
-                if (final)
-                    options.convergence->recordFinal(p);
-                else
-                    options.convergence->record(p);
-            }
-            win = ConvWindow{};
-        }
-    }
-
-    /** @return true when the StopFn asks to end the run. */
-    bool
-    maybeTrace(EngineReport &report, const BcdState<Program> &state,
-               const TraceFn &trace_fn, const StopFn &stop_fn,
-               double &next_trace, double block_delta,
-               const Timer &timer, ConvWindow &win)
-    {
-        if (options.traceInterval <= 0.0)
-            return false;
-        if (report.epochs + 1e-12 < next_trace)
-            return false;
-        next_trace += options.traceInterval;
-        report.trace.push_back(TracePoint{report.epochs, block_delta});
-        sampleConvergence(report, timer, win, false);
-        if (trace_fn)
-            trace_fn(report.epochs, state.values());
-        return stop_fn && stop_fn(report.epochs, state.values());
-    }
-
     EngineReport
-    runGaussSeidel(BcdState<Program> &state, const TraceFn &trace_fn,
-                   const StopFn &stop_fn)
+    runSteps(BcdState<Program> &state, const TraceFn &trace_fn,
+             const StopFn &stop_fn)
     {
-        Timer timer;
-        // Root span of this engine run; under the serve layer it nests
-        // into the submitting job's causal tree.
-        obs::Span run_span("engine.serial.run");
-        EngineReport report;
-        const double n = std::max<double>(graph.numVertices(), 1.0);
-        auto sched = makeScheduler(options.schedule, graph.numBlocks(),
-                                   options.seed);
-        seedScheduler(*sched);
+        RunAccounting acct("engine.serial.run", graph.numVertices(),
+                           options);
+        auto sched = makeSeededScheduler(options.schedule,
+                                         graph.numBlocks(), options.seed);
 
         // Resolve metrics once per run; recording is per block.
         obs::Histogram &gasHist = obs::histogram(
@@ -249,116 +147,59 @@ class SerialEngine
         obs::Histogram &fanoutHist = obs::histogram(
             "engine.serial.scatter_fanout", obs::fanoutBuckets());
 
+        std::vector<TracePoint> trace;
         double next_trace = options.traceInterval;
-        ConvWindow win;
-        BlockUpdate<Value> update;
-        while (auto b = sched->next()) {
-            std::uint64_t block_scatter = 0;
-            {
-                obs::ScopedLatency lat(gasHist);
-                update = state.processBlock(graph, program, *b,
-                                            options.tolerance);
-                block_scatter = state.commitBlock(
-                    graph, program, update, options.tolerance,
-                    [&sched](BlockId dst, double delta) {
-                        sched->activate(dst, delta);
-                    });
-            }
-            fanoutHist.record(static_cast<double>(block_scatter));
-            report.scatterWrites += block_scatter;
-            report.blockUpdates++;
-            report.vertexUpdates += update.newValues.size();
-            report.edgeTraversals += graph.blockEdgeCount(*b);
-            report.epochs = static_cast<double>(report.vertexUpdates) / n;
-            if constexpr (obs::kEnabled) {
-                win.l1 += update.l1Delta;
-                win.active += update.changed;
-            }
-            publishProgress(report);
-            if (options.stop.stopRequested()) {
-                report.stopped = true;
-                break;
-            }
-            if (maybeTrace(report, state, trace_fn, stop_fn, next_trace,
-                           update.l1Delta, timer, win)) {
-                report.converged = true;
-                report.seconds = timer.seconds();
-                return report;
-            }
-            if (report.epochs >= options.maxEpochs)
-                break;
-        }
-        sampleConvergence(report, timer, win, true);
-        report.converged = sched->empty();
-        report.seconds = timer.seconds();
-        return report;
-    }
-
-    EngineReport
-    runJacobi(BcdState<Program> &state, const TraceFn &trace_fn,
-              const StopFn &stop_fn)
-    {
-        Timer timer;
-        obs::Span run_span("engine.serial.run");
-        EngineReport report;
-        const double n = std::max<double>(graph.numVertices(), 1.0);
-        auto sched = makeScheduler(options.schedule, graph.numBlocks(),
-                                   options.seed);
-        seedScheduler(*sched);
-
-        double next_trace = options.traceInterval;
-        ConvWindow win;
-        std::vector<BlockId> wave;
-        std::vector<BlockUpdate<Value>> updates;
+        bool stopped = false;
+        bool objective_met = false;
+        std::vector<BlockUpdate<Value>> wave;
         while (!sched->empty()) {
-            // Drain the active set: this superstep's work list.
-            wave.clear();
-            while (auto b = sched->next())
-                wave.push_back(*b);
-
-            // GATHER-APPLY the whole wave against a frozen snapshot.
-            updates.clear();
-            updates.reserve(wave.size());
-            for (BlockId b : wave) {
-                updates.push_back(state.processBlock(graph, program, b,
+            BlockWork step;   // the step's convergence-window share
+            if (options.mode == ExecMode::Bsp) {
+                wave.clear();
+                while (auto b = sched->next()) {
+                    wave.push_back(state.processBlock(
+                        graph, program, *b, options.tolerance));
+                }
+                for (const auto &update : wave) {
+                    const BlockWork work = commit(state, *sched, acct, update);
+                    step.l1 += work.l1;
+                    step.active += work.active;
+                }
+            } else {
+                const std::optional<BlockId> b = sched->next();
+                if (!b)
+                    break;
+                {
+                    obs::ScopedLatency lat(gasHist);
+                    step = commit(state, *sched, acct,
+                                  state.processBlock(graph, program, *b,
                                                      options.tolerance));
+                }
+                fanoutHist.record(static_cast<double>(step.scatters));
             }
-
-            // Global barrier: commit everything, then activate.
-            double wave_delta = 0.0;
-            for (const auto &update : updates) {
-                report.scatterWrites += state.commitBlock(
-                    graph, program, update, options.tolerance,
-                    [&sched](BlockId dst, double delta) {
-                        sched->activate(dst, delta);
-                    });
-                report.blockUpdates++;
-                report.vertexUpdates += update.newValues.size();
-                report.edgeTraversals += graph.blockEdgeCount(update.block);
-                wave_delta += update.l1Delta;
-                if constexpr (obs::kEnabled)
-                    win.active += update.changed;
-            }
-            report.epochs = static_cast<double>(report.vertexUpdates) / n;
-            if constexpr (obs::kEnabled)
-                win.l1 += wave_delta;
-            publishProgress(report);
+            acct.observe(step);
             if (options.stop.stopRequested()) {
-                report.stopped = true;
+                stopped = true;
                 break;
             }
-            if (maybeTrace(report, state, trace_fn, stop_fn, next_trace,
-                           wave_delta, timer, win)) {
-                report.converged = true;
-                report.seconds = timer.seconds();
-                return report;
+            const double epochs = acct.epochs();
+            if (options.traceInterval > 0.0 &&
+                epochs + 1e-12 >= next_trace) {
+                next_trace += options.traceInterval;
+                trace.push_back(TracePoint{epochs, step.l1});
+                if (trace_fn)
+                    trace_fn(epochs, state.values());
+                if (stop_fn && stop_fn(epochs, state.values())) {
+                    objective_met = true;
+                    break;
+                }
             }
-            if (report.epochs >= options.maxEpochs)
+            if (epochs >= options.maxEpochs)
                 break;
         }
-        sampleConvergence(report, timer, win, true);
-        report.converged = sched->empty();
-        report.seconds = timer.seconds();
+        EngineReport report =
+            acct.finish(stopped, objective_met || sched->empty());
+        report.trace = std::move(trace);
         return report;
     }
 

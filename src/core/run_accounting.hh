@@ -1,0 +1,190 @@
+/**
+ * @file
+ * RunAccounting — the bookkeeping every real engine run shares.
+ *
+ * One object per run owns the root span, the wall clock, the maxEpochs
+ * update budget, the work counters (relaxed atomics, so threaded
+ * participants tally without the control lock), live Progress
+ * publishing, the convergence sample windows and the final
+ * EngineReport.  Engines only say what one block (or superstep) did, as
+ * a BlockWork.
+ *
+ * Used by SerialEngine, AsyncEngine (all modes), AccumEngine (through
+ * the BlockPump) and FragmentEngine.  The HARP simulator and the
+ * GraphMat baseline keep their own accounting: they sample simulated
+ * time and whole supersteps.
+ */
+
+#ifndef GRAPHABCD_CORE_RUN_ACCOUNTING_HH
+#define GRAPHABCD_CORE_RUN_ACCOUNTING_HH
+
+#include <atomic>
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include "core/options.hh"
+#include "obs/obs.hh"
+#include "support/timer.hh"
+
+namespace graphabcd {
+
+class BlockScheduler;
+
+/** One sample of a convergence trace. */
+struct TracePoint
+{
+    double epochs = 0.0;     //!< |V|-normalised vertex updates so far
+    double blockDelta = 0.0; //!< L1 delta of the most recent update
+};
+
+/** Outcome and work accounting of an engine run. */
+struct EngineReport
+{
+    double epochs = 0.0;          //!< vertexUpdates / |V|
+    std::uint64_t blockUpdates = 0;
+    std::uint64_t vertexUpdates = 0;
+    std::uint64_t edgeTraversals = 0;
+    std::uint64_t scatterWrites = 0;
+    bool converged = false;       //!< quiescent before maxEpochs
+    bool stopped = false;         //!< ended early by EngineOptions::stop
+    double seconds = 0.0;         //!< host wall-clock (monotonic) of the run
+    /**
+     * L1 value delta accumulated over the last convergence sample
+     * window (roughly one epoch).  0 at quiescence, and always 0 under
+     * GRAPHABCD_OBS=OFF — residual accounting rides the observability
+     * hooks so the uninstrumented hot loop stays byte-comparable.
+     */
+    double residual = 0.0;
+    std::vector<TracePoint> trace;
+};
+
+/** What one block update (or one superstep) did. */
+struct BlockWork
+{
+    std::uint64_t vertices = 0;   //!< vertex updates (epochs, budget)
+    std::uint64_t blocks = 1;     //!< block updates
+    std::uint64_t edges = 0;      //!< edge traversals
+    std::uint64_t scatters = 0;   //!< scatter writes
+    std::uint64_t active = 0;     //!< vertices moved by more than tol
+    double l1 = 0.0;              //!< L1 value move
+};
+
+/**
+ * Residual accumulator of one convergence series between two samples.
+ * Not synchronized: its owner serializes access (control lock, claim
+ * flag or a single-threaded loop).
+ */
+struct ConvergenceWindow
+{
+    std::shared_ptr<obs::ConvergenceSeries> series;   //!< may be null
+    double l1 = 0.0;
+    std::uint64_t active = 0;
+    double nextSample = 0.0;   //!< epoch of the next interval sample
+};
+
+class RunAccounting
+{
+  public:
+    /**
+     * Starts the run's clock and opens its root span; under the serve
+     * layer the span nests into the submitting job's causal tree.
+     * @param span_name root span name (a string literal).
+     */
+    RunAccounting(const char *span_name, VertexId num_vertices,
+                  const EngineOptions &opt);
+
+    RunAccounting(const RunAccounting &) = delete;
+    RunAccounting &operator=(const RunAccounting &) = delete;
+
+    /** Tally one block's work and publish it.  Thread safe. */
+    void
+    count(const BlockWork &w)
+    {
+        vertexUpdates_.fetch_add(w.vertices, std::memory_order_relaxed);
+        blockUpdates_.fetch_add(w.blocks, std::memory_order_relaxed);
+        edgeTraversals_.fetch_add(w.edges, std::memory_order_relaxed);
+        scatterWrites_.fetch_add(w.scatters, std::memory_order_relaxed);
+        if (progress_)
+            progress_->accumulate(w.vertices, w.blocks, w.edges, w.scatters);
+    }
+
+    std::uint64_t
+    vertexUpdates() const
+    {
+        return vertexUpdates_.load(std::memory_order_relaxed);
+    }
+
+    std::uint64_t
+    blockUpdates() const
+    {
+        return blockUpdates_.load(std::memory_order_relaxed);
+    }
+
+    double
+    epochs() const
+    {
+        return static_cast<double>(vertexUpdates()) / n_;
+    }
+
+    /** @return whether the maxEpochs update budget is used up. */
+    bool budgetSpent() const { return vertexUpdates() >= maxUpdates_; }
+
+    /** The run-wide window (options.convergence). */
+    ConvergenceWindow &window() { return window_; }
+
+    /** A fresh window feeding `series` at the run's sample interval. */
+    ConvergenceWindow
+    openWindow(std::shared_ptr<obs::ConvergenceSeries> series) const
+    {
+        return ConvergenceWindow{std::move(series), 0.0, 0, interval_};
+    }
+
+    /**
+     * Fold `w` into `win` and record a sample once the run crosses the
+     * window's next interval boundary.  No-op under GRAPHABCD_OBS=OFF.
+     */
+    void
+    observe(ConvergenceWindow &win, const BlockWork &w) const
+    {
+        if constexpr (obs::kEnabled) {
+            win.l1 += w.l1;
+            win.active += w.active;
+            if (win.series && epochs() + 1e-12 >= win.nextSample) {
+                win.nextSample = epochs() + interval_;
+                sample(win, false);
+            }
+        }
+    }
+
+    void observe(const BlockWork &w) { observe(window_, w); }
+
+    /** Record the window as one point (if it has a series), then reset. */
+    void sample(ConvergenceWindow &win, bool final) const;
+
+    /**
+     * Record the run-wide final point and assemble the report.
+     * report.residual is the final window's L1 (obs builds only).
+     */
+    EngineReport finish(bool stopped, bool converged);
+
+    /** Fold a finished run's scheduler counters into the registry. */
+    static void flushSchedulerCounters(const BlockScheduler &sched);
+
+  private:
+    obs::Span span_;
+    Timer timer_;
+    const double n_;
+    const std::uint64_t maxUpdates_;
+    const double interval_;
+    const std::shared_ptr<Progress> progress_;
+    std::atomic<std::uint64_t> vertexUpdates_{0};
+    std::atomic<std::uint64_t> blockUpdates_{0};
+    std::atomic<std::uint64_t> edgeTraversals_{0};
+    std::atomic<std::uint64_t> scatterWrites_{0};
+    ConvergenceWindow window_;
+};
+
+} // namespace graphabcd
+
+#endif // GRAPHABCD_CORE_RUN_ACCOUNTING_HH

@@ -427,4 +427,14 @@ makeScheduler(Schedule schedule, BlockId num_blocks, std::uint64_t seed,
     panic("unknown schedule");
 }
 
+std::unique_ptr<BlockScheduler>
+makeSeededScheduler(Schedule schedule, BlockId num_blocks,
+                    std::uint64_t seed, std::uint32_t num_workers)
+{
+    auto sched = makeScheduler(schedule, num_blocks, seed, num_workers);
+    for (BlockId b = 0; b < num_blocks; b++)
+        sched->activate(b, initialActivationPriority());
+    return sched;
+}
+
 } // namespace graphabcd

@@ -42,7 +42,7 @@
  * control lock).  A next() that returns nullopt while a concurrent
  * activate() is mid-flight may miss that block; engines must therefore
  * only treat "empty" as quiescence once in-flight work has drained
- * (the same inflight==0 test they already apply).
+ * (the BlockPump checks only after joining every participant).
  */
 
 #ifndef GRAPHABCD_CORE_SCHEDULER_HH
@@ -333,6 +333,12 @@ initialActivationPriority()
 {
     return 1e9;
 }
+
+/** makeScheduler with every block activated at
+ *  initialActivationPriority(): the start state of a run. */
+std::unique_ptr<BlockScheduler> makeSeededScheduler(
+    Schedule schedule, BlockId num_blocks, std::uint64_t seed,
+    std::uint32_t num_workers = 8);
 
 } // namespace graphabcd
 

@@ -37,7 +37,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -53,7 +52,6 @@
 #include "graph/partition.hh"
 #include "obs/obs.hh"
 #include "runtime/executor.hh"
-#include "support/timer.hh"
 
 namespace graphabcd {
 
@@ -63,8 +61,6 @@ struct FragmentRunStats
     std::uint64_t blockUpdates = 0;
     std::uint64_t messagesSent = 0;
     std::uint64_t messagesReceived = 0;
-    /** L1 residual of the fragment's last sample window (obs builds). */
-    double residual = 0.0;
 };
 
 /**
@@ -101,14 +97,11 @@ class FragmentEngine
     EngineReport
     run(std::vector<Value> &out_values)
     {
-        Timer timer;
-        // Root span of this engine run; under the serve layer it nests
-        // into the submitting job's causal tree, and each productive
-        // fragment pump records a child span below (participantLoop).
-        obs::Span run_span("engine.fragment.run");
-        EngineReport report;
+        // Each productive fragment pump records a child span below the
+        // run's root span (participantLoop).
+        RunAccounting acct("engine.fragment.run", graph.numVertices(),
+                           options);
         const FragmentId nFrags = topology_.numFragments();
-        const double n = std::max<double>(graph.numVertices(), 1.0);
 
         // Ring capacity scales with shard size but stays bounded: the
         // outbox absorbs bursts beyond it without blocking.
@@ -127,37 +120,27 @@ class FragmentEngine
             std::uint64_t blockUpdates = 0;
             std::uint64_t sent = 0;
             std::uint64_t received = 0;
-            double winL1 = 0.0;
-            std::uint64_t winActive = 0;
-            double nextSample = 0.0;
-            std::shared_ptr<obs::ConvergenceSeries> series;
+            ConvergenceWindow win;   //!< the fragment's .frag<i> series
         };
         std::vector<std::unique_ptr<FragCtl>> frags(nFrags);
-        const double sampleInterval =
-            options.traceInterval > 0.0 ? options.traceInterval : 1.0;
         for (FragmentId f = 0; f < nFrags; f++) {
             frags[f] = std::make_unique<FragCtl>();
             frags[f]->shard = std::make_unique<FragmentShard<Program>>(
                 graph, topology_, f, program, options);
-            frags[f]->nextSample = sampleInterval;
+            std::shared_ptr<obs::ConvergenceSeries> series;
             if constexpr (obs::kEnabled) {
                 if (options.convergence) {
-                    frags[f]->series = obs::beginConvergence(
+                    series = obs::beginConvergence(
                         options.convergence->label() + ".frag" +
                         std::to_string(f));
                 }
             }
+            frags[f]->win = acct.openWindow(std::move(series));
         }
 
-        std::atomic<std::uint64_t> vertex_updates{0};
-        std::atomic<std::uint64_t> block_updates{0};
-        std::atomic<std::uint64_t> edge_traversals{0};
-        std::atomic<std::uint64_t> scatter_writes{0};
         std::atomic<bool> halted{false};
         std::atomic<bool> quiesced{false};
         std::atomic<bool> done{false};
-        const std::uint64_t max_updates =
-            updateBudget(options.maxEpochs, n);
 
         // Resolve metrics once per run; record per pump / per block.
         obs::Counter &sentCtr = obs::counter("fragment.messages_sent");
@@ -207,18 +190,16 @@ class FragmentEngine
                     if (k == 0)
                         break;
                     if constexpr (obs::kEnabled) {
-                        const std::uint64_t now = block_updates.load(
-                            std::memory_order_relaxed);
+                        const std::uint64_t now = acct.blockUpdates();
                         const std::uint64_t stamp = ch.flushStamp.load(
                             std::memory_order_relaxed);
                         staleHist.record(static_cast<double>(
                             now > stamp ? now - stamp : 0));
                     }
-                    EdgeId writes = 0;
+                    BlockWork applied{.blocks = 0};
                     for (std::size_t i = 0; i < k; i++)
-                        writes += shard.applyMessage(batch_buf[i]);
-                    scatter_writes.fetch_add(
-                        writes, std::memory_order_relaxed);
+                        applied.scatters += shard.applyMessage(batch_buf[i]);
+                    acct.count(applied);
                     fc.received += k;
                     plane.noteReceived(k);
                     recvCtr.add(k);
@@ -230,12 +211,7 @@ class FragmentEngine
             while (blocks < kBlocksPerPump) {
                 if (halted.load(std::memory_order_relaxed))
                     break;
-                if (options.stop.stopRequested()) {
-                    halted.store(true, std::memory_order_relaxed);
-                    break;
-                }
-                if (vertex_updates.load(std::memory_order_relaxed) >=
-                    max_updates) {
+                if (options.stop.stopRequested() || acct.budgetSpent()) {
                     halted.store(true, std::memory_order_relaxed);
                     break;
                 }
@@ -250,50 +226,12 @@ class FragmentEngine
                 fc.blockUpdates++;
                 fc.sent += work->messagesQueued;
                 sentCtr.add(work->messagesQueued);
-                vertex_updates.fetch_add(work->vertices,
-                                         std::memory_order_relaxed);
-                block_updates.fetch_add(1, std::memory_order_relaxed);
-                edge_traversals.fetch_add(work->edges,
-                                          std::memory_order_relaxed);
-                scatter_writes.fetch_add(work->scatterWrites,
-                                         std::memory_order_relaxed);
-                if (options.progress) {
-                    options.progress->accumulate(
-                        work->vertices, 1, work->edges,
-                        work->scatterWrites);
-                }
-                if constexpr (obs::kEnabled) {
-                    fc.winL1 += work->l1Delta;
-                    fc.winActive += work->changed;
-                    if (fc.series) {
-                        const double ep =
-                            static_cast<double>(vertex_updates.load(
-                                std::memory_order_relaxed)) /
-                            n;
-                        if (ep + 1e-12 >= fc.nextSample) {
-                            fc.nextSample = ep + sampleInterval;
-                            obs::ConvergencePoint pt;
-                            pt.epochs = ep;
-                            pt.residual = fc.winL1;
-                            pt.activeVertices = fc.winActive;
-                            pt.vertexUpdates = vertex_updates.load(
-                                std::memory_order_relaxed);
-                            pt.edgeTraversals = edge_traversals.load(
-                                std::memory_order_relaxed);
-                            pt.wallSeconds = timer.seconds();
-                            fc.series->record(pt);
-                            fc.winL1 = 0.0;
-                            fc.winActive = 0;
-                        }
-                    }
-                }
+                acct.count(*work);
+                acct.observe(fc.win, *work);
             }
 
-            const bool drained = shard.flushOutboxes(
-                plane,
-                block_updates.load(std::memory_order_relaxed));
-            if (blocks > 0)
-                did_work = true;
+            const bool drained =
+                shard.flushOutboxes(plane, acct.blockUpdates());
 
             bool rings_empty = true;
             for (FragmentId src = 0; src < nFrags && rings_empty;
@@ -402,79 +340,32 @@ class FragmentEngine
         job->wait();   // all pool participants drained
 
         // ---- stitch results and build the report ----
+        // The run-wide window is the sum of the fragments' windows.
         out_values.resize(graph.numVertices());
         stats_.assign(nFrags, FragmentRunStats{});
-        double residual = 0.0;
-        std::uint64_t win_active = 0;
         for (FragmentId f = 0; f < nFrags; f++) {
-            const FragCtl &fc = *frags[f];
+            FragCtl &fc = *frags[f];
             const FragmentShard<Program> &shard = *fc.shard;
             std::copy(shard.values().begin(), shard.values().end(),
                       out_values.begin() + shard.vertexBegin());
             stats_[f].blockUpdates = fc.blockUpdates;
             stats_[f].messagesSent = fc.sent;
             stats_[f].messagesReceived = fc.received;
-            stats_[f].residual = fc.winL1;
-            residual += fc.winL1;
-            win_active += fc.winActive;
-            flushSchedulerCounters(shard.scheduler());
+            acct.window().l1 += fc.win.l1;
+            acct.window().active += fc.win.active;
+            acct.sample(fc.win, /*final=*/true);
+            RunAccounting::flushSchedulerCounters(shard.scheduler());
         }
 
-        report.stopped = options.stop.stopRequested();
-        report.vertexUpdates = vertex_updates.load();
-        report.blockUpdates = block_updates.load();
-        report.edgeTraversals = edge_traversals.load();
-        report.scatterWrites = scatter_writes.load();
-        report.epochs = static_cast<double>(report.vertexUpdates) / n;
         // A halted run never claims convergence: only the detector's
         // proof of global quiescence does.
-        report.converged =
-            quiesced.load(std::memory_order_relaxed) && !report.stopped;
-        report.seconds = timer.seconds();
-        if constexpr (obs::kEnabled) {
-            report.residual = residual;
-            for (FragmentId f = 0; f < nFrags; f++) {
-                FragCtl &fc = *frags[f];
-                if (!fc.series)
-                    continue;
-                obs::ConvergencePoint pt;
-                pt.epochs = report.epochs;
-                pt.residual = fc.winL1;
-                pt.activeVertices = fc.winActive;
-                pt.vertexUpdates = report.vertexUpdates;
-                pt.edgeTraversals = report.edgeTraversals;
-                pt.wallSeconds = report.seconds;
-                fc.series->recordFinal(pt);
-            }
-            if (options.convergence) {
-                obs::ConvergencePoint pt;
-                pt.epochs = report.epochs;
-                pt.residual = residual;
-                pt.activeVertices = win_active;
-                pt.vertexUpdates = report.vertexUpdates;
-                pt.edgeTraversals = report.edgeTraversals;
-                pt.wallSeconds = report.seconds;
-                options.convergence->recordFinal(pt);
-            }
-        }
-        return report;
+        const bool stopped = options.stop.stopRequested();
+        return acct.finish(stopped,
+                           quiesced.load(std::memory_order_relaxed) &&
+                               !stopped);
     }
 
   private:
-    /** Fold a shard's scheduler counters into the registry. */
-    static void
-    flushSchedulerCounters(const BlockScheduler &sched)
-    {
-        if constexpr (obs::kEnabled) {
-            const SchedulerCounters c = sched.counters();
-            obs::counter("scheduler.activations").add(c.activations);
-            obs::counter("scheduler.heap_pushes").add(c.heapPushes);
-            obs::counter("scheduler.stale_discards")
-                .add(c.staleDiscards);
-            obs::counter("scheduler.refreshes").add(c.refreshes);
-        }
-    }
-
     const BlockPartition &graph;
     Program program;
     EngineOptions options;

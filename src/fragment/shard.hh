@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "core/options.hh"
+#include "core/run_accounting.hh"
 #include "core/scheduler.hh"
 #include "core/vertex_program.hh"
 #include "fragment/message_plane.hh"
@@ -42,16 +43,11 @@
 
 namespace graphabcd {
 
-/** Work accounting of one FragmentShard::processNext call. */
-struct ShardWork
+/** Work accounting of one FragmentShard::processNext call; `scatters`
+ *  counts local edge positions written. */
+struct ShardWork : BlockWork
 {
-    BlockId block = invalidBlock;    //!< global block id processed
-    VertexId vertices = 0;           //!< vertex updates
-    EdgeId edges = 0;                //!< in-edges streamed
-    EdgeId scatterWrites = 0;        //!< local edge positions written
     std::uint64_t messagesQueued = 0; //!< delta messages appended
-    double l1Delta = 0.0;            //!< L1 value change of the block
-    VertexId changed = 0;            //!< vertices moved > tol
 };
 
 /** One fragment's values, mirrors, scheduler, and outboxes. */
@@ -104,10 +100,8 @@ class FragmentShard
             });
         }
 
-        const BlockId localBlocks = topo.blockCount(id);
-        sched = makeScheduler(opt.schedule, localBlocks, opt.seed + id);
-        for (BlockId b = 0; b < localBlocks; b++)
-            sched->activate(b, initialActivationPriority());
+        sched = makeSeededScheduler(opt.schedule, topo.blockCount(id),
+                                    opt.seed + id);
 
         outboxes.resize(topo.numFragments());
     }
@@ -130,7 +124,6 @@ class FragmentShard
         const BlockId b = bBegin + *local;
 
         ShardWork work;
-        work.block = b;
         const BlockEdgesView slice = graph.blockEdges(b, sliceScratch_);
         for (VertexId v = graph.blockBegin(b); v < graph.blockEnd(b);
              v++) {
@@ -144,11 +137,11 @@ class FragmentShard
             }
             const Value next = program.apply(v, acc, old, graph);
             const double d = program.delta(old, next);
-            work.l1Delta += d;
+            work.l1 += d;
             values_[v - vBegin] = next;
             if (!(d > tol))
                 continue;
-            work.changed++;
+            work.active++;
             scatter(v, next, work);
         }
         work.vertices = graph.blockVertexCount(b);
@@ -283,7 +276,7 @@ class FragmentShard
                 sched->activate(
                     graph.dstBlockOfEdge(pos, hint) - bBegin,
                     edge_delta);
-                work.scatterWrites++;
+                work.scatters++;
                 continue;
             }
             const FragmentId owner = topology.fragmentOfEdge(pos);

@@ -103,10 +103,8 @@ class HarpSystem
                 state->setValues(graph, program, *engineOpt.warmStart);
             }
         }
-        sched = makeScheduler(engineOpt.schedule, graph.numBlocks(),
-                              engineOpt.seed);
-        for (BlockId b = 0; b < graph.numBlocks(); b++)
-            sched->activate(b, initialActivationPriority());
+        sched = makeSeededScheduler(engineOpt.schedule, graph.numBlocks(),
+                                    engineOpt.seed);
 
         peFreeAt.assign(totalPes(), 0.0);
         peBusy.assign(totalPes(), 0.0);

@@ -64,7 +64,8 @@ enum class SubmitError
     None,          //!< admitted (or served directly from the cache)
     QueueFull,     //!< admission queue saturated — retry later
     UnknownGraph,  //!< no such name in the GraphRegistry
-    BadRequest,    //!< unsupported algorithm/engine combination
+    BadRequest,    //!< unsupported algorithm/engine combination, or
+                   //!< invalid inputs (see inputsValid)
     ShuttingDown,  //!< the service is stopping
     Shed,          //!< shed at admission: the estimated queue wait
                    //!< alone would blow the job's deadline

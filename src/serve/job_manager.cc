@@ -158,6 +158,8 @@ JobManager::submit(JobRequest req)
     auto graph = registry_.get(req.graph);
     if (!graph)
         return reject(SubmitError::UnknownGraph);
+    if (!inputsValid(req, graph->numVertices(), &why))
+        return reject(SubmitError::BadRequest);
 
     // Normalise: the partition's geometry is fixed at LOAD time, and
     // the fingerprint must reflect the geometry actually run.

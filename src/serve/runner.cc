@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <thread>
 
@@ -279,6 +280,24 @@ isRunnable(const JobRequest &req, std::string *why)
         *why = "algorithm '" + req.algo +
                "' has no accumulative (delta) form";
     return algo_ok && engine_ok && combo_ok;
+}
+
+bool
+inputsValid(const JobRequest &req, VertexId num_vertices, std::string *why)
+{
+    const double tol = req.options.tolerance;
+    if (!std::isfinite(tol) || tol < 0.0) {
+        if (why)
+            *why = "tolerance must be finite and non-negative";
+        return false;
+    }
+    if (algoUsesSource(req.algo) && req.source >= num_vertices) {
+        if (why)
+            *why = "source " + std::to_string(req.source) +
+                   " is not a vertex of the graph";
+        return false;
+    }
+    return true;
 }
 
 std::uint64_t

@@ -61,6 +61,15 @@ RunOutcome runAnalyticsJob(const BlockPartition &g, const JobRequest &req,
 /** @return whether runAnalyticsJob recognises req.algo and req.engine. */
 bool isRunnable(const JobRequest &req, std::string *why = nullptr);
 
+/**
+ * @return whether req's inputs make sense on a graph of `num_vertices`:
+ * a finite, non-negative tolerance and, for sssp/bfs/ppr, an existing
+ * source vertex.  Either mistake would otherwise run to a silently
+ * wrong converged=1 answer.
+ */
+bool inputsValid(const JobRequest &req, VertexId num_vertices,
+                 std::string *why = nullptr);
+
 /** Exact-match ResultCache key (see file comment). */
 std::uint64_t jobFingerprint(std::uint64_t graph_fingerprint,
                              const JobRequest &req);

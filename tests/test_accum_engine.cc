@@ -2,9 +2,9 @@
  * @file
  * Tests of the accumulative (Maiter-style) delta engine: equivalence
  * with the exact references across schedulers and thread counts,
- * conservation of value mass by construction, survival of the
- * interleaving that breaks the operation-based DeltaState, and a
- * cancel-storm stress for the sanitizer legs.
+ * conservation of value mass by construction, and survival of the
+ * interleaving that breaks the operation-based DeltaState.  The
+ * cancel-storm stress lives with the shared pump, in test_run_loop.cc.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -387,60 +386,6 @@ TEST(AccumEngineStop, UpdateBudgetHaltsTheRun)
     EXPECT_FALSE(report.stopped);
     // Overshoot is bounded by the in-flight quantum, not unbounded.
     EXPECT_LT(report.epochs, 3.0 + 2.0);
-}
-
-// -------------------------------------------------------- cancel storm
-
-/**
- * The TSan target: 8 threads, concurrent OBIM pushes from scatter
- * hooks, and a stop token fired at staggered points from before the
- * run to past quiescence.  GRAPHABCD_ACCUM_STRESS_ITERS scales the
- * iteration count (tools/ci.sh raises it on the TSan leg).
- */
-TEST(AccumStress, CancelStorm8Threads)
-{
-    int iters = 4;
-    if (const char *env = std::getenv("GRAPHABCD_ACCUM_STRESS_ITERS"))
-        iters = std::max(1, std::atoi(env));
-
-    Rng rng(90);
-    EdgeList el = generateRmat(1024, 8192, rng);
-    BlockPartition g(el, 32);
-    std::vector<double> ref = pagerankReference(el, 0.85);
-
-    for (int it = 0; it < iters; it++) {
-        EngineOptions opt;
-        opt.blockSize = 32;
-        opt.numThreads = 8;
-        opt.schedule = Schedule::Obim;
-        opt.tolerance = 1e-10;
-
-        StopSource stop;
-        opt.stop = stop.token();
-
-        AccumEngine<PageRankAccumProgram> engine(
-            g, PageRankAccumProgram(0.85), opt);
-        // 0 fires before any block is claimed; larger delays land
-        // mid-run or after quiescence.
-        std::atomic<bool> fired{false};
-        std::thread trigger([&] {
-            std::this_thread::sleep_for(
-                std::chrono::microseconds(it * 400));
-            stop.requestStop();
-            fired.store(true);
-        });
-
-        std::vector<double> x;
-        EngineReport report = engine.run(x);
-        trigger.join();
-        ASSERT_TRUE(fired.load());
-
-        if (report.converged) {
-            // A run that beat the trigger must be a correct fixpoint.
-            for (VertexId v = 0; v < el.numVertices(); v++)
-                ASSERT_NEAR(x[v], ref[v], 1e-5) << "vertex " << v;
-        }
-    }
 }
 
 } // namespace

@@ -1,0 +1,220 @@
+/**
+ * @file
+ * Tests of the run machinery the real engines share: the convergence
+ * contract RunAccounting gives every engine, and a cancel storm over
+ * both BlockPump users (async and accum) for the sanitizer legs.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdlib>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "algorithms/pagerank.hh"
+#include "algorithms/reference.hh"
+#include "core/accum_engine.hh"
+#include "core/async_engine.hh"
+#include "core/engine.hh"
+#include "core/stop_token.hh"
+#include "fragment/engine.hh"
+#include "graph/generators.hh"
+#include "obs/convergence.hh"
+
+namespace graphabcd {
+namespace {
+
+/** One way of running PageRank, named as the serve layer names it. */
+enum class Runner
+{
+    Serial,
+    Jacobi,
+    Async,
+    Barrier,
+    Bsp,
+    AccumCyclic,
+    AccumObim,
+    Fragment,
+};
+
+const char *
+runnerName(Runner r)
+{
+    switch (r) {
+      case Runner::Serial: return "serial";
+      case Runner::Jacobi: return "jacobi";
+      case Runner::Async: return "async";
+      case Runner::Barrier: return "barrier";
+      case Runner::Bsp: return "bsp";
+      case Runner::AccumCyclic: return "accum_cyclic";
+      case Runner::AccumObim: return "accum_obim";
+      case Runner::Fragment: return "fragment";
+    }
+    return "?";
+}
+
+std::string
+paramName(const testing::TestParamInfo<Runner> &info)
+{
+    return runnerName(info.param);
+}
+
+/** Run PageRank under `r`; opt.mode / schedule / fragments are set here. */
+EngineReport
+runPageRank(Runner r, const BlockPartition &g, EngineOptions opt,
+            std::vector<double> &x)
+{
+    switch (r) {
+      case Runner::Serial:
+      case Runner::Jacobi:
+        opt.mode = r == Runner::Jacobi ? ExecMode::Bsp : ExecMode::Async;
+        return SerialEngine<PageRankProgram>(g, PageRankProgram(0.85), opt)
+            .run(x);
+      case Runner::Async:
+      case Runner::Barrier:
+      case Runner::Bsp:
+        opt.mode = r == Runner::Async     ? ExecMode::Async
+                   : r == Runner::Barrier ? ExecMode::Barrier
+                                          : ExecMode::Bsp;
+        return AsyncEngine<PageRankProgram>(g, PageRankProgram(0.85), opt)
+            .run(x);
+      case Runner::AccumCyclic:
+      case Runner::AccumObim:
+        opt.schedule =
+            r == Runner::AccumObim ? Schedule::Obim : Schedule::Cyclic;
+        return AccumEngine<PageRankAccumProgram>(
+                   g, PageRankAccumProgram(0.85), opt)
+            .run(x);
+      case Runner::Fragment:
+        opt.fragments = 3;
+        return FragmentEngine<PageRankProgram>(g, PageRankProgram(0.85),
+                                               opt)
+            .run(x);
+    }
+    return {};
+}
+
+// ------------------------------------------------ convergence contract
+
+#if GRAPHABCD_OBS_ENABLED
+
+class ConvergenceContract : public testing::TestWithParam<Runner>
+{
+};
+
+/**
+ * Every engine's convergence series obeys one contract: epochs never
+ * go backwards, the final point is the report, and a window's active
+ * vertex count never exceeds the run's vertex updates.  The last bound
+ * caught the accum engine subtracting folds from applies on uint64
+ * (a final point of activeVertices = 2^64 - 106720 on RMAT 16k).
+ */
+TEST_P(ConvergenceContract, SeriesMatchesTheReport)
+{
+    Rng rng(97);
+    EdgeList el = generateRmat(4096, 32768, rng);
+    EngineOptions opt;
+    opt.blockSize = 64;
+    opt.numThreads = 2;
+    opt.tolerance = 1e-7;
+    auto series = std::make_shared<ConvergenceSeries>(
+        1, std::string("contract-") + runnerName(GetParam()));
+    opt.convergence = series;
+    BlockPartition g(el, opt.blockSize);
+
+    std::vector<double> x;
+    const EngineReport report = runPageRank(GetParam(), g, opt, x);
+    EXPECT_TRUE(report.converged);
+
+    const std::vector<ConvergencePoint> pts = series->points();
+    ASSERT_FALSE(pts.empty());
+    for (std::size_t i = 0; i < pts.size(); i++) {
+        if (i > 0) {
+            EXPECT_LE(pts[i - 1].epochs, pts[i].epochs)
+                << "epochs fell at sample " << i;
+        }
+        EXPECT_LE(pts[i].activeVertices, report.vertexUpdates)
+            << "sample " << i;
+    }
+    EXPECT_DOUBLE_EQ(pts.back().epochs, report.epochs);
+    EXPECT_EQ(pts.back().vertexUpdates, report.vertexUpdates);
+    EXPECT_DOUBLE_EQ(pts.back().residual, report.residual);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, ConvergenceContract,
+    testing::Values(Runner::Serial, Runner::Jacobi, Runner::Async,
+                    Runner::Barrier, Runner::Bsp, Runner::AccumCyclic,
+                    Runner::AccumObim, Runner::Fragment),
+    paramName);
+
+#endif // GRAPHABCD_OBS_ENABLED
+
+// ------------------------------------------------- pump cancel storm
+
+class PumpStress : public testing::TestWithParam<Runner>
+{
+};
+
+/**
+ * The TSan target for the shared BlockPump: 8 participants, a stop
+ * token fired at staggered points from before the run to past
+ * quiescence.  The accum instance also pushes into OBIM concurrently
+ * from its scatter hooks.  GRAPHABCD_PUMP_STRESS_ITERS scales the
+ * iteration count (tools/ci.sh raises it on the TSan leg).
+ */
+TEST_P(PumpStress, CancelStorm8Threads)
+{
+    int iters = 4;
+    if (const char *env = std::getenv("GRAPHABCD_PUMP_STRESS_ITERS"))
+        iters = std::max(1, std::atoi(env));
+
+    Rng rng(90);
+    EdgeList el = generateRmat(1024, 8192, rng);
+    BlockPartition g(el, 32);
+    std::vector<double> ref = pagerankReference(el, 0.85);
+
+    for (int it = 0; it < iters; it++) {
+        EngineOptions opt;
+        opt.blockSize = 32;
+        opt.numThreads = 8;
+        opt.tolerance = 1e-10;
+
+        StopSource stop;
+        opt.stop = stop.token();
+
+        // 0 fires before any block is claimed; larger delays land
+        // mid-run or after quiescence.
+        std::atomic<bool> fired{false};
+        std::thread trigger([&] {
+            std::this_thread::sleep_for(
+                std::chrono::microseconds(it * 400));
+            stop.requestStop();
+            fired.store(true);
+        });
+
+        std::vector<double> x;
+        EngineReport report = runPageRank(GetParam(), g, opt, x);
+        trigger.join();
+        ASSERT_TRUE(fired.load());
+
+        if (report.converged) {
+            // A run that beat the trigger must be a correct fixpoint.
+            for (VertexId v = 0; v < el.numVertices(); v++)
+                ASSERT_NEAR(x[v], ref[v], 1e-5) << "vertex " << v;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Users, PumpStress,
+                         testing::Values(Runner::Async,
+                                         Runner::AccumObim),
+                         paramName);
+
+} // namespace
+} // namespace graphabcd

@@ -1,14 +1,13 @@
 /**
  * @file
- * Tests of the serve layer: admission queue ordering and backpressure,
- * the tenant-aware FairShareQueue (weighted interleave, quotas,
- * displacement shedding, deadline admission control), stop tokens and
- * halt-cause attribution, result-cache LRU/TTL/fingerprinting, the
- * graph registry, and the JobManager end-to-end — concurrent jobs must
- * match direct engine runs, cancellation must not block other jobs, a
- * saturated queue must reject instead of deadlock, and the
- * cancel-vs-finish races must keep every counter and result field
- * consistent.
+ * Tests of the serve layer: the tenant-aware FairShareQueue (weighted
+ * interleave, quotas, displacement shedding, deadline admission
+ * control), stop tokens and halt-cause attribution, result-cache
+ * LRU/TTL/fingerprinting, the graph registry, request validation, and
+ * the JobManager end-to-end — concurrent jobs must match direct engine
+ * runs, cancellation must not block other jobs, a saturated queue must
+ * reject instead of deadlock, and the cancel-vs-finish races must keep
+ * every counter and result field consistent.
  */
 
 #include <gtest/gtest.h>
@@ -16,13 +15,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <random>
 #include <thread>
 #include <vector>
 
 #include "core/stop_token.hh"
 #include "graph/generators.hh"
-#include "runtime/admission_queue.hh"
 #include "algorithms/reference.hh"
 #include "serve/graph_registry.hh"
 #include "serve/job_manager.hh"
@@ -51,57 +50,26 @@ waitUntil(Pred pred, double timeout_s = 10.0)
     return true;
 }
 
-/** A request that never converges (negative tolerance) — cancel bait. */
+/** Registry name of the two-vertex cycle the endless requests run on. */
+constexpr const char *kSwap = "swap";
+
+/**
+ * A request that never converges — cancel bait.  On a two-vertex cycle
+ * held in one block, label propagation makes each vertex take the
+ * other's old label on every update, so the labels swap forever while
+ * the run keeps publishing progress.
+ */
 JobRequest
-endlessRequest(const std::string &graph)
+endlessRequest()
 {
     JobRequest req;
-    req.graph = graph;
-    req.algo = "pr";
+    req.graph = kSwap;
+    req.algo = "lp";
     req.engine = "serial";
-    req.options.tolerance = -1.0;   // residual >= 0 can never beat this
     req.options.maxEpochs = 1e9;
     req.allowCached = false;
     req.allowWarmStart = false;
     return req;
-}
-
-// ---------------------------------------------------------------------
-// AdmissionQueue
-
-TEST(AdmissionQueue, PriorityOrderFifoWithinClass)
-{
-    AdmissionQueue<int> q(8);
-    ASSERT_TRUE(q.tryPush(1, 0.0));
-    ASSERT_TRUE(q.tryPush(2, 5.0));
-    ASSERT_TRUE(q.tryPush(3, 0.0));
-    ASSERT_TRUE(q.tryPush(4, 5.0));
-    EXPECT_EQ(q.pop(), 2);   // highest priority first...
-    EXPECT_EQ(q.pop(), 4);   // ...FIFO among equals
-    EXPECT_EQ(q.pop(), 1);
-    EXPECT_EQ(q.pop(), 3);
-}
-
-TEST(AdmissionQueue, RejectsWhenFullInsteadOfBlocking)
-{
-    AdmissionQueue<int> q(2);
-    EXPECT_TRUE(q.tryPush(1, 0.0));
-    EXPECT_TRUE(q.tryPush(2, 0.0));
-    EXPECT_FALSE(q.tryPush(3, 9.0));   // full: rejected, not parked
-    EXPECT_EQ(q.size(), 2u);
-    EXPECT_EQ(q.pop(), 1);
-    EXPECT_TRUE(q.tryPush(3, 0.0));    // slot freed
-}
-
-TEST(AdmissionQueue, CloseDrainsBacklogThenSignalsShutdown)
-{
-    AdmissionQueue<int> q(4);
-    ASSERT_TRUE(q.tryPush(7, 0.0));
-    q.close();
-    EXPECT_FALSE(q.tryPush(8, 0.0));
-    EXPECT_EQ(q.pop(), 7);                  // backlog drains
-    EXPECT_EQ(q.pop(), std::nullopt);       // then shutdown
-    EXPECT_TRUE(q.isClosed());
 }
 
 // ---------------------------------------------------------------------
@@ -139,8 +107,7 @@ TEST(FairShareQueue, PriorityOrderFifoWithinLane)
     ASSERT_EQ(q.tryPush(2, "t", 5.0).outcome, AdmitOutcome::Admitted);
     ASSERT_EQ(q.tryPush(3, "t", 0.0).outcome, AdmitOutcome::Admitted);
     ASSERT_EQ(q.tryPush(4, "t", 5.0).outcome, AdmitOutcome::Admitted);
-    // Same contract as AdmissionQueue, per lane: highest priority
-    // first, FIFO among equals.
+    // Per lane: highest priority first, FIFO among equals.
     EXPECT_EQ(q.pop(), 2);
     EXPECT_EQ(q.pop(), 4);
     EXPECT_EQ(q.pop(), 1);
@@ -252,7 +219,7 @@ TEST(FairShareQueue, CloseDrainsBacklogIgnoringQuota)
     // Shutdown drains regardless of the in-flight quota...
     EXPECT_EQ(q.tryPop(out), PopStatus::Ok);
     EXPECT_EQ(out, 2);
-    // ...and then reports drained, exactly like AdmissionQueue.
+    // ...and then reports drained.
     EXPECT_EQ(q.tryPop(out), PopStatus::Drained);
     EXPECT_EQ(q.pop(), std::nullopt);
     EXPECT_TRUE(q.isClosed());
@@ -574,6 +541,7 @@ class ServeTest : public testing::Test
         road = generateRmat(180, 1100, rng, {.weighted = true});
         registry.add("web", web, 32);
         registry.add("road", road, 32);
+        registry.add(kSwap, generateCycle(2), 32);
     }
 
     JobRequest
@@ -799,7 +767,7 @@ TEST_F(ServeTest, CancelMidRunReportsCancelledWithoutBlockingOthers)
     cfg.workers = 2;
     JobManager manager(registry, cfg);
 
-    JobManager::Submitted endless = manager.submit(endlessRequest("web"));
+    JobManager::Submitted endless = manager.submit(endlessRequest());
     ASSERT_TRUE(endless.ok());
     // Wait until the engine is demonstrably running: live Progress
     // counters are visible through status() snapshots mid-run.
@@ -844,7 +812,7 @@ TEST_F(ServeTest, ConcurrentCancelStormCountsEachJobExactlyOnce)
     std::vector<JobId> ids;
     for (std::size_t i = 0; i < kJobs; i++) {
         JobManager::Submitted sub = manager.submit(
-            endlessRequest(i % 2 ? "web" : "road"));
+            endlessRequest());
         ASSERT_TRUE(sub.ok());
         ids.push_back(sub.id);
     }
@@ -881,7 +849,7 @@ TEST_F(ServeTest, ConcurrentCancelStormCountsEachJobExactlyOnce)
 TEST_F(ServeTest, DeadlineCancelsARunawayJob)
 {
     JobManager manager(registry);
-    JobRequest req = endlessRequest("web");
+    JobRequest req = endlessRequest();
     req.timeoutSeconds = 0.05;
     JobManager::Submitted sub = manager.submit(req);
     ASSERT_TRUE(sub.ok());
@@ -901,7 +869,7 @@ TEST_F(ServeTest, SaturatedQueueRejectsInsteadOfDeadlocking)
     JobManager manager(registry, cfg);
 
     // Occupy the only worker...
-    JobManager::Submitted blocker = manager.submit(endlessRequest("web"));
+    JobManager::Submitted blocker = manager.submit(endlessRequest());
     ASSERT_TRUE(blocker.ok());
     ASSERT_TRUE(waitUntil([&] {
         auto st = manager.status(blocker.id);
@@ -909,13 +877,13 @@ TEST_F(ServeTest, SaturatedQueueRejectsInsteadOfDeadlocking)
     }));
 
     // ...fill the admission queue...
-    JobManager::Submitted q1 = manager.submit(endlessRequest("road"));
-    JobManager::Submitted q2 = manager.submit(endlessRequest("road"));
+    JobManager::Submitted q1 = manager.submit(endlessRequest());
+    JobManager::Submitted q2 = manager.submit(endlessRequest());
     ASSERT_TRUE(q1.ok());
     ASSERT_TRUE(q2.ok());
 
     // ...and the next submission bounces immediately.
-    JobManager::Submitted over = manager.submit(endlessRequest("web"));
+    JobManager::Submitted over = manager.submit(endlessRequest());
     EXPECT_FALSE(over.ok());
     EXPECT_EQ(over.error, SubmitError::QueueFull);
     EXPECT_EQ(manager.stats().rejected, 1u);
@@ -956,6 +924,52 @@ TEST_F(ServeTest, RejectsUnknownGraphsAndBadRequests)
               SubmitError::ShuttingDown);
 }
 
+TEST_F(ServeTest, RejectsSourcesOutsideTheGraph)
+{
+    // Before validation these ran to state=done converged=1 with zero
+    // scatters: nothing ever activates from a vertex that is not there.
+    JobManager manager(registry);
+    const VertexId n = registry.get("web")->numVertices();
+    for (const char *algo : {"sssp", "bfs", "ppr"}) {
+        for (VertexId bad : {n, VertexId{99999999}}) {
+            EXPECT_EQ(manager.submit(request("web", algo, "serial", bad))
+                          .error,
+                      SubmitError::BadRequest)
+                << algo << " source=" << bad;
+        }
+        JobManager::Submitted last =
+            manager.submit(request("web", algo, "serial", n - 1));
+        ASSERT_TRUE(last.ok()) << algo;
+        EXPECT_TRUE(manager.wait(last.id, 60.0));
+        EXPECT_EQ(manager.status(last.id)->state, JobState::Done);
+    }
+    // Source-less algorithms ignore a stray source.
+    EXPECT_TRUE(manager.submit(request("web", "pr", "serial", n)).ok());
+    EXPECT_EQ(manager.stats().rejected, 6u);
+}
+
+TEST_F(ServeTest, RejectsNonFiniteOrNegativeTolerance)
+{
+    // tolerance=nan used to converge after one epoch (a NaN compare
+    // never activates anything); a negative one never converges.
+    JobManager manager(registry);
+    for (double tol : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(), -1.0}) {
+        for (const char *engine : {"serial", "async", "accum"}) {
+            JobRequest req = request("web", "pr", engine);
+            req.options.tolerance = tol;
+            EXPECT_EQ(manager.submit(req).error, SubmitError::BadRequest)
+                << engine << " tolerance=" << tol;
+        }
+    }
+    JobRequest exact = request("web", "pr", "serial");
+    exact.options.tolerance = 0.0;
+    JobManager::Submitted sub = manager.submit(exact);
+    ASSERT_TRUE(sub.ok());
+    EXPECT_TRUE(manager.wait(sub.id, 60.0));
+    EXPECT_TRUE(manager.status(sub.id)->converged);
+}
+
 TEST_F(ServeTest, CacheHitVsCancelStormNeverLeaksResults)
 {
     // Regression: runJob's pop-time cache re-check used to write
@@ -971,8 +985,8 @@ TEST_F(ServeTest, CacheHitVsCancelStormNeverLeaksResults)
     JobManager manager(registry, cfg);
 
     // Occupy both workers so the cacheable jobs stay queued.
-    JobManager::Submitted b1 = manager.submit(endlessRequest("web"));
-    JobManager::Submitted b2 = manager.submit(endlessRequest("road"));
+    JobManager::Submitted b1 = manager.submit(endlessRequest());
+    JobManager::Submitted b2 = manager.submit(endlessRequest());
     ASSERT_TRUE(b1.ok());
     ASSERT_TRUE(b2.ok());
     ASSERT_TRUE(waitUntil([&] {
@@ -1064,7 +1078,7 @@ TEST_F(ServeTest, QueuedDeadlineIsNotMisattributedAsCancel)
     cfg.workers = 1;
     JobManager manager(registry, cfg);
 
-    JobManager::Submitted blocker = manager.submit(endlessRequest("web"));
+    JobManager::Submitted blocker = manager.submit(endlessRequest());
     ASSERT_TRUE(blocker.ok());
     ASSERT_TRUE(waitUntil([&] {
         auto st = manager.status(blocker.id);
@@ -1103,7 +1117,7 @@ TEST_F(ServeTest, TenantQuotaCapsConcurrencyWhileOthersProceed)
     cfg.tenantQos["capped"] = {1.0, /*maxInFlight=*/1, 0};
     JobManager manager(registry, cfg);
 
-    JobRequest first = endlessRequest("web");
+    JobRequest first = endlessRequest();
     first.tenant = "capped";
     JobManager::Submitted e1 = manager.submit(first);
     ASSERT_TRUE(e1.ok());
@@ -1114,7 +1128,7 @@ TEST_F(ServeTest, TenantQuotaCapsConcurrencyWhileOthersProceed)
 
     // The second capped job is admitted but must hold at Queued even
     // though a worker is idle: the tenant's in-flight quota is 1.
-    JobRequest second = endlessRequest("road");
+    JobRequest second = endlessRequest();
     second.tenant = "capped";
     JobManager::Submitted e2 = manager.submit(second);
     ASSERT_TRUE(e2.ok());
@@ -1151,7 +1165,7 @@ TEST_F(ServeTest, PressureShedsFloodersNewestJobWithDistinctState)
     cfg.queueCapacity = 2;
     JobManager manager(registry, cfg);
 
-    JobRequest flood = endlessRequest("web");
+    JobRequest flood = endlessRequest();
     flood.tenant = "flood";
     JobManager::Submitted blocker = manager.submit(flood);
     ASSERT_TRUE(blocker.ok());
@@ -1197,9 +1211,9 @@ TEST_F(ServeTest, InfeasibleDeadlineIsShedAtAdmission)
     cfg.initialServiceEstimateSeconds = 10.0;   // seeded evidence
     JobManager manager(registry, cfg);
 
-    JobManager::Submitted blocker = manager.submit(endlessRequest("web"));
+    JobManager::Submitted blocker = manager.submit(endlessRequest());
     ASSERT_TRUE(blocker.ok());
-    JobManager::Submitted queued = manager.submit(endlessRequest("road"));
+    JobManager::Submitted queued = manager.submit(endlessRequest());
     ASSERT_TRUE(queued.ok());
 
     // One ~10s job is queued ahead; a 50ms deadline cannot make it.
@@ -1301,6 +1315,7 @@ TEST(ServeQosStress, MultiTenantCancelShedStorm)
     GraphRegistry registry;
     registry.add("g", generateRmat(120, 700, rng, {.weighted = true}),
                  32);
+    registry.add(kSwap, generateCycle(2), 32);
 
     for (int iter = 0; iter < iters; iter++) {
         ServeConfig cfg;
@@ -1328,8 +1343,8 @@ TEST(ServeQosStress, MultiTenantCancelShedStorm)
                 req.allowWarmStart = false;
                 switch (gen() % 4) {
                 case 0:   // endless: cancel bait
-                    req.options.tolerance = -1.0;
-                    req.options.maxEpochs = 1e9;
+                    req = endlessRequest();
+                    req.tenant = tenant;
                     break;
                 case 1:   // doomed deadline: shed or deadline-cancel
                     req.timeoutSeconds = 0.001;
@@ -1426,8 +1441,8 @@ TEST_F(ServeTest, ShutdownCancelsOutstandingJobs)
     ServeConfig cfg;
     cfg.workers = 1;
     JobManager manager(registry, cfg);
-    JobManager::Submitted running = manager.submit(endlessRequest("web"));
-    JobManager::Submitted queued = manager.submit(endlessRequest("road"));
+    JobManager::Submitted running = manager.submit(endlessRequest());
+    JobManager::Submitted queued = manager.submit(endlessRequest());
     ASSERT_TRUE(running.ok());
     ASSERT_TRUE(queued.ok());
     ASSERT_TRUE(waitUntil([&] {

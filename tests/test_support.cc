@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests of the support layer: logging, RNG, stats, tables, flags,
+ * Unit tests of the support layer: logging, RNG, tables, flags,
  * unit formatting.
  */
 
@@ -12,7 +12,6 @@
 #include "support/flags.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
-#include "support/stats.hh"
 #include "support/table.hh"
 #include "support/units.hh"
 
@@ -139,47 +138,6 @@ TEST(Zipf, SamplesStayInRange)
     ZipfSampler zipf(37, 0.7);
     for (int i = 0; i < 10000; i++)
         EXPECT_LT(zipf.sample(rng), 37u);
-}
-
-TEST(Stats, CountersAccumulate)
-{
-    StatRegistry stats;
-    stats.incr("a");
-    stats.incr("a", 4);
-    EXPECT_EQ(stats.counter("a"), 5u);
-    EXPECT_EQ(stats.counter("missing"), 0u);
-}
-
-TEST(Stats, ScalarsOverwrite)
-{
-    StatRegistry stats;
-    stats.set("x", 1.5);
-    stats.set("x", 2.5);
-    EXPECT_DOUBLE_EQ(stats.scalar("x"), 2.5);
-}
-
-TEST(Stats, DistributionTracksMoments)
-{
-    StatRegistry stats;
-    stats.sample("d", 1.0);
-    stats.sample("d", 3.0);
-    stats.sample("d", 2.0);
-    const Distribution &d = stats.distribution("d");
-    EXPECT_EQ(d.count(), 3u);
-    EXPECT_DOUBLE_EQ(d.mean(), 2.0);
-    EXPECT_DOUBLE_EQ(d.min(), 1.0);
-    EXPECT_DOUBLE_EQ(d.max(), 3.0);
-}
-
-TEST(Stats, MergeAddsCountersAndDists)
-{
-    StatRegistry a, b;
-    a.incr("c", 2);
-    b.incr("c", 3);
-    b.sample("d", 5.0);
-    a.merge(b);
-    EXPECT_EQ(a.counter("c"), 5u);
-    EXPECT_EQ(a.distribution("d").count(), 1u);
 }
 
 TEST(Table, RendersAlignedAscii)

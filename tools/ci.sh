@@ -59,14 +59,16 @@ run_preset() {
             "./build-tsan/tests/abcd_tests" \
             --gtest_filter='FragmentStress.*'
 
-        # Same treatment for the accumulative engine: its scatter hooks
-        # push into the OBIM worklist concurrently (no control lock), so
-        # the cancel storm is rerun heavier to cover many push/pop/drain
+        # Same treatment for the shared block pump, once per user: the
+        # async engine (dispatch FIFO, per-block control lock) and the
+        # accumulative engine, whose scatter hooks also push into the
+        # OBIM worklist concurrently (no control lock).  The cancel
+        # storm is rerun heavier to cover many claim/commit/drain
         # interleavings under the race detector.
-        echo "== accum stress (${preset}) =="
-        GRAPHABCD_ACCUM_STRESS_ITERS=24 \
+        echo "== pump stress (${preset}) =="
+        GRAPHABCD_PUMP_STRESS_ITERS=24 \
             "./build-tsan/tests/abcd_tests" \
-            --gtest_filter='AccumStress.*'
+            --gtest_filter='*PumpStress.*'
 
         # The serve layer's cancel/cache-hit/shed races are guarded by
         # finishJob's terminal CAS; rerun the multi-tenant storm heavier
