@@ -312,8 +312,8 @@ benchMain(int argc, char **argv)
             opt.numThreads = 1;
             opt.schedule = sch;
             Timer timer;
-            AccumEngine<PageRankAccumProgram> engine(
-                ga, PageRankAccumProgram(0.85), opt);
+            AccumEngine<PageRankProgram> engine(
+                ga, PageRankProgram(0.85), opt);
             std::vector<double> x;
             EngineReport r = engine.run(x);
             addRow("pr", name, r.vertexUpdates, r.epochs,
@@ -357,8 +357,8 @@ benchMain(int argc, char **argv)
             opt.numThreads = 1;
             opt.schedule = Schedule::Obim;
             Timer timer;
-            AccumEngine<SsspAccumProgram> engine(
-                gfine, SsspAccumProgram(src), opt);
+            AccumEngine<SsspProgram> engine(
+                gfine, SsspProgram(src), opt);
             std::vector<double> d;
             EngineReport r = engine.run(d);
             addRow("sssp", "accum", r.vertexUpdates, r.epochs,

@@ -23,12 +23,13 @@ namespace graphabcd {
  * instead of the uniform vector, i.e. b = (1-alpha) * e_source in the
  * Eq. (3) objective.  Ranks measure proximity to the source.
  */
-struct PersonalizedPageRankProgram : PageRankProgram
+struct PersonalizedPageRankProgram
+    : LinearRankProgram<PersonalizedPageRankProgram>
 {
     VertexId source = 0;
 
     PersonalizedPageRankProgram(VertexId src, double damping = 0.85)
-        : PageRankProgram(damping), source(src)
+        : LinearRankProgram(damping), source(src)
     {}
 
     Value
@@ -38,11 +39,9 @@ struct PersonalizedPageRankProgram : PageRankProgram
     }
 
     Value
-    apply(VertexId v, const Accum &acc, const Value &,
-          const BlockPartition &) const
+    teleport(VertexId v, const BlockPartition &) const
     {
-        const double teleport = v == source ? 1.0 - alpha : 0.0;
-        return teleport + alpha * acc;
+        return v == source ? 1.0 - alpha : 0.0;
     }
 };
 

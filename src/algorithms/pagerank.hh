@@ -14,7 +14,9 @@
 #ifndef GRAPHABCD_ALGORITHMS_PAGERANK_HH
 #define GRAPHABCD_ALGORITHMS_PAGERANK_HH
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "core/vertex_program.hh"
@@ -22,21 +24,24 @@
 
 namespace graphabcd {
 
-/** PageRank vertex program. */
-struct PageRankProgram
+/**
+ * The linear PageRank family, x_v = teleport(v) + alpha * sum_u x_u /
+ * outdeg(u): PageRank and Personalized PageRank differ only in where
+ * the (1-alpha) teleport mass lands.  Self supplies init() and
+ * teleport(); the update formula lives here once, and its Sum
+ * accumulation gives both programs their delta form.
+ */
+template <typename Self>
+struct LinearRankProgram
 {
     using Value = double;   //!< the vertex's rank
     using Accum = double;   //!< sum of in-coming rank/degree
 
+    static constexpr Accumulation accumulation = Accumulation::Sum;
+
     double alpha = 0.85;    //!< damping factor
 
-    explicit PageRankProgram(double damping = 0.85) : alpha(damping) {}
-
-    Value
-    init(VertexId, const BlockPartition &g) const
-    {
-        return 1.0 / std::max<double>(g.numVertices(), 1.0);
-    }
+    explicit LinearRankProgram(double damping = 0.85) : alpha(damping) {}
 
     Accum identity() const { return 0.0; }
 
@@ -49,10 +54,10 @@ struct PageRankProgram
     Accum combine(Accum a, Accum b) const { return a + b; }
 
     Value
-    apply(VertexId, const Accum &acc, const Value &,
+    apply(VertexId v, const Accum &acc, const Value &,
           const BlockPartition &g) const
     {
-        return (1.0 - alpha) / std::max<double>(g.numVertices(), 1.0) +
+        return static_cast<const Self &>(*this).teleport(v, g) +
                alpha * acc;
     }
 
@@ -67,6 +72,24 @@ struct PageRankProgram
     double delta(const Value &a, const Value &b) const
     {
         return std::abs(a - b);
+    }
+};
+
+/** PageRank vertex program: uniform teleport b = (1-alpha)/|V| e. */
+struct PageRankProgram : LinearRankProgram<PageRankProgram>
+{
+    using LinearRankProgram::LinearRankProgram;
+
+    Value
+    init(VertexId, const BlockPartition &g) const
+    {
+        return 1.0 / std::max<double>(g.numVertices(), 1.0);
+    }
+
+    Value
+    teleport(VertexId, const BlockPartition &g) const
+    {
+        return (1.0 - alpha) / std::max<double>(g.numVertices(), 1.0);
     }
 };
 

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "core/vertex_program.hh"
 #include "graph/partition.hh"
@@ -27,6 +26,8 @@ struct SsspProgram
 {
     using Value = double;   //!< tentative distance from the source
     using Accum = double;   //!< min over in-coming relaxations
+
+    static constexpr Accumulation accumulation = Accumulation::Min;
 
     VertexId source = 0;
 
@@ -97,13 +98,14 @@ struct CcProgram
     using Value = double;   //!< current component label (a vertex id)
     using Accum = double;
 
+    static constexpr Accumulation accumulation = Accumulation::Min;
+
+    /** Finite "no label yet": every vertex id is smaller. */
+    static constexpr double unlabeled = 1e18;
+
     Value init(VertexId v, const BlockPartition &) const { return v; }
 
-    Accum
-    identity() const
-    {
-        return std::numeric_limits<double>::infinity();
-    }
+    Accum identity() const { return unlabeled; }
 
     Accum
     edgeTerm(const Value &, const Value &edge_value, float) const

@@ -37,6 +37,12 @@
  * schedulers it batches activations per block under the control lock,
  * exactly like AsyncEngine.
  *
+ * Programs: the engine runs the GAS programs themselves
+ * (AccumEngine<SsspProgram>).  Any Accumulable program — sum
+ * accumulation with a linear apply, or min accumulation — has its delta
+ * form derived by detail::DeltaForm below; no algorithm is written
+ * twice.
+ *
  * Threading is AsyncEngine's: both run on the shared BlockPump, so
  * no threads are spawned and StopToken and the maxEpochs budget halt
  * the run without ever claiming convergence while work remains.
@@ -48,7 +54,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -58,208 +63,74 @@
 #include "core/engine.hh"
 #include "core/options.hh"
 #include "core/scheduler.hh"
+#include "core/vertex_program.hh"
 #include "graph/partition.hh"
 #include "obs/obs.hh"
 #include "support/timer.hh"
 
 namespace graphabcd {
 
-/**
- * Contract of an accumulative vertex program.  combineDelta must be
- * commutative and associative (sum, min, ...) — that is what makes
- * concurrent scatter safe — and apply/propagate must be monotone in
- * the Maiter sense: applying deltas in any order reaches the same
- * fixpoint.
- */
-template <typename P>
-concept AccumulativeProgram =
-    requires(const P p, typename P::Value v, VertexId vid, EdgeId e,
-             const BlockPartition &g) {
-        typename P::Value;
-        /** Initial vertex value (before any delta lands). */
-        { p.init(vid, g) } -> std::convertible_to<typename P::Value>;
-        /** Initial accumulator content (the seed work). */
-        { p.initialDelta(vid, g) }
-            -> std::convertible_to<typename P::Value>;
-        /** Neutral element of combineDelta; an accumulator holding it
-         *  has no work. */
-        { p.identityDelta() }
-            -> std::convertible_to<typename P::Value>;
-        /** Merge two deltas (commutative + associative). */
-        { p.combineDelta(v, v) }
-            -> std::convertible_to<typename P::Value>;
-        /** New vertex value after absorbing a delta. */
-        { p.apply(v, v) } -> std::convertible_to<typename P::Value>;
-        /** Delta shipped along out-edge at CSC position e when the
-         *  vertex moved to `next` by absorbing `applied`. */
-        { p.propagate(vid, v, v, e, g) }
-            -> std::convertible_to<typename P::Value>;
-        /** Part of an extracted delta still worth keeping when its
-         *  application moved the value by <= tolerance (identityDelta
-         *  to keep nothing). */
-        { p.foldResidual(v, v) }
-            -> std::convertible_to<typename P::Value>;
-        /** Scalar size of a value move (activation priority). */
-        { p.magnitude(v, v) } -> std::convertible_to<double>;
-    };
+namespace detail {
 
 /**
- * Accumulative PageRank (Maiter Sec. 2's canonical example): values
- * start at 0, accumulators at (1-alpha)/N, and a vertex that absorbs
- * delta d ships alpha*d/outdeg to each out-neighbour.  The fixpoint is
- * exactly PageRank's: x = (1-alpha)/N + alpha * sum(x_u / deg_u).
- * Every delta is non-negative, so accumulation is monotone and
- * sum(values) + sum(pending)/(1-alpha) == 1 is invariant (on graphs
- * without dangling vertices; a dangling vertex drains its alpha-share,
- * matching the non-accumulative engines' semantics).
+ * The delta form of an Accumulable GAS program, derived rather than
+ * written by hand (Maiter's conditions; DESIGN.md §10.1).  A vertex's
+ * value starts at GATHER's identity, absorbing a delta is one
+ * combine, and a move's size is the program's delta().  What is left
+ * to derive is the seed work, what an applied vertex ships, and what
+ * a sub-tolerance delta folds back.
  */
-struct PageRankAccumProgram
+template <Accumulable P>
+struct DeltaForm
 {
-    using Value = double;
+    using Value = typename P::Value;
 
-    double alpha = 0.85;
+    static constexpr bool kSum = P::accumulation == Accumulation::Sum;
 
-    explicit PageRankAccumProgram(double damping = 0.85)
-        : alpha(damping)
+    /** Initial accumulator: the teleport mass for a Sum program, the
+     *  GAS initial value for a Min one. */
+    static Value
+    initialDelta(const P &p, VertexId v, const BlockPartition &g)
     {
+        if constexpr (kSum)
+            return p.teleport(v, g);
+        else
+            return p.init(v, g);
     }
 
-    Value init(VertexId, const BlockPartition &) const { return 0.0; }
-
-    Value
-    initialDelta(VertexId, const BlockPartition &g) const
+    /** Delta shipped along the out-edge at CSC position e when v moved
+     *  to `next` by absorbing `applied`: the GAS edge term of what it
+     *  absorbed, damped by alpha, for a Sum program (linearity), of
+     *  its new value for a Min one. */
+    static Value
+    propagate(const P &p, VertexId v, Value next, Value applied, EdgeId e,
+              const BlockPartition &g)
     {
-        return (1.0 - alpha) / std::max<double>(g.numVertices(), 1.0);
+        if constexpr (kSum) {
+            return p.alpha * p.edgeTerm(Value{},
+                                        p.edgeValue(v, applied, g),
+                                        g.edgeWeight(e));
+        } else {
+            return p.edgeTerm(Value{}, p.edgeValue(v, next, g),
+                              g.edgeWeight(e));
+        }
     }
 
-    Value identityDelta() const { return 0.0; }
-    Value combineDelta(Value a, Value b) const { return a + b; }
-    Value apply(Value old, Value d) const { return old + d; }
-
-    Value
-    propagate(VertexId v, Value, Value applied, EdgeId,
-              const BlockPartition &g) const
+    /** Part of an extracted delta still worth keeping when applying it
+     *  moved the value by <= tolerance: all of it for a Sum program
+     *  (the mass-conservation fix), a candidate that still improves
+     *  the value for a Min one. */
+    static Value
+    foldResidual(const P &p, Value d, Value old)
     {
-        const std::uint32_t deg = g.outDegree(v);
-        return deg ? alpha * applied / deg : 0.0;
-    }
-
-    /** Keep the whole residual: this is the mass-conservation fix. */
-    Value foldResidual(Value d, Value) const { return d; }
-
-    double magnitude(Value old, Value next) const
-    {
-        return std::abs(next - old);
+        if constexpr (kSum)
+            return d;
+        else
+            return d < old ? d : p.identity();
     }
 };
 
-/**
- * Accumulative SSSP: min-accumulation of tentative distances.
- * Absorbing a shorter distance ships next+w along each out-edge — the
- * asynchronous label-correcting form (Maiter Sec. 2.2).
- */
-struct SsspAccumProgram
-{
-    using Value = double;
-
-    VertexId source = 0;
-    static constexpr Value unreachable = 1e18;
-
-    explicit SsspAccumProgram(VertexId src = 0) : source(src) {}
-
-    Value init(VertexId, const BlockPartition &) const
-    {
-        return unreachable;
-    }
-
-    Value
-    initialDelta(VertexId v, const BlockPartition &) const
-    {
-        return v == source ? 0.0 : unreachable;
-    }
-
-    Value identityDelta() const { return unreachable; }
-    Value combineDelta(Value a, Value b) const { return std::min(a, b); }
-    Value apply(Value old, Value d) const { return std::min(old, d); }
-
-    Value
-    propagate(VertexId, Value next, Value, EdgeId e,
-              const BlockPartition &g) const
-    {
-        return next + g.edgeWeight(e);
-    }
-
-    /** A candidate that no longer improves the value is dead. */
-    Value
-    foldResidual(Value d, Value old) const
-    {
-        return d < old ? d : unreachable;
-    }
-
-    double magnitude(Value old, Value next) const
-    {
-        return std::abs(old - next);
-    }
-};
-
-/** Accumulative BFS: SSSP with unit hop cost. */
-struct BfsAccumProgram : SsspAccumProgram
-{
-    explicit BfsAccumProgram(VertexId src = 0) : SsspAccumProgram(src) {}
-
-    Value
-    propagate(VertexId, Value next, Value, EdgeId,
-              const BlockPartition &) const
-    {
-        return next + 1.0;
-    }
-};
-
-/**
- * Accumulative connected components: min-label accumulation.  Every
- * vertex seeds its own id as a candidate label; absorbing a smaller
- * label re-ships it unchanged.  On a symmetrized graph the fixpoint
- * labels every vertex with its component's minimum id (ccReference).
- */
-struct CcAccumProgram
-{
-    using Value = double;
-
-    static constexpr Value unlabeled = 1e18;
-
-    Value init(VertexId, const BlockPartition &) const
-    {
-        return unlabeled;
-    }
-
-    Value
-    initialDelta(VertexId v, const BlockPartition &) const
-    {
-        return static_cast<Value>(v);
-    }
-
-    Value identityDelta() const { return unlabeled; }
-    Value combineDelta(Value a, Value b) const { return std::min(a, b); }
-    Value apply(Value old, Value d) const { return std::min(old, d); }
-
-    Value
-    propagate(VertexId, Value next, Value, EdgeId,
-              const BlockPartition &) const
-    {
-        return next;
-    }
-
-    Value
-    foldResidual(Value d, Value old) const
-    {
-        return d < old ? d : unlabeled;
-    }
-
-    double magnitude(Value old, Value next) const
-    {
-        return std::abs(old - next);
-    }
-};
+} // namespace detail
 
 /** What processVertex did with a vertex's accumulator. */
 enum class AccumOutcome
@@ -275,7 +146,7 @@ enum class AccumOutcome
  * can drive adversarial interleavings directly (the analogue of
  * DeltaState's split gather/commit API) and audit conservation.
  */
-template <AccumulativeProgram Program>
+template <Accumulable Program>
 class AccumState
 {
   public:
@@ -290,8 +161,8 @@ class AccumState
         values_ = std::vector<std::atomic<Value>>(n);
         pending_ = std::vector<std::atomic<Value>>(n);
         for (VertexId v = 0; v < n; v++) {
-            values_[v].store(p.init(v, g), std::memory_order_relaxed);
-            pending_[v].store(p.initialDelta(v, g),
+            values_[v].store(p.identity(), std::memory_order_relaxed);
+            pending_[v].store(Form::initialDelta(p, v, g),
                               std::memory_order_relaxed);
         }
     }
@@ -366,24 +237,29 @@ class AccumState
      *        shrinks), so no wakeup is lost.
      * @param scratch caller-owned scatter decode buffer — processors
      *        run concurrently, so each participant brings its own.
+     *
+     * Flattened: this is the per-edge loop, and the serve runner's
+     * translation unit instantiates every (program, engine) cell, so
+     * GCC's unit-wide inlining budget otherwise runs out before the
+     * activation push is inlined here (measured ~12% slower PageRank).
      */
     template <typename OnActivate>
-    Result
+    [[gnu::flatten]] Result
     processVertex(const Program &p, VertexId v, double tol,
                   OnActivate &&on_activate, ScatterScratch &scratch)
     {
         Result r;
-        const Value identity = p.identityDelta();
+        const Value identity = p.identity();
         const Value d =
             pending_[v].exchange(identity, std::memory_order_acq_rel);
         if (d == identity)
             return r;
         Value cur = values_[v].load(std::memory_order_relaxed);
         for (;;) {
-            const Value next = p.apply(cur, d);
-            const double mag = p.magnitude(cur, next);
+            const Value next = p.combine(cur, d);
+            const double mag = p.delta(cur, next);
             if (!(mag > tol)) {
-                const Value residual = p.foldResidual(d, cur);
+                const Value residual = Form::foldResidual(p, d, cur);
                 if (!(residual == identity))
                     atomicCombine(p, pending_[v], residual);
                 r.outcome = AccumOutcome::Folded;
@@ -399,7 +275,7 @@ class AccumState
                                                  : invalidBlock;
                 for (EdgeId pos : graph.scatterList(v, scratch)) {
                     const Value contrib =
-                        p.propagate(v, next, d, pos, graph);
+                        Form::propagate(p, v, next, d, pos, graph);
                     if (contrib == identity)
                         continue;
                     const VertexId dst = graph.edgeDstAt(pos, hint);
@@ -409,7 +285,7 @@ class AccumState
                     const Value dval =
                         values_[dst].load(std::memory_order_relaxed);
                     const double est =
-                        p.magnitude(dval, p.apply(dval, after));
+                        p.delta(dval, p.combine(dval, after));
                     if (est > tol) {
                         // Schedulers ACCUMULATE activation priorities
                         // (Gauss-Southwell L1), so pass this
@@ -419,9 +295,8 @@ class AccumState
                         // earlier contributions and over-prioritize
                         // hot vertices into premature, fragmenting
                         // applies.
-                        on_activate(
-                            dst,
-                            p.magnitude(dval, p.apply(dval, contrib)));
+                        on_activate(dst,
+                                    p.delta(dval, p.combine(dval, contrib)));
                     }
                 }
                 return r;
@@ -445,13 +320,15 @@ class AccumState
     }
 
   private:
+    using Form = detail::DeltaForm<Program>;
+
     /** @return the post-combine accumulator value. */
     static Value
     atomicCombine(const Program &p, std::atomic<Value> &slot, Value d)
     {
         Value cur = slot.load(std::memory_order_relaxed);
         for (;;) {
-            const Value next = p.combineDelta(cur, d);
+            const Value next = p.combine(cur, d);
             if (next == cur)
                 return cur;   // absorbing element (e.g. a worse min)
             if (slot.compare_exchange_weak(cur, next,
@@ -480,7 +357,7 @@ class AccumState
  * resuming needs a consistent (values, pending) pair, which cached
  * final values alone cannot provide.
  */
-template <AccumulativeProgram Program>
+template <Accumulable Program>
 class AccumEngine
 {
   public:

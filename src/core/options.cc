@@ -18,6 +18,17 @@ to_string(Schedule schedule)
     return "?";
 }
 
+std::optional<Schedule>
+parseSchedule(std::string_view s)
+{
+    for (Schedule schedule : {Schedule::Cyclic, Schedule::Priority,
+                              Schedule::Random, Schedule::Obim}) {
+        if (s == to_string(schedule))
+            return schedule;
+    }
+    return std::nullopt;
+}
+
 const char *
 to_string(ExecMode mode)
 {

@@ -9,7 +9,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/stop_token.hh"
@@ -33,6 +35,9 @@ enum class Schedule
 
 /** @return human-readable name of a Schedule. */
 const char *to_string(Schedule schedule);
+
+/** Parse a schedule name (to_string's spelling); nullopt if unknown. */
+std::optional<Schedule> parseSchedule(std::string_view s);
 
 /**
  * Execution model, used by the threaded engine and the HARP simulator to

@@ -24,6 +24,10 @@
  *                estimate (paper Sec. IV-B).
  *
  * Programs must be cheap to copy; engines pass them by value.
+ *
+ * A program whose update meets Maiter's conditions also declares
+ * `accumulation` (see Accumulable); the accumulative engine derives its
+ * delta form from the same definition (core/accum_engine.hh).
  */
 
 #ifndef GRAPHABCD_CORE_VERTEX_PROGRAM_HH
@@ -55,6 +59,36 @@ concept VertexProgram = requires(const P p, typename P::Value v,
     { p.edgeValue(vid, v, g) } -> std::convertible_to<typename P::Value>;
     { p.delta(v, v) } -> std::convertible_to<double>;
 };
+
+/**
+ * How an accumulable program's GATHER reduction meets its apply —
+ * Maiter's conditions for a delta (accumulative) form.
+ */
+enum class Accumulation
+{
+    Sum,   //!< combine is +, apply(v) = teleport(v) + alpha * acc
+    Min,   //!< combine is min, apply(old, acc) = min(old, acc)
+};
+
+/**
+ * A vertex program with a delta form: it declares
+ * `static constexpr Accumulation accumulation`, its Accum is its Value,
+ * and its edgeTerm ignores the destination's value (a delta is shipped
+ * before the destination is read).  A Sum program also exposes
+ * `teleport(v, g)` and its damping `alpha`.
+ */
+template <typename P>
+concept Accumulable =
+    VertexProgram<P> &&
+    std::same_as<typename P::Accum, typename P::Value> &&
+    requires {
+        { P::accumulation } -> std::convertible_to<Accumulation>;
+    } &&
+    (P::accumulation == Accumulation::Min ||
+     requires(const P p, VertexId vid, const BlockPartition &g) {
+         { p.teleport(vid, g) } -> std::convertible_to<typename P::Value>;
+         { p.alpha } -> std::convertible_to<double>;
+     });
 
 } // namespace graphabcd
 

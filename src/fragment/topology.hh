@@ -80,13 +80,6 @@ class FragmentTopology
     /** @return one-past-last in-edge position of fragment f's slice. */
     EdgeId edgeEnd(FragmentId f) const { return edgeCuts[f + 1]; }
 
-    /** @return in-edges landing in fragment f. */
-    EdgeId
-    edgeCount(FragmentId f) const
-    {
-        return edgeEnd(f) - edgeBegin(f);
-    }
-
     /** @return the fragment owning block b. */
     FragmentId fragmentOfBlock(BlockId b) const;
 

@@ -36,14 +36,6 @@ class EdgeList
     /** Append one edge; endpoints must be inside the id space. */
     void addEdge(VertexId src, VertexId dst, float weight = 1.0f);
 
-    /** Grow the id space (never shrinks). */
-    void
-    ensureVertices(VertexId num_vertices)
-    {
-        if (num_vertices > nVertices)
-            nVertices = num_vertices;
-    }
-
     VertexId numVertices() const { return nVertices; }
     EdgeId numEdges() const { return static_cast<EdgeId>(edges_.size()); }
 

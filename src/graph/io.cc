@@ -403,4 +403,14 @@ saveEdgeList(const EdgeList &el, const std::string &path)
     }
 }
 
+EdgeList
+loadEdgeListFile(const std::string &path)
+{
+    if (path.ends_with(".abcz"))
+        return loadEdgeListPacked(path);
+    if (path.ends_with(".bin"))
+        return loadEdgeListBinary(path);
+    return loadEdgeList(path);
+}
+
 } // namespace graphabcd

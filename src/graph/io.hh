@@ -57,6 +57,10 @@ void saveEdgeListPacked(const EdgeList &el, const std::string &path);
  */
 EdgeList loadEdgeListPacked(const std::string &path);
 
+/** Load any of the three formats, chosen by extension: .abcz packed,
+ *  .bin binary, anything else text. */
+EdgeList loadEdgeListFile(const std::string &path);
+
 } // namespace graphabcd
 
 #endif // GRAPHABCD_GRAPH_IO_HH

@@ -119,7 +119,7 @@ struct HarpConfig
     // ------------------------------------------------- graph layout
     /**
      * Topology bytes streamed per edge (src id + weight).  8.0 is the
-     * plain CSC record; serve sets it from the partition's measured
+     * plain CSC record; serve/runner sets it from the partition's measured
      * BlockPartition::gatherBytesPerEdge() so the simulated DMA traffic
      * tracks the real layout (compressed layouts land well under 8).
      */
@@ -130,15 +130,6 @@ struct HarpConfig
     edgeRecordBytes(std::uint32_t value_bytes) const
     {
         return layoutBytesPerEdge + value_bytes;
-    }
-
-    /** Seconds a PE needs to compute `edges` (reduction-pipeline rate). */
-    double
-    peComputeSeconds(std::uint64_t edges) const
-    {
-        return (static_cast<double>(edges) / peEdgesPerCycle +
-                pePipelineDepth) /
-               fpgaClockHz;
     }
 };
 

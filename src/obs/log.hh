@@ -15,11 +15,11 @@
  *   json:   {"ts":"...","level":"info","component":"serve",
  *            "msg":"job finished","job":3,"state":"done"}
  *
- * The logger is header-only on purpose: support/logging.cc (inform/
- * warn) routes through it, and src/support must not link against
- * abcd_obs.  Configuration lives in function-local statics — level and
- * format come from GRAPHABCD_LOG_LEVEL / GRAPHABCD_LOG_FORMAT env vars
- * until a tool overrides them (--log-level / --log-json).  Lines are
+ * The logger is header-only on purpose: support/logging.hh includes
+ * it, and src/support must not link against abcd_obs.  Configuration
+ * lives in function-local statics — level and format come from
+ * GRAPHABCD_LOG_LEVEL / GRAPHABCD_LOG_FORMAT env vars until a tool
+ * overrides them (--log-level / --log-json).  Lines are
  * written to stderr under a mutex (or to a test-injected sink), so
  * concurrent writers never interleave within a line.
  *

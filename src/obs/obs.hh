@@ -190,19 +190,6 @@ convergenceCsv(const ConvergenceSeries &series)
     return ConvergenceRecorder::csv(series);
 }
 
-/** Every retained series as CSV / JSON. */
-inline std::string
-convergenceCsv()
-{
-    return ConvergenceRecorder::global().csv();
-}
-
-inline std::string
-convergenceJson()
-{
-    return ConvergenceRecorder::global().json();
-}
-
 /** The registry as Prometheus text exposition (METRICS verb). */
 inline std::string
 prometheusText()
@@ -221,13 +208,6 @@ inline void
 stopSampler()
 {
     Sampler::global().stop();
-}
-
-/** Sampler time series as CSV (/series endpoint). */
-inline std::string
-samplerCsv()
-{
-    return Sampler::global().csv();
 }
 
 /** Arm the flight recorder: default dump path + log tap + fatal hook. */
@@ -423,18 +403,6 @@ convergenceCsv(const ConvergenceSeries &)
 }
 
 inline std::string
-convergenceCsv()
-{
-    return {};
-}
-
-inline std::string
-convergenceJson()
-{
-    return {};
-}
-
-inline std::string
 prometheusText()
 {
     return {};
@@ -448,12 +416,6 @@ startSampler(double)
 inline void
 stopSampler()
 {
-}
-
-inline std::string
-samplerCsv()
-{
-    return {};
 }
 
 inline void

@@ -265,14 +265,6 @@ class FairShareQueue
         return ewmaService_;
     }
 
-    /** Estimated queue wait a new `tenant` job would see now. */
-    double
-    estimatedWaitSeconds(const std::string &tenant)
-    {
-        std::lock_guard<std::mutex> lock(mtx_);
-        return estimatedWaitLocked(laneForLocked(tenant));
-    }
-
     /** Reject subsequent pushes; consumers drain then see nullopt. */
     void
     close()

@@ -1,10 +1,12 @@
 #include "serve/runner.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <thread>
+#include <utility>
 
 #include "algorithms/extras.hh"
 #include "algorithms/label_propagation.hh"
@@ -17,6 +19,7 @@
 #include "harp/system.hh"
 #include "runtime/executor.hh"
 #include "support/fingerprint.hh"
+#include "support/timer.hh"
 
 namespace graphabcd {
 
@@ -38,69 +41,6 @@ fromSimReport(const SimReport &sim)
     return report;
 }
 
-template <typename Program>
-RunOutcome
-runWith(const BlockPartition &g, Program program, const JobRequest &req)
-{
-    RunOutcome out;
-    if (req.engine == "serial") {
-        SerialEngine<Program> engine(g, program, req.options);
-        out.report = engine.run(out.values);
-    } else if (req.engine == "async") {
-        if constexpr (std::atomic<
-                          typename Program::Value>::is_always_lock_free) {
-            AsyncEngine<Program> engine(g, program, req.options);
-            out.report = engine.run(out.values);
-        } else {
-            out.error = "algorithm '" + req.algo +
-                        "' is not lock-free atomic; use engine=serial";
-        }
-    } else if (req.engine == "fragment") {
-        FragmentEngine<Program> engine(g, program, req.options);
-        out.report = engine.run(out.values);
-    } else if (req.engine == "sim") {
-        HarpConfig cfg;
-        // Simulated DMA traffic tracks the real layout: a compressed
-        // partition streams measurably fewer topology bytes per edge
-        // than the plain 8-byte CSC record.
-        cfg.layoutBytesPerEdge = g.gatherBytesPerEdge();
-        HarpSystem<Program> system(g, program, req.options, cfg);
-        out.report = fromSimReport(system.run(out.values));
-    } else {
-        out.error = "unknown engine '" + req.engine + "'";
-    }
-    return out;
-}
-
-/** engine=accum: the accumulative programs are separate types, so the
- *  algo dispatch is separate from runWith's. */
-template <typename Program>
-RunOutcome
-runAccum(const BlockPartition &g, Program program, const JobRequest &req)
-{
-    RunOutcome out;
-    AccumEngine<Program> engine(g, std::move(program), req.options);
-    out.report = engine.run(out.values);
-    return out;
-}
-
-RunOutcome
-runAccumJob(const BlockPartition &g, const JobRequest &req)
-{
-    if (req.algo == "pr")
-        return runAccum(g, PageRankAccumProgram(), req);
-    if (req.algo == "sssp")
-        return runAccum(g, SsspAccumProgram(req.source), req);
-    if (req.algo == "bfs")
-        return runAccum(g, BfsAccumProgram(req.source), req);
-    if (req.algo == "cc")
-        return runAccum(g, CcAccumProgram(), req);
-    RunOutcome out;
-    out.error = "algorithm '" + req.algo +
-                "' has no accumulative (delta) form; use another engine";
-    return out;
-}
-
 /**
  * The wedge engine: deliberately makes no progress, for exercising the
  * stall watchdog end to end (tests, the ci.sh stall drill).  Hidden
@@ -114,72 +54,230 @@ wedgeEngineEnabled()
     return env != nullptr && *env != '\0';
 }
 
-RunOutcome
-runWedgeJob(const BlockPartition &g, const JobRequest &req)
+// ------------------------------------------------------------ engines
+
+enum class EngineKind { Serial, Async, Fragment, Accum, Sim, Wedge };
+
+constexpr std::pair<std::string_view, EngineKind> kEngines[] = {
+    {"serial", EngineKind::Serial},     {"async", EngineKind::Async},
+    {"fragment", EngineKind::Fragment}, {"accum", EngineKind::Accum},
+    {"sim", EngineKind::Sim},           {"wedge", EngineKind::Wedge},
+};
+
+/** Runs program P on g for req, filling out. */
+template <typename P>
+using EngineFn = void (*)(const BlockPartition &g, const P &program,
+                          const JobRequest &req, const HarpConfig &harp,
+                          RunOutcome &out);
+
+/** The engines constructed from (graph, program, options). */
+template <typename Engine, typename P>
+void
+runEngine(const BlockPartition &g, const P &program, const JobRequest &req,
+          const HarpConfig &, RunOutcome &out)
+{
+    out.report = Engine(g, program, req.options).run(out.values);
+}
+
+template <typename P>
+void
+runSim(const BlockPartition &g, const P &program, const JobRequest &req,
+       const HarpConfig &harp, RunOutcome &out)
+{
+    // Simulated DMA traffic tracks the real layout: a compressed
+    // partition streams measurably fewer topology bytes per edge than
+    // the plain 8-byte CSC record.
+    HarpConfig cfg = harp;
+    cfg.layoutBytesPerEdge = g.gatherBytesPerEdge();
+    out.sim = HarpSystem<P>(g, program, req.options, cfg).run(out.values);
+    out.report = fromSimReport(*out.sim);
+}
+
+template <typename P>
+void
+runWedge(const BlockPartition &g, const P &, const JobRequest &req,
+         const HarpConfig &, RunOutcome &out)
 {
     // Poll the stop token without ever touching the Progress sink:
     // from the watchdog's point of view this job is perfectly wedged,
     // yet it still cancels cooperatively.  The time cap is a safety
     // net for misconfigured drills, not part of the contract.
-    RunOutcome out;
-    const auto start = std::chrono::steady_clock::now();
-    bool stopped = false;
-    while (std::chrono::steady_clock::now() - start <
-           std::chrono::seconds(30)) {
-        if (req.options.stop.stopRequested()) {
-            stopped = true;
-            break;
-        }
+    const StopToken &stop = req.options.stop;
+    Timer timer;
+    while (timer.seconds() < 30.0 && !stop.stopRequested())
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
     out.values.assign(g.numVertices(), 0.0);
-    out.report.stopped = stopped;
-    out.report.converged = false;
-    out.report.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    return out;
-}
-
-/** Algorithms whose fixpoint depends on JobRequest::source. */
-bool
-algoUsesSource(const std::string &algo)
-{
-    return algo == "sssp" || algo == "bfs" || algo == "ppr";
+    out.report.stopped = stop.stopRequested();
+    out.report.seconds = timer.seconds();
 }
 
 /**
- * Algorithms whose per-vertex values are themselves vertex ids (cc
- * component representatives, lp community labels).  Under a reorder
- * the engine computes labels in internal ids; the boundary translates
- * them so callers see original ids end to end.
+ * The one engine dispatch: the runner of req.engine for program type
+ * P, or null (with the reason in *why) when that engine does not exist
+ * or cannot run P.  Eligibility is a compile-time property of P.
  */
-bool
-algoValuesAreVertexIds(const std::string &algo)
+template <typename P>
+EngineFn<P>
+engineFor(const JobRequest &req, std::string *why)
 {
-    return algo == "cc" || algo == "lp";
+    auto reject = [&](const std::string &reason) -> EngineFn<P> {
+        if (why)
+            *why = reason;
+        return nullptr;
+    };
+    const auto it =
+        std::find_if(std::begin(kEngines), std::end(kEngines),
+                     [&](const auto &e) { return e.first == req.engine; });
+    // The watchdog drill engine exists only when enabled.
+    if (it == std::end(kEngines) ||
+        (it->second == EngineKind::Wedge && !wedgeEngineEnabled()))
+        return reject("unknown engine '" + req.engine + "'");
+    switch (it->second) {
+      case EngineKind::Serial:
+        return &runEngine<SerialEngine<P>, P>;
+      case EngineKind::Async:
+        if constexpr (std::atomic<typename P::Value>::is_always_lock_free)
+            return &runEngine<AsyncEngine<P>, P>;
+        else
+            return reject("algorithm '" + req.algo +
+                          "' is not lock-free atomic; use engine=serial");
+      case EngineKind::Fragment:
+        return &runEngine<FragmentEngine<P>, P>;
+      case EngineKind::Accum:
+        if constexpr (Accumulable<P>)
+            return &runEngine<AccumEngine<P>, P>;
+        else
+            return reject("algorithm '" + req.algo +
+                          "' has no accumulative (delta) form; use "
+                          "another engine");
+      case EngineKind::Sim:
+        return &runSim<P>;
+      case EngineKind::Wedge:
+        return &runWedge<P>;
+    }
+    return nullptr;
+}
+
+// --------------------------------------------------------- algorithms
+
+/** A program reads a source vertex iff it has one. */
+template <typename P>
+constexpr bool kUsesSource = requires(const P p) { p.source; };
+
+template <typename P>
+bool
+runsOn(const JobRequest &req, std::string *why)
+{
+    return engineFor<P>(req, why) != nullptr;
+}
+
+template <typename P>
+RunOutcome
+runRow(const BlockPartition &g, const JobRequest &req,
+       const HarpConfig &harp)
+{
+    if constexpr (kUsesSource<P>)
+        return runProgram(g, P(req.source), req, harp);
+    else
+        return runProgram(g, P(), req, harp);
+}
+
+template <typename P>
+constexpr AlgoInfo
+row(std::string_view name, bool values_are_ids, bool symmetric,
+    const char *value_name)
+{
+    return {name,       kUsesSource<P>, values_are_ids, symmetric,
+            value_name, &runsOn<P>,     &runRow<P>};
+}
+
+/**
+ * The served algorithms: (name, values are vertex ids, wants symmetric
+ * input, value name).  Whether one reads a source is derived from its
+ * program, and so is every engine it can run on.
+ */
+constexpr AlgoInfo kAlgos[] = {
+    row<PageRankProgram>("pr", false, false, "rank"),
+    row<PersonalizedPageRankProgram>("ppr", false, false, "rank"),
+    row<SsspProgram>("sssp", false, false, "distance"),
+    row<BfsProgram>("bfs", false, false, "depth"),
+    row<CcProgram>("cc", true, true, "component"),
+    row<LabelPropagationProgram>("lp", true, true, "community"),
+};
+
+/** Move vertex-id labels (cc, lp values) across a reorder. */
+void
+translateLabels(std::vector<double> &values, const VertexPermutation &perm,
+                bool to_original)
+{
+    for (double &x : values) {
+        const auto v = static_cast<VertexId>(x);
+        if (v < values.size())
+            x = to_original ? perm.toOriginal(v) : perm.toInternal(v);
+    }
 }
 
 } // namespace
 
+template <typename Program>
+RunOutcome
+runProgram(const BlockPartition &g, const Program &program,
+           const JobRequest &req, const HarpConfig &harp)
+{
+    RunOutcome out;
+    if (EngineFn<Program> run = engineFor<Program>(req, &out.error))
+        run(g, program, req, harp, out);
+    return out;
+}
+
+template RunOutcome runProgram(const BlockPartition &,
+                               const KCoreProgram &, const JobRequest &,
+                               const HarpConfig &);
+template RunOutcome runProgram(const BlockPartition &,
+                               const ColoringProgram &,
+                               const JobRequest &, const HarpConfig &);
+
+const AlgoInfo *
+findAlgo(std::string_view name)
+{
+    for (const AlgoInfo &algo : kAlgos) {
+        if (algo.name == name)
+            return &algo;
+    }
+    return nullptr;
+}
+
+std::span<const AlgoInfo>
+servedAlgos()
+{
+    return kAlgos;
+}
+
+std::vector<std::string>
+engineNames()
+{
+    std::vector<std::string> names;
+    for (const auto &[name, kind] : kEngines)
+        names.emplace_back(name);
+    return names;
+}
+
 RunOutcome
 runAnalyticsJob(const BlockPartition &g, const JobRequest &req,
-                std::shared_ptr<Executor> executor)
+                std::shared_ptr<Executor> executor, const HarpConfig &harp)
 {
+    const AlgoInfo *algo = findAlgo(req.algo);
+    if (!algo) {
+        RunOutcome out;
+        out.error = "unknown algorithm '" + req.algo + "'";
+        return out;
+    }
+
     // The pool is an execution resource, not a semantic option, so it
     // is injected here (per call) rather than fingerprinted.
-    const JobRequest *effective = &req;
-    JobRequest adjusted;
-    auto mutableReq = [&]() -> JobRequest & {
-        if (effective != &adjusted) {
-            adjusted = req;
-            effective = &adjusted;
-        }
-        return adjusted;
-    };
-    if (executor && !req.options.executor)
-        mutableReq().options.executor = std::move(executor);
+    JobRequest r = req;
+    if (executor && !r.options.executor)
+        r.options.executor = std::move(executor);
 
     // Permutation boundary (DESIGN.md §11): engines run in the
     // reordered internal id space, while requests and results speak
@@ -188,63 +286,34 @@ runAnalyticsJob(const BlockPartition &g, const JobRequest &req,
     // reorder is invisible to every caller (and to the ResultCache,
     // which stores original-id vectors).
     const VertexPermutation &perm = g.permutation();
+    const VertexId n = g.numVertices();
     if (!perm.isIdentity()) {
-        if (algoUsesSource(req.algo) && req.source < g.numVertices())
-            mutableReq().source = perm.toInternal(req.source);
-        if (req.options.warmStart &&
-            req.options.warmStart->size() == g.numVertices()) {
+        if (algo->usesSource && r.source < n)
+            r.source = perm.toInternal(r.source);
+        if (r.options.warmStart && r.options.warmStart->size() == n) {
             std::vector<double> warm =
-                perm.valuesToInternal(*req.options.warmStart);
+                perm.valuesToInternal(*r.options.warmStart);
             // Id-valued warm starts carry original-id labels; the
             // engine expects internal ones.
-            if (algoValuesAreVertexIds(req.algo)) {
-                for (double &x : warm) {
-                    const auto label = static_cast<VertexId>(x);
-                    if (label < g.numVertices())
-                        x = static_cast<double>(perm.toInternal(label));
-                }
-            }
-            mutableReq().options.warmStart =
+            if (algo->valuesAreVertexIds)
+                translateLabels(warm, perm, false);
+            r.options.warmStart =
                 std::make_shared<const std::vector<double>>(
                     std::move(warm));
         }
     }
 
-    const JobRequest &r = *effective;
-    RunOutcome out;
-    if (r.engine == "wedge")
-        out = runWedgeJob(g, r);
-    else if (r.engine == "accum")
-        out = runAccumJob(g, r);
-    else if (r.algo == "pr")
-        out = runWith(g, PageRankProgram(), r);
-    else if (r.algo == "ppr")
-        out = runWith(g, PersonalizedPageRankProgram(r.source), r);
-    else if (r.algo == "sssp")
-        out = runWith(g, SsspProgram(r.source), r);
-    else if (r.algo == "bfs")
-        out = runWith(g, BfsProgram(r.source), r);
-    else if (r.algo == "cc")
-        out = runWith(g, CcProgram(), r);
-    else if (r.algo == "lp")
-        out = runWith(g, LabelPropagationProgram(), r);
-    else
-        out.error = "unknown algorithm '" + r.algo + "'";
+    RunOutcome out = algo->run(g, r, harp);
 
-    if (!perm.isIdentity() && out.values.size() == g.numVertices()) {
+    if (!perm.isIdentity() && out.values.size() == n) {
         out.values = perm.valuesToOriginal(out.values);
         // cc/lp labels are vertex ids themselves, so the *values* need
         // the same translation as the positions.  The representative a
         // component gets is whichever member the reorder placed first —
         // consistent within a run, but not necessarily the minimum
         // original id.
-        if (algoValuesAreVertexIds(req.algo)) {
-            for (double &x : out.values) {
-                const auto label = static_cast<VertexId>(x);
-                if (label < g.numVertices())
-                    x = static_cast<double>(perm.toOriginal(label));
-            }
-        }
+        if (algo->valuesAreVertexIds)
+            translateLabels(out.values, perm, true);
     }
     return out;
 }
@@ -252,50 +321,32 @@ runAnalyticsJob(const BlockPartition &g, const JobRequest &req,
 bool
 isRunnable(const JobRequest &req, std::string *why)
 {
-    static const char *const algos[] = {"pr",  "ppr", "sssp",
-                                        "bfs", "cc",  "lp"};
-    static const char *const engines[] = {"serial", "async", "fragment",
-                                          "sim", "accum"};
-    static const char *const accum_algos[] = {"pr", "sssp", "bfs", "cc"};
-    bool algo_ok = false;
-    for (const char *a : algos)
-        algo_ok = algo_ok || req.algo == a;
-    bool engine_ok = false;
-    for (const char *e : engines)
-        engine_ok = engine_ok || req.engine == e;
-    // The watchdog drill engine exists only when explicitly enabled.
-    if (req.engine == "wedge" && wedgeEngineEnabled())
-        engine_ok = true;
-    bool combo_ok = true;
-    if (algo_ok && engine_ok && req.engine == "accum") {
-        combo_ok = false;
-        for (const char *a : accum_algos)
-            combo_ok = combo_ok || req.algo == a;
+    const AlgoInfo *algo = findAlgo(req.algo);
+    if (!algo) {
+        if (why)
+            *why = "unknown algorithm '" + req.algo + "'";
+        return false;
     }
-    if (!algo_ok && why)
-        *why = "unknown algorithm '" + req.algo + "'";
-    else if (!engine_ok && why)
-        *why = "unknown engine '" + req.engine + "'";
-    else if (!combo_ok && why)
-        *why = "algorithm '" + req.algo +
-               "' has no accumulative (delta) form";
-    return algo_ok && engine_ok && combo_ok;
+    return algo->runsOn(req, why);
 }
 
 bool
 inputsValid(const JobRequest &req, VertexId num_vertices, std::string *why)
 {
+    auto reject = [&](const std::string &reason) {
+        if (why)
+            *why = reason;
+        return false;
+    };
     const double tol = req.options.tolerance;
-    if (!std::isfinite(tol) || tol < 0.0) {
-        if (why)
-            *why = "tolerance must be finite and non-negative";
-        return false;
-    }
-    if (algoUsesSource(req.algo) && req.source >= num_vertices) {
-        if (why)
-            *why = "source " + std::to_string(req.source) +
-                   " is not a vertex of the graph";
-        return false;
+    if (!std::isfinite(tol) || tol < 0.0)
+        return reject("tolerance must be finite and non-negative");
+    if (!(req.options.maxEpochs > 0.0))
+        return reject("max-epochs must be positive");
+    const AlgoInfo *algo = findAlgo(req.algo);
+    if (algo && algo->usesSource && req.source >= num_vertices) {
+        return reject("source " + std::to_string(req.source) +
+                      " is not a vertex of the graph");
     }
     return true;
 }
@@ -315,7 +366,8 @@ jobFamilyFingerprint(std::uint64_t graph_fingerprint,
     // the ResultCache (and its warm-start path) for no reason.  The
     // sentinel cannot collide with a real source: VertexId is 32-bit.
     constexpr std::uint64_t kNoSource = ~std::uint64_t{0};
-    fp.mix(algoUsesSource(req.algo)
+    const AlgoInfo *algo = findAlgo(req.algo);
+    fp.mix(algo && algo->usesSource
                ? static_cast<std::uint64_t>(req.source)
                : kNoSource);
     return fp.value();

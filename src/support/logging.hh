@@ -1,13 +1,13 @@
 /**
  * @file
- * Status-message and error-reporting helpers.
+ * Error-reporting helpers.
  *
- * Follows the gem5 convention: inform() for status, warn() for suspicious
- * but survivable conditions, fatal() for user errors (bad configuration,
- * malformed input) and panic() for internal invariant violations.  Because
- * this is a library rather than a standalone simulator, fatal() and panic()
- * raise exceptions instead of terminating the process, so embedding
- * applications and tests can recover.
+ * Follows the gem5 convention: fatal() for user errors (bad
+ * configuration, malformed input) and panic() for internal invariant
+ * violations.  Because this is a library rather than a standalone
+ * simulator, both raise exceptions instead of terminating the process,
+ * so embedding applications and tests can recover.  Status messages
+ * and warnings go through the structured logger (obs/log.hh).
  */
 
 #ifndef GRAPHABCD_SUPPORT_LOGGING_HH
@@ -69,47 +69,7 @@ concat(Args &&...args)
     return oss.str();
 }
 
-/** Global verbosity switch shared by inform()/warn(). */
-bool &verboseFlag();
-
 } // namespace detail
-
-/** Enable or disable inform()/warn() console output (default: enabled). */
-void setVerbose(bool verbose);
-
-/** @return whether inform()/warn() currently print. */
-bool verbose();
-
-/**
- * Print an informational status message to stderr.
- * @param args pieces concatenated with operator<<.
- */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    // Routed through the structured logger's Logger directly (not the
-    // compile-out macros): status messages are user-facing output of
-    // the tools, so they must survive GRAPHABCD_OBS=OFF builds too.
-    if (verbose()) {
-        obs::logAt(obs::LogLevel::Info, "graphabcd",
-                   detail::concat(std::forward<Args>(args)...).c_str());
-    }
-}
-
-/**
- * Print a warning to stderr.  The computation continues.
- * @param args pieces concatenated with operator<<.
- */
-template <typename... Args>
-void
-warn(Args &&...args)
-{
-    if (verbose()) {
-        obs::logAt(obs::LogLevel::Warn, "graphabcd",
-                   detail::concat(std::forward<Args>(args)...).c_str());
-    }
-}
 
 /**
  * Report an unrecoverable *user* error (bad parameters, malformed file).

@@ -101,15 +101,6 @@ class Rng
         return static_cast<std::uint64_t>(m >> 64);
     }
 
-    /** @return uniform integer in [lo, hi], inclusive; requires lo <= hi. */
-    std::int64_t
-    nextRange(std::int64_t lo, std::int64_t hi)
-    {
-        GRAPHABCD_ASSERT(lo <= hi, "empty range");
-        return lo + static_cast<std::int64_t>(
-            nextBounded(static_cast<std::uint64_t>(hi - lo) + 1));
-    }
-
     /** @return true with probability p (clamped to [0,1]). */
     bool
     nextBool(double p)

@@ -31,19 +31,6 @@ formatBytes(double bytes)
 }
 
 std::string
-formatBandwidth(double bytes_per_second)
-{
-    static constexpr std::array<const char *, 4> suffixes = {
-        "B/s", "KB/s", "MB/s", "GB/s"};
-    std::size_t idx = 0;
-    while (bytes_per_second >= 1e3 && idx + 1 < suffixes.size()) {
-        bytes_per_second /= 1e3;
-        idx++;
-    }
-    return formatWith(bytes_per_second, suffixes[idx]);
-}
-
-std::string
 formatCount(std::uint64_t value)
 {
     std::string digits = std::to_string(value);

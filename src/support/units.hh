@@ -22,9 +22,6 @@ constexpr double GB = 1e9;
 /** Format a byte count with a binary suffix, e.g. "2.69 MiB". */
 std::string formatBytes(double bytes);
 
-/** Format a rate in bytes/second with a decimal suffix, e.g. "12.8 GB/s". */
-std::string formatBandwidth(double bytes_per_second);
-
 /** Format a plain count with thousands separators, e.g. "1,470,000,000". */
 std::string formatCount(std::uint64_t value);
 

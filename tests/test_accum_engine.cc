@@ -15,7 +15,9 @@
 #include <thread>
 #include <vector>
 
+#include "algorithms/pagerank.hh"
 #include "algorithms/reference.hh"
+#include "algorithms/sssp.hh"
 #include "core/accum_engine.hh"
 #include "core/stop_token.hh"
 #include "graph/generators.hh"
@@ -75,8 +77,8 @@ TEST_P(AccumSweep, PageRankMatchesReference)
     EngineOptions opt = options();
     BlockPartition g(el, opt.blockSize);
 
-    AccumEngine<PageRankAccumProgram> engine(
-        g, PageRankAccumProgram(0.85), opt);
+    AccumEngine<PageRankProgram> engine(
+        g, PageRankProgram(0.85), opt);
     std::vector<double> x;
     EngineReport report = engine.run(x);
     EXPECT_TRUE(report.converged);
@@ -95,7 +97,7 @@ TEST_P(AccumSweep, SsspMatchesDijkstra)
     opt.tolerance = 1e-9;
     BlockPartition g(el, opt.blockSize);
 
-    AccumEngine<SsspAccumProgram> engine(g, SsspAccumProgram(0), opt);
+    AccumEngine<SsspProgram> engine(g, SsspProgram(0), opt);
     std::vector<double> dist;
     EngineReport report = engine.run(dist);
     EXPECT_TRUE(report.converged);
@@ -129,7 +131,7 @@ TEST(AccumEngine, BfsMatchesReference)
     opt.tolerance = 1e-9;
     BlockPartition g(el, opt.blockSize);
 
-    AccumEngine<BfsAccumProgram> engine(g, BfsAccumProgram(0), opt);
+    AccumEngine<BfsProgram> engine(g, BfsProgram(0), opt);
     std::vector<double> depth;
     EngineReport report = engine.run(depth);
     EXPECT_TRUE(report.converged);
@@ -151,7 +153,7 @@ TEST(AccumEngine, ConnectedComponentsMatchUnionFind)
     opt.tolerance = 1e-9;
     BlockPartition g(sym, opt.blockSize);
 
-    AccumEngine<CcAccumProgram> engine(g, CcAccumProgram(), opt);
+    AccumEngine<CcProgram> engine(g, CcProgram(), opt);
     std::vector<double> labels;
     EngineReport report = engine.run(labels);
     EXPECT_TRUE(report.converged);
@@ -174,8 +176,8 @@ TEST(AccumEngine, RepeatedThreadedRunsAreStable)
     std::vector<double> ref = pagerankReference(el, 0.85);
 
     for (int run = 0; run < 5; run++) {
-        AccumEngine<PageRankAccumProgram> engine(
-            g, PageRankAccumProgram(0.85), opt);
+        AccumEngine<PageRankProgram> engine(
+            g, PageRankProgram(0.85), opt);
         std::vector<double> x;
         engine.run(x);
         for (VertexId v = 0; v < el.numVertices(); v++)
@@ -210,8 +212,8 @@ TEST(AccumConservation, ConvergedRunKeepsAllRankMass)
     opt.tolerance = 1e-12;
     BlockPartition g(el, opt.blockSize);
 
-    AccumEngine<PageRankAccumProgram> engine(
-        g, PageRankAccumProgram(alpha), opt);
+    AccumEngine<PageRankProgram> engine(
+        g, PageRankProgram(alpha), opt);
     std::vector<double> x;
     EngineReport report = engine.run(x);
     EXPECT_TRUE(report.converged);
@@ -242,8 +244,8 @@ TEST(AccumConservation, BudgetHaltedRunStillConserves)
     opt.maxEpochs = 2.0;   // nowhere near the fixpoint
     BlockPartition g(el, opt.blockSize);
 
-    AccumEngine<PageRankAccumProgram> engine(
-        g, PageRankAccumProgram(alpha), opt);
+    AccumEngine<PageRankProgram> engine(
+        g, PageRankProgram(alpha), opt);
     std::vector<double> x;
     EngineReport report = engine.run(x);
     EXPECT_FALSE(report.converged);
@@ -270,8 +272,8 @@ TEST(AccumState, SurvivesTheInterleavingThatBreaksDeltaState)
                     // conservation check is exact
     EdgeList el = ringWithChords(64, 448, rng);
     BlockPartition g(el, 8);
-    PageRankAccumProgram p(alpha);
-    AccumState<PageRankAccumProgram> state(g, p);
+    PageRankProgram p(alpha);
+    AccumState<PageRankProgram> state(g, p);
 
     auto conserved = [&] {
         return conservedMass(state.valuesSnapshot(),
@@ -314,8 +316,8 @@ TEST(AccumState, SubToleranceResidualIsFoldedBackNotDropped)
     // must return to the accumulator (Folded), not vanish.
     EdgeList el = generateCycle(8);
     BlockPartition g(el, 4);
-    PageRankAccumProgram p(0.85);
-    AccumState<PageRankAccumProgram> state(g, p);
+    PageRankProgram p(0.85);
+    AccumState<PageRankProgram> state(g, p);
 
     const VertexId v = 3;
     const double before = state.pendingAt(v);
@@ -351,8 +353,7 @@ TEST(AccumEngineStop, StopTokenHaltsWithoutClaimingConvergence)
     StopSource source;
     opt.stop = source.token();
     BlockPartition g(el, opt.blockSize);
-    AccumEngine<PageRankAccumProgram> engine(g, PageRankAccumProgram(),
-                                             opt);
+    AccumEngine<PageRankProgram> engine(g, PageRankProgram(), opt);
 
     std::thread canceller([&source] {
         std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -378,8 +379,7 @@ TEST(AccumEngineStop, UpdateBudgetHaltsTheRun)
     opt.tolerance = -1.0;   // endless without the budget
     opt.maxEpochs = 3.0;
     BlockPartition g(el, opt.blockSize);
-    AccumEngine<PageRankAccumProgram> engine(g, PageRankAccumProgram(),
-                                             opt);
+    AccumEngine<PageRankProgram> engine(g, PageRankProgram(), opt);
     std::vector<double> x;
     EngineReport report = engine.run(x);
     EXPECT_FALSE(report.converged);

@@ -87,8 +87,8 @@ runPageRank(Runner r, const BlockPartition &g, EngineOptions opt,
       case Runner::AccumObim:
         opt.schedule =
             r == Runner::AccumObim ? Schedule::Obim : Schedule::Cyclic;
-        return AccumEngine<PageRankAccumProgram>(
-                   g, PageRankAccumProgram(0.85), opt)
+        return AccumEngine<PageRankProgram>(
+                   g, PageRankProgram(0.85), opt)
             .run(x);
       case Runner::Fragment:
         opt.fragments = 3;

@@ -9,15 +9,26 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "core/options.hh"
 #include "core/scheduler.hh"
 #include "support/random.hh"
 
 namespace graphabcd {
 namespace {
+
+TEST(Schedule, EveryNameRoundTripsAndUnknownNamesAreRejected)
+{
+    for (Schedule schedule : {Schedule::Cyclic, Schedule::Priority,
+                              Schedule::Random, Schedule::Obim})
+        EXPECT_EQ(parseSchedule(to_string(schedule)), schedule);
+    EXPECT_EQ(parseSchedule("bogus"), std::nullopt);
+    EXPECT_EQ(parseSchedule(""), std::nullopt);
+}
 
 TEST(Cyclic, SweepsInIdOrder)
 {

@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <random>
@@ -22,7 +24,9 @@
 
 #include "core/stop_token.hh"
 #include "graph/generators.hh"
+#include "algorithms/extras.hh"
 #include "algorithms/reference.hh"
+#include "core/engine.hh"
 #include "serve/graph_registry.hh"
 #include "serve/job_manager.hh"
 #include "serve/qos.hh"
@@ -656,9 +660,11 @@ TEST_F(ServeTest, AccumEngineRejectsAlgosWithoutADeltaForm)
     EXPECT_TRUE(isRunnable(request("web", "bfs", "accum"), &why)) << why;
     EXPECT_TRUE(isRunnable(request("web", "cc", "accum"), &why)) << why;
 
+    // ppr's delta form is derived from its GAS program like pr's.
+    EXPECT_TRUE(isRunnable(request("web", "ppr", "accum"), &why)) << why;
+
     EXPECT_FALSE(isRunnable(request("web", "lp", "accum"), &why));
     EXPECT_NE(why.find("accumulative"), std::string::npos) << why;
-    EXPECT_FALSE(isRunnable(request("web", "ppr", "accum"), &why));
 
     // The same algos stay runnable on the other engines.
     EXPECT_TRUE(isRunnable(request("web", "lp", "serial"), &why)) << why;
@@ -670,6 +676,90 @@ TEST_F(ServeTest, AccumEngineRejectsAlgosWithoutADeltaForm)
     EXPECT_FALSE(out.ok());
     EXPECT_NE(out.error.find("accumulative"), std::string::npos)
         << out.error;
+}
+
+TEST(Registry, EveryRunnableCellMatchesTheReference)
+{
+    // Every (engine, algo) cell the runner's table accepts, against the
+    // exact references — or the serial engine for ppr, which has none.
+    // lp's fixpoint depends on the update order, so it is only checked
+    // for a well-formed labelling.
+    Rng rng(97);
+    // Prime |V|: the last block is ragged.
+    const EdgeList directed =
+        generateRmat(211, 1700, rng, {.weighted = true});
+    const EdgeList sym = directed.symmetrized();
+    const std::vector<std::uint32_t> deg = directed.outDegrees();
+    const auto source = static_cast<VertexId>(
+        std::max_element(deg.begin(), deg.end()) - deg.begin());
+
+    std::vector<std::string> rejected;
+    int cells = 0;
+    for (const AlgoInfo &algo : servedAlgos()) {
+        const EdgeList &el = algo.symmetricInput ? sym : directed;
+        BlockPartition g(el, 16);
+        EngineOptions opt;
+        opt.blockSize = 16;
+        opt.tolerance = 1e-12;
+        opt.numThreads = 2;
+        opt.fragments = 3;
+
+        const std::string name(algo.name);
+        std::vector<double> expected;
+        double tol = 0.0;
+        if (name == "pr") {
+            expected = pagerankReference(el, 0.85);
+            tol = 1e-7;
+        } else if (name == "ppr") {
+            SerialEngine<PersonalizedPageRankProgram>(
+                g, PersonalizedPageRankProgram(source), opt)
+                .run(expected);
+            tol = 1e-7;
+        } else if (name == "sssp") {
+            expected = dijkstraReference(el, source);
+            tol = 1e-6;
+        } else if (name == "bfs") {
+            expected = bfsReference(el, source);
+        } else if (name == "cc") {
+            expected = ccReference(el);
+        } else {
+            ASSERT_EQ(name, "lp") << "new algorithm without a reference";
+        }
+
+        for (const std::string &engine : engineNames()) {
+            if (engine == "wedge")
+                continue;
+            JobRequest req;
+            req.algo = name;
+            req.engine = engine;
+            req.source = source;
+            req.options = opt;
+            if (!isRunnable(req)) {
+                rejected.push_back(engine + "/" + name);
+                continue;
+            }
+            cells++;
+            SCOPED_TRACE(engine + "/" + name);
+            RunOutcome out = runAnalyticsJob(g, req);
+            ASSERT_TRUE(out.ok()) << out.error;
+            ASSERT_EQ(out.values.size(), el.numVertices());
+            if (expected.empty()) {
+                for (double label : out.values) {
+                    EXPECT_EQ(label, std::floor(label));
+                    EXPECT_GE(label, 0.0);
+                    EXPECT_LT(label, el.numVertices());
+                }
+                continue;
+            }
+            EXPECT_TRUE(out.report.converged);
+            for (VertexId v = 0; v < el.numVertices(); v++)
+                EXPECT_NEAR(out.values[v], expected[v], tol)
+                    << "vertex " << v;
+        }
+    }
+    // lp has no delta form; every other cell runs.
+    EXPECT_EQ(rejected, std::vector<std::string>{"accum/lp"});
+    EXPECT_EQ(cells, 29);
 }
 
 TEST_F(ServeTest, FragmentEngineJobsRunThroughTheServeLayer)
@@ -968,6 +1058,26 @@ TEST_F(ServeTest, RejectsNonFiniteOrNegativeTolerance)
     ASSERT_TRUE(sub.ok());
     EXPECT_TRUE(manager.wait(sub.id, 60.0));
     EXPECT_TRUE(manager.status(sub.id)->converged);
+}
+
+TEST_F(ServeTest, RejectsNonPositiveMaxEpochs)
+{
+    // max-epochs=-5 used to return done converged=0 without running.
+    JobManager manager(registry);
+    for (double cap :
+         {-5.0, 0.0, std::numeric_limits<double>::quiet_NaN()}) {
+        JobRequest req = request("web", "pr", "serial");
+        req.options.maxEpochs = cap;
+        EXPECT_EQ(manager.submit(req).error, SubmitError::BadRequest)
+            << "max-epochs=" << cap;
+    }
+    std::string why;
+    JobRequest req = request("web", "pr", "serial");
+    req.options.maxEpochs = -5.0;
+    EXPECT_FALSE(inputsValid(req, 250, &why));
+    EXPECT_NE(why.find("max-epochs"), std::string::npos) << why;
+    req.options.maxEpochs = 0.5;
+    EXPECT_TRUE(inputsValid(req, 250, &why)) << why;
 }
 
 TEST_F(ServeTest, CacheHitVsCancelStormNeverLeaksResults)

@@ -9,26 +9,21 @@
  *   abcd_cli --algo sssp --graph web.el --source 17 --engine async
  *   abcd_cli --algo cc --dataset WT --engine sim --pes 8
  *   abcd_cli --algo pr --dataset PS --engine accum --schedule obim
+ *   abcd_cli --algo ppr --dataset WT --engine accum --source 3
  *   abcd_cli --algo pr --graph web.el --dump ranks.txt
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <iostream>
-#include <string_view>
+#include <limits>
 
 #include "algorithms/extras.hh"
-#include "algorithms/label_propagation.hh"
-#include "algorithms/pagerank.hh"
-#include "algorithms/sssp.hh"
-#include "core/accum_engine.hh"
-#include "core/async_engine.hh"
-#include "core/engine.hh"
+#include "core/options.hh"
 #include "graph/datasets.hh"
 #include "graph/io.hh"
 #include "graph/stats.hh"
-#include "harp/system.hh"
+#include "serve/runner.hh"
 #include "support/flags.hh"
 #include "support/units.hh"
 
@@ -36,122 +31,22 @@ using namespace graphabcd;
 
 namespace {
 
-struct CliOptions
-{
-    std::string engine;       //!< serial | async | accum | sim
-    EngineOptions opt;
-    HarpConfig harp;
-    std::string dump;         //!< write per-vertex results here
-};
-
-/** Write per-vertex results to cli.dump when requested. */
-template <typename Value>
+/** Write per-vertex results (original vertex ids) to `path`. */
 void
-dumpValues(const BlockPartition &g, const std::vector<Value> &values,
-           const CliOptions &cli, const char *value_name)
+dumpValues(const std::string &path, const std::vector<double> &values,
+           const char *value_name)
 {
-    if (cli.dump.empty())
-        return;
-    std::ofstream ofs(cli.dump);
+    std::ofstream ofs(path);
     if (!ofs)
-        fatal("cannot open '", cli.dump, "'");
+        fatal("cannot open '", path, "'");
     ofs << "# vertex " << value_name << '\n';
-    if constexpr (std::is_arithmetic_v<Value>) {
-        // Un-permute so the dump is keyed by original vertex ids
-        // regardless of --reorder (DESIGN.md §11).  cc/lp labels are
-        // vertex ids themselves, so their values translate too.
-        std::vector<Value> out =
-            g.permutation().valuesToOriginal(values);
-        const std::string_view name(value_name);
-        if (name == "component" || name == "community") {
-            for (Value &x : out) {
-                const auto label = static_cast<VertexId>(x);
-                if (label < g.numVertices())
-                    x = static_cast<Value>(
-                        g.permutation().toOriginal(label));
-            }
-        }
-        for (VertexId v = 0; v < g.numVertices(); v++)
-            ofs << v << ' ' << out[v] << '\n';
-    }
-    std::printf("wrote %u values to %s\n", g.numVertices(),
-                cli.dump.c_str());
+    for (std::size_t v = 0; v < values.size(); v++)
+        ofs << v << ' ' << values[v] << '\n';
+    std::printf("wrote %zu values to %s\n", values.size(), path.c_str());
 }
 
-/** Run an accumulative-delta program and print the common summary. */
-template <typename Program>
 int
-runAccumAlgorithm(const BlockPartition &g, Program program,
-                  const CliOptions &cli, const char *value_name)
-{
-    std::vector<typename Program::Value> values;
-    AccumEngine<Program> engine(g, std::move(program), cli.opt);
-    EngineReport report = engine.run(values);
-    std::printf("%s in %.2f epochs (wall %s)\n",
-                report.converged ? "converged" : "stopped",
-                report.epochs,
-                formatSeconds(report.seconds).c_str());
-    dumpValues(g, values, cli, value_name);
-    return 0;
-}
-
-/** Run `program` on the chosen engine and print the common summary. */
-template <typename Program>
-int
-runAlgorithm(const BlockPartition &g, Program program,
-             const CliOptions &cli, const char *value_name)
-{
-    std::vector<typename Program::Value> values;
-    double epochs = 0.0;
-    double seconds = 0.0;
-    bool converged = false;
-
-    if (cli.engine == "serial") {
-        SerialEngine<Program> engine(g, program, cli.opt);
-        EngineReport report = engine.run(values);
-        epochs = report.epochs;
-        seconds = report.seconds;
-        converged = report.converged;
-    } else if (cli.engine == "async") {
-        if constexpr (std::atomic<
-                          typename Program::Value>::is_always_lock_free) {
-            AsyncEngine<Program> engine(g, program, cli.opt);
-            EngineReport report = engine.run(values);
-            epochs = report.epochs;
-            seconds = report.seconds;
-            converged = report.converged;
-        } else {
-            fatal("--engine async needs a scalar-valued algorithm; "
-                  "use serial or sim");
-        }
-    } else if (cli.engine == "sim") {
-        HarpSystem<Program> sys(g, program, cli.opt, cli.harp);
-        SimReport report = sys.run(values);
-        epochs = report.epochs;
-        seconds = report.seconds;
-        converged = report.converged;
-        std::printf("simulated: %s, %.0f MTES, PE util %.2f, "
-                    "bus util %.2f\n",
-                    formatSeconds(report.seconds).c_str(), report.mtes,
-                    report.peUtilization, report.busUtilization);
-    } else {
-        fatal("unknown engine '", cli.engine,
-              "' (serial | async | accum | sim)");
-    }
-
-    std::printf("%s in %.2f epochs (%s %s)\n",
-                converged ? "converged" : "stopped", epochs,
-                cli.engine == "sim" ? "simulated" : "wall",
-                formatSeconds(seconds).c_str());
-
-    dumpValues(g, values, cli, value_name);
-    return 0;
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Flags flags;
     flags.declare("algo", "pr",
@@ -160,7 +55,8 @@ main(int argc, char **argv)
                   "edge-list file (.el text, .bin, or packed .abcz)");
     flags.declare("dataset", "", "named stand-in (WT PS LJ TW ...)");
     flags.declareDouble("scale", 1.0, "dataset scale factor");
-    flags.declare("engine", "serial", "serial | async | accum | sim");
+    flags.declare("engine", "serial",
+                  "serial | async | fragment | accum | sim");
     flags.declareInt("block-size", 512, "vertices per block");
     flags.declare("layout", "plain",
                   "physical layout: plain | compressed");
@@ -181,18 +77,18 @@ main(int argc, char **argv)
     if (!flags.parse(argc, argv))
         return 0;
 
+    // kcore and color have no request form (--k has no JobRequest
+    // field); every other algorithm is a row of the serve table.
+    const std::string algo = flags.get("algo");
+    const bool cli_only = algo == "kcore" || algo == "color";
+    const AlgoInfo *info = findAlgo(algo);
+    if (!info && !cli_only)
+        fatal("unknown --algo '", algo, "'");
+
     // ---------------------------------------------------------- graph
     EdgeList el;
     if (!flags.get("graph").empty()) {
-        const std::string &path = flags.get("graph");
-        if (path.size() > 5 &&
-            path.compare(path.size() - 5, 5, ".abcz") == 0)
-            el = loadEdgeListPacked(path);
-        else if (path.size() > 4 &&
-                 path.compare(path.size() - 4, 4, ".bin") == 0)
-            el = loadEdgeListBinary(path);
-        else
-            el = loadEdgeList(path);
+        el = loadEdgeListFile(flags.get("graph"));
     } else if (!flags.get("dataset").empty()) {
         el = makeDataset(flags.get("dataset"), flags.getDouble("scale"),
                          static_cast<std::uint64_t>(flags.getInt("seed")))
@@ -202,10 +98,7 @@ main(int argc, char **argv)
         fatal("need --graph FILE or --dataset KEY");
     }
 
-    const std::string algo = flags.get("algo");
-    const bool undirected =
-        algo == "cc" || algo == "lp" || algo == "kcore" ||
-        algo == "color";
+    const bool undirected = cli_only || info->symmetricInput;
     if (undirected)
         el = el.symmetrized();
     std::printf("graph: %u vertices, %llu edges%s\n", el.numVertices(),
@@ -216,22 +109,23 @@ main(int argc, char **argv)
         return 0;
     }
 
-    CliOptions cli;
-    cli.engine = flags.get("engine");
-    cli.dump = flags.get("dump");
-    cli.opt.blockSize =
+    JobRequest req;
+    req.algo = algo;
+    req.engine = flags.get("engine");
+    req.options.blockSize =
         static_cast<VertexId>(flags.getInt("block-size"));
-    cli.opt.tolerance = flags.getDouble("tolerance");
-    cli.opt.maxEpochs = flags.getDouble("max-epochs");
-    cli.opt.numThreads =
+    req.options.tolerance = flags.getDouble("tolerance");
+    req.options.maxEpochs = flags.getDouble("max-epochs");
+    req.options.numThreads =
         static_cast<std::uint32_t>(flags.getInt("threads"));
-    const std::string sched = flags.get("schedule");
-    cli.opt.schedule = sched == "priority" ? Schedule::Priority
-        : sched == "random"                ? Schedule::Random
-        : sched == "obim"                  ? Schedule::Obim
-                                           : Schedule::Cyclic;
-    cli.harp.numPes = static_cast<std::uint32_t>(flags.getInt("pes"));
-    cli.harp.hybrid = flags.getBool("hybrid");
+    if (auto s = parseSchedule(flags.get("schedule")))
+        req.options.schedule = *s;
+    else
+        fatal("unknown --schedule '", flags.get("schedule"),
+              "' (cyclic | priority | random | obim)");
+    HarpConfig harp;
+    harp.numPes = static_cast<std::uint32_t>(flags.getInt("pes"));
+    harp.hybrid = flags.getBool("hybrid");
 
     LayoutOptions lo;
     if (auto l = parseGraphLayout(flags.get("layout")))
@@ -245,10 +139,7 @@ main(int argc, char **argv)
         fatal("unknown --reorder '", flags.get("reorder"),
               "' (none | hub)");
 
-    BlockPartition g(el, cli.opt.blockSize, lo);
-    // The simulated DMA stream must reflect the built layout's
-    // measured topology bytes per edge.
-    cli.harp.layoutBytesPerEdge = g.gatherBytesPerEdge();
+    BlockPartition g(el, req.options.blockSize, lo);
     if (lo.layout != GraphLayout::Plain ||
         lo.reorder != VertexReorder::None) {
         std::printf("layout: %s reorder=%s (%.2f topology B/edge)\n",
@@ -256,56 +147,67 @@ main(int argc, char **argv)
                     g.gatherBytesPerEdge());
     }
 
-    VertexId source;
-    if (flags.getInt("source") >= 0) {
-        source = static_cast<VertexId>(flags.getInt("source"));
+    // --source speaks original vertex ids, as requests do; the runner
+    // translates it under a reorder.  Ids past the VertexId range are
+    // clamped to one no graph has, so validation rejects them.
+    const std::int64_t source = flags.getInt("source");
+    if (source >= 0) {
+        req.source = static_cast<VertexId>(std::min<std::int64_t>(
+            source, std::numeric_limits<VertexId>::max()));
     } else {
         auto deg = el.outDegrees();
-        source = static_cast<VertexId>(
+        req.source = static_cast<VertexId>(
             std::max_element(deg.begin(), deg.end()) - deg.begin());
     }
-    // Engines run in internal (reordered) ids; --source and the
-    // max-degree pick above are original ids (DESIGN.md §11).
-    source = g.permutation().toInternal(source);
 
-    if (cli.engine == "accum") {
-        if (algo == "pr")
-            return runAccumAlgorithm(g, PageRankAccumProgram(), cli,
-                                     "rank");
-        if (algo == "sssp")
-            return runAccumAlgorithm(g, SsspAccumProgram(source), cli,
-                                     "distance");
-        if (algo == "bfs")
-            return runAccumAlgorithm(g, BfsAccumProgram(source), cli,
-                                     "depth");
-        if (algo == "cc")
-            return runAccumAlgorithm(g, CcAccumProgram(), cli,
-                                     "component");
-        fatal("--engine accum supports pr | sssp | bfs | cc");
+    // The checks JobManager::submit runs.
+    std::string why;
+    if ((!cli_only && !isRunnable(req, &why)) ||
+        !inputsValid(req, g.numVertices(), &why))
+        fatal("rejected: ", why);
+
+    RunOutcome out;
+    const char *value_name = nullptr;
+    if (cli_only) {
+        const auto k = static_cast<std::uint32_t>(flags.getInt("k"));
+        out = algo == "kcore" ? runProgram(g, KCoreProgram(k), req, harp)
+                              : runProgram(g, ColoringProgram(), req, harp);
+        if (out.ok())
+            out.values = g.permutation().valuesToOriginal(out.values);
+        value_name = algo == "kcore" ? "in_core" : "packed_color";
+    } else {
+        out = runAnalyticsJob(g, req, nullptr, harp);
+        value_name = info->valueName;
     }
-    if (algo == "pr")
-        return runAlgorithm(g, PageRankProgram(), cli, "rank");
-    if (algo == "ppr") {
-        return runAlgorithm(g, PersonalizedPageRankProgram(source), cli,
-                            "rank");
+    if (!out.ok())
+        fatal("rejected: ", out.error);
+
+    const double seconds = out.sim ? out.sim->seconds : out.report.seconds;
+    if (out.sim) {
+        std::printf("simulated: %s, %.0f MTES, PE util %.2f, "
+                    "bus util %.2f\n",
+                    formatSeconds(out.sim->seconds).c_str(), out.sim->mtes,
+                    out.sim->peUtilization, out.sim->busUtilization);
     }
-    if (algo == "sssp")
-        return runAlgorithm(g, SsspProgram(source), cli, "distance");
-    if (algo == "bfs")
-        return runAlgorithm(g, BfsProgram(source), cli, "depth");
-    if (algo == "cc")
-        return runAlgorithm(g, CcProgram(), cli, "component");
-    if (algo == "lp") {
-        return runAlgorithm(g, LabelPropagationProgram(), cli,
-                            "community");
+    std::printf("%s in %.2f epochs (%s %s)\n",
+                out.report.converged ? "converged" : "stopped",
+                out.report.epochs, out.sim ? "simulated" : "wall",
+                formatSeconds(seconds).c_str());
+
+    if (!flags.get("dump").empty())
+        dumpValues(flags.get("dump"), out.values, value_name);
+    return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const GraphError &e) {
+        std::fprintf(stderr, "abcd_cli: %s\n", e.what());
+        return 1;
     }
-    if (algo == "kcore") {
-        return runAlgorithm(
-            g,
-            KCoreProgram(static_cast<std::uint32_t>(flags.getInt("k"))),
-            cli, "in_core");
-    }
-    if (algo == "color")
-        return runAlgorithm(g, ColoringProgram(), cli, "packed_color");
-    fatal("unknown --algo '", algo, "'");
 }

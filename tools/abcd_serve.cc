@@ -24,6 +24,11 @@
  *   DUMP <file>           write a flight-recorder snapshot (black box)
  *   GRAPHS | STATS | HELP | QUIT
  *
+ * LOAD and RUN take only the keys listed; an unknown key, an unknown
+ * schedule, or a negative or fractional count or id (N) is refused
+ * with ERR BadCommand.  Requests the runner cannot run or whose inputs
+ * are invalid (see serve/runner.hh) are refused with ERR BadRequest.
+ *
  * Debugging: --flight=PATH arms the flight recorder — fatal errors,
  * fatal signals, and watchdog stalls dump the black box (recent logs,
  * job table, metrics, trace rings) to PATH; DUMP <file> captures the
@@ -59,12 +64,18 @@
  *   OK job 1 state=done converged=1 cachehit=0 epochs=18.00 ...
  */
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/datasets.hh"
@@ -93,16 +104,23 @@ tokenize(const std::string &line)
     return out;
 }
 
-/** Parse trailing key=value tokens into a map; bare tokens rejected. */
+/**
+ * Parse trailing key=value tokens into a map; bare tokens rejected.  A
+ * key outside `known` throws (ERR BadCommand) rather than being ignored.
+ */
 bool
 parseParams(const std::vector<std::string> &tokens, std::size_t first,
-            std::map<std::string, std::string> &params)
+            std::map<std::string, std::string> &params,
+            std::initializer_list<std::string_view> known)
 {
     for (std::size_t i = first; i < tokens.size(); i++) {
         const auto eq = tokens[i].find('=');
         if (eq == std::string::npos || eq == 0)
             return false;
-        params[tokens[i].substr(0, eq)] = tokens[i].substr(eq + 1);
+        const std::string key = tokens[i].substr(0, eq);
+        if (std::find(known.begin(), known.end(), key) == known.end())
+            throw std::invalid_argument("unknown key '" + key + "'");
+        params[key] = tokens[i].substr(eq + 1);
     }
     return true;
 }
@@ -121,6 +139,33 @@ param(const std::map<std::string, std::string> &params,
 {
     auto it = params.find(key);
     return it == params.end() ? fallback : it->second;
+}
+
+/** A count or id parameter: a negative, fractional or out-of-range
+ *  value throws (ERR BadCommand) instead of wrapping in the cast. */
+template <typename T>
+T
+countParam(const std::map<std::string, std::string> &params,
+           const std::string &key, T fallback)
+{
+    const double x = param(params, key, static_cast<double>(fallback));
+    if (!(x >= 0.0) || x != std::floor(x) ||
+        !(x < static_cast<double>(std::numeric_limits<T>::max()) + 1.0))
+        throw std::invalid_argument(key + " must be a non-negative integer");
+    return static_cast<T>(x);
+}
+
+/** A named-enum parameter; an unknown name throws (ERR BadCommand). */
+template <typename Parse>
+auto
+enumParam(const std::map<std::string, std::string> &params,
+          const std::string &key, const std::string &fallback, Parse parse)
+{
+    const std::string name = param(params, key, fallback);
+    const auto value = parse(name);
+    if (!value)
+        throw std::invalid_argument("unknown " + key + " '" + name + "'");
+    return *value;
 }
 
 /** The REPL over one registry + one manager. */
@@ -197,56 +242,34 @@ class ServeShell
     load(const std::vector<std::string> &tokens)
     {
         std::map<std::string, std::string> params;
-        if (tokens.size() < 3 || !parseParams(tokens, 3, params)) {
+        if (tokens.size() < 3 ||
+            !parseParams(tokens, 3, params,
+                         {"scale", "block-size", "undirected", "seed",
+                          "layout", "reorder"})) {
             std::printf("ERR BadCommand usage: LOAD <name> "
                         "<dataset-or-file> [key=value...]\n");
             return;
         }
         const std::string &name = tokens[1];
         const std::string &src = tokens[2];
+        const double scale = param(params, "scale", 1.0);
+        const auto seed = countParam<std::uint64_t>(params, "seed", 42);
+        const auto block_size =
+            countParam<VertexId>(params, "block-size", 512);
+        const bool undirected = param(params, "undirected", 0.0) != 0.0;
+        LayoutOptions lo;
+        lo.layout = enumParam(params, "layout", "plain", parseGraphLayout);
+        lo.reorder =
+            enumParam(params, "reorder", "none", parseVertexReorder);
         try {
             EdgeList el;
             if (src.find('.') != std::string::npos ||
-                src.find('/') != std::string::npos) {
-                if (src.size() > 5 &&
-                    src.compare(src.size() - 5, 5, ".abcz") == 0)
-                    el = loadEdgeListPacked(src);
-                else if (src.size() > 4 &&
-                         src.compare(src.size() - 4, 4, ".bin") == 0)
-                    el = loadEdgeListBinary(src);
-                else
-                    el = loadEdgeList(src);
-            } else {
-                el = makeDataset(src, param(params, "scale", 1.0),
-                                 static_cast<std::uint64_t>(
-                                     param(params, "seed", 42.0)))
-                         .graph;
-            }
-            if (param(params, "undirected", 0.0) != 0.0)
+                src.find('/') != std::string::npos)
+                el = loadEdgeListFile(src);
+            else
+                el = makeDataset(src, scale, seed).graph;
+            if (undirected)
                 el = el.symmetrized();
-            const auto block_size = static_cast<VertexId>(
-                param(params, "block-size", 512.0));
-            LayoutOptions lo;
-            const std::string layout =
-                param(params, "layout", std::string("plain"));
-            const std::string reorder =
-                param(params, "reorder", std::string("none"));
-            if (auto l = parseGraphLayout(layout)) {
-                lo.layout = *l;
-            } else {
-                std::printf("ERR BadCommand unknown layout '%s' "
-                            "(plain|compressed)\n",
-                            layout.c_str());
-                return;
-            }
-            if (auto r = parseVertexReorder(reorder)) {
-                lo.reorder = *r;
-            } else {
-                std::printf("ERR BadCommand unknown reorder '%s' "
-                            "(none|hub)\n",
-                            reorder.c_str());
-                return;
-            }
             auto g = registry_.add(name, el, block_size, lo);
             std::printf(
                 "OK graph %s vertices=%u edges=%llu blocks=%u "
@@ -264,7 +287,12 @@ class ServeShell
     run(const std::vector<std::string> &tokens)
     {
         std::map<std::string, std::string> params;
-        if (tokens.size() < 3 || !parseParams(tokens, 3, params)) {
+        if (tokens.size() < 3 ||
+            !parseParams(tokens, 3, params,
+                         {"engine", "tenant", "source", "priority",
+                          "timeout", "cached", "warm", "tolerance",
+                          "max-epochs", "threads", "fragments",
+                          "schedule"})) {
             std::printf("ERR BadCommand usage: RUN <graph> <algo> "
                         "[key=value...]\n");
             return;
@@ -274,8 +302,7 @@ class ServeShell
         req.algo = tokens[2];
         req.engine = param(params, "engine", std::string("serial"));
         req.tenant = param(params, "tenant", std::string());
-        req.source =
-            static_cast<VertexId>(param(params, "source", 0.0));
+        req.source = countParam<VertexId>(params, "source", 0);
         req.priority = param(params, "priority", 0.0);
         req.timeoutSeconds = param(params, "timeout", 0.0);
         req.allowCached = param(params, "cached", 1.0) != 0.0;
@@ -283,16 +310,12 @@ class ServeShell
         req.options.tolerance = param(params, "tolerance", 1e-7);
         req.options.maxEpochs = param(params, "max-epochs", 10000.0);
         req.options.numThreads =
-            static_cast<std::uint32_t>(param(params, "threads", 4.0));
-        req.options.fragments = static_cast<std::uint32_t>(
-            param(params, "fragments",
-                  static_cast<double>(defaultFragments_)));
-        const std::string sched =
-            param(params, "schedule", std::string("cyclic"));
-        req.options.schedule = sched == "priority" ? Schedule::Priority
-            : sched == "random"                    ? Schedule::Random
-            : sched == "obim"                      ? Schedule::Obim
-                                                   : Schedule::Cyclic;
+            countParam<std::uint32_t>(params, "threads", 4);
+        req.options.fragments =
+            countParam<std::uint32_t>(params, "fragments",
+                                      defaultFragments_);
+        req.options.schedule =
+            enumParam(params, "schedule", "cyclic", parseSchedule);
 
         JobManager::Submitted sub = manager_.submit(std::move(req));
         if (sub.ok())

@@ -157,6 +157,17 @@ PY
                 > "${obs_dir}/wedge.out" 2>&1
         grep -q "state=cancelled" "${obs_dir}/wedge.out"
         grep -q "error=stalled:" "${obs_dir}/wedge.out"
+
+        # Request validation: a negative count and an unknown key are
+        # each refused with ERR BadCommand rather than run.
+        echo "== request validation drill (${preset}) =="
+        printf '%s\n' \
+            "LOAD web WT scale=0.02" \
+            "RUN web pr threads=-1" \
+            "RUN web pr bogus=1" \
+            "QUIT" \
+            | "./build/tools/abcd_serve" > "${obs_dir}/validate.out" 2>&1
+        [ "$(grep -c "ERR BadCommand" "${obs_dir}/validate.out")" -eq 2 ]
         rm -rf "${obs_dir}"
     fi
 
