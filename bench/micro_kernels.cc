@@ -1,8 +1,8 @@
 /**
  * @file
- * Microarchitecture kernel benchmarks (google-benchmark): the SPSC
- * ring, the tagged dataflow reduction versus a serial accumulator,
- * the GATHER-APPLY block kernel and partition construction.
+ * Microarchitecture kernel benchmarks (google-benchmark): the tagged
+ * dataflow reduction versus a serial accumulator, the GATHER-APPLY
+ * block kernel and partition construction.
  *
  * With `--layout_grid=PATH` the binary instead measures bytes moved per
  * edge for every (algorithm x layout x reorder) cell on the RMAT
@@ -25,22 +25,10 @@
 #include "graph/generators.hh"
 #include "graph/partition.hh"
 #include "harp/reduction.hh"
-#include "runtime/spsc_ring.hh"
 #include "support/logging.hh"
 
 namespace graphabcd {
 namespace {
-
-void
-BM_SpscRingPushPop(benchmark::State &state)
-{
-    SpscRing<int> ring(1024);
-    for (auto _ : state) {
-        ring.tryPush(1);
-        benchmark::DoNotOptimize(ring.tryPop());
-    }
-}
-BENCHMARK(BM_SpscRingPushPop);
 
 void
 BM_TaggedReduction(benchmark::State &state)

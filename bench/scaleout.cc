@@ -2,49 +2,40 @@
  * @file
  * Scale-out study (the paper's motivating claim, Sec. I): because
  * GraphABCD is barrierless and lock-free, the same computation can be
- * distributed with no extra coordination logic beyond the task queues
- * and, for the software fragments, the delta-message rings.
+ * distributed over several accelerators with no extra coordination
+ * logic beyond the task queues.
  *
- * Two grids on the same graph and the same block partitioning:
+ * One grid: the simulated HARP system running PageRank over --accels
+ * device counts on one graph and one block partitioning, every device
+ * fed by the one shared block scheduler.  Speedup is in simulated
+ * seconds against the first device count.
  *
- *  1. Software fragments: FragmentEngine PageRank over --fragments
- *     shard counts at a fixed total thread budget.  Speedup is
- *     measured against the 1-fragment run at the same thread count,
- *     so it isolates what sharding itself buys (locality, private
- *     schedulers) and costs (mirror staleness, message traffic).
- *
- *  2. Simulated accelerators: the HARP system over --accels device
- *     counts with fragment affinity on, so the devices home the same
- *     contiguous fragments the software engine uses.
- *
- * Every row is also written to BENCH_scaleout.json so later changes
- * can be compared against the committed numbers.
+ * Every row is also written to BENCH_scaleout.json, with the host's
+ * core count and build type, so later changes can be compared against
+ * the committed numbers.
  */
 
-#include <chrono>
 #include <fstream>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
-#include "fragment/engine.hh"
 
 namespace graphabcd {
 namespace {
 
 using namespace bench;
 
-/** One row of either grid, flattened for the JSON dump. */
+/** One row of the grid, flattened for the JSON dump. */
 struct GridRow
 {
-    std::string kind;           //!< "fragment" or "sim"
-    std::uint32_t shards = 1;   //!< fragments or accelerators
-    std::uint32_t threads = 0;  //!< software threads (0 for sim rows)
+    std::string kind;           //!< "sim"
+    std::uint32_t shards = 1;   //!< accelerators
     double seconds = 0.0;
     double speedup = 1.0;
     double epochs = 0.0;
     double mtes = 0.0;          //!< millions of traversed edges / s
     bool converged = false;
-    std::uint64_t messages = 0; //!< cross-fragment delta messages
 };
 
 std::vector<std::uint32_t>
@@ -69,18 +60,19 @@ void
 writeJson(const std::vector<GridRow> &rows, const std::string &path)
 {
     std::ofstream ofs(path);
-    ofs << "{\n  \"benchmark\": \"scaleout\",\n  \"rows\": [\n";
+    ofs << "{\n  \"benchmark\": \"scaleout\",\n"
+        << "  \"host\": {\"cores\": " << std::thread::hardware_concurrency()
+        << ", \"build_type\": \"" << GRAPHABCD_BUILD_TYPE << "\"},\n"
+        << "  \"rows\": [\n";
     for (std::size_t i = 0; i < rows.size(); i++) {
         const GridRow &r = rows[i];
         ofs << "    {\"kind\": \"" << r.kind
             << "\", \"shards\": " << r.shards
-            << ", \"threads\": " << r.threads
             << ", \"seconds\": " << r.seconds
             << ", \"speedup\": " << r.speedup
             << ", \"epochs\": " << r.epochs
             << ", \"mtes\": " << r.mtes
-            << ", \"converged\": " << (r.converged ? 1 : 0)
-            << ", \"messages\": " << r.messages << "}"
+            << ", \"converged\": " << (r.converged ? 1 : 0) << "}"
             << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     ofs << "  ]\n}\n";
@@ -95,9 +87,6 @@ benchMain(int argc, char **argv)
     declareCommonFlags(flags);
     flags.declare("graph", "LJ", "dataset key");
     flags.declareInt("block-size", 512, "block size");
-    flags.declare("fragments", "1,2,4,8",
-                  "software shard counts to sweep (comma list)");
-    flags.declareInt("threads", 8, "total software threads per run");
     flags.declare("accels", "1,2,4,8",
                   "simulated accelerator counts to sweep (comma list)");
     flags.declare("json", "BENCH_scaleout.json",
@@ -109,56 +98,8 @@ benchMain(int argc, char **argv)
     const auto block_size =
         static_cast<VertexId>(flags.getInt("block-size"));
     BlockPartition g(ds.graph, block_size);
-    const double tol = prTolerance(g.numVertices());
-    const auto threads = static_cast<std::uint32_t>(
-        std::max<std::int64_t>(1, flags.getInt("threads")));
     std::vector<GridRow> rows;
 
-    // ---------------------------------------------- software fragments
-    Table frag_table({"fragments", "threads", "time (s)", "speedup",
-                      "epochs", "MTES", "messages", "converged"});
-    double frag_base = 0.0;
-    for (std::uint32_t f : parseList(flags.get("fragments"))) {
-        EngineOptions opt;
-        opt.blockSize = block_size;
-        opt.tolerance = tol;
-        opt.numThreads = threads;
-        opt.fragments = f;
-        FragmentEngine<PageRankProgram> engine(g, PageRankProgram(0.85),
-                                               opt);
-        std::vector<double> x;
-        EngineReport rep = engine.run(x);
-        std::uint64_t messages = 0;
-        for (const FragmentRunStats &s : engine.fragmentStats())
-            messages += s.messagesSent;
-        if (frag_base == 0.0)
-            frag_base = rep.seconds;
-        GridRow row{"fragment",
-                    f,
-                    threads,
-                    rep.seconds,
-                    frag_base / rep.seconds,
-                    rep.epochs,
-                    static_cast<double>(rep.edgeTraversals) /
-                        rep.seconds / 1e6,
-                    rep.converged,
-                    messages};
-        rows.push_back(row);
-        frag_table.row()
-            .add(static_cast<std::uint64_t>(f))
-            .add(static_cast<std::uint64_t>(threads))
-            .add(row.seconds, 4)
-            .add(row.speedup, 3)
-            .add(row.epochs, 4)
-            .add(row.mtes, 4)
-            .add(messages)
-            .add(std::string(rep.converged ? "yes" : "no"));
-    }
-    std::printf("software fragments (FragmentEngine, %u threads):\n",
-                threads);
-    emitTable(frag_table, flags);
-
-    // ------------------------------------------- simulated accelerators
     Table sim_table({"accelerators", "total PEs", "time (s)", "speedup",
                      "epochs", "MTES", "link util (avg)"});
     double sim_base = 0.0;
@@ -167,13 +108,12 @@ benchMain(int argc, char **argv)
         opt.blockSize = block_size;
         HarpConfig cfg;
         cfg.numAccelerators = accels;
-        cfg.fragmentAffinity = true;
         RunResult r = abcdPagerank(g, opt, cfg);
         if (sim_base == 0.0)
             sim_base = r.seconds;
-        rows.push_back(GridRow{"sim", accels, 0, r.seconds,
+        rows.push_back(GridRow{"sim", accels, r.seconds,
                                sim_base / r.seconds, r.iterations,
-                               r.mtes, r.converged, 0});
+                               r.mtes, r.converged});
         sim_table.row()
             .add(static_cast<std::uint64_t>(accels))
             .add(static_cast<std::uint64_t>(accels * cfg.numPes))
@@ -183,7 +123,7 @@ benchMain(int argc, char **argv)
             .add(r.mtes, 4)
             .add(r.sim.busUtilization, 3);
     }
-    std::printf("\nsimulated accelerators (HARP, fragment affinity):\n");
+    std::printf("simulated accelerators (HARP):\n");
     emitTable(sim_table, flags);
     writeJson(rows, flags.get("json"));
     std::fprintf(stderr,

@@ -93,16 +93,6 @@ struct EngineOptions
     std::uint32_t numThreads = 4;
 
     /**
-     * Shard count of the fragment engine (src/fragment): the graph is
-     * cut into this many contiguous, edge-balanced vertex-range
-     * fragments exchanging deltas over SPSC rings.  Clamped to the
-     * block count; 1 degenerates to a single self-contained shard.
-     * Ignored by the serial/async engines and the HARP sim (the sim
-     * derives its shard count from the accelerator list instead).
-     */
-    std::uint32_t fragments = 1;
-
-    /**
      * Record a convergence-trace sample roughly every `traceInterval`
      * epochs (0 disables tracing).  Used by the Fig. 4/5 harnesses.
      */

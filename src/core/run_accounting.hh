@@ -9,8 +9,8 @@
  * EngineReport.  Engines only say what one block (or superstep) did, as
  * a BlockWork.
  *
- * Used by SerialEngine, AsyncEngine (all modes), AccumEngine (through
- * the BlockPump) and FragmentEngine.  The HARP simulator and the
+ * Used by SerialEngine, AsyncEngine (all modes) and AccumEngine
+ * (through the BlockPump).  The HARP simulator and the
  * GraphMat baseline keep their own accounting: they sample simulated
  * time and whole supersteps.
  */

@@ -80,17 +80,6 @@ struct HarpConfig
     double peEdgesPerCycle = 0.5;       //!< sustained edges/cycle per PE
     double pePipelineDepth = 24.0;      //!< drain cycles per block task
 
-    /**
-     * Home blocks onto accelerators with the fragment partitioning
-     * (FragmentTopology cut into one fragment per device — the same
-     * cut the software FragmentEngine uses): an idle PE prefers a
-     * queued block its own device's fragment owns and falls back to
-     * the queue head otherwise, so affinity never starves a device.
-     * Off by default; bench/scaleout enables it for the
-     * multi-accelerator grid.  No effect with a single device.
-     */
-    bool fragmentAffinity = false;
-
     // -------------------------------------------------------- CPU side
     std::uint32_t cpuThreads = 14;      //!< SCATTER / scheduler threads
     double cpuThreadBytesPerSec = 2.5e9; //!< per-thread DRAM share

@@ -31,7 +31,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <type_traits>
 #include <vector>
 
@@ -39,7 +38,6 @@
 #include "core/scheduler.hh"
 #include "core/state.hh"
 #include "core/vertex_program.hh"
-#include "fragment/topology.hh"
 #include "graph/partition.hh"
 #include "harp/bus.hh"
 #include "harp/config.hh"
@@ -72,12 +70,6 @@ class HarpSystem
                 peDevice.push_back(
                     static_cast<std::uint32_t>(buses.size() - 1));
             }
-        }
-        if (cfg.fragmentAffinity && devices.size() > 1) {
-            // One fragment per device, same edge-balanced cut as the
-            // software FragmentEngine.
-            affinity.emplace(
-                g, static_cast<std::uint32_t>(devices.size()));
         }
     }
 
@@ -164,9 +156,6 @@ class HarpSystem
                     .add(report.busReadBytes);
                 obs::counter("harp.bus_write_bytes")
                     .add(report.busWriteBytes);
-                obs::counter("harp.affinity_hits").add(affinityHits);
-                obs::counter("harp.affinity_misses")
-                    .add(affinityMisses);
             }
         }
         out_values = state->values();
@@ -276,25 +265,8 @@ class HarpSystem
                 peDevice[static_cast<std::uint32_t>(pe)];
             Bus &bus = buses[dev];
             const AcceleratorSpec &spec = devices[dev];
-            // With fragment affinity, prefer a queued block homed on
-            // this PE's device; take the head otherwise, so affinity
-            // reorders but never starves (work-conserving).
-            auto pick = accelQueue.begin();
-            if (affinity) {
-                for (auto it = accelQueue.begin();
-                     it != accelQueue.end(); ++it) {
-                    if (affinity->fragmentOfBlock(*it) == dev) {
-                        pick = it;
-                        break;
-                    }
-                }
-                if (affinity->fragmentOfBlock(*pick) == dev)
-                    affinityHits++;
-                else
-                    affinityMisses++;
-            }
-            BlockId b = *pick;
-            accelQueue.erase(pick);
+            BlockId b = accelQueue.front();
+            accelQueue.pop_front();
 
             // Functional GATHER-APPLY at dispatch time: the PE sees the
             // edge values committed so far (asynchronous staleness).
@@ -657,9 +629,6 @@ class HarpSystem
     HarpConfig cfg;
     std::vector<AcceleratorSpec> devices;
     std::vector<std::uint32_t> peDevice;   //!< PE index -> device index
-    std::optional<FragmentTopology> affinity;   //!< device homing cut
-    std::uint64_t affinityHits = 0;    //!< PE took a home-fragment block
-    std::uint64_t affinityMisses = 0;  //!< PE fell back to the head
 
     std::unique_ptr<BcdState<Program>> state;
     std::unique_ptr<BlockScheduler> sched;

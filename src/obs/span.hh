@@ -1,7 +1,7 @@
 /**
  * @file
  * Causal span propagation — the per-job trace context that links a
- * serve request to every executor task and fragment pump it spawns.
+ * serve request to every engine run and executor task it spawns.
  *
  * A SpanContext names one node of a job's span tree: the owning JobId,
  * a process-unique span id, and the parent span id (0 for the root).

@@ -3,12 +3,12 @@
  * StallWatchdog — detects jobs whose progress counters have gone flat.
  *
  * The asynchronous execution models this repo reproduces (GraphABCD's
- * barrier-free block scheduling, Maiter-style delta accumulation, the
- * fragment engine's four-counter quiescence detector) share a failure
- * mode: a bug does not crash, it simply stops making progress — a lost
- * wakeup, a termination detector that never fires, a ring that nobody
- * drains.  Metrics alone cannot distinguish "slow" from "wedged"; a
- * watchdog that samples a job's monotone progress counters can.
+ * barrier-free block scheduling, Maiter-style delta accumulation) share
+ * a failure mode: a bug does not crash, it simply stops making progress
+ * — a lost wakeup, a termination check that never fires, a block that
+ * nobody requeues.  Metrics alone cannot distinguish "slow" from
+ * "wedged"; a watchdog that samples a job's monotone progress counters
+ * can.
  *
  * One background thread polls every watched task each checkSeconds.
  * A task whose progress value has not moved for windowSeconds while

@@ -80,8 +80,8 @@ struct JobRequest
     std::string graph;            //!< GraphRegistry name
     std::string algo = "pr";      //!< a row of the runner's table:
                                   //!< pr | ppr | sssp | bfs | cc | lp
-    std::string engine = "serial"; //!< serial | async | fragment |
-                                   //!< accum | sim (serve/runner.hh)
+    std::string engine = "serial"; //!< serial | async | accum | sim
+                                   //!< (serve/runner.hh)
     std::string tenant;           //!< QoS lane; empty = "default".
                                   //!< Never part of the result identity:
                                   //!< cache hits and warm starts are

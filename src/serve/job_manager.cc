@@ -135,9 +135,11 @@ JobManager::submit(JobRequest req)
     // Pre-admission rejections (nothing was registered yet).  Copies,
     // not references: req may have been moved into the job record.
     auto reject = [this, tenant = req.tenant, graph_name = req.graph,
-                   algo = req.algo](SubmitError error) {
+                   algo = req.algo](SubmitError error,
+                                    std::string detail = {}) {
         GRAPHABCD_LOG_WARN("serve", "job rejected",
                            LOGF("reason", to_string(error)),
+                           LOGF("detail", detail),
                            LOGF("tenant", tenant),
                            LOGF("graph", graph_name),
                            LOGF("algo", algo));
@@ -147,19 +149,19 @@ JobManager::submit(JobRequest req)
         TenantEntry &entry = tenantEntryLocked(tenant);
         entry.stats.submitted++;
         entry.stats.rejected++;
-        return Submitted{0, error};
+        return Submitted{0, error, std::move(detail)};
     };
 
     if (shutdown_.load(std::memory_order_acquire))
         return reject(SubmitError::ShuttingDown);
     std::string why;
     if (!isRunnable(req, &why))
-        return reject(SubmitError::BadRequest);
+        return reject(SubmitError::BadRequest, why);
     auto graph = registry_.get(req.graph);
     if (!graph)
         return reject(SubmitError::UnknownGraph);
     if (!inputsValid(req, graph->numVertices(), &why))
-        return reject(SubmitError::BadRequest);
+        return reject(SubmitError::BadRequest, why);
 
     // Normalise: the partition's geometry is fixed at LOAD time, and
     // the fingerprint must reflect the geometry actually run.
@@ -175,8 +177,8 @@ JobManager::submit(JobRequest req)
     job->submittedAt = monotonicSeconds();
 
     // Allocate the root of the job's causal span tree here, at
-    // submission: queue wait, the run envelope, executor tasks, and
-    // fragment pumps all hang off this context.
+    // submission: queue wait, the run envelope and executor tasks all
+    // hang off this context.
     if constexpr (obs::kEnabled) {
         job->traceRoot = obs::SpanContext{job->id, obs::nextSpanId(), 0};
         obs::instantSpan("serve.submit", job->traceRoot);
@@ -208,7 +210,7 @@ JobManager::submit(JobRequest req)
             entry.stats.completed++;
             entry.stats.cacheHits++;
             jobs_.emplace(job->id, job);
-            return Submitted{job->id, SubmitError::None};
+            return Submitted{job->id, SubmitError::None, {}};
         }
     }
 
@@ -267,7 +269,7 @@ JobManager::submit(JobRequest req)
             }
             publishTenantGauges(entry);
         }
-        return Submitted{0, error};
+        return Submitted{0, error, {}};
     }
 
     GRAPHABCD_LOG_DEBUG("serve", "job admitted", LOGF("job", job->id),
@@ -284,7 +286,7 @@ JobManager::submit(JobRequest req)
         finishJob(victim, JobState::Queued, JobState::Shed,
                   "shed: displaced by fair-share pressure");
     }
-    return Submitted{job->id, SubmitError::None};
+    return Submitted{job->id, SubmitError::None, {}};
 }
 
 void
@@ -444,8 +446,8 @@ JobManager::runJob(const std::shared_ptr<Job> &job)
     Timer run_timer;
     {
         // Adopt the job's root context on this worker thread and open
-        // the run span under it; every engine epoch, executor task and
-        // fragment pump recorded below nests into the same tree.
+        // the run span under it; every engine epoch and executor task
+        // recorded below nests into the same tree.
         obs::SpanScope adopt(job->traceRoot);
         obs::Span span("serve.run", job->id);
         outcome = runAnalyticsJob(*job->graph, job->req, executor_);

@@ -73,6 +73,7 @@ class JobManager
     {
         JobId id = 0;
         SubmitError error = SubmitError::None;
+        std::string reason;   //!< why a BadRequest was refused
 
         bool ok() const { return id != 0; }
     };

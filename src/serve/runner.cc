@@ -15,7 +15,6 @@
 #include "core/accum_engine.hh"
 #include "core/async_engine.hh"
 #include "core/engine.hh"
-#include "fragment/engine.hh"
 #include "harp/system.hh"
 #include "runtime/executor.hh"
 #include "support/fingerprint.hh"
@@ -56,12 +55,12 @@ wedgeEngineEnabled()
 
 // ------------------------------------------------------------ engines
 
-enum class EngineKind { Serial, Async, Fragment, Accum, Sim, Wedge };
+enum class EngineKind { Serial, Async, Accum, Sim, Wedge };
 
 constexpr std::pair<std::string_view, EngineKind> kEngines[] = {
-    {"serial", EngineKind::Serial},     {"async", EngineKind::Async},
-    {"fragment", EngineKind::Fragment}, {"accum", EngineKind::Accum},
-    {"sim", EngineKind::Sim},           {"wedge", EngineKind::Wedge},
+    {"serial", EngineKind::Serial}, {"async", EngineKind::Async},
+    {"accum", EngineKind::Accum},   {"sim", EngineKind::Sim},
+    {"wedge", EngineKind::Wedge},
 };
 
 /** Runs program P on g for req, filling out. */
@@ -141,8 +140,6 @@ engineFor(const JobRequest &req, std::string *why)
         else
             return reject("algorithm '" + req.algo +
                           "' is not lock-free atomic; use engine=serial");
-      case EngineKind::Fragment:
-        return &runEngine<FragmentEngine<P>, P>;
       case EngineKind::Accum:
         if constexpr (Accumulable<P>)
             return &runEngine<AccumEngine<P>, P>;
@@ -343,6 +340,8 @@ inputsValid(const JobRequest &req, VertexId num_vertices, std::string *why)
         return reject("tolerance must be finite and non-negative");
     if (!(req.options.maxEpochs > 0.0))
         return reject("max-epochs must be positive");
+    if (req.options.numThreads == 0)
+        return reject("threads must be positive");
     const AlgoInfo *algo = findAlgo(req.algo);
     if (algo && algo->usesSource && req.source >= num_vertices) {
         return reject("source " + std::to_string(req.source) +
@@ -387,9 +386,6 @@ jobFingerprint(std::uint64_t graph_fingerprint, const JobRequest &req)
     fp.mix(opt.maxEpochs);
     fp.mix(opt.seed);
     fp.mix(static_cast<std::uint64_t>(opt.numThreads));
-    // The fragment cut changes the update schedule (hence the exact
-    // floating-point trajectory), so it is part of the result identity.
-    fp.mix(static_cast<std::uint64_t>(opt.fragments));
     return fp.value();
 }
 

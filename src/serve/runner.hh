@@ -109,9 +109,10 @@ bool isRunnable(const JobRequest &req, std::string *why = nullptr);
 
 /**
  * @return whether req's inputs make sense on a graph of `num_vertices`:
- * a finite, non-negative tolerance, a positive epoch cap and, for the
- * algorithms that read one, an existing source vertex.  Each mistake
- * would otherwise run to a silently wrong or empty answer.
+ * a finite, non-negative tolerance, a positive epoch cap, at least one
+ * thread and, for the algorithms that read one, an existing source
+ * vertex.  Each mistake would otherwise run to a silently wrong or
+ * empty answer.
  */
 bool inputsValid(const JobRequest &req, VertexId num_vertices,
                  std::string *why = nullptr);

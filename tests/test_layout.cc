@@ -449,15 +449,13 @@ struct GridCase
 {
     const char *engine;
     std::uint32_t threads;
-    std::uint32_t fragments;
 };
 
 const GridCase kEngines[] = {
-    {"serial", 1, 1},
-    {"async", 1, 1},
-    {"async", 4, 1},
-    {"accum", 1, 1},
-    {"fragment", 2, 2},
+    {"serial", 1},
+    {"async", 1},
+    {"async", 4},
+    {"accum", 1},
 };
 
 const LayoutOptions kLayouts[] = {
@@ -479,7 +477,6 @@ runCell(const BlockPartition &g, const char *algo, VertexId source,
     req.options.blockSize = g.blockSize();
     req.options.tolerance = 1e-12;
     req.options.numThreads = e.threads;
-    req.options.fragments = e.fragments;
     const RunOutcome out = runAnalyticsJob(g, req);
     EXPECT_TRUE(out.ok()) << out.error;
     EXPECT_TRUE(out.report.converged);

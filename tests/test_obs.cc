@@ -1191,7 +1191,7 @@ TEST(CausalSpan, ExecutorTasksInheritTheSubmittersSpanTree)
     EXPECT_EQ(inners, 4u);
 }
 
-TEST(ServeObs, FragmentServeJobFormsOneCausalSpanTree)
+TEST(ServeObs, AsyncServeJobFormsOneCausalSpanTree)
 {
     TraceRecorder &rec = TraceRecorder::global();
     rec.clear();
@@ -1207,8 +1207,7 @@ TEST(ServeObs, FragmentServeJobFormsOneCausalSpanTree)
     JobRequest req;
     req.graph = "g";
     req.algo = "pr";
-    req.engine = "fragment";
-    req.options.fragments = 4;
+    req.engine = "async";
     req.options.numThreads = 2;
     req.allowCached = false;
     req.allowWarmStart = false;
@@ -1262,8 +1261,7 @@ TEST(ServeObs, FragmentServeJobFormsOneCausalSpanTree)
     }
     EXPECT_GE(names["serve.queue_wait"], 1u);
     EXPECT_GE(names["serve.run"], 1u);
-    EXPECT_GE(names["engine.fragment.run"], 1u);
-    EXPECT_GE(names["fragment.pump"], 1u);
+    EXPECT_GE(names["engine.async.run"], 1u);
     EXPECT_GE(names["executor.task"], 1u);
 }
 

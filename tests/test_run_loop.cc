@@ -22,7 +22,6 @@
 #include "core/async_engine.hh"
 #include "core/engine.hh"
 #include "core/stop_token.hh"
-#include "fragment/engine.hh"
 #include "graph/generators.hh"
 #include "obs/convergence.hh"
 
@@ -39,7 +38,6 @@ enum class Runner
     Bsp,
     AccumCyclic,
     AccumObim,
-    Fragment,
 };
 
 const char *
@@ -53,7 +51,6 @@ runnerName(Runner r)
       case Runner::Bsp: return "bsp";
       case Runner::AccumCyclic: return "accum_cyclic";
       case Runner::AccumObim: return "accum_obim";
-      case Runner::Fragment: return "fragment";
     }
     return "?";
 }
@@ -64,7 +61,7 @@ paramName(const testing::TestParamInfo<Runner> &info)
     return runnerName(info.param);
 }
 
-/** Run PageRank under `r`; opt.mode / schedule / fragments are set here. */
+/** Run PageRank under `r`; opt.mode / schedule are set here. */
 EngineReport
 runPageRank(Runner r, const BlockPartition &g, EngineOptions opt,
             std::vector<double> &x)
@@ -89,11 +86,6 @@ runPageRank(Runner r, const BlockPartition &g, EngineOptions opt,
             r == Runner::AccumObim ? Schedule::Obim : Schedule::Cyclic;
         return AccumEngine<PageRankProgram>(
                    g, PageRankProgram(0.85), opt)
-            .run(x);
-      case Runner::Fragment:
-        opt.fragments = 3;
-        return FragmentEngine<PageRankProgram>(g, PageRankProgram(0.85),
-                                               opt)
             .run(x);
     }
     return {};
@@ -150,7 +142,7 @@ INSTANTIATE_TEST_SUITE_P(
     Engines, ConvergenceContract,
     testing::Values(Runner::Serial, Runner::Jacobi, Runner::Async,
                     Runner::Barrier, Runner::Bsp, Runner::AccumCyclic,
-                    Runner::AccumObim, Runner::Fragment),
+                    Runner::AccumObim),
     paramName);
 
 #endif // GRAPHABCD_OBS_ENABLED

@@ -332,21 +332,17 @@ TEST(Fingerprint, DifferentEngineOptionsDoNotAlias)
     sched.options.schedule = Schedule::Priority;
     JobRequest eng = base;
     eng.engine = "async";
-    JobRequest frag = base;
-    frag.options.fragments = 4;
 
     const std::uint64_t gfp = 0x1234;
     const std::uint64_t k0 = jobFingerprint(gfp, base);
     EXPECT_NE(k0, jobFingerprint(gfp, tol));
     EXPECT_NE(k0, jobFingerprint(gfp, sched));
     EXPECT_NE(k0, jobFingerprint(gfp, eng));
-    EXPECT_NE(k0, jobFingerprint(gfp, frag));
     // ...but they all share one fixpoint family.
     const std::uint64_t f0 = jobFamilyFingerprint(gfp, base);
     EXPECT_EQ(f0, jobFamilyFingerprint(gfp, tol));
     EXPECT_EQ(f0, jobFamilyFingerprint(gfp, sched));
     EXPECT_EQ(f0, jobFamilyFingerprint(gfp, eng));
-    EXPECT_EQ(f0, jobFamilyFingerprint(gfp, frag));
 }
 
 TEST(Fingerprint, AlgoSourceAndGraphSplitFamilies)
@@ -678,16 +674,65 @@ TEST_F(ServeTest, AccumEngineRejectsAlgosWithoutADeltaForm)
         << out.error;
 }
 
-TEST(Registry, EveryRunnableCellMatchesTheReference)
+/**
+ * The adversarial inputs of the Registry matrix, next to a plain RMAT:
+ * each breaks an assumption a per-block activation rule could make
+ * (every block has in-edges, every vertex an out-edge, one component,
+ * |V| a multiple of the block size, no block touches every other).
+ */
+std::vector<std::pair<std::string, EdgeList>>
+registryGraphs()
 {
-    // Every (engine, algo) cell the runner's table accepts, against the
-    // exact references — or the serial engine for ppr, which has none.
-    // lp's fixpoint depends on the update order, so it is only checked
-    // for a well-formed labelling.
+    std::vector<std::pair<std::string, EdgeList>> graphs;
     Rng rng(97);
     // Prime |V|: the last block is ragged.
-    const EdgeList directed =
-        generateRmat(211, 1700, rng, {.weighted = true});
+    graphs.emplace_back("rmat211",
+                        generateRmat(211, 1700, rng, {.weighted = true}));
+
+    EdgeList loop(1);
+    loop.addEdge(0, 0, 2.0f);
+    graphs.emplace_back("one-vertex-self-loop", std::move(loop));
+
+    // Two weighted cycles with self-loops on either side of isolated
+    // vertex 20: the second cycle is unreachable from any source in the
+    // first, and the middle of the three blocks holds parts of both.
+    EdgeList split(41);
+    for (VertexId v = 0; v < 20; v++)
+        split.addEdge(v, (v + 1) % 20, 1.0f + static_cast<float>(v % 3));
+    for (VertexId v = 21; v < 41; v++)
+        split.addEdge(v, v == 40 ? 21 : v + 1, 2.0f);
+    split.addEdge(3, 3, 1.0f);
+    split.addEdge(30, 30, 5.0f);
+    split.addEdge(7, 2, 4.0f);
+    graphs.emplace_back("self-loops-isolated-two-components",
+                        std::move(split));
+
+    // Hub 0 to and from every spoke: one block feeds all the others.
+    EdgeList star(97);
+    for (VertexId v = 1; v < 97; v++) {
+        star.addEdge(0, v, 1.0f);
+        star.addEdge(v, 0, 3.0f);
+    }
+    graphs.emplace_back("star-hub", std::move(star));
+
+    // Prime |V| = 53 over 16-vertex blocks: a directed chain with
+    // weighted chords, so the last block holds 5 vertices.
+    EdgeList chain = generateChain(53, true);
+    for (VertexId v = 0; v + 7 < 53; v += 5)
+        chain.addEdge(v + 7, v, 2.5f);
+    graphs.emplace_back("prime-chain", std::move(chain));
+    return graphs;
+}
+
+/**
+ * Every (engine, algo) cell the runner's table accepts on `directed`,
+ * against the exact references — or the serial engine for ppr, which
+ * has none.  lp's fixpoint depends on the update order, so it is only
+ * checked for a well-formed labelling.
+ */
+void
+checkEveryRunnableCell(const EdgeList &directed)
+{
     const EdgeList sym = directed.symmetrized();
     const std::vector<std::uint32_t> deg = directed.outDegrees();
     const auto source = static_cast<VertexId>(
@@ -702,7 +747,6 @@ TEST(Registry, EveryRunnableCellMatchesTheReference)
         opt.blockSize = 16;
         opt.tolerance = 1e-12;
         opt.numThreads = 2;
-        opt.fragments = 3;
 
         const std::string name(algo.name);
         std::vector<double> expected;
@@ -759,30 +803,15 @@ TEST(Registry, EveryRunnableCellMatchesTheReference)
     }
     // lp has no delta form; every other cell runs.
     EXPECT_EQ(rejected, std::vector<std::string>{"accum/lp"});
-    EXPECT_EQ(cells, 29);
+    EXPECT_EQ(cells, 23);
 }
 
-TEST_F(ServeTest, FragmentEngineJobsRunThroughTheServeLayer)
+TEST(Registry, EveryRunnableCellMatchesTheReference)
 {
-    ServeConfig cfg;
-    cfg.workers = 2;
-    cfg.queueCapacity = 4;
-    JobManager manager(registry, cfg);
-
-    JobRequest req = request("web", "pr", "fragment");
-    req.options.fragments = 3;
-    req.options.tolerance = 1e-12;
-    JobManager::Submitted sub = manager.submit(req);
-    ASSERT_TRUE(sub.ok()) << to_string(sub.error);
-    ASSERT_TRUE(manager.wait(sub.id, 60.0));
-
-    auto result = manager.result(sub.id);
-    ASSERT_NE(result, nullptr);
-    EXPECT_TRUE(result->report.converged);
-    std::vector<double> ref = pagerankReference(web, 0.85);
-    ASSERT_EQ(result->values.size(), ref.size());
-    for (std::size_t v = 0; v < ref.size(); v++)
-        EXPECT_NEAR(result->values[v], ref[v], 1e-6) << "vertex " << v;
+    for (const auto &[name, graph] : registryGraphs()) {
+        SCOPED_TRACE(name);
+        checkEveryRunnableCell(graph);
+    }
 }
 
 TEST_F(ServeTest, RepeatedJobIsServedFromTheResultCache)
@@ -1008,6 +1037,11 @@ TEST_F(ServeTest, RejectsUnknownGraphsAndBadRequests)
               SubmitError::BadRequest);
     EXPECT_EQ(manager.submit(request("web", "pr", "nope")).error,
               SubmitError::BadRequest);
+    // The rejection carries the runner's reason for the reply line.
+    const JobManager::Submitted frag =
+        manager.submit(request("web", "pr", "fragment"));
+    EXPECT_EQ(frag.error, SubmitError::BadRequest);
+    EXPECT_EQ(frag.reason, "unknown engine 'fragment'");
 
     manager.shutdown();
     EXPECT_EQ(manager.submit(request("web", "pr", "serial")).error,
@@ -1078,6 +1112,24 @@ TEST_F(ServeTest, RejectsNonPositiveMaxEpochs)
     EXPECT_NE(why.find("max-epochs"), std::string::npos) << why;
     req.options.maxEpochs = 0.5;
     EXPECT_TRUE(inputsValid(req, 250, &why)) << why;
+}
+
+TEST_F(ServeTest, RejectsZeroThreads)
+{
+    // threads=0 used to be clamped to one participant without a word.
+    JobManager manager(registry);
+    for (const char *engine : {"serial", "async", "accum"}) {
+        JobRequest req = request("web", "pr", engine);
+        req.options.numThreads = 0;
+        const JobManager::Submitted sub = manager.submit(req);
+        EXPECT_EQ(sub.error, SubmitError::BadRequest) << engine;
+        EXPECT_EQ(sub.reason, "threads must be positive") << engine;
+    }
+    JobRequest one = request("web", "pr", "async");
+    one.options.numThreads = 1;
+    const JobManager::Submitted sub = manager.submit(one);
+    ASSERT_TRUE(sub.ok()) << sub.reason;
+    EXPECT_TRUE(manager.wait(sub.id, 60.0));
 }
 
 TEST_F(ServeTest, CacheHitVsCancelStormNeverLeaksResults)
@@ -1413,7 +1465,7 @@ TEST_F(ServeTest, WarmStartAndCacheCrossTenantBoundaries)
 
 // ---------------------------------------------------------------------
 // Multi-tenant storm (scaled up in the tsan CI leg via
-// GRAPHABCD_QOS_STRESS_ITERS, like the fragment/accum stress tests).
+// GRAPHABCD_QOS_STRESS_ITERS, like the block pump stress tests).
 
 TEST(ServeQosStress, MultiTenantCancelShedStorm)
 {

@@ -45,6 +45,17 @@ dumpValues(const std::string &path, const std::vector<double> &values,
     std::printf("wrote %zu values to %s\n", values.size(), path.c_str());
 }
 
+/** A count flag: zero, negative or past 32 bits is a usage error, not a
+ *  value wrapped by the cast. */
+std::uint32_t
+positiveCount(const Flags &flags, const char *name)
+{
+    const std::int64_t x = flags.getInt(name);
+    if (x <= 0 || x > std::numeric_limits<std::uint32_t>::max())
+        fatal("rejected: --", name, " must be a positive 32-bit count");
+    return static_cast<std::uint32_t>(x);
+}
+
 int
 run(int argc, char **argv)
 {
@@ -56,7 +67,7 @@ run(int argc, char **argv)
     flags.declare("dataset", "", "named stand-in (WT PS LJ TW ...)");
     flags.declareDouble("scale", 1.0, "dataset scale factor");
     flags.declare("engine", "serial",
-                  "serial | async | fragment | accum | sim");
+                  "serial | async | accum | sim");
     flags.declareInt("block-size", 512, "vertices per block");
     flags.declare("layout", "plain",
                   "physical layout: plain | compressed");
@@ -76,6 +87,12 @@ run(int argc, char **argv)
     flags.declareInt("seed", 42, "dataset generator seed");
     if (!flags.parse(argc, argv))
         return 0;
+    const std::uint32_t block_size = positiveCount(flags, "block-size");
+    const std::uint32_t threads = positiveCount(flags, "threads");
+    const std::uint32_t pes = positiveCount(flags, "pes");
+    const double scale = flags.getDouble("scale");
+    if (!(scale > 0.0))
+        fatal("rejected: --scale must be positive");
 
     // kcore and color have no request form (--k has no JobRequest
     // field); every other algorithm is a row of the serve table.
@@ -90,7 +107,7 @@ run(int argc, char **argv)
     if (!flags.get("graph").empty()) {
         el = loadEdgeListFile(flags.get("graph"));
     } else if (!flags.get("dataset").empty()) {
-        el = makeDataset(flags.get("dataset"), flags.getDouble("scale"),
+        el = makeDataset(flags.get("dataset"), scale,
                          static_cast<std::uint64_t>(flags.getInt("seed")))
                  .graph;
     } else {
@@ -112,19 +129,17 @@ run(int argc, char **argv)
     JobRequest req;
     req.algo = algo;
     req.engine = flags.get("engine");
-    req.options.blockSize =
-        static_cast<VertexId>(flags.getInt("block-size"));
+    req.options.blockSize = block_size;
     req.options.tolerance = flags.getDouble("tolerance");
     req.options.maxEpochs = flags.getDouble("max-epochs");
-    req.options.numThreads =
-        static_cast<std::uint32_t>(flags.getInt("threads"));
+    req.options.numThreads = threads;
     if (auto s = parseSchedule(flags.get("schedule")))
         req.options.schedule = *s;
     else
         fatal("unknown --schedule '", flags.get("schedule"),
               "' (cyclic | priority | random | obim)");
     HarpConfig harp;
-    harp.numPes = static_cast<std::uint32_t>(flags.getInt("pes"));
+    harp.numPes = pes;
     harp.hybrid = flags.getBool("hybrid");
 
     LayoutOptions lo;

@@ -8,10 +8,10 @@
  *   LOAD <name> <dataset-key-or-file> [scale=F] [block-size=N]
  *        [undirected=0|1] [seed=N] [layout=plain|compressed]
  *        [reorder=none|hub]
- *   RUN <graph> <algo> [engine=serial|async|fragment|accum|sim]
+ *   RUN <graph> <algo> [engine=serial|async|accum|sim]
  *       [tenant=NAME] [source=N] [priority=F] [timeout=F]
  *       [tolerance=F] [schedule=cyclic|priority|random|obim]
- *       [threads=N] [fragments=N] [max-epochs=F] [cached=0|1]
+ *       [threads=N] [max-epochs=F] [cached=0|1]
  *       [warm=0|1]
  *   STATUS <job-id>
  *   WAIT <job-id> [timeout-seconds]
@@ -25,9 +25,10 @@
  *   GRAPHS | STATS | HELP | QUIT
  *
  * LOAD and RUN take only the keys listed; an unknown key, an unknown
- * schedule, or a negative or fractional count or id (N) is refused
- * with ERR BadCommand.  Requests the runner cannot run or whose inputs
- * are invalid (see serve/runner.hh) are refused with ERR BadRequest.
+ * schedule, a negative or fractional count or id (N), or block-size=0
+ * is refused with ERR BadCommand.  Requests the runner cannot run or
+ * whose inputs are invalid (see serve/runner.hh) are refused with
+ * ERR BadRequest and the runner's reason.
  *
  * Debugging: --flight=PATH arms the flight recorder — fatal errors,
  * fatal signals, and watchdog stalls dump the black box (recent logs,
@@ -172,10 +173,8 @@ enumParam(const std::map<std::string, std::string> &params,
 class ServeShell
 {
   public:
-    ServeShell(GraphRegistry &registry, JobManager &manager,
-               std::uint32_t default_fragments = 1)
-        : registry_(registry), manager_(manager),
-          defaultFragments_(default_fragments)
+    ServeShell(GraphRegistry &registry, JobManager &manager)
+        : registry_(registry), manager_(manager)
     {
     }
 
@@ -256,6 +255,8 @@ class ServeShell
         const auto seed = countParam<std::uint64_t>(params, "seed", 42);
         const auto block_size =
             countParam<VertexId>(params, "block-size", 512);
+        if (block_size == 0)
+            throw std::invalid_argument("block-size must be positive");
         const bool undirected = param(params, "undirected", 0.0) != 0.0;
         LayoutOptions lo;
         lo.layout = enumParam(params, "layout", "plain", parseGraphLayout);
@@ -291,8 +292,7 @@ class ServeShell
             !parseParams(tokens, 3, params,
                          {"engine", "tenant", "source", "priority",
                           "timeout", "cached", "warm", "tolerance",
-                          "max-epochs", "threads", "fragments",
-                          "schedule"})) {
+                          "max-epochs", "threads", "schedule"})) {
             std::printf("ERR BadCommand usage: RUN <graph> <algo> "
                         "[key=value...]\n");
             return;
@@ -311,9 +311,6 @@ class ServeShell
         req.options.maxEpochs = param(params, "max-epochs", 10000.0);
         req.options.numThreads =
             countParam<std::uint32_t>(params, "threads", 4);
-        req.options.fragments =
-            countParam<std::uint32_t>(params, "fragments",
-                                      defaultFragments_);
         req.options.schedule =
             enumParam(params, "schedule", "cyclic", parseSchedule);
 
@@ -322,7 +319,8 @@ class ServeShell
             std::printf("OK job %llu\n",
                         static_cast<unsigned long long>(sub.id));
         else
-            std::printf("ERR %s\n", to_string(sub.error));
+            std::printf("ERR %s%s%s\n", to_string(sub.error),
+                        sub.reason.empty() ? "" : " ", sub.reason.c_str());
     }
 
     void
@@ -587,7 +585,6 @@ class ServeShell
 
     GraphRegistry &registry_;
     JobManager &manager_;
-    const std::uint32_t defaultFragments_;
 };
 
 } // namespace
@@ -600,9 +597,6 @@ main(int argc, char **argv)
     flags.declareInt("pool-threads", 0,
                      "engine worker pool size (0 = the process-wide "
                      "pool sized to the hardware)");
-    flags.declareInt("fragments", 1,
-                     "default shard count for engine=fragment runs "
-                     "(RUN fragments=N overrides per job)");
     flags.declareInt("queue", 16, "admission queue capacity");
     flags.declareInt("cache", 64, "result cache entries");
     flags.declareDouble("ttl", 300.0, "result cache TTL seconds");
@@ -701,10 +695,7 @@ main(int argc, char **argv)
 
     GraphRegistry registry;
     JobManager manager(registry, cfg);
-    ServeShell shell(registry, manager,
-                     static_cast<std::uint32_t>(
-                         std::max<std::int64_t>(1,
-                                                flags.getInt("fragments"))));
+    ServeShell shell(registry, manager);
     const bool echo = flags.getBool("echo");
 
     if (metrics_server.running())

@@ -25,12 +25,6 @@ run_preset() {
     echo "== test (${preset}) =="
     ctest --preset "${preset}"
 
-    # The fragment engine is the most concurrency-dense code in the
-    # repo (per-fragment runners, SPSC delta rings, the four-counter
-    # termination detector, cooperative cancel).  The default stress
-    # iteration count keeps plain ctest fast; under TSan, rerun the
-    # cancel-storm stress heavier so the race detector sees many
-    # claim/flush/drain interleavings per CI run.
     # The varint/delta codec and the compressed-layout decode loops are
     # pointer-walking code over packed byte streams — exactly what ASan
     # is for.  Rerun the codec tests with the randomized round-trip
@@ -54,17 +48,14 @@ run_preset() {
     fi
 
     if [ "${preset}" = "tsan" ]; then
-        echo "== fragment stress (${preset}) =="
-        GRAPHABCD_FRAGMENT_STRESS_ITERS=24 \
-            "./build-tsan/tests/abcd_tests" \
-            --gtest_filter='FragmentStress.*'
-
-        # Same treatment for the shared block pump, once per user: the
-        # async engine (dispatch FIFO, per-block control lock) and the
+        # The shared block pump is the most concurrency-dense code in
+        # the repo.  Rerun its cancel storm once per user: the async
+        # engine (dispatch FIFO, per-block control lock) and the
         # accumulative engine, whose scatter hooks also push into the
-        # OBIM worklist concurrently (no control lock).  The cancel
-        # storm is rerun heavier to cover many claim/commit/drain
-        # interleavings under the race detector.
+        # OBIM worklist concurrently (no control lock).  The default
+        # iteration count keeps plain ctest fast; here it runs heavier
+        # to cover many claim/commit/drain interleavings under the race
+        # detector.
         echo "== pump stress (${preset}) =="
         GRAPHABCD_PUMP_STRESS_ITERS=24 \
             "./build-tsan/tests/abcd_tests" \
@@ -87,7 +78,7 @@ run_preset() {
             --gtest_filter='MetricsServerStress.*'
     fi
 
-    # Observability drill (release build): drive a traced fragment job
+    # Observability drill (release build): drive a traced async job
     # through abcd_serve end-to-end, then validate the debugging
     # artifacts — the Chrome trace must contain exactly one causally
     # connected span tree for the job, and the DUMP verb must produce a
@@ -100,7 +91,7 @@ run_preset() {
         obs_dir="$(mktemp -d)"
         printf '%s\n' \
             "LOAD web WT scale=0.05" \
-            "RUN web pr engine=fragment fragments=4" \
+            "RUN web pr engine=async threads=2" \
             "WAIT 1 60" \
             "TRACE ${obs_dir}/trace.json" \
             "DUMP ${obs_dir}/flight.json" \
@@ -130,8 +121,8 @@ for s in nodes:
         s = nodes[s]
         hops += 1
         assert hops < 64, "parent cycle"
-for want in ("serve.job", "serve.run", "engine.fragment.run",
-             "fragment.pump"):
+for want in ("serve.job", "serve.run", "engine.async.run",
+             "executor.task"):
     assert names.get(want), "missing %s spans in %r" % (want, sorted(names))
 
 flight = json.load(open(sys.argv[2]))
@@ -158,16 +149,32 @@ PY
         grep -q "state=cancelled" "${obs_dir}/wedge.out"
         grep -q "error=stalled:" "${obs_dir}/wedge.out"
 
-        # Request validation: a negative count and an unknown key are
-        # each refused with ERR BadCommand rather than run.
+        # Request validation: a negative count, unknown keys and a zero
+        # block size are refused with ERR BadCommand; zero threads and
+        # an unknown engine with ERR BadRequest and the runner's reason.
+        # None of them runs.
         echo "== request validation drill (${preset}) =="
         printf '%s\n' \
             "LOAD web WT scale=0.02" \
             "RUN web pr threads=-1" \
             "RUN web pr bogus=1" \
+            "LOAD w WT scale=0.02 block-size=0" \
+            "RUN web pr fragments=4" \
+            "RUN web pr threads=0" \
+            "RUN web pr engine=fragment" \
             "QUIT" \
             | "./build/tools/abcd_serve" > "${obs_dir}/validate.out" 2>&1
-        [ "$(grep -c "ERR BadCommand" "${obs_dir}/validate.out")" -eq 2 ]
+        [ "$(grep -c "ERR BadCommand" "${obs_dir}/validate.out")" -eq 4 ]
+        [ "$(grep -c "ERR BadRequest" "${obs_dir}/validate.out")" -eq 2 ]
+        grep -q "ERR BadCommand block-size must be positive" \
+            "${obs_dir}/validate.out"
+        grep -q "ERR BadCommand unknown key 'fragments'" \
+            "${obs_dir}/validate.out"
+        grep -q "ERR BadRequest threads must be positive" \
+            "${obs_dir}/validate.out"
+        grep -q "ERR BadRequest unknown engine 'fragment'" \
+            "${obs_dir}/validate.out"
+        [ "$(grep -c "^OK job" "${obs_dir}/validate.out")" -eq 0 ]
         rm -rf "${obs_dir}"
     fi
 
