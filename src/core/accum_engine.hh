@@ -30,12 +30,12 @@
  * The hook applies Maiter's activation filter: a destination is woken
  * only when its whole accumulated pending would move its value by more
  * than the tolerance, so sub-tolerance traffic parks in the
- * accumulator (conserved) instead of churning the worklist.  With
- * Schedule::Obim the
- * engine pushes activations concurrently from inside SCATTER (the
- * scheduler's concurrentPush() contract); with the serialized
- * schedulers it batches activations per block under the control lock,
- * exactly like AsyncEngine.
+ * accumulator (conserved) instead of churning the worklist.
+ * Activations collect in the participant's per-block batch
+ * (BlockActivations); with Schedule::Obim the engine flushes it at the
+ * end of each block without the lock (the scheduler's concurrentPush()
+ * contract), with the serialized schedulers the pump commits it under
+ * the control lock, exactly like AsyncEngine.
  *
  * Programs: the engine runs the GAS programs themselves
  * (AccumEngine<SsspProgram>).  Any Accumulable program — sum
@@ -225,13 +225,14 @@ class AccumState
      * part of the delta back into the accumulator (conservation)
      * without activating downstream blocks (quiescence).
      *
-     * @param on_activate (dst_vertex, est_move) called after an
+     * @param on_activate (dst_block, est_move) called after an
      *        out-edge accumulate when dst's whole accumulated pending
      *        would move dst's value by more than tol (the Maiter
-     *        activation filter); the engine maps dst to its block and
-     *        activates.  Sub-tolerance accumulations stay parked in
-     *        dst's accumulator — for additive programs the last
-     *        combiner of a super-tolerance total always observes it,
+     *        activation filter); dst_block comes from the scatter
+     *        list's destination-block sidecar.  Sub-tolerance
+     *        accumulations stay parked in dst's accumulator — for
+     *        additive programs the last combiner of a
+     *        super-tolerance total always observes it,
      *        and for monotone min-programs a skipped wake can never
      *        become necessary later (the estimated move only
      *        shrinks), so no wakeup is lost.
@@ -271,14 +272,15 @@ class AccumState
                     std::memory_order_relaxed)) {
                 r.outcome = AccumOutcome::Applied;
                 r.magnitude = mag;
-                BlockId hint = graph.numBlocks() ? graph.blockOf(v)
-                                                 : invalidBlock;
-                for (EdgeId pos : graph.scatterList(v, scratch)) {
+                const ScatterView out = graph.scatterList(v, scratch);
+                for (std::size_t i = 0; i < out.size(); i++) {
+                    const EdgeId pos = out.pos[i];
                     const Value contrib =
                         Form::propagate(p, v, next, d, pos, graph);
                     if (contrib == identity)
                         continue;
-                    const VertexId dst = graph.edgeDstAt(pos, hint);
+                    const VertexId dst =
+                        graph.edgeDstAt(pos, out.blk[i]);
                     const Value after =
                         atomicCombine(p, pending_[dst], contrib);
                     r.scatters++;
@@ -295,7 +297,7 @@ class AccumState
                         // earlier contributions and over-prioritize
                         // hot vertices into premature, fragmenting
                         // applies.
-                        on_activate(dst,
+                        on_activate(out.blk[i],
                                     p.delta(dval, p.combine(dval, contrib)));
                     }
                 }
@@ -314,9 +316,10 @@ class AccumState
                   OnActivate &&on_activate)
     {
         ScatterScratch scratch;
-        return processVertex(p, v, tol,
-                             std::forward<OnActivate>(on_activate),
-                             scratch);
+        const Result r = processVertex(
+            p, v, tol, std::forward<OnActivate>(on_activate), scratch);
+        graph.chargeScatterBytes(scratch);
+        return r;
     }
 
   private:
@@ -384,9 +387,9 @@ class AccumEngine
         auto sched = makeSeededScheduler(options.schedule,
                                          graph.numBlocks(), options.seed,
                                          participation);
-        // Concurrent-push schedulers (OBIM) take activations straight
-        // from the scatter hook; serialized ones get them batched into
-        // the pump's locked commit.
+        // Concurrent-push schedulers (OBIM) take each block's batch
+        // straight from the kernel; serialized ones get it in the
+        // pump's locked commit.
         const bool direct_push = sched->concurrentPush();
         std::atomic<std::uint64_t> foldbacks{0};
         obs::Histogram &residualHist = obs::histogram(
@@ -394,15 +397,11 @@ class AccumEngine
 
         // Extract-apply-scatter each vertex of one block.
         auto processBlock = [&](BlockId b, ScatterScratch &scratch,
-                                Activations &activations) {
+                                BlockActivations &activations) {
             BlockWork work;
             std::uint64_t folded = 0;
-            auto on_activate = [&](VertexId dst, double mag) {
-                const BlockId db = graph.blockOf(dst);
-                if (direct_push)
-                    sched->activate(db, mag);
-                else
-                    activations.emplace_back(db, mag);
+            auto on_activate = [&activations](BlockId db, double mag) {
+                activations.add(db, mag);
             };
             for (VertexId v = graph.blockBegin(b);
                  v < graph.blockEnd(b); v++) {
@@ -426,6 +425,9 @@ class AccumEngine
             // Every applied vertex moved by more than the tolerance.
             work.active = work.vertices;
             foldbacks.fetch_add(folded, std::memory_order_relaxed);
+            graph.chargeScatterBytes(scratch);
+            if (direct_push)
+                activations.commit(*sched);
             return work;
         };
 

@@ -128,30 +128,29 @@ class AsyncEngine
     }
 
     /**
-     * SCATTER v's new value onto its out-edges, calling
-     * activate(dst_block, edge_delta) once per edge written.
+     * SCATTER v's new value onto its out-edges, adding each edge's
+     * destination block to `activations`.
      * @return edges written.
      */
-    template <typename Activate>
     std::size_t
-    scatter(VertexId v, Value next, ScatterScratch &scratch, BlockId &hint,
-            Activate &&activate)
+    scatter(VertexId v, Value next, ScatterScratch &scratch,
+            BlockActivations &activations)
     {
-        auto positions = graph.scatterList(v, scratch);
-        if (positions.empty())
+        const ScatterView out = graph.scatterList(v, scratch);
+        if (out.empty())
             return 0;
         // Read the outgoing edges' previous value before the stores
         // below overwrite it: the activation priority is old-vs-new,
         // not new-vs-new.
         const Value old_ev =
-            edgeValues[positions.front()].load(std::memory_order_relaxed);
+            edgeValues[out.pos.front()].load(std::memory_order_relaxed);
         const Value ev = program.edgeValue(v, next, graph);
         const double edge_delta = program.delta(old_ev, ev);
-        for (EdgeId pos : positions) {
-            edgeValues[pos].store(ev, std::memory_order_relaxed);
-            activate(graph.dstBlockOfEdge(pos, hint), edge_delta);
+        for (std::size_t i = 0; i < out.size(); i++) {
+            edgeValues[out.pos[i]].store(ev, std::memory_order_relaxed);
+            activations.add(out.blk[i], edge_delta);
         }
-        return positions.size();
+        return out.size();
     }
 
     /**
@@ -161,13 +160,12 @@ class AsyncEngine
      */
     BlockWork
     processAndCommit(BlockId b, LayoutScratch &scratch,
-                     Activations &activations)
+                     BlockActivations &activations)
     {
         BlockWork work;
         work.vertices = graph.blockVertexCount(b);
         work.edges = graph.blockEdgeCount(b);
         const BlockEdgesView slice = graph.blockEdges(b, scratch.slice);
-        BlockId hint = b;
         for (VertexId v = graph.blockBegin(b); v < graph.blockEnd(b);
              v++) {
             const Value old = values[v].load(std::memory_order_relaxed);
@@ -177,13 +175,11 @@ class AsyncEngine
             values[v].store(next, std::memory_order_relaxed);
             if (d > options.tolerance) {
                 work.active++;
-                scatter(v, next, scratch.scatter, hint,
-                        [&](BlockId dst, double delta) {
-                            activations.emplace_back(dst, delta);
-                        });
+                work.scatters +=
+                    scatter(v, next, scratch.scatter, activations);
             }
         }
-        work.scatters = activations.size();
+        graph.chargeScatterBytes(scratch.scatter);
         return work;
     }
 
@@ -203,7 +199,7 @@ class AsyncEngine
             barrier_per_block ? 1 : std::size_t{participation} * 4,
             graph.numBlocks(), /*exclusive=*/true};
         auto kernel = [this](BlockId b, LayoutScratch &scratch,
-                             Activations &activations) {
+                             BlockActivations &activations) {
             return processAndCommit(b, scratch, activations);
         };
         return BlockPump<LayoutScratch, decltype(kernel)>(
@@ -233,8 +229,10 @@ class AsyncEngine
         std::vector<BlockId> wave;
         std::vector<BlockUpdate<Value>> updates;
         // Commits run serially after the superstep barrier, so one
-        // scatter decode buffer serves every commitUpdate call.
+        // scatter decode buffer and one activation batch serve every
+        // commitUpdate call.
         ScatterScratch commit_scratch;
+        BlockActivations commit_activations(graph.numBlocks());
         while (!sched->empty()) {
             if (options.stop.stopRequested()) {
                 stopped = true;
@@ -269,8 +267,8 @@ class AsyncEngine
 
             BlockWork step;   // the superstep's convergence-window share
             for (const auto &update : updates) {
-                const BlockWork work =
-                    commitUpdate(update, *sched, commit_scratch);
+                const BlockWork work = commitUpdate(
+                    update, *sched, commit_scratch, commit_activations);
                 acct.count(work);
                 step.l1 += work.l1;
                 step.active += work.active;
@@ -307,25 +305,24 @@ class AsyncEngine
     /** Jacobi helper: commit + activate one block update. */
     BlockWork
     commitUpdate(const BlockUpdate<Value> &update, BlockScheduler &sched,
-                 ScatterScratch &scatter_scratch)
+                 ScatterScratch &scatter_scratch,
+                 BlockActivations &activations)
     {
         BlockWork work{update.newValues.size(), 1,
                        graph.blockEdgeCount(update.block), 0,
                        update.changed, update.l1Delta};
         const VertexId begin = graph.blockBegin(update.block);
-        BlockId hint = update.block;
         for (std::size_t i = 0; i < update.newValues.size(); i++) {
             const VertexId v = begin + static_cast<VertexId>(i);
             values[v].store(update.newValues[i],
                             std::memory_order_relaxed);
             if (update.deltas[i] > options.tolerance) {
-                work.scatters += scatter(
-                    v, update.newValues[i], scatter_scratch, hint,
-                    [&sched](BlockId dst, double delta) {
-                        sched.activate(dst, delta);
-                    });
+                work.scatters += scatter(v, update.newValues[i],
+                                         scatter_scratch, activations);
             }
         }
+        graph.chargeScatterBytes(scatter_scratch);
+        activations.commit(sched);
         return work;
     }
 

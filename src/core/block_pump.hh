@@ -16,7 +16,11 @@
  * halt flags and the run-wide convergence window) sits behind one
  * mutex that every participant takes exactly once per block: commit
  * the previous block's activation batch, refill the FIFO from the
- * scheduler, claim the next block.
+ * scheduler, claim the next block.  The batch is a BlockActivations
+ * (core/scheduler.hh): the kernel records every edge it writes into
+ * the participant's batch, deduplicated per destination block, so the
+ * locked commit costs one activate() per distinct block, not one per
+ * edge written.
  *
  * The FIFO bounds staleness (Sec. III-D): each item carries the
  * block-update count at FIFO entry, and the difference read at claim
@@ -58,9 +62,6 @@
 
 namespace graphabcd {
 
-/** (destination block, priority delta) pairs a kernel hands the commit. */
-using Activations = std::vector<std::pair<BlockId, double>>;
-
 /** The engine-fixed shape of one pump run. */
 struct PumpConfig
 {
@@ -74,9 +75,9 @@ struct PumpConfig
 /**
  * @tparam Local per-participant scratch, default-constructed by each
  *         participant (participants run concurrently).
- * @tparam Kernel BlockWork(BlockId, Local &, Activations &): process
- *         one block; activations it appends are applied to the
- *         scheduler in the locked commit.
+ * @tparam Kernel BlockWork(BlockId, Local &, BlockActivations &):
+ *         process one block; the batch it fills is committed to the
+ *         scheduler under the control lock.
  */
 template <typename Local, typename Kernel>
 class BlockPump
@@ -148,6 +149,10 @@ class BlockPump
         std::uint32_t pumps = 0;      //!< live participants
         bool halted = false;          //!< stop token or budget
         bool droppedWork = false;     //!< a halt discarded FIFO items
+        /** Empty batches of participants that returned or requeued.  A
+         *  batch is sized to the partition, so building one per
+         *  kQuantum blocks would cost O(blocks) each time. */
+        std::vector<BlockActivations> idleBatches;
     };
 
     std::string
@@ -238,15 +243,18 @@ class BlockPump
     pump(bool allow_requeue)
     {
         Local local;
-        Activations activations;
+        BlockActivations activations;
         BlockWork work;
         std::optional<WorkItem> cur;   // processed, not yet committed
         for (std::uint32_t done = 0;; done++) {
             {
                 std::lock_guard<std::mutex> lock(ctl_.m);
+                if (done == 0 && !ctl_.idleBatches.empty()) {
+                    activations = std::move(ctl_.idleBatches.back());
+                    ctl_.idleBatches.pop_back();
+                }
                 if (cur) {
-                    for (const auto &[dst, delta] : activations)
-                        sched_.activate(dst, delta);
+                    activations.commit(sched_);
                     if (cfg_.exclusive &&
                         std::exchange(ctl_.dispatched[cur->block],
                                       kIdle) == kReissued) {
@@ -262,10 +270,12 @@ class BlockPump
                     // Keep ctl_.pumps: the requeued task inherits this
                     // participant's slot.
                     cur.reset();
+                    ctl_.idleBatches.push_back(std::move(activations));
                 } else if ((cur = claimLocked())) {
                     spawnLocked();
                 } else {
                     ctl_.pumps--;
+                    ctl_.idleBatches.push_back(std::move(activations));
                     return;
                 }
             }
@@ -273,7 +283,8 @@ class BlockPump
                 job_->submit([this] { pump(/*allow_requeue=*/true); });
                 return;
             }
-            activations.clear();
+            if (activations.numBlocks() != cfg_.numBlocks)
+                activations.resize(cfg_.numBlocks);   // a new participant
             {
                 obs::ScopedLatency lat(gasHist_);
                 work = kernel_(cur->block, local, activations);

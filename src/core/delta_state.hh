@@ -115,7 +115,7 @@ class DeltaState
     using Value = typename Program::Value;
 
     DeltaState(const BlockPartition &g, const Program &p)
-        : graph(g)
+        : graph(g), activations_(g.numBlocks())
     {
         values_.resize(g.numVertices());
         pending_.assign(g.numEdges(), Value{});
@@ -123,9 +123,10 @@ class DeltaState
         for (VertexId v = 0; v < g.numVertices(); v++) {
             values_[v] = p.init(v, g);
             Value seed = p.initialPending(v, g);
-            for (EdgeId pos : g.scatterList(v, scatterScratch_))
+            for (EdgeId pos : g.scatterList(v, scatterScratch_).pos)
                 pending_[pos] = seed;
         }
+        g.chargeScatterBytes(scatterScratch_);
     }
 
     const std::vector<Value> &values() const { return values_; }
@@ -162,13 +163,14 @@ class DeltaState
      * Commit: CONSUME the block's in-edge slice (zero it — this is the
      * read-modify-write that loses concurrent writes), store the new
      * values, and ACCUMULATE the out-going increments.
-     * @param on_write (dst_block, |delta|) activation hook.
+     * @param sched if set, activated once per distinct block written,
+     *        with the L1 sum of the |delta| of every increment written
+     *        into it.
      * @return out-edge positions written.
      */
-    template <typename OnWrite>
     EdgeId
     commitBlock(const Program &p, const DeltaBlockUpdate<Value> &update,
-                double tol, OnWrite &&on_write)
+                double tol, BlockScheduler *sched = nullptr)
     {
         // Consume: anything scattered into this slice after the gather
         // snapshot is destroyed here — the lost-update anomaly.
@@ -178,7 +180,6 @@ class DeltaState
 
         EdgeId writes = 0;
         const VertexId begin = graph.blockBegin(update.block);
-        BlockId hint = update.block;
         for (std::size_t i = 0; i < update.newValues.size(); i++) {
             const VertexId v = begin + static_cast<VertexId>(i);
             if (update.deltas[i] <= tol) {
@@ -193,21 +194,19 @@ class DeltaState
                                        update.newValues[i], graph);
             values_[v] = update.newValues[i];
             residual_[v] = Value{};   // consumed by this gather
-            for (EdgeId pos : graph.scatterList(v, scatterScratch_)) {
-                pending_[pos] += inc;   // accumulate, not overwrite
-                on_write(graph.dstBlockOfEdge(pos, hint),
-                         update.deltas[i]);
-                writes++;
+            const ScatterView out = graph.scatterList(v, scatterScratch_);
+            for (std::size_t j = 0; j < out.size(); j++) {
+                pending_[out.pos[j]] += inc;   // accumulate, not overwrite
+                activations_.add(out.blk[j], update.deltas[i]);
             }
+            writes += out.size();
         }
+        graph.chargeScatterBytes(scatterScratch_);
+        if (sched)
+            activations_.commit(*sched);
+        else
+            activations_.flush([](BlockId, double) {});
         return writes;
-    }
-
-    EdgeId
-    commitBlock(const Program &p, const DeltaBlockUpdate<Value> &update,
-                double tol)
-    {
-        return commitBlock(p, update, tol, [](BlockId, double) {});
     }
 
   private:
@@ -216,8 +215,10 @@ class DeltaState
     std::vector<Value> pending_;
     std::vector<Value> residual_;
     // One thread drives an instance (serial/barriered by design — see
-    // the file comment), so the decode scratch is a member.
+    // the file comment), so the decode scratch and the activation batch
+    // are members.
     ScatterScratch scatterScratch_;
+    BlockActivations activations_;
 };
 
 /**
@@ -241,10 +242,7 @@ runDeltaSerial(const BlockPartition &g, const Program &p,
     const double n = std::max<double>(g.numVertices(), 1.0);
     while (auto b = sched->next()) {
         auto update = state.gatherBlock(p, *b);
-        state.commitBlock(p, update, tol,
-                          [&sched](BlockId dst, double delta) {
-                              sched->activate(dst, delta);
-                          });
+        state.commitBlock(p, update, tol, sched.get());
         updates += g.blockVertexCount(*b);
         if (static_cast<double>(updates) / n >= max_epochs)
             break;

@@ -113,10 +113,7 @@ class SerialEngine
            RunAccounting &acct, const BlockUpdate<Value> &update)
     {
         const std::uint64_t scatters = state.commitBlock(
-            graph, program, update, options.tolerance,
-            [&sched](BlockId dst, double delta) {
-                sched.activate(dst, delta);
-            });
+            graph, program, update, options.tolerance, &sched);
         const BlockWork work{update.newValues.size(), 1,
                              graph.blockEdgeCount(update.block), scatters,
                              update.changed, update.l1Delta};

@@ -16,11 +16,12 @@
  * (ordered-by-integer-metric) structure: priorities are bucketed into
  * logarithmic levels, each level is a FIFO of fixed-size chunks filled
  * through per-worker slots, and activate() is safe to call concurrently
- * — which lets the accumulative engine push from SCATTER hooks without
- * holding the control lock.  next() publishes the caller's own open
- * chunk before selecting a level, so a consumer never pops a weaker
- * level while its own stronger activations sit unpublished (with one
- * consumer this makes processing strictly level-ordered).
+ * — which lets the accumulative engine flush its per-block activation
+ * batches without holding the control lock.  next() publishes the
+ * caller's own open chunk before selecting a level, so a consumer
+ * never pops a weaker level while its own stronger activations sit
+ * unpublished (with one consumer this makes processing strictly
+ * level-ordered).
  *
  * Concurrency contract
  * --------------------
@@ -312,6 +313,81 @@ class ObimScheduler : public BlockScheduler
     std::atomic<std::uint64_t> cStaleDiscards{0};
     std::atomic<std::uint64_t> cRefreshes{0};
     mutable SchedulerCounters snap;
+};
+
+/**
+ * One participant's activation batch: the blocks a SCATTER wrote into,
+ * each with the L1 sum of the deltas written, deduplicated so a commit
+ * calls activate() once per distinct block instead of once per edge.
+ *
+ * Exact, not an over-approximation: cyclic and random see the same
+ * activation set (in first-touch order) as per-edge activation, and
+ * priority the same per-block L1 sum up to summation order.  add()
+ * applies PriorityScheduler's clamp (only positive deltas count), so a
+ * zero-delta write still activates its block.  Not thread-safe: each
+ * participant owns one.
+ */
+class BlockActivations
+{
+  public:
+    BlockActivations() = default;
+
+    explicit BlockActivations(BlockId num_blocks) { resize(num_blocks); }
+
+    /** Size for a partition of `num_blocks` blocks; drops the batch. */
+    void
+    resize(BlockId num_blocks)
+    {
+        sum_.assign(num_blocks, kUntouched);
+        touched_.clear();
+    }
+
+    /** Record a write of `delta` into block b's edge slice. */
+    void
+    add(BlockId b, double delta)
+    {
+        double &s = sum_[b];
+        if (s < 0.0) {
+            s = 0.0;
+            touched_.push_back(b);
+        }
+        if (delta > 0.0)
+            s += delta;
+    }
+
+    /** @return blocks the batch is sized for. */
+    BlockId numBlocks() const { return static_cast<BlockId>(sum_.size()); }
+
+    /** @return distinct blocks in the batch. */
+    std::size_t size() const { return touched_.size(); }
+
+    bool empty() const { return touched_.empty(); }
+
+    /** Call fn(block, l1_sum) once per distinct block, in first-touch
+     *  order, and empty the batch. */
+    template <typename Fn>
+    void
+    flush(Fn &&fn)
+    {
+        for (BlockId b : touched_) {
+            fn(b, sum_[b]);
+            sum_[b] = kUntouched;
+        }
+        touched_.clear();
+    }
+
+    /** Activate every block of the batch on `sched`; empties it. */
+    void
+    commit(BlockScheduler &sched)
+    {
+        flush([&sched](BlockId b, double l1) { sched.activate(b, l1); });
+    }
+
+  private:
+    static constexpr double kUntouched = -1.0;
+
+    std::vector<double> sum_;       //!< per block; kUntouched if absent
+    std::vector<BlockId> touched_;  //!< distinct blocks, first-touch order
 };
 
 /** Factory keyed by the EngineOptions schedule.

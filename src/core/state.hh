@@ -14,6 +14,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/scheduler.hh"
 #include "core/vertex_program.hh"
 #include "graph/partition.hh"
 #include "support/logging.hh"
@@ -131,25 +132,23 @@ class BcdState
      * copy each changed vertex's edge value onto its out-edges.  State-
      * based (whole values, not deltas), so replays are idempotent.
      * @param tol vertices moving by <= tol skip the edge copies.
-     * @param on_write called as (dst_block, delta) for every out-edge
-     *        written; schedulers hook block activation here.
+     * @param sched if set, activated once per distinct block written,
+     *        with the L1 sum of the edge deltas written into it.
      * @return number of out-edge positions written (random writes).
      */
-    template <typename OnWrite>
     EdgeId
     commitBlock(const BlockPartition &g, const Program &p,
                 const BlockUpdate<Value> &update, double tol,
-                OnWrite &&on_write)
+                BlockScheduler *sched = nullptr)
     {
         const VertexId begin = g.blockBegin(update.block);
         EdgeId writes = 0;
-        BlockId hint = update.block;
         for (std::size_t i = 0; i < update.newValues.size(); i++) {
             const VertexId v = begin + static_cast<VertexId>(i);
             values_[v] = update.newValues[i];
             if (update.deltas[i] > tol) {
-                auto positions = g.scatterList(v, scatterScratch_);
-                if (positions.empty())
+                const ScatterView out = g.scatterList(v, scatterScratch_);
+                if (out.empty())
                     continue;
                 Value ev = p.edgeValue(v, values_[v], g);
                 // Gauss-Southwell estimate: the perturbation a
@@ -158,23 +157,20 @@ class BcdState
                 // All of v's out-edges carried the same old copy, so
                 // the first position serves as the old value.
                 const double edge_delta =
-                    p.delta(edgeValues_[positions.front()], ev);
-                for (EdgeId pos : positions) {
-                    edgeValues_[pos] = ev;
-                    on_write(g.dstBlockOfEdge(pos, hint), edge_delta);
-                    writes++;
+                    p.delta(edgeValues_[out.pos.front()], ev);
+                for (std::size_t j = 0; j < out.size(); j++) {
+                    edgeValues_[out.pos[j]] = ev;
+                    activations_.add(out.blk[j], edge_delta);
                 }
+                writes += out.size();
             }
         }
+        g.chargeScatterBytes(scatterScratch_);
+        if (sched)
+            activations_.commit(*sched);
+        else
+            activations_.flush([](BlockId, double) {});
         return writes;
-    }
-
-    /** commitBlock without an activation hook. */
-    EdgeId
-    commitBlock(const BlockPartition &g, const Program &p,
-                const BlockUpdate<Value> &update, double tol)
-    {
-        return commitBlock(g, p, update, tol, [](BlockId, double) {});
     }
 
   private:
@@ -191,6 +187,7 @@ class BcdState
         for (VertexId v = 0; v < n; v++)
             ev[v] = p.edgeValue(v, values_[v], g);
         edgeValues_.resize(g.numEdges());
+        activations_.resize(g.numBlocks());
         for (VertexId v = 0; v < n; v++) {
             g.forEachInEdge(v, [&](EdgeId pos, VertexId src, float) {
                 edgeValues_[pos] = ev[src];
@@ -201,9 +198,11 @@ class BcdState
     std::vector<Value> values_;
     std::vector<Value> edgeValues_;
 
-    // Layout decode buffers; see the class contract above.
+    // Layout decode buffers and the activation batch; see the class
+    // contract above.
     mutable EdgeSliceScratch gatherScratch_;
     ScatterScratch scatterScratch_;
+    BlockActivations activations_;
 };
 
 } // namespace graphabcd

@@ -134,33 +134,12 @@ BlockPartition::buildFromBoundaries(const EdgeList &el)
             scatterPos[cursor[edgeSrc_[pos]]++] = pos;
     }
 
-    // Downstream block sets: for each source block, the sorted unique
-    // destination blocks of its out-edges.
-    downstreamOffsets.assign(static_cast<std::size_t>(nBlocks) + 1, 0);
-    std::vector<std::vector<BlockId>> per_block(nBlocks);
-    {
-        std::vector<BlockId> scratch;
-        for (BlockId b = 0; b < nBlocks; b++) {
-            scratch.clear();
-            for (VertexId v = blockBegin(b); v < blockEnd(b); v++) {
-                const EdgeId s = scatterOffsets[v], e = scatterOffsets[v + 1];
-                for (EdgeId i = s; i < e; i++)
-                    scratch.push_back(blockOf(edgeDst_[scatterPos[i]]));
-            }
-            std::sort(scratch.begin(), scratch.end());
-            scratch.erase(std::unique(scratch.begin(), scratch.end()),
-                          scratch.end());
-            per_block[b] = scratch;
-            downstreamOffsets[b + 1] =
-                downstreamOffsets[b] + scratch.size();
-        }
-    }
-    downstream.resize(downstreamOffsets[nBlocks]);
-    for (BlockId b = 0; b < nBlocks; b++) {
-        std::copy(per_block[b].begin(), per_block[b].end(),
-                  downstream.begin() +
-                      static_cast<std::ptrdiff_t>(downstreamOffsets[b]));
-    }
+    // Destination-block sidecar, slot for slot with the scatter index:
+    // SCATTER reads the blocks it activates sequentially beside the
+    // positions instead of searching for each position's block.
+    scatterBlk_.resize(m);
+    for (EdgeId i = 0; i < m; i++)
+        scatterBlk_[i] = vertexBlock[edgeDst_[scatterPos[i]]];
 
     blockEdgeStarts_.resize(static_cast<std::size_t>(nBlocks) + 1);
     for (BlockId b = 0; b < nBlocks; b++)
@@ -377,15 +356,17 @@ BlockPartition::blockEdges(BlockId b, EdgeSliceScratch &scratch) const
     return {begin, scratch.src, wgt};
 }
 
-std::span<const EdgeId>
+ScatterView
 BlockPartition::scatterList(VertexId v, ScatterScratch &scratch) const
 {
-    const EdgeId deg = scatterOffsets[v + 1] - scatterOffsets[v];
+    const EdgeId begin = scatterOffsets[v], end = scatterOffsets[v + 1];
+    const EdgeId deg = end - begin;
+    const std::span<const BlockId> blk{scatterBlk_.data() + begin,
+                                       scatterBlk_.data() + end};
+    scratch.bytes += deg * sizeof(BlockId);
     if (!compressed()) {
-        scatterBytesMoved_.fetch_add(deg * sizeof(EdgeId),
-                                     std::memory_order_relaxed);
-        return {scatterPos.data() + scatterOffsets[v],
-                scatterPos.data() + scatterOffsets[v + 1]};
+        scratch.bytes += deg * sizeof(EdgeId);
+        return {{scatterPos.data() + begin, scatterPos.data() + end}, blk};
     }
 
     scratch.pos.resize(deg);
@@ -398,10 +379,8 @@ BlockPartition::scatterList(VertexId v, ScatterScratch &scratch) const
         pos = i == 0 ? d : pos + d;
         scratch.pos[i] = pos;
     }
-    scatterBytesMoved_.fetch_add(
-        scatterByteOffsets_[v + 1] - scatterByteOffsets_[v],
-        std::memory_order_relaxed);
-    return scratch.pos;
+    scratch.bytes += scatterByteOffsets_[v + 1] - scatterByteOffsets_[v];
+    return {scratch.pos, blk};
 }
 
 } // namespace graphabcd

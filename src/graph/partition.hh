@@ -8,7 +8,10 @@
  * the same vertex are contiguous in memory, so a PE streaming one block's
  * edge slice performs only sequential reads.  Out-going edge positions are
  * kept in a separate scatter index: SCATTER writes each updated vertex
- * value into those (random) positions.
+ * value into those (random) positions.  Beside every scatter slot sits
+ * the destination block of that position (the 4-byte sidecar), so
+ * SCATTER learns which blocks it activates from a sequential read
+ * instead of searching for the block that owns each position.
  *
  * There is exactly one copy of the edges (paper footnote 4): the in-edge
  * CSC arrays.  The scatter index stores positions *into* those arrays.
@@ -71,10 +74,31 @@ struct BlockEdgesView
     EdgeId size() const { return static_cast<EdgeId>(src.size()); }
 };
 
-/** Decode buffer for one vertex's scatter list; reuse across calls. */
+/**
+ * Decode buffer for one vertex's scatter list; reuse across calls.  It
+ * also tallies the scatter-index bytes its decodes read, which
+ * BlockPartition::chargeScatterBytes() moves to the partition's shared
+ * tally once per block rather than once per vertex.
+ */
 struct ScatterScratch
 {
     std::vector<EdgeId> pos;
+    std::uint64_t bytes = 0;   //!< read, not yet charged
+};
+
+/**
+ * One vertex's scatter list: the ascending CSC positions of its
+ * out-edges and, slot for slot, the block owning each position's
+ * destination.  Spans point into the partition or the scratch the list
+ * was decoded into; valid until that scratch is reused.
+ */
+struct ScatterView
+{
+    std::span<const EdgeId> pos;
+    std::span<const BlockId> blk;
+
+    std::size_t size() const { return pos.size(); }
+    bool empty() const { return pos.empty(); }
 };
 
 /** Bundle for call sites that both gather and scatter. */
@@ -199,7 +223,8 @@ class BlockPartition
     /**
      * @return destination vertex of in-edge position e.  O(1) except
      * under 16-bit local destinations, where the owning block is found
-     * by binary search — use edgeDstAt() with a hint in loops.
+     * by binary search — scatter loops use edgeDstAt() with the block
+     * from their ScatterView instead.
      */
     VertexId edgeDst(EdgeId e) const;
 
@@ -219,32 +244,16 @@ class BlockPartition
     }
 
     /**
-     * Destination block of in-edge position e.  `hint` caches the last
-     * answer: loops over ascending positions resolve in O(1) amortised
-     * (positions within a block are contiguous).
+     * Destination vertex of position e, whose destination block `blk`
+     * the caller read from the same slot of a ScatterView: O(1) in
+     * every layout.
      */
-    BlockId
-    dstBlockOfEdge(EdgeId e, BlockId &hint) const
-    {
-        if (hint < nBlocks && e >= blockEdgeStarts_[hint] &&
-            e < blockEdgeStarts_[hint + 1])
-            return hint;
-        // Walk one block forward before falling back to binary search:
-        // sorted scatter lists mostly advance to the adjacent slice.
-        if (hint + 1 < nBlocks && e >= blockEdgeStarts_[hint + 1] &&
-            e < blockEdgeStarts_[hint + 2])
-            return hint = hint + 1;
-        return hint = dstBlockSearch(e);
-    }
-
-    /** Destination vertex of position e, hint-accelerated. */
     VertexId
-    edgeDstAt(EdgeId e, BlockId &hint) const
+    edgeDstAt(EdgeId e, BlockId blk) const
     {
         if (!dstLocal16_)
             return edgeDst_[e];
-        const BlockId b = dstBlockOfEdge(e, hint);
-        return blockBegin(b) + dst16_[e];
+        return blockBegin(blk) + dst16_[e];
     }
 
     /**
@@ -257,13 +266,25 @@ class BlockPartition
     BlockEdgesView blockEdges(BlockId b, EdgeSliceScratch &scratch) const;
 
     /**
-     * Decode vertex v's scatter-position list (ascending CSC positions
-     * of v's out-edges).  Plain layout returns a span into the scatter
-     * index; compressed decodes into `scratch`.  Charges the scatter
-     * bytes-moved tally.
+     * Decode vertex v's scatter list (ascending CSC positions of v's
+     * out-edges, with their destination blocks).  Plain layout returns
+     * spans into the scatter index; compressed decodes the positions
+     * into `scratch`.  The bytes read are tallied in `scratch`; charge
+     * them with chargeScatterBytes().
      */
-    std::span<const EdgeId> scatterList(VertexId v,
-                                        ScatterScratch &scratch) const;
+    ScatterView scatterList(VertexId v, ScatterScratch &scratch) const;
+
+    /** Move `scratch`'s tally to the scatter bytes-moved counter; one
+     *  shared atomic add per call, so callers charge once per block. */
+    void
+    chargeScatterBytes(ScatterScratch &scratch) const
+    {
+        if (scratch.bytes == 0)
+            return;
+        scatterBytesMoved_.fetch_add(scratch.bytes,
+                                     std::memory_order_relaxed);
+        scratch.bytes = 0;
+    }
 
     /**
      * Visit v's in-edges as fn(position, src, weight), positions
@@ -319,18 +340,6 @@ class BlockPartition
     }
 
     /**
-     * Set of destination blocks reachable from block b in one hop, i.e.
-     * the blocks whose edge slices contain an edge sourced in b.  Used by
-     * SCATTER to activate downstream blocks.
-     */
-    std::span<const BlockId>
-    downstreamBlocks(BlockId b) const
-    {
-        return {downstream.data() + downstreamOffsets[b],
-                downstream.data() + downstreamOffsets[b + 1]};
-    }
-
-    /**
      * Bytes a PE streams to process block b: the edge slice (topology
      * at this layout's density + one edge-carried value of
      * `value_bytes`) plus reading and writing the vertex value block.
@@ -367,14 +376,16 @@ class BlockPartition
                static_cast<double>(nEdges_);
     }
 
-    /** Scatter-index bytes per edge for this layout (8.0 for plain). */
+    /** Scatter-index bytes per edge for this layout: positions plus
+     *  the 4-byte destination-block sidecar (12.0 for plain). */
     double
     scatterBytesPerEdge() const
     {
         if (!compressed() || nEdges_ == 0)
-            return static_cast<double>(sizeof(EdgeId));
+            return static_cast<double>(sizeof(EdgeId) + sizeof(BlockId));
         return static_cast<double>(scatterStream_.size()) /
-               static_cast<double>(nEdges_);
+                   static_cast<double>(nEdges_) +
+               static_cast<double>(sizeof(BlockId));
     }
 
     /** Snapshot of the bytes-moved tallies (relaxed reads). */
@@ -394,7 +405,7 @@ class BlockPartition
     }
 
   private:
-    /** Shared tail of both constructors: CSC, scatter, downstream. */
+    /** Shared tail of both constructors: CSC and scatter index. */
     void buildFromBoundaries(const EdgeList &el);
 
     /** Sort each vertex's in-list by source (compressed pre-pass). */
@@ -443,9 +454,8 @@ class BlockPartition
 
     std::vector<EdgeId> scatterOffsets;   //!< size V+1
     std::vector<EdgeId> scatterPos;       //!< size E, positions (plain)
-
-    std::vector<EdgeId> downstreamOffsets; //!< size numBlocks+1
-    std::vector<BlockId> downstream;       //!< concatenated block sets
+    std::vector<BlockId> scatterBlk_;     //!< size E, destination block
+                                          //!< per scatter slot (both)
 
     // Compressed-layout arrays (empty under GraphLayout::Plain).
     WeightMode weightMode_ = WeightMode::Float32;

@@ -445,9 +445,7 @@ class HarpSystem
 
         report.scatterWrites += state->commitBlock(
             graph, program, task.update, engineOpt.tolerance,
-            [this](BlockId dst, double delta) {
-                sched->activate(dst, delta);
-            });
+            sched.get());
         report.blockUpdates++;
         report.vertexUpdates += task.update.newValues.size();
         report.edgeTraversals += graph.blockEdgeCount(task.block);
@@ -509,9 +507,7 @@ class HarpSystem
         for (const Task &task : waveDone) {
             report.scatterWrites += state->commitBlock(
                 graph, program, task.update, engineOpt.tolerance,
-                [this](BlockId dst, double delta) {
-                    sched->activate(dst, delta);
-                });
+                sched.get());
             if constexpr (obs::kEnabled) {
                 winL1 += task.update.l1Delta;
                 winActive += task.update.changed;

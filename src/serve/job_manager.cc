@@ -198,6 +198,7 @@ JobManager::submit(JobRequest req)
     if (job->req.allowCached) {
         if (auto cached = cache_.get(job->key)) {
             job->cacheHit = true;
+            job->report = cached->report;
             job->result = std::move(cached);
             job->startedAt = job->finishedAt = monotonicSeconds();
             job->state.store(JobState::Done, std::memory_order_release);
@@ -329,6 +330,7 @@ JobManager::runJob(const std::shared_ptr<Job> &job)
             finishJob(job, JobState::Queued, JobState::Done, "",
                       [this, &job, &cached] {
                           job->cacheHit = true;
+                          job->report = cached->report;
                           job->result = std::move(cached);
                           job->startedAt = monotonicSeconds();
                           stats_.cacheHits++;
@@ -489,6 +491,7 @@ JobManager::runJob(const std::shared_ptr<Job> &job)
     cache_.put(job->key, result);
     finishJob(job, JobState::Running, JobState::Done, "",
               [this, &job, &result] {
+                  job->report = result->report;
                   job->result = result;
                   lastFixpoint_[job->familyKey] = std::move(result);
               });
@@ -755,12 +758,12 @@ JobManager::status(JobId id) const
     if (isTerminal(st.state)) {
         st.queuedSeconds = job->startedAt - job->submittedAt;
         st.runSeconds = job->finishedAt - job->startedAt;
-        if (job->result) {
-            st.epochs = job->result->report.epochs;
-            st.blockUpdates = job->result->report.blockUpdates;
-            st.edgeTraversals = job->result->report.edgeTraversals;
-            st.scatterWrites = job->result->report.scatterWrites;
-            st.converged = job->result->report.converged;
+        if (job->report) {
+            st.epochs = job->report->epochs;
+            st.blockUpdates = job->report->blockUpdates;
+            st.edgeTraversals = job->report->edgeTraversals;
+            st.scatterWrites = job->report->scatterWrites;
+            st.converged = job->report->converged;
         }
     } else {
         const bool running = st.state == JobState::Running;
@@ -788,10 +791,15 @@ JobManager::result(JobId id) const
     auto it = jobs_.find(id);
     if (it == jobs_.end())
         return nullptr;
-    if (it->second->state.load(std::memory_order_acquire) !=
-        JobState::Done)
+    const Job &job = *it->second;
+    if (job.state.load(std::memory_order_acquire) != JobState::Done)
         return nullptr;
-    return it->second->result;
+    if (job.result) {
+        // First fetch: hand the record's reference to the caller.
+        job.fetched = job.result;
+        return std::move(job.result);
+    }
+    return job.fetched.lock();
 }
 
 bool

@@ -106,7 +106,14 @@ class JobManager
     /** @return a point-in-time snapshot, or nullopt for unknown ids. */
     std::optional<JobStatus> status(JobId id) const;
 
-    /** @return the result once Done, nullptr otherwise. */
+    /**
+     * @return the result once Done, nullptr otherwise.  The job record
+     * owns its result only until this first returns it; afterwards the
+     * record keeps a weak reference, so a later call still finds the
+     * values while the caller, the result cache or a run warm-started
+     * from them holds them, and nullptr once none does.  status() is
+     * unaffected.
+     */
     std::shared_ptr<const JobResult> result(JobId id) const;
 
     /**
@@ -171,7 +178,13 @@ class JobManager
         double startedAt = 0.0;
         double finishedAt = 0.0;
 
-        std::shared_ptr<const JobResult> result;
+        /** Owned until the first result() call hands it out, then only
+         *  `fetched` refers to it: retained records do not pin the
+         *  values of results their clients already took.  `report`
+         *  keeps what status() reads. */
+        mutable std::shared_ptr<const JobResult> result;
+        mutable std::weak_ptr<const JobResult> fetched;
+        std::optional<EngineReport> report;
         std::string error;
         bool cacheHit = false;
         bool warmStarted = false;

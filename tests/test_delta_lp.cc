@@ -57,15 +57,19 @@ TEST(PageRankDelta, LostUpdateAnomalyUnderAsyncInterleaving)
     PageRankDeltaProgram p(0.85);
     DeltaState<PageRankDeltaProgram> state(g, p);
 
-    // Pick two blocks where B feeds A.
+    // Pick two blocks where B feeds A: the first B with an out-edge
+    // into another block, and the lowest such block A, read from the
+    // scatter lists' destination-block sidecar.
     BlockId block_a = invalidBlock, block_b = invalidBlock;
+    ScatterScratch scratch;
     for (BlockId b = 0; b < g.numBlocks() && block_a == invalidBlock;
          b++) {
-        for (BlockId dst : g.downstreamBlocks(b)) {
-            if (dst != b) {
-                block_b = b;
-                block_a = dst;
-                break;
+        for (VertexId v = g.blockBegin(b); v < g.blockEnd(b); v++) {
+            for (BlockId dst : g.scatterList(v, scratch).blk) {
+                if (dst != b && (block_a == invalidBlock || dst < block_a)) {
+                    block_b = b;
+                    block_a = dst;
+                }
             }
         }
     }
@@ -160,10 +164,7 @@ TEST(PageRankDelta, RankMassIsConservedToFixpoint)
     std::uint64_t commits = 0;
     while (auto b = sched->next()) {
         auto update = state.gatherBlock(p, *b);
-        state.commitBlock(p, update, tol,
-                          [&sched](BlockId dst, double delta) {
-                              sched->activate(dst, delta);
-                          });
+        state.commitBlock(p, update, tol, sched.get());
         // The invariant holds after EVERY commit, not just at the end.
         if (++commits % 16 == 0) {
             ASSERT_NEAR(conserved(), 1.0, 1e-9) << commits << " commits";

@@ -116,18 +116,63 @@ TEST(Partition, DegreesMatchEdgeList)
     }
 }
 
-TEST(Partition, DownstreamBlocksAreExact)
+TEST(Partition, ScatterBlocksMatchDestinationBlocks)
 {
-    EdgeList el = smallGraph();
-    BlockPartition g(el, 2);   // blocks {0,1},{2,3},{4,5}
-    // Block 0 = {0,1}: edges to 1(blk0), 2(blk1), 2(blk1), 4(blk2).
-    auto down0 = g.downstreamBlocks(0);
-    std::vector<BlockId> expect0{0, 1, 2};
-    EXPECT_EQ(std::vector<BlockId>(down0.begin(), down0.end()), expect0);
-    // Block 2 = {4,5}: edges 4->5 (blk2), 5->0 (blk0).
-    auto down2 = g.downstreamBlocks(2);
-    std::vector<BlockId> expect2{0, 2};
-    EXPECT_EQ(std::vector<BlockId>(down2.begin(), down2.end()), expect2);
+    // Hand-checked case: the destination blocks a block's scatter
+    // lists reach.  Block 0 = {0,1}: edges to 1(blk0), 2(blk1),
+    // 2(blk1), 4(blk2).  Block 2 = {4,5}: edges 4->5 (blk2), 5->0
+    // (blk0).
+    {
+        BlockPartition g(smallGraph(), 2);   // blocks {0,1},{2,3},{4,5}
+        ScatterScratch scratch;
+        auto reached = [&](BlockId b) {
+            std::set<BlockId> out;
+            for (VertexId v = g.blockBegin(b); v < g.blockEnd(b); v++) {
+                for (BlockId d : g.scatterList(v, scratch).blk)
+                    out.insert(d);
+            }
+            return out;
+        };
+        EXPECT_EQ(reached(0), (std::set<BlockId>{0, 1, 2}));
+        EXPECT_EQ(reached(2), (std::set<BlockId>{0, 2}));
+    }
+
+    // Every scatter slot's sidecar block owns the slot's destination,
+    // in every layout, vertex order and block cut.
+    Rng rng(24);
+    const EdgeList el = generateRmat(300, 2400, rng, {.weighted = true});
+    for (GraphLayout layout : {GraphLayout::Plain, GraphLayout::Compressed}) {
+        for (VertexReorder reorder : {VertexReorder::None,
+                                      VertexReorder::Hub}) {
+            LayoutOptions lo;
+            lo.layout = layout;
+            lo.reorder = reorder;
+            const BlockPartition fixed(el, 32, lo);
+            const BlockPartition balanced(el, EdgeId{200},
+                                          BlockPartition::EdgeBalanced{},
+                                          lo);
+            for (const BlockPartition *g : {&fixed, &balanced}) {
+                SCOPED_TRACE(std::string(to_string(layout)) + "/" +
+                             to_string(reorder) + "/" +
+                             (g == &fixed ? "fixed" : "edge-balanced"));
+                ScatterScratch scratch;
+                EdgeId slots = 0;
+                for (VertexId v = 0; v < g->numVertices(); v++) {
+                    const ScatterView out = g->scatterList(v, scratch);
+                    ASSERT_EQ(out.pos.size(), out.blk.size());
+                    ASSERT_EQ(out.size(), g->outDegree(v));
+                    for (std::size_t i = 0; i < out.size(); i++) {
+                        const VertexId dst = g->edgeDst(out.pos[i]);
+                        EXPECT_EQ(out.blk[i], g->blockOf(dst));
+                        EXPECT_EQ(g->edgeDstAt(out.pos[i], out.blk[i]),
+                                  dst);
+                    }
+                    slots += out.size();
+                }
+                EXPECT_EQ(slots, g->numEdges());
+            }
+        }
+    }
 }
 
 TEST(Partition, SingleBlockDegeneratesToWholeGraph)

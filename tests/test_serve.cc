@@ -18,7 +18,10 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <random>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -721,42 +724,79 @@ registryGraphs()
     for (VertexId v = 0; v + 7 < 53; v += 5)
         chain.addEdge(v + 7, v, 2.5f);
     graphs.emplace_back("prime-chain", std::move(chain));
+
+    graphs.emplace_back("empty", EdgeList(0));
     return graphs;
 }
 
 /**
- * Every (engine, algo) cell the runner's table accepts on `directed`,
- * against the exact references — or the serial engine for ppr, which
- * has none.  lp's fixpoint depends on the update order, so it is only
- * checked for a well-formed labelling.
+ * cc labels under a vertex reorder: the representative is whichever
+ * member the permutation placed first, so compare the partitions the
+ * labellings induce, not the labels.
  */
 void
-checkEveryRunnableCell(const EdgeList &directed)
+expectSameComponents(const std::vector<double> &labels,
+                     const std::vector<double> &ref)
+{
+    ASSERT_EQ(labels.size(), ref.size());
+    std::map<double, double> label_to_ref;
+    for (std::size_t v = 0; v < labels.size(); v++) {
+        const auto label = static_cast<std::size_t>(labels[v]);
+        ASSERT_LT(label, ref.size()) << "vertex " << v;
+        EXPECT_EQ(ref[label], ref[v]) << "label outside vertex " << v
+                                      << "'s component";
+        EXPECT_EQ(label_to_ref.emplace(labels[v], ref[v]).first->second,
+                  ref[v])
+            << "label " << labels[v] << " spans two components";
+    }
+    const std::set<double> ref_labels(ref.begin(), ref.end());
+    EXPECT_EQ(label_to_ref.size(), ref_labels.size())
+        << "labelling is finer than the reference partition";
+}
+
+/**
+ * Every (engine, algo) cell the runner's table accepts on `directed`,
+ * in layout `lo` under `schedule`, against the exact references — or
+ * the serial engine on the plain layout for ppr, which has none.  lp's
+ * fixpoint depends on the update order, so it is only checked for a
+ * well-formed labelling.  On the empty graph no source is a vertex, so
+ * the source algorithms are refused by inputsValid, as serve refuses
+ * them.
+ */
+void
+checkEveryRunnableCell(const EdgeList &directed, LayoutOptions lo = {},
+                       Schedule schedule = Schedule::Cyclic)
 {
     const EdgeList sym = directed.symmetrized();
     const std::vector<std::uint32_t> deg = directed.outDegrees();
     const auto source = static_cast<VertexId>(
         std::max_element(deg.begin(), deg.end()) - deg.begin());
+    const bool empty = directed.numVertices() == 0;
 
-    std::vector<std::string> rejected;
+    std::vector<std::string> rejected, invalid;
     int cells = 0;
     for (const AlgoInfo &algo : servedAlgos()) {
         const EdgeList &el = algo.symmetricInput ? sym : directed;
-        BlockPartition g(el, 16);
+        BlockPartition g(el, 16, lo);
         EngineOptions opt;
         opt.blockSize = 16;
         opt.tolerance = 1e-12;
         opt.numThreads = 2;
+        opt.schedule = schedule;
 
         const std::string name(algo.name);
         std::vector<double> expected;
         double tol = 0.0;
-        if (name == "pr") {
+        bool exact = true;
+        if (empty && algo.usesSource) {
+            // No reference: every cell is refused below.
+        } else if (name == "pr") {
             expected = pagerankReference(el, 0.85);
             tol = 1e-7;
         } else if (name == "ppr") {
             SerialEngine<PersonalizedPageRankProgram>(
-                g, PersonalizedPageRankProgram(source), opt)
+                BlockPartition(el, 16),
+                PersonalizedPageRankProgram(source), opt)
                 .run(expected);
             tol = 1e-7;
         } else if (name == "sssp") {
@@ -768,6 +808,7 @@ checkEveryRunnableCell(const EdgeList &directed)
             expected = ccReference(el);
         } else {
             ASSERT_EQ(name, "lp") << "new algorithm without a reference";
+            exact = false;
         }
 
         for (const std::string &engine : engineNames()) {
@@ -782,12 +823,16 @@ checkEveryRunnableCell(const EdgeList &directed)
                 rejected.push_back(engine + "/" + name);
                 continue;
             }
+            if (!inputsValid(req, el.numVertices())) {
+                invalid.push_back(engine + "/" + name);
+                continue;
+            }
             cells++;
             SCOPED_TRACE(engine + "/" + name);
             RunOutcome out = runAnalyticsJob(g, req);
             ASSERT_TRUE(out.ok()) << out.error;
             ASSERT_EQ(out.values.size(), el.numVertices());
-            if (expected.empty()) {
+            if (!exact) {
                 for (double label : out.values) {
                     EXPECT_EQ(label, std::floor(label));
                     EXPECT_GE(label, 0.0);
@@ -796,6 +841,10 @@ checkEveryRunnableCell(const EdgeList &directed)
                 continue;
             }
             EXPECT_TRUE(out.report.converged);
+            if (name == "cc" && lo.reorder != VertexReorder::None) {
+                expectSameComponents(out.values, expected);
+                continue;
+            }
             for (VertexId v = 0; v < el.numVertices(); v++)
                 EXPECT_NEAR(out.values[v], expected[v], tol)
                     << "vertex " << v;
@@ -803,14 +852,42 @@ checkEveryRunnableCell(const EdgeList &directed)
     }
     // lp has no delta form; every other cell runs.
     EXPECT_EQ(rejected, std::vector<std::string>{"accum/lp"});
-    EXPECT_EQ(cells, 23);
+    if (empty) {
+        // ppr, sssp and bfs on each of the four engines.
+        EXPECT_EQ(invalid.size(), 12u);
+        EXPECT_EQ(cells, 11);
+    } else {
+        EXPECT_TRUE(invalid.empty());
+        EXPECT_EQ(cells, 23);
+    }
 }
 
 TEST(Registry, EveryRunnableCellMatchesTheReference)
 {
-    for (const auto &[name, graph] : registryGraphs()) {
+    const auto graphs = registryGraphs();
+    for (const auto &[name, graph] : graphs) {
         SCOPED_TRACE(name);
         checkEveryRunnableCell(graph);
+    }
+    // Every engine activates blocks from the destination-block sidecar
+    // of the scatter index, which both layouts and both vertex orders
+    // build; every schedule consumes the batched activations.
+    const EdgeList &rmat = graphs.front().second;
+    for (GraphLayout layout :
+         {GraphLayout::Plain, GraphLayout::Compressed}) {
+        for (VertexReorder reorder :
+             {VertexReorder::None, VertexReorder::Hub}) {
+            for (Schedule schedule :
+                 {Schedule::Cyclic, Schedule::Priority, Schedule::Random}) {
+                LayoutOptions lo;
+                lo.layout = layout;
+                lo.reorder = reorder;
+                SCOPED_TRACE(std::string("rmat211 ") + to_string(layout) +
+                             "/" + to_string(reorder) + "/" +
+                             to_string(schedule));
+                checkEveryRunnableCell(rmat, lo, schedule);
+            }
+        }
     }
 }
 
@@ -838,6 +915,55 @@ TEST_F(ServeTest, RepeatedJobIsServedFromTheResultCache)
     EXPECT_GE(manager.cache().stats().hits, 1u);
     EXPECT_EQ(manager.result(second.id).get(),
               manager.result(first.id).get());
+}
+
+TEST_F(ServeTest, FinishedJobsDoNotPinFetchedResults)
+{
+    // A long-lived service retains up to maxRetainedJobs terminal
+    // records.  Once a client has fetched a result and let it go, the
+    // record must not keep the value vector alive: only the result
+    // cache (and through it the warm-start index) may.
+    ServeConfig cfg;
+    cfg.workers = 1;
+    cfg.cacheCapacity = 2;
+    JobManager manager(registry, cfg);
+
+    constexpr int kJobs = 8;
+    std::vector<JobId> ids;
+    std::vector<std::weak_ptr<const JobResult>> fetched;
+    for (int i = 0; i < kJobs; i++) {
+        JobRequest req = request("web", "pr", "serial");
+        // Distinct tolerances: distinct cache keys, every job cold.
+        req.options.tolerance = 1e-6 / (i + 1);
+        JobManager::Submitted sub = manager.submit(req);
+        ASSERT_TRUE(sub.ok());
+        ASSERT_TRUE(manager.wait(sub.id, 60.0));
+        std::shared_ptr<const JobResult> result = manager.result(sub.id);
+        ASSERT_NE(result, nullptr);
+        ASSERT_EQ(result->values.size(), web.numVertices());
+        ids.push_back(sub.id);
+        fetched.push_back(result);
+    }
+
+    std::size_t alive = 0;
+    for (const auto &w : fetched)
+        alive += !w.expired();
+    EXPECT_LE(alive, manager.cache().capacity());
+    EXPECT_GE(alive, 1u);   // the cache still serves the newest
+
+    // status() answers from the record's own copy of the report, for
+    // released and still-cached results alike.
+    for (JobId id : ids) {
+        auto st = manager.status(id);
+        ASSERT_TRUE(st.has_value());
+        EXPECT_EQ(st->state, JobState::Done);
+        EXPECT_TRUE(st->converged);
+        EXPECT_GT(st->blockUpdates, 0u);
+    }
+    // The newest job's values are still fetchable through the cache;
+    // the oldest were released.
+    EXPECT_NE(manager.result(ids.back()), nullptr);
+    EXPECT_EQ(manager.result(ids.front()), nullptr);
 }
 
 TEST_F(ServeTest, FamilyMemberWarmStartsFromCachedFixpoint)

@@ -73,6 +73,7 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -410,7 +411,14 @@ class ServeShell
             std::printf("ERR BadCommand usage: VALUE <job> <vertex>\n");
             return;
         }
-        auto result = manager_.result(id);
+        // The manager hands a finished job's values out once and then
+        // keeps only a weak reference; hold the last job's values here
+        // so reading it vertex by vertex does not depend on the cache.
+        if (id != valueJob_ || !valueResult_) {
+            valueResult_ = manager_.result(id);
+            valueJob_ = id;
+        }
+        const std::shared_ptr<const JobResult> &result = valueResult_;
         if (!result) {
             std::printf("ERR NotFound job %llu has no result\n",
                         static_cast<unsigned long long>(id));
@@ -585,6 +593,8 @@ class ServeShell
 
     GraphRegistry &registry_;
     JobManager &manager_;
+    JobId valueJob_ = 0;   //!< job whose values VALUE last read
+    std::shared_ptr<const JobResult> valueResult_;
 };
 
 } // namespace

@@ -51,15 +51,17 @@ run_preset() {
         # The shared block pump is the most concurrency-dense code in
         # the repo.  Rerun its cancel storm once per user: the async
         # engine (dispatch FIFO, per-block control lock) and the
-        # accumulative engine, whose scatter hooks also push into the
-        # OBIM worklist concurrently (no control lock).  The default
-        # iteration count keeps plain ctest fast; here it runs heavier
-        # to cover many claim/commit/drain interleavings under the race
-        # detector.
+        # accumulative engine, whose kernels also flush their
+        # activation batches into the OBIM worklist concurrently (no
+        # control lock).  The default iteration count keeps plain
+        # ctest fast; here it runs heavier to cover many
+        # claim/commit/drain interleavings under the race detector.
+        # The Activation tests run every schedule's batched commits on
+        # 4 participants.
         echo "== pump stress (${preset}) =="
         GRAPHABCD_PUMP_STRESS_ITERS=24 \
             "./build-tsan/tests/abcd_tests" \
-            --gtest_filter='*PumpStress.*'
+            --gtest_filter='*PumpStress.*:Activation.*'
 
         # The serve layer's cancel/cache-hit/shed races are guarded by
         # finishJob's terminal CAS; rerun the multi-tenant storm heavier
@@ -175,6 +177,22 @@ PY
         grep -q "ERR BadRequest unknown engine 'fragment'" \
             "${obs_dir}/validate.out"
         [ "$(grep -c "^OK job" "${obs_dir}/validate.out")" -eq 0 ]
+
+        # A finished job hands its values out once and keeps only a
+        # weak reference; with the result cache off, the shell must
+        # still answer VALUE for one job vertex after vertex.
+        echo "== value re-read drill (${preset}) =="
+        printf '%s\n' \
+            "LOAD web WT scale=0.02" \
+            "RUN web pr" \
+            "WAIT 1 60" \
+            "VALUE 1 0" \
+            "VALUE 1 1" \
+            "VALUE 1 0" \
+            "QUIT" \
+            | "./build/tools/abcd_serve" --cache=0 \
+                > "${obs_dir}/value.out" 2>&1
+        [ "$(grep -c "^OK value" "${obs_dir}/value.out")" -eq 3 ]
         rm -rf "${obs_dir}"
     fi
 
