@@ -25,7 +25,7 @@
 
 #include "bench_common.hh"
 
-#include <fstream>
+#include <sstream>
 
 #include "algorithms/sssp.hh"
 #include "core/accum_engine.hh"
@@ -52,23 +52,20 @@ void
 writeJson(const std::vector<UpdatesRow> &rows, const std::string &path,
           const std::string &graph, double scale, double tol)
 {
-    std::ofstream ofs(path);
-    ofs << "{\n  \"benchmark\": \"accum_updates_to_tolerance\",\n"
-        << "  \"graph\": \"" << graph << "\",\n"
-        << "  \"scale\": " << scale << ",\n"
-        << "  \"tolerance\": " << tol << ",\n  \"rows\": [\n";
-    for (std::size_t i = 0; i < rows.size(); i++) {
-        const UpdatesRow &r = rows[i];
-        ofs << "    {\"algo\": \"" << r.algo << "\", \"variant\": \""
-            << r.variant << "\", \"vertex_updates\": " << r.updates
-            << ", \"epochs\": " << r.epochs
-            << ", \"seconds\": " << r.seconds
-            << ", \"converged\": " << (r.converged ? 1 : 0) << "}"
-            << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    ofs << "  ]\n}\n";
-    std::fprintf(stderr, "info: wrote %s (%zu rows)\n", path.c_str(),
-                 rows.size());
+    std::ostringstream fields;
+    fields << "  \"graph\": \"" << graph << "\",\n"
+           << "  \"scale\": " << scale << ",\n"
+           << "  \"tolerance\": " << tol << ",\n";
+    writeBenchJson(path, "accum_updates_to_tolerance", fields.str(),
+                   rows.size(), [&rows](std::ostream &os, std::size_t i) {
+                       const UpdatesRow &r = rows[i];
+                       os << "\"algo\": \"" << r.algo
+                          << "\", \"variant\": \"" << r.variant
+                          << "\", \"vertex_updates\": " << r.updates
+                          << ", \"epochs\": " << r.epochs
+                          << ", \"seconds\": " << r.seconds
+                          << ", \"converged\": " << (r.converged ? 1 : 0);
+                   });
 }
 
 int
@@ -298,9 +295,6 @@ benchMain(int argc, char **argv)
         //    refresh-throttle hysteresis, which lets small pendings
         //    coalesce in the accumulator instead of being applied
         //    eagerly.  The headline row the acceptance bar reads.
-        //  - accum-obim: concurrent-push OBIM at chunkier blocks; the
-        //    level quantization costs ordering precision, bigger
-        //    blocks win some of it back by amortizing the pops.
         //  - accum-cyclic: ordering-free control — what conservation
         //    alone buys before any Gauss-Southwell bias.
         const auto runAccumPr = [&](const char *name, Schedule sch,
@@ -321,7 +315,6 @@ benchMain(int argc, char **argv)
         };
         runAccumPr("accum", Schedule::Priority, 1, tol);
         runAccumPr("accum-head", Schedule::Priority, 1, 1e-5);
-        runAccumPr("accum-obim", Schedule::Obim, 32, tol);
         runAccumPr("accum-cyclic", Schedule::Cyclic, 8, tol);
         const VertexId src = hubVertex(g);
         {   // SSSP: exact sweep (synchronous Bellman-Ford rounds) vs
@@ -355,7 +348,7 @@ benchMain(int argc, char **argv)
             opt.blockSize = 8;
             opt.tolerance = tol;
             opt.numThreads = 1;
-            opt.schedule = Schedule::Obim;
+            opt.schedule = Schedule::Priority;
             Timer timer;
             AccumEngine<SsspProgram> engine(
                 gfine, SsspProgram(src), opt);

@@ -18,8 +18,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 
 #include "algorithms/cf.hh"
 #include "algorithms/pagerank.hh"
@@ -53,6 +55,33 @@ declareCommonFlags(Flags &flags)
                         "dataset scale (1 = paper size / divisor)");
     flags.declareInt("seed", 42, "generator seed");
     flags.declare("csv", "", "also write the table as CSV to this path");
+}
+
+/**
+ * Write a BENCH_*.json file: the benchmark name, a host block (core
+ * count and build type), `fields` (extra top-level lines, each
+ * `  "key": value,\n`), then one row object per index whose members
+ * `row(ofs, i)` prints.
+ */
+template <typename RowFn>
+void
+writeBenchJson(const std::string &path, const char *benchmark,
+               const std::string &fields, std::size_t num_rows,
+               RowFn &&row)
+{
+    std::ofstream ofs(path);
+    ofs << "{\n  \"benchmark\": \"" << benchmark << "\",\n"
+        << "  \"host\": {\"cores\": " << std::thread::hardware_concurrency()
+        << ", \"build_type\": \"" << GRAPHABCD_BUILD_TYPE << "\"},\n"
+        << fields << "  \"rows\": [\n";
+    for (std::size_t i = 0; i < num_rows; i++) {
+        ofs << "    {";
+        row(ofs, i);
+        ofs << "}" << (i + 1 < num_rows ? "," : "") << "\n";
+    }
+    ofs << "  ]\n}\n";
+    std::fprintf(stderr, "info: wrote %s (%zu rows)\n", path.c_str(),
+                 num_rows);
 }
 
 /** Load a dataset stand-in and announce its realised size. */

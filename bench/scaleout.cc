@@ -15,8 +15,6 @@
  * the committed numbers.
  */
 
-#include <fstream>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
@@ -59,25 +57,17 @@ parseList(const std::string &spec)
 void
 writeJson(const std::vector<GridRow> &rows, const std::string &path)
 {
-    std::ofstream ofs(path);
-    ofs << "{\n  \"benchmark\": \"scaleout\",\n"
-        << "  \"host\": {\"cores\": " << std::thread::hardware_concurrency()
-        << ", \"build_type\": \"" << GRAPHABCD_BUILD_TYPE << "\"},\n"
-        << "  \"rows\": [\n";
-    for (std::size_t i = 0; i < rows.size(); i++) {
-        const GridRow &r = rows[i];
-        ofs << "    {\"kind\": \"" << r.kind
-            << "\", \"shards\": " << r.shards
-            << ", \"seconds\": " << r.seconds
-            << ", \"speedup\": " << r.speedup
-            << ", \"epochs\": " << r.epochs
-            << ", \"mtes\": " << r.mtes
-            << ", \"converged\": " << (r.converged ? 1 : 0) << "}"
-            << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    ofs << "  ]\n}\n";
-    std::fprintf(stderr, "info: wrote %s (%zu rows)\n", path.c_str(),
-                 rows.size());
+    writeBenchJson(path, "scaleout", "", rows.size(),
+                   [&rows](std::ostream &os, std::size_t i) {
+                       const GridRow &r = rows[i];
+                       os << "\"kind\": \"" << r.kind
+                          << "\", \"shards\": " << r.shards
+                          << ", \"seconds\": " << r.seconds
+                          << ", \"speedup\": " << r.speedup
+                          << ", \"epochs\": " << r.epochs
+                          << ", \"mtes\": " << r.mtes
+                          << ", \"converged\": " << (r.converged ? 1 : 0);
+                   });
 }
 
 int

@@ -32,10 +32,8 @@
  * than the tolerance, so sub-tolerance traffic parks in the
  * accumulator (conserved) instead of churning the worklist.
  * Activations collect in the participant's per-block batch
- * (BlockActivations); with Schedule::Obim the engine flushes it at the
- * end of each block without the lock (the scheduler's concurrentPush()
- * contract), with the serialized schedulers the pump commits it under
- * the control lock, exactly like AsyncEngine.
+ * (BlockActivations), which the pump commits under the control lock,
+ * exactly like AsyncEngine.
  *
  * Programs: the engine runs the GAS programs themselves
  * (AccumEngine<SsspProgram>).  Any Accumulable program — sum
@@ -385,12 +383,7 @@ class AccumEngine
         const std::uint32_t participation =
             std::max(1u, options.numThreads);
         auto sched = makeSeededScheduler(options.schedule,
-                                         graph.numBlocks(), options.seed,
-                                         participation);
-        // Concurrent-push schedulers (OBIM) take each block's batch
-        // straight from the kernel; serialized ones get it in the
-        // pump's locked commit.
-        const bool direct_push = sched->concurrentPush();
+                                         graph.numBlocks(), options.seed);
         std::atomic<std::uint64_t> foldbacks{0};
         obs::Histogram &residualHist = obs::histogram(
             "engine.accum.residual_mag", obs::magnitudeBuckets());
@@ -426,8 +419,6 @@ class AccumEngine
             work.active = work.vertices;
             foldbacks.fetch_add(folded, std::memory_order_relaxed);
             graph.chargeScatterBytes(scratch);
-            if (direct_push)
-                activations.commit(*sched);
             return work;
         };
 

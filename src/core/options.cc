@@ -12,8 +12,6 @@ to_string(Schedule schedule)
         return "priority";
       case Schedule::Random:
         return "random";
-      case Schedule::Obim:
-        return "obim";
     }
     return "?";
 }
@@ -21,8 +19,8 @@ to_string(Schedule schedule)
 std::optional<Schedule>
 parseSchedule(std::string_view s)
 {
-    for (Schedule schedule : {Schedule::Cyclic, Schedule::Priority,
-                              Schedule::Random, Schedule::Obim}) {
+    for (Schedule schedule :
+         {Schedule::Cyclic, Schedule::Priority, Schedule::Random}) {
         if (s == to_string(schedule))
             return schedule;
     }

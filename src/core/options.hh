@@ -30,7 +30,6 @@ enum class Schedule
     Cyclic,     //!< fixed order, predictable, prefetch friendly
     Priority,   //!< Gauss-Southwell: largest estimated gradient first
     Random,     //!< uniform over active blocks (used in ablations)
-    Obim,       //!< Gauss-Southwell via log-bucketed concurrent worklist
 };
 
 /** @return human-readable name of a Schedule. */

@@ -83,12 +83,6 @@ histogram(const char *name, std::vector<double> upper_bounds)
  */
 using Span = CausalSpan;
 
-inline void
-instant(const char *name)
-{
-    TraceRecorder::global().instant(name);
-}
-
 /** Instant event attributed to a specific span context. */
 inline void
 instantSpan(const char *name, const SpanContext &ctx)
@@ -105,20 +99,6 @@ completeSpan(const char *name, double start_us, double dur_us,
 {
     TraceRecorder::global().complete(name, start_us, dur_us, ctx.job,
                                      ctx.span, ctx.parent);
-}
-
-/** @return whether the global recorder is currently recording. */
-inline bool
-tracingEnabled()
-{
-    return TraceRecorder::global().enabled();
-}
-
-/** @return the recorder's clock (manual span timing). */
-inline double
-traceNowMicros()
-{
-    return TraceRecorder::nowMicros();
 }
 
 /** Records elapsed microseconds into a histogram on scope exit. */
@@ -307,11 +287,6 @@ histogram(const char *, std::vector<double>)
 using Span = CausalSpan;   // the span.hh no-op stub
 
 inline void
-instant(const char *)
-{
-}
-
-inline void
 instantSpan(const char *, const SpanContext &)
 {
 }
@@ -319,18 +294,6 @@ instantSpan(const char *, const SpanContext &)
 inline void
 completeSpan(const char *, double, double, const SpanContext &)
 {
-}
-
-inline constexpr bool
-tracingEnabled()
-{
-    return false;
-}
-
-inline double
-traceNowMicros()
-{
-    return 0.0;
 }
 
 struct ScopedLatency
@@ -525,13 +488,6 @@ inline std::vector<double>
 magnitudeBuckets()
 {
     return {1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6};
-}
-
-/** OBIM level indices (bucket-residency histograms, 0 = hottest). */
-inline std::vector<double>
-obimLevelBuckets()
-{
-    return {0, 1, 2, 4, 8, 12, 16, 20, 24, 28, 32, 40, 48, 56, 63};
 }
 
 } // namespace obs

@@ -20,9 +20,9 @@ queuedGauge()
 
 // ------------------------------------------------------------- Executor
 
-Executor::Executor(std::uint32_t num_workers)
+Executor::Executor(std::uint32_t num_threads)
 {
-    std::uint32_t n = num_workers;
+    std::uint32_t n = num_threads;
     if (n == 0) {
         n = std::max(1u, std::thread::hardware_concurrency());
     }

@@ -116,10 +116,10 @@ class Executor
     };
 
     /**
-     * @param num_workers persistent worker threads; 0 sizes the pool to
+     * @param num_threads persistent worker threads; 0 sizes the pool to
      *        std::thread::hardware_concurrency().
      */
-    explicit Executor(std::uint32_t num_workers = 0);
+    explicit Executor(std::uint32_t num_threads = 0);
 
     /** Drains every queued task, then joins the workers. */
     ~Executor();

@@ -111,13 +111,11 @@ INSTANTIATE_TEST_SUITE_P(
     SchedulersAndThreads, AccumSweep,
     testing::Values(AccumCase{1, Schedule::Cyclic},
                     AccumCase{1, Schedule::Priority},
-                    AccumCase{1, Schedule::Obim},
                     AccumCase{2, Schedule::Cyclic},
-                    AccumCase{2, Schedule::Obim},
+                    AccumCase{2, Schedule::Priority},
                     AccumCase{4, Schedule::Priority},
-                    AccumCase{4, Schedule::Obim},
                     AccumCase{8, Schedule::Cyclic},
-                    AccumCase{8, Schedule::Obim}),
+                    AccumCase{8, Schedule::Priority}),
     caseName);
 
 TEST(AccumEngine, BfsMatchesReference)
@@ -127,7 +125,7 @@ TEST(AccumEngine, BfsMatchesReference)
     EngineOptions opt;
     opt.blockSize = 32;
     opt.numThreads = 4;
-    opt.schedule = Schedule::Obim;
+    opt.schedule = Schedule::Priority;
     opt.tolerance = 1e-9;
     BlockPartition g(el, opt.blockSize);
 
@@ -149,7 +147,7 @@ TEST(AccumEngine, ConnectedComponentsMatchUnionFind)
     EngineOptions opt;
     opt.blockSize = 32;
     opt.numThreads = 4;
-    opt.schedule = Schedule::Obim;
+    opt.schedule = Schedule::Priority;
     opt.tolerance = 1e-9;
     BlockPartition g(sym, opt.blockSize);
 
@@ -170,7 +168,7 @@ TEST(AccumEngine, RepeatedThreadedRunsAreStable)
     EngineOptions opt;
     opt.blockSize = 8;
     opt.numThreads = 4;
-    opt.schedule = Schedule::Obim;
+    opt.schedule = Schedule::Priority;
     opt.tolerance = 1e-12;
     BlockPartition g(el, opt.blockSize);
     std::vector<double> ref = pagerankReference(el, 0.85);
@@ -208,7 +206,7 @@ TEST(AccumConservation, ConvergedRunKeepsAllRankMass)
     EngineOptions opt;
     opt.blockSize = 16;
     opt.numThreads = 4;
-    opt.schedule = Schedule::Obim;
+    opt.schedule = Schedule::Priority;
     opt.tolerance = 1e-12;
     BlockPartition g(el, opt.blockSize);
 
@@ -347,7 +345,7 @@ TEST(AccumEngineStop, StopTokenHaltsWithoutClaimingConvergence)
     EngineOptions opt;
     opt.blockSize = 16;
     opt.numThreads = 4;
-    opt.schedule = Schedule::Obim;
+    opt.schedule = Schedule::Priority;
     opt.tolerance = -1.0;   // magnitudes >= 0 never beat this: endless
     opt.maxEpochs = 1e9;
     StopSource source;

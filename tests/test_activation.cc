@@ -185,7 +185,7 @@ TEST(Activation, BatchDeduplicatesInFirstTouchOrder)
 
 /**
  * Concurrent participants each fill their own batch and commit it
- * under the pump's lock (OBIM: without it).  The fixpoints must match
+ * under the pump's lock.  The fixpoints must match
  * the exact references on every schedule; the tsan leg of tools/ci.sh
  * runs this.
  */
@@ -200,8 +200,8 @@ TEST(Activation, ConcurrentBatchesReachTheReferenceFixpoint)
         LayoutOptions lo;
         lo.layout = layout;
         const BlockPartition g(el, 16, lo);
-        for (Schedule schedule : {Schedule::Cyclic, Schedule::Priority,
-                                  Schedule::Random, Schedule::Obim}) {
+        for (Schedule schedule :
+             {Schedule::Cyclic, Schedule::Priority, Schedule::Random}) {
             SCOPED_TRACE(std::string(to_string(layout)) + "/" +
                          to_string(schedule));
             EngineOptions opt;
@@ -224,8 +224,6 @@ TEST(Activation, ConcurrentBatchesReachTheReferenceFixpoint)
             for (VertexId v = 0; v < g.numVertices(); v++)
                 ASSERT_NEAR(d[v], sssp_ref[v], 1e-6) << "accum sssp " << v;
 
-            if (schedule == Schedule::Obim)
-                continue;   // async claims through serialized schedulers
             r = AsyncEngine<PageRankProgram>(g, PageRankProgram(0.85), opt)
                     .run(x);
             EXPECT_TRUE(r.converged);

@@ -37,7 +37,7 @@ enum class Runner
     Barrier,
     Bsp,
     AccumCyclic,
-    AccumObim,
+    AccumPriority,
 };
 
 const char *
@@ -50,7 +50,7 @@ runnerName(Runner r)
       case Runner::Barrier: return "barrier";
       case Runner::Bsp: return "bsp";
       case Runner::AccumCyclic: return "accum_cyclic";
-      case Runner::AccumObim: return "accum_obim";
+      case Runner::AccumPriority: return "accum_priority";
     }
     return "?";
 }
@@ -81,9 +81,9 @@ runPageRank(Runner r, const BlockPartition &g, EngineOptions opt,
         return AsyncEngine<PageRankProgram>(g, PageRankProgram(0.85), opt)
             .run(x);
       case Runner::AccumCyclic:
-      case Runner::AccumObim:
-        opt.schedule =
-            r == Runner::AccumObim ? Schedule::Obim : Schedule::Cyclic;
+      case Runner::AccumPriority:
+        opt.schedule = r == Runner::AccumPriority ? Schedule::Priority
+                                                  : Schedule::Cyclic;
         return AccumEngine<PageRankProgram>(
                    g, PageRankProgram(0.85), opt)
             .run(x);
@@ -142,7 +142,7 @@ INSTANTIATE_TEST_SUITE_P(
     Engines, ConvergenceContract,
     testing::Values(Runner::Serial, Runner::Jacobi, Runner::Async,
                     Runner::Barrier, Runner::Bsp, Runner::AccumCyclic,
-                    Runner::AccumObim),
+                    Runner::AccumPriority),
     paramName);
 
 #endif // GRAPHABCD_OBS_ENABLED
@@ -156,8 +156,9 @@ class PumpStress : public testing::TestWithParam<Runner>
 /**
  * The TSan target for the shared BlockPump: 8 participants, a stop
  * token fired at staggered points from before the run to past
- * quiescence.  The accum instance also pushes into OBIM concurrently
- * from its scatter hooks.  GRAPHABCD_PUMP_STRESS_ITERS scales the
+ * quiescence.  The accum instance claims without exclusivity, so one
+ * block can run on two participants at once.
+ * GRAPHABCD_PUMP_STRESS_ITERS scales the
  * iteration count (tools/ci.sh raises it on the TSan leg).
  */
 TEST_P(PumpStress, CancelStorm8Threads)
@@ -205,7 +206,7 @@ TEST_P(PumpStress, CancelStorm8Threads)
 
 INSTANTIATE_TEST_SUITE_P(Users, PumpStress,
                          testing::Values(Runner::Async,
-                                         Runner::AccumObim),
+                                         Runner::AccumCyclic),
                          paramName);
 
 } // namespace

@@ -7,11 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <optional>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "core/options.hh"
@@ -23,8 +21,8 @@ namespace {
 
 TEST(Schedule, EveryNameRoundTripsAndUnknownNamesAreRejected)
 {
-    for (Schedule schedule : {Schedule::Cyclic, Schedule::Priority,
-                              Schedule::Random, Schedule::Obim})
+    for (Schedule schedule :
+         {Schedule::Cyclic, Schedule::Priority, Schedule::Random})
         EXPECT_EQ(parseSchedule(to_string(schedule)), schedule);
     EXPECT_EQ(parseSchedule("bogus"), std::nullopt);
     EXPECT_EQ(parseSchedule(""), std::nullopt);
@@ -262,156 +260,6 @@ TEST(Random, ActivationIdempotent)
     EXPECT_EQ(s.activeCount(), 1u);
 }
 
-TEST(Obim, LevelOfMapsExponentsToLevels)
-{
-    // Level 0 holds the largest priorities; the seed priority (1e9,
-    // exponent 30) must land near the top but below the ceiling so a
-    // later astronomically-large delta can still outrank it.
-    EXPECT_EQ(ObimScheduler::levelOf(initialActivationPriority()), 1);
-    EXPECT_EQ(ObimScheduler::levelOf(4e9), 0);       // >= 2^31 clamps
-    EXPECT_EQ(ObimScheduler::levelOf(1.0), 30);      // frexp exp = 1
-    EXPECT_EQ(ObimScheduler::levelOf(0.5), 31);
-    EXPECT_LT(ObimScheduler::levelOf(1.0), ObimScheduler::levelOf(1e-6));
-    EXPECT_EQ(ObimScheduler::levelOf(0.0), 63);      // weakest level
-    EXPECT_EQ(ObimScheduler::levelOf(-1.0), 63);
-    // Monotone: bigger priority never maps to a weaker (higher) level.
-    double prev = 1e300;
-    for (double p = 1e300; p > 1e-300; p /= 7.3) {
-        EXPECT_LE(ObimScheduler::levelOf(prev), ObimScheduler::levelOf(p));
-        prev = p;
-    }
-}
-
-TEST(Obim, PopsHigherMagnitudeLevelsFirst)
-{
-    ObimScheduler s(8, 1);
-    s.activate(0, 1e-6);
-    s.activate(2, 1.0);
-    s.activate(1, 100.0);
-    // A 4th activation at a fresh level flushes block 1 out of the
-    // producer's open chunk, so the first three pops are level-exact.
-    s.activate(3, 1e-9);
-    EXPECT_EQ(s.next(), 1u);
-    EXPECT_EQ(s.next(), 2u);
-    EXPECT_EQ(s.next(), 0u);
-    EXPECT_EQ(s.next(), 3u);
-    EXPECT_EQ(s.next(), std::nullopt);
-    EXPECT_TRUE(s.empty());
-}
-
-TEST(Obim, FifoWithinOneLevel)
-{
-    ObimScheduler s(8, 1);
-    for (BlockId b = 0; b < 8; b++)
-        s.activate(b, 3.0);   // same level for all
-    for (BlockId b = 0; b < 8; b++)
-        EXPECT_EQ(s.next(), b);
-}
-
-TEST(Obim, DoubleActivationIsDeduped)
-{
-    ObimScheduler s(4, 1);
-    s.activate(2, 1.0);
-    s.activate(2, 0.0);    // same level: no duplicate entry
-    s.activate(2, 0.25);   // 1.25 stays within level [1, 2): deduped
-    EXPECT_EQ(s.activeCount(), 1u);
-    EXPECT_EQ(s.next(), 2u);
-    EXPECT_EQ(s.next(), std::nullopt);
-    EXPECT_EQ(s.counters().staleDiscards, 0u);
-    EXPECT_EQ(s.counters().heapPushes, 1u);
-}
-
-TEST(Obim, UpgradeReordersAndDiscardsStaleEntry)
-{
-    ObimScheduler s(4, 1);
-    s.activate(1, 1.0);
-    // Block 1 accumulates enough to jump a level: a duplicate entry is
-    // pushed at the better level, the old one goes stale.  (The jump
-    // also flushes the worker's open chunk, publishing the stale entry.)
-    s.activate(1, 1000.0);
-    s.activate(0, 1.0);
-    EXPECT_EQ(s.activeCount(), 2u);
-    EXPECT_EQ(s.next(), 1u);   // upgraded entry wins over block 0
-    EXPECT_EQ(s.next(), 0u);
-    EXPECT_EQ(s.next(), std::nullopt);   // consumes the stale leftover
-    EXPECT_EQ(s.counters().staleDiscards, 1u);
-    EXPECT_GT(s.counters().refreshes, 0u);
-}
-
-TEST(Obim, ProcessingResetsPriority)
-{
-    ObimScheduler s(2, 1);
-    s.activate(0, 64.0);
-    EXPECT_EQ(s.next(), 0u);
-    EXPECT_DOUBLE_EQ(s.priority(0), 0.0);   // consumed, not lingering
-    s.activate(1, 32.0);
-    s.activate(0, 1.0);
-    EXPECT_EQ(s.next(), 1u);
-    EXPECT_EQ(s.next(), 0u);
-    EXPECT_DOUBLE_EQ(s.priority(0), 0.0);
-}
-
-TEST(Obim, DrainsOpenSlotChunksOnEmptyLevels)
-{
-    // More blocks than kChunkSize at one level: some sit in published
-    // chunks, the remainder in the pushing thread's open slot chunk.
-    // next() must find the ones still parked in the slot.
-    constexpr BlockId kBlocks = 100;
-    ObimScheduler s(kBlocks, 4);
-    for (BlockId b = 0; b < kBlocks; b++)
-        s.activate(b, 2.0);
-    std::set<BlockId> seen;
-    while (auto b = s.next())
-        seen.insert(*b);
-    EXPECT_EQ(seen.size(), kBlocks);
-    EXPECT_TRUE(s.empty());
-}
-
-TEST(Obim, ConcurrentPushesAreNeitherLostNorDuplicated)
-{
-    // 4 producers activate disjoint block ranges while one consumer
-    // drains; every block must be returned exactly once.  (activate()
-    // is thread-safe; next() stays single-consumer per the contract.)
-    constexpr BlockId kPerProducer = 512;
-    constexpr int kProducers = 4;
-    constexpr BlockId kBlocks = kPerProducer * kProducers;
-    ObimScheduler s(kBlocks, kProducers);
-    std::atomic<int> running{kProducers};
-    std::vector<std::thread> producers;
-    for (int t = 0; t < kProducers; t++) {
-        producers.emplace_back([&, t] {
-            Rng rng(1000 + static_cast<std::uint64_t>(t));
-            for (BlockId i = 0; i < kPerProducer; i++) {
-                const auto b = static_cast<BlockId>(t * kPerProducer + i);
-                s.activate(b, rng.nextDouble() * 1e4 + 1e-7);
-            }
-            running.fetch_sub(1);
-        });
-    }
-    std::vector<BlockId> popped;
-    for (;;) {
-        if (auto b = s.next()) {
-            popped.push_back(*b);
-            continue;
-        }
-        // Empty while producers are mid-flight is allowed (documented
-        // missed-push window); only quiescent empty is final.
-        if (running.load() == 0)
-            break;
-        std::this_thread::yield();
-    }
-    for (auto &p : producers)
-        p.join();
-    while (auto b = s.next())   // anything pushed after the last check
-        popped.push_back(*b);
-    EXPECT_TRUE(s.empty());
-    std::sort(popped.begin(), popped.end());
-    ASSERT_EQ(popped.size(), kBlocks);
-    for (BlockId b = 0; b < kBlocks; b++)
-        EXPECT_EQ(popped[b], b);
-    EXPECT_EQ(s.counters().activations, kBlocks);
-}
-
 TEST(Factory, BuildsTheRequestedKind)
 {
     EXPECT_EQ(makeScheduler(Schedule::Cyclic, 4, 1)->kind(),
@@ -420,17 +268,15 @@ TEST(Factory, BuildsTheRequestedKind)
               Schedule::Priority);
     EXPECT_EQ(makeScheduler(Schedule::Random, 4, 1)->kind(),
               Schedule::Random);
-    auto obim = makeScheduler(Schedule::Obim, 4, 1, /*num_workers=*/2);
-    EXPECT_EQ(obim->kind(), Schedule::Obim);
-    EXPECT_TRUE(obim->concurrentPush());
-    EXPECT_FALSE(makeScheduler(Schedule::Priority, 4, 1)->concurrentPush());
 }
 
 TEST(Factory, NamesRoundTrip)
 {
     EXPECT_STREQ(to_string(Schedule::Cyclic), "cyclic");
     EXPECT_STREQ(to_string(Schedule::Priority), "priority");
-    EXPECT_STREQ(to_string(Schedule::Obim), "obim");
+    EXPECT_STREQ(to_string(Schedule::Random), "random");
+    // The retired OBIM worklist's name is no longer a schedule.
+    EXPECT_EQ(parseSchedule("obim"), std::nullopt);
     EXPECT_STREQ(to_string(ExecMode::Async), "async");
     EXPECT_STREQ(to_string(ExecMode::Bsp), "bsp");
 }

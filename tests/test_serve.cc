@@ -635,7 +635,7 @@ TEST_F(ServeTest, AccumEngineJobsRunThroughTheServeLayer)
     JobManager manager(registry, cfg);
 
     JobRequest req = request("web", "pr", "accum");
-    req.options.schedule = Schedule::Obim;
+    req.options.schedule = Schedule::Priority;
     req.options.tolerance = 1e-12;
     JobManager::Submitted sub = manager.submit(req);
     ASSERT_TRUE(sub.ok()) << to_string(sub.error);

@@ -8,7 +8,7 @@
  *   abcd_cli --algo pr --dataset LJ --schedule priority
  *   abcd_cli --algo sssp --graph web.el --source 17 --engine async
  *   abcd_cli --algo cc --dataset WT --engine sim --pes 8
- *   abcd_cli --algo pr --dataset PS --engine accum --schedule obim
+ *   abcd_cli --algo pr --dataset PS --engine accum --schedule priority
  *   abcd_cli --algo ppr --dataset WT --engine accum --source 3
  *   abcd_cli --algo pr --graph web.el --dump ranks.txt
  */
@@ -73,7 +73,7 @@ run(int argc, char **argv)
                   "physical layout: plain | compressed");
     flags.declare("reorder", "none", "vertex order: none | hub");
     flags.declare("schedule", "cyclic",
-                  "cyclic | priority | random | obim");
+                  "cyclic | priority | random");
     flags.declareInt("threads", 4, "async engine worker threads");
     flags.declareInt("pes", 16, "sim: FPGA PEs");
     flags.declareBool("hybrid", false, "sim: CPU gather-apply workers");
@@ -102,6 +102,40 @@ run(int argc, char **argv)
     if (!info && !cli_only)
         fatal("unknown --algo '", algo, "'");
 
+    // Every check that needs only the request runs before the graph
+    // is loaded or generated, so a usage error costs no graph build.
+    JobRequest req;
+    req.algo = algo;
+    req.engine = flags.get("engine");
+    req.options.blockSize = block_size;
+    req.options.tolerance = flags.getDouble("tolerance");
+    req.options.maxEpochs = flags.getDouble("max-epochs");
+    req.options.numThreads = threads;
+    if (auto s = parseSchedule(flags.get("schedule")))
+        req.options.schedule = *s;
+    else
+        fatal("unknown --schedule '", flags.get("schedule"),
+              "' (cyclic | priority | random)");
+    HarpConfig harp;
+    harp.numPes = pes;
+    harp.hybrid = flags.getBool("hybrid");
+
+    LayoutOptions lo;
+    if (auto l = parseGraphLayout(flags.get("layout")))
+        lo.layout = *l;
+    else
+        fatal("unknown --layout '", flags.get("layout"),
+              "' (plain | compressed)");
+    if (auto r = parseVertexReorder(flags.get("reorder")))
+        lo.reorder = *r;
+    else
+        fatal("unknown --reorder '", flags.get("reorder"),
+              "' (none | hub)");
+
+    std::string why;
+    if (!cli_only && !isRunnable(req, &why))
+        fatal("rejected: ", why);
+
     // ---------------------------------------------------------- graph
     EdgeList el;
     if (!flags.get("graph").empty()) {
@@ -126,34 +160,6 @@ run(int argc, char **argv)
         return 0;
     }
 
-    JobRequest req;
-    req.algo = algo;
-    req.engine = flags.get("engine");
-    req.options.blockSize = block_size;
-    req.options.tolerance = flags.getDouble("tolerance");
-    req.options.maxEpochs = flags.getDouble("max-epochs");
-    req.options.numThreads = threads;
-    if (auto s = parseSchedule(flags.get("schedule")))
-        req.options.schedule = *s;
-    else
-        fatal("unknown --schedule '", flags.get("schedule"),
-              "' (cyclic | priority | random | obim)");
-    HarpConfig harp;
-    harp.numPes = pes;
-    harp.hybrid = flags.getBool("hybrid");
-
-    LayoutOptions lo;
-    if (auto l = parseGraphLayout(flags.get("layout")))
-        lo.layout = *l;
-    else
-        fatal("unknown --layout '", flags.get("layout"),
-              "' (plain | compressed)");
-    if (auto r = parseVertexReorder(flags.get("reorder")))
-        lo.reorder = *r;
-    else
-        fatal("unknown --reorder '", flags.get("reorder"),
-              "' (none | hub)");
-
     BlockPartition g(el, req.options.blockSize, lo);
     if (lo.layout != GraphLayout::Plain ||
         lo.reorder != VertexReorder::None) {
@@ -175,10 +181,8 @@ run(int argc, char **argv)
             std::max_element(deg.begin(), deg.end()) - deg.begin());
     }
 
-    // The checks JobManager::submit runs.
-    std::string why;
-    if ((!cli_only && !isRunnable(req, &why)) ||
-        !inputsValid(req, g.numVertices(), &why))
+    // The rest of the checks JobManager::submit runs: they need |V|.
+    if (!inputsValid(req, g.numVertices(), &why))
         fatal("rejected: ", why);
 
     RunOutcome out;

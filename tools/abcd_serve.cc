@@ -10,7 +10,7 @@
  *        [reorder=none|hub]
  *   RUN <graph> <algo> [engine=serial|async|accum|sim]
  *       [tenant=NAME] [source=N] [priority=F] [timeout=F]
- *       [tolerance=F] [schedule=cyclic|priority|random|obim]
+ *       [tolerance=F] [schedule=cyclic|priority|random]
  *       [threads=N] [max-epochs=F] [cached=0|1]
  *       [warm=0|1]
  *   STATUS <job-id>

@@ -50,12 +50,12 @@ run_preset() {
     if [ "${preset}" = "tsan" ]; then
         # The shared block pump is the most concurrency-dense code in
         # the repo.  Rerun its cancel storm once per user: the async
-        # engine (dispatch FIFO, per-block control lock) and the
-        # accumulative engine, whose kernels also flush their
-        # activation batches into the OBIM worklist concurrently (no
-        # control lock).  The default iteration count keeps plain
-        # ctest fast; here it runs heavier to cover many
-        # claim/commit/drain interleavings under the race detector.
+        # engine (dispatch FIFO, exclusive claims) and the accumulative
+        # engine (atomic per-vertex accumulators, overlapping claims);
+        # both commit their activation batches under the control lock.
+        # The default iteration count keeps plain ctest fast; here it
+        # runs heavier to cover many claim/commit/drain interleavings
+        # under the race detector.
         # The Activation tests run every schedule's batched commits on
         # 4 participants.
         echo "== pump stress (${preset}) =="
@@ -151,10 +151,10 @@ PY
         grep -q "state=cancelled" "${obs_dir}/wedge.out"
         grep -q "error=stalled:" "${obs_dir}/wedge.out"
 
-        # Request validation: a negative count, unknown keys and a zero
-        # block size are refused with ERR BadCommand; zero threads and
-        # an unknown engine with ERR BadRequest and the runner's reason.
-        # None of them runs.
+        # Request validation: a negative count, unknown keys, a zero
+        # block size and an unknown schedule are refused with ERR
+        # BadCommand; zero threads and an unknown engine with ERR
+        # BadRequest and the runner's reason.  None of them runs.
         echo "== request validation drill (${preset}) =="
         printf '%s\n' \
             "LOAD web WT scale=0.02" \
@@ -164,13 +164,16 @@ PY
             "RUN web pr fragments=4" \
             "RUN web pr threads=0" \
             "RUN web pr engine=fragment" \
+            "RUN web pr engine=accum schedule=obim" \
             "QUIT" \
             | "./build/tools/abcd_serve" > "${obs_dir}/validate.out" 2>&1
-        [ "$(grep -c "ERR BadCommand" "${obs_dir}/validate.out")" -eq 4 ]
+        [ "$(grep -c "ERR BadCommand" "${obs_dir}/validate.out")" -eq 5 ]
         [ "$(grep -c "ERR BadRequest" "${obs_dir}/validate.out")" -eq 2 ]
         grep -q "ERR BadCommand block-size must be positive" \
             "${obs_dir}/validate.out"
         grep -q "ERR BadCommand unknown key 'fragments'" \
+            "${obs_dir}/validate.out"
+        grep -q "ERR BadCommand unknown schedule 'obim'" \
             "${obs_dir}/validate.out"
         grep -q "ERR BadRequest threads must be positive" \
             "${obs_dir}/validate.out"
