@@ -16,11 +16,18 @@
  * locks, no barriers.  Commutative + associative accumulation is the
  * whole correctness argument.
  *
+ * It also licenses pre-combining: a participant folds the deltas its
+ * block ships to other blocks into a private per-vertex combiner and
+ * pays one atomic combine per distinct destination when the block ends,
+ * not one per edge.  Deltas into the block being processed are combined
+ * directly, so later vertices of the block read them in the same pass.
+ *
  * Conservation: a delta whose application would move the value by less
  * than the tolerance is not dropped (the bug this engine exists to
  * kill) but folded back into the vertex's accumulator, so value mass is
  * conserved *by construction*: for PageRank,
- * sum(values) + sum(pending)/(1-alpha) == 1 holds at every instant and
+ * sum(values) + sum(pending)/(1-alpha) == 1 holds whenever no combiner
+ * holds a delta (after every flushed block), and
  * the fixpoint drops rank mass only through the per-vertex tolerance,
  * never through lost residuals.
  *
@@ -96,22 +103,27 @@ struct DeltaForm
             return p.init(v, g);
     }
 
-    /** Delta shipped along the out-edge at CSC position e when v moved
-     *  to `next` by absorbing `applied`: the GAS edge term of what it
-     *  absorbed, damped by alpha, for a Sum program (linearity), of
-     *  its new value for a Min one. */
+    /** Edge value v ships when it moved to `next` by absorbing
+     *  `applied`: that of what it absorbed for a Sum program
+     *  (linearity), of its new value for a Min one.  Computed once per
+     *  applied vertex, not once per out-edge. */
     static Value
-    propagate(const P &p, VertexId v, Value next, Value applied, EdgeId e,
-              const BlockPartition &g)
+    shipped(const P &p, VertexId v, Value next, Value applied,
+            const BlockPartition &g)
     {
-        if constexpr (kSum) {
-            return p.alpha * p.edgeTerm(Value{},
-                                        p.edgeValue(v, applied, g),
-                                        g.edgeWeight(e));
-        } else {
-            return p.edgeTerm(Value{}, p.edgeValue(v, next, g),
-                              g.edgeWeight(e));
-        }
+        return p.edgeValue(v, kSum ? applied : next, g);
+    }
+
+    /** Delta carried by an out-edge of weight w: the GAS edge term of
+     *  the shipped value, damped by alpha for a Sum program. */
+    static Value
+    propagate(const P &p, Value shipped, float w)
+    {
+        const Value term = p.edgeTerm(Value{}, shipped, w);
+        if constexpr (kSum)
+            return p.alpha * term;
+        else
+            return term;
     }
 
     /** Part of an extracted delta still worth keeping when applying it
@@ -195,12 +207,29 @@ class AccumState
         return out;
     }
 
-    /** SCATTER primitive: merge a delta into v's accumulator. */
-    void
-    accumulate(const Program &p, VertexId v, Value d)
+    /**
+     * One participant's scatter scratch: the scatter-list decode buffer
+     * and the block-local delta combiner (DESIGN.md §10.1).  The
+     * combiner is a dense per-vertex buffer held at the identity plus
+     * the destinations folded into it since the last flush().
+     * Participants run concurrently, so each brings its own; BlockPump
+     * recycles it across requeues, so the O(|V|) fill is paid once per
+     * participant per run.
+     */
+    struct Scratch
     {
-        atomicCombine(p, pending_[v], d);
-    }
+        /** A destination folded into the combiner, with its block
+         *  (the scatter list's sidecar, so flush() reads no index). */
+        struct Touched
+        {
+            VertexId v;
+            BlockId blk;
+        };
+
+        ScatterScratch decode;
+        std::vector<Value> combined;   //!< per vertex; identity if clean
+        std::vector<Touched> touched;  //!< first-fold order
+    };
 
     /** Result of one processVertex call. */
     struct Result
@@ -208,34 +237,35 @@ class AccumState
         AccumOutcome outcome = AccumOutcome::Idle;
         double magnitude = 0.0;       //!< value move (Applied) or the
                                       //!< sub-tolerance move (Folded)
-        std::uint32_t scatters = 0;   //!< out-edge accumulates done
+        std::uint32_t scatters = 0;   //!< shared-accumulator combines
     };
 
     /**
      * Extract-apply-scatter one vertex.
      *
-     * The extraction (exchange to identity) and the scatter
-     * (atomicCombine per out-edge) are each single atomic RMWs, so any
-     * interleaving with concurrent processors — including of the same
-     * vertex — loses nothing: a delta is in exactly one accumulator or
-     * one extractor's hands at all times.  The value update is a CAS
-     * loop for the same reason.  A move <= tol folds the still-useful
-     * part of the delta back into the accumulator (conservation)
-     * without activating downstream blocks (quiescence).
+     * The extraction (exchange to identity) and every shared combine
+     * are single atomic RMWs, so any interleaving with concurrent
+     * processors — including of the same vertex — loses nothing: a
+     * delta is in exactly one accumulator, one combiner or one
+     * extractor's hands at all times.  The value update is a CAS loop
+     * for the same reason.  A move <= tol folds the still-useful part
+     * of the delta back into the accumulator (conservation) without
+     * activating downstream blocks (quiescence).
      *
-     * @param on_activate (dst_block, est_move) called after an
-     *        out-edge accumulate when dst's whole accumulated pending
-     *        would move dst's value by more than tol (the Maiter
-     *        activation filter); dst_block comes from the scatter
-     *        list's destination-block sidecar.  Sub-tolerance
-     *        accumulations stay parked in dst's accumulator — for
-     *        additive programs the last combiner of a
-     *        super-tolerance total always observes it,
-     *        and for monotone min-programs a skipped wake can never
-     *        become necessary later (the estimated move only
-     *        shrinks), so no wakeup is lost.
-     * @param scratch caller-owned scatter decode buffer — processors
-     *        run concurrently, so each participant brings its own.
+     * Scatter: a delta to a destination in v's own block is combined
+     * straight into the destination's accumulator, so a later vertex
+     * of the block being processed reads it in this pass (in-block
+     * Gauss-Seidel).  A delta bound for another block is folded into
+     * the scratch's combiner with a plain combine; flush() ships it.
+     * Sum and Min commute and associate (Maiter's condition), so
+     * pre-combining is exact.
+     *
+     * @param on_activate (dst_block, est_move), called per shared
+     *        combine that passes the Maiter activation filter; see
+     *        shareDelta().
+     * @param scratch the participant's scratch.  Its combiner holds
+     *        deltas until flush(), which the caller must run before
+     *        committing its activation batch.
      *
      * Flattened: this is the per-edge loop, and the serve runner's
      * translation unit instantiates every (program, engine) cell, so
@@ -245,7 +275,7 @@ class AccumState
     template <typename OnActivate>
     [[gnu::flatten]] Result
     processVertex(const Program &p, VertexId v, double tol,
-                  OnActivate &&on_activate, ScatterScratch &scratch)
+                  OnActivate &&on_activate, Scratch &scratch)
     {
         Result r;
         const Value identity = p.identity();
@@ -254,8 +284,9 @@ class AccumState
         if (d == identity)
             return r;
         Value cur = values_[v].load(std::memory_order_relaxed);
+        Value next = cur;
         for (;;) {
-            const Value next = p.combine(cur, d);
+            next = p.combine(cur, d);
             const double mag = p.delta(cur, next);
             if (!(mag > tol)) {
                 const Value residual = Form::foldResidual(p, d, cur);
@@ -270,58 +301,112 @@ class AccumState
                     std::memory_order_relaxed)) {
                 r.outcome = AccumOutcome::Applied;
                 r.magnitude = mag;
-                const ScatterView out = graph.scatterList(v, scratch);
-                for (std::size_t i = 0; i < out.size(); i++) {
-                    const EdgeId pos = out.pos[i];
-                    const Value contrib =
-                        Form::propagate(p, v, next, d, pos, graph);
-                    if (contrib == identity)
-                        continue;
-                    const VertexId dst =
-                        graph.edgeDstAt(pos, out.blk[i]);
-                    const Value after =
-                        atomicCombine(p, pending_[dst], contrib);
-                    r.scatters++;
-                    const Value dval =
-                        values_[dst].load(std::memory_order_relaxed);
-                    const double est =
-                        p.delta(dval, p.combine(dval, after));
-                    if (est > tol) {
-                        // Schedulers ACCUMULATE activation priorities
-                        // (Gauss-Southwell L1), so pass this
-                        // contribution's own move — the running sum
-                        // then tracks dst's total pending.  Passing
-                        // `est` (already a total) would double-count
-                        // earlier contributions and over-prioritize
-                        // hot vertices into premature, fragmenting
-                        // applies.
-                        on_activate(out.blk[i],
-                                    p.delta(dval, p.combine(dval, contrib)));
-                    }
-                }
-                return r;
+                break;
             }
             // CAS lost to a concurrent applier of this vertex: re-apply
             // d against the fresh value (monotonicity makes any order
             // reach the same fixpoint).
         }
+
+        if (scratch.combined.size() != values_.size())
+            scratch.combined.assign(values_.size(), identity);
+        const BlockId home = graph.blockOf(v);
+        const Value shipped = Form::shipped(p, v, next, d, graph);
+        const ScatterView out = graph.scatterList(v, scratch.decode);
+        for (std::size_t i = 0; i < out.size(); i++) {
+            const EdgeId pos = out.pos[i];
+            const Value contrib =
+                Form::propagate(p, shipped, graph.edgeWeight(pos));
+            if (contrib == identity)
+                continue;
+            const BlockId blk = out.blk[i];
+            const VertexId dst = graph.edgeDstAt(pos, blk);
+            if (blk == home) {
+                shareDelta(p, dst, blk, contrib, tol, on_activate);
+                r.scatters++;
+                continue;
+            }
+            Value &slot = scratch.combined[dst];
+            if (slot == identity)
+                scratch.touched.push_back({dst, blk});
+            slot = p.combine(slot, contrib);
+        }
+        return r;
     }
 
-    /** processVertex with a throwaway scratch (direct test callers). */
+    /**
+     * Ship the combiner: one shared combine, one value read and one
+     * activation-filter test per distinct destination, then reset the
+     * touched slots.  A delta in the combiner is in one extractor's
+     * hands; flushing before the activation batch's locked commit
+     * keeps the pump's quiescence detection exact.  Flattened like
+     * processVertex: it is the per-destination loop.
+     * @return shared-accumulator combines done.
+     */
+    template <typename OnActivate>
+    [[gnu::flatten]] std::uint32_t
+    flush(const Program &p, double tol, OnActivate &&on_activate,
+          Scratch &scratch)
+    {
+        const Value identity = p.identity();
+        std::uint32_t combines = 0;
+        for (const typename Scratch::Touched &t : scratch.touched) {
+            const Value d = std::exchange(scratch.combined[t.v], identity);
+            // A slot listed twice (a Sum that cancelled to the identity
+            // and was folded into again) is clean the second time.
+            if (d == identity)
+                continue;
+            shareDelta(p, t.v, t.blk, d, tol, on_activate);
+            combines++;
+        }
+        scratch.touched.clear();
+        return combines;
+    }
+
+    /** processVertex with a throwaway scratch, flushed at once (direct
+     *  test callers). */
     template <typename OnActivate>
     Result
     processVertex(const Program &p, VertexId v, double tol,
                   OnActivate &&on_activate)
     {
-        ScatterScratch scratch;
-        const Result r = processVertex(
-            p, v, tol, std::forward<OnActivate>(on_activate), scratch);
-        graph.chargeScatterBytes(scratch);
+        Scratch scratch;
+        Result r = processVertex(p, v, tol, on_activate, scratch);
+        r.scatters += flush(p, tol, on_activate, scratch);
+        graph.chargeScatterBytes(scratch.decode);
         return r;
     }
 
   private:
     using Form = detail::DeltaForm<Program>;
+
+    /**
+     * Combine d into dst's shared accumulator, then apply Maiter's
+     * activation filter: wake dst's block only when dst's whole
+     * accumulated pending would move its value by more than tol.
+     * Sub-tolerance totals stay parked in the accumulator — for
+     * additive programs the last combiner of a super-tolerance total
+     * always observes it, and for monotone min-programs a skipped wake
+     * can never become necessary later (the estimated move only
+     * shrinks), so no wakeup is lost.
+     */
+    template <typename OnActivate>
+    void
+    shareDelta(const Program &p, VertexId dst, BlockId blk, Value d,
+               double tol, OnActivate &on_activate)
+    {
+        const Value after = atomicCombine(p, pending_[dst], d);
+        const Value dval = values_[dst].load(std::memory_order_relaxed);
+        if (p.delta(dval, p.combine(dval, after)) > tol) {
+            // Schedulers ACCUMULATE activation priorities
+            // (Gauss-Southwell L1), so pass this delta's own move — the
+            // running sum then tracks dst's total pending.  Passing the
+            // total would double-count earlier deltas and
+            // over-prioritize hot vertices into premature, fragmenting
+            // applies.
+            on_activate(blk, p.delta(dval, p.combine(dval, d)));
+        }
+    }
 
     /** @return the post-combine accumulator value. */
     static Value
@@ -388,8 +473,11 @@ class AccumEngine
         obs::Histogram &residualHist = obs::histogram(
             "engine.accum.residual_mag", obs::magnitudeBuckets());
 
-        // Extract-apply-scatter each vertex of one block.
-        auto processBlock = [&](BlockId b, ScatterScratch &scratch,
+        using Scratch = typename AccumState<Program>::Scratch;
+
+        // Extract-apply-scatter each vertex of one block, then flush
+        // the combiner ahead of the pump's locked commit.
+        auto processBlock = [&](BlockId b, Scratch &scratch,
                                 BlockActivations &activations) {
             BlockWork work;
             std::uint64_t folded = 0;
@@ -415,17 +503,19 @@ class AccumEngine
                     break;
                 }
             }
+            work.scatters += state_->flush(program, options.tolerance,
+                                           on_activate, scratch);
             // Every applied vertex moved by more than the tolerance.
             work.active = work.vertices;
             foldbacks.fetch_add(folded, std::memory_order_relaxed);
-            graph.chargeScatterBytes(scratch);
+            graph.chargeScatterBytes(scratch.decode);
             return work;
         };
 
         const PumpConfig cfg{"engine.accum", participation, 1,
                              graph.numBlocks(), /*exclusive=*/false};
         EngineReport report =
-            BlockPump<ScatterScratch, decltype(processBlock)>(
+            BlockPump<Scratch, decltype(processBlock)>(
                 cfg, *sched, acct, options, processBlock)
                 .run();
         if constexpr (obs::kEnabled) {

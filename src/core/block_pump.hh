@@ -73,8 +73,10 @@ struct PumpConfig
 };
 
 /**
- * @tparam Local per-participant scratch, default-constructed by each
- *         participant (participants run concurrently).
+ * @tparam Local per-participant scratch (participants run
+ *         concurrently).  Recycled with the participant's activation
+ *         batch: a run default-constructs at most `participation` of
+ *         them, however often its pool tasks requeue.
  * @tparam Kernel BlockWork(BlockId, Local &, BlockActivations &):
  *         process one block; the batch it fills is committed to the
  *         scheduler under the control lock.
@@ -141,6 +143,17 @@ class BlockPump
         kReissued,   //!< in flight, and the scheduler re-issued it
     };
 
+    /** What one participant owns while it pumps.  The batch is empty
+     *  between blocks; the kernel leaves the Local's state reusable.
+     *  Cache-line aligned: kernels write their Local's tallies per
+     *  vertex, and two participants' heap-allocated state must not
+     *  share a line. */
+    struct alignas(64) Participant
+    {
+        Local local;
+        BlockActivations activations;
+    };
+
     struct Ctl
     {
         std::mutex m;
@@ -149,10 +162,11 @@ class BlockPump
         std::uint32_t pumps = 0;      //!< live participants
         bool halted = false;          //!< stop token or budget
         bool droppedWork = false;     //!< a halt discarded FIFO items
-        /** Empty batches of participants that returned or requeued.  A
-         *  batch is sized to the partition, so building one per
-         *  kQuantum blocks would cost O(blocks) each time. */
-        std::vector<BlockActivations> idleBatches;
+        /** State of participants that returned or requeued.  Both
+         *  halves are sized to the partition (the batch to its blocks,
+         *  the accum combiner to its vertices), so building them per
+         *  kQuantum blocks would pay that fill every quantum. */
+        std::vector<std::unique_ptr<Participant>> idle;
     };
 
     std::string
@@ -242,19 +256,22 @@ class BlockPump
     void
     pump(bool allow_requeue)
     {
-        Local local;
-        BlockActivations activations;
+        std::unique_ptr<Participant> self;
         BlockWork work;
         std::optional<WorkItem> cur;   // processed, not yet committed
         for (std::uint32_t done = 0;; done++) {
             {
                 std::lock_guard<std::mutex> lock(ctl_.m);
-                if (done == 0 && !ctl_.idleBatches.empty()) {
-                    activations = std::move(ctl_.idleBatches.back());
-                    ctl_.idleBatches.pop_back();
+                if (!self) {
+                    if (ctl_.idle.empty()) {
+                        self = std::make_unique<Participant>();
+                    } else {
+                        self = std::move(ctl_.idle.back());
+                        ctl_.idle.pop_back();
+                    }
                 }
                 if (cur) {
-                    activations.commit(sched_);
+                    self->activations.commit(sched_);
                     if (cfg_.exclusive &&
                         std::exchange(ctl_.dispatched[cur->block],
                                       kIdle) == kReissued) {
@@ -270,12 +287,12 @@ class BlockPump
                     // Keep ctl_.pumps: the requeued task inherits this
                     // participant's slot.
                     cur.reset();
-                    ctl_.idleBatches.push_back(std::move(activations));
+                    ctl_.idle.push_back(std::move(self));
                 } else if ((cur = claimLocked())) {
                     spawnLocked();
                 } else {
                     ctl_.pumps--;
-                    ctl_.idleBatches.push_back(std::move(activations));
+                    ctl_.idle.push_back(std::move(self));
                     return;
                 }
             }
@@ -283,11 +300,12 @@ class BlockPump
                 job_->submit([this] { pump(/*allow_requeue=*/true); });
                 return;
             }
+            BlockActivations &activations = self->activations;
             if (activations.numBlocks() != cfg_.numBlocks)
                 activations.resize(cfg_.numBlocks);   // a new participant
             {
                 obs::ScopedLatency lat(gasHist_);
-                work = kernel_(cur->block, local, activations);
+                work = kernel_(cur->block, self->local, activations);
             }
             fanoutHist_.record(static_cast<double>(work.scatters));
             acct_.count(work);

@@ -89,7 +89,6 @@ RunAccounting::flushSchedulerCounters(const BlockScheduler &sched)
         const SchedulerCounters c = sched.counters();
         obs::counter("scheduler.activations").add(c.activations);
         obs::counter("scheduler.heap_pushes").add(c.heapPushes);
-        obs::counter("scheduler.stale_discards").add(c.staleDiscards);
         obs::counter("scheduler.refreshes").add(c.refreshes);
     }
 }

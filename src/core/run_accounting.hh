@@ -65,7 +65,12 @@ struct BlockWork
     std::uint64_t vertices = 0;   //!< vertex updates (epochs, budget)
     std::uint64_t blocks = 1;     //!< block updates
     std::uint64_t edges = 0;      //!< edge traversals
-    std::uint64_t scatters = 0;   //!< scatter writes
+    /** Scatter writes into state other blocks read: one per out-edge
+     *  position written for serial and async; for accum, one per shared
+     *  accumulator combine — a combiner flush per distinct
+     *  destination plus each direct in-block combine — so it shows
+     *  the pre-combining against `edges`. */
+    std::uint64_t scatters = 0;
     std::uint64_t active = 0;     //!< vertices moved by more than tol
     double l1 = 0.0;              //!< L1 value move
 };

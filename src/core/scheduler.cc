@@ -1,7 +1,5 @@
 #include "core/scheduler.hh"
 
-#include <algorithm>
-
 #include "support/logging.hh"
 
 namespace graphabcd {
@@ -45,62 +43,85 @@ CyclicScheduler::next()
 // -------------------------------------------------------------- Priority
 
 PriorityScheduler::PriorityScheduler(BlockId num_blocks)
-    : prio(num_blocks, 0.0), pushedPrio(num_blocks, 0.0),
-      active(num_blocks, 0)
+    : prio(num_blocks, 0.0), slot(num_blocks, npos)
 {
 }
 
 void
 PriorityScheduler::activate(BlockId b, double priority_delta)
 {
-    GRAPHABCD_ASSERT(b < active.size(), "block id out of range");
+    GRAPHABCD_ASSERT(b < slot.size(), "block id out of range");
     stats.activations++;
     // A gradient estimate cannot shrink from new scatter input: clamp
-    // non-positive deltas.  Without the clamp a negative delta drives
-    // prio[b] below pushedPrio[b] (or below zero), which defeats the
-    // 25% growth test below and refreshes the heap on every call —
-    // exactly the churn the throttle exists to prevent.
-    if (priority_delta > 0.0)
+    // non-positive deltas, so an entry only ever moves up while active.
+    const bool grew = priority_delta > 0.0;
+    if (grew)
         prio[b] += priority_delta;
-    const bool was_active = active[b];
-    if (!was_active) {
-        active[b] = 1;
-        nActive++;
-    }
-    // Lazy heap with churn throttling: only refresh a block's entry
-    // when its priority grew by more than 25% since the last push —
-    // scatter storms otherwise push one entry per written edge.  The
-    // live entry of a block is the one whose key equals pushedPrio.
-    if (!was_active || prio[b] > pushedPrio[b] * 1.25) {
-        if (was_active)
-            stats.refreshes++;
-        pushedPrio[b] = prio[b];
-        heap.push_back(HeapEntry{prio[b], b});
-        std::push_heap(heap.begin(), heap.end());
+    if (slot[b] == npos) {
+        heap.push_back(b);
+        siftUp(heap.size() - 1);
         stats.heapPushes++;
+    } else if (grew) {
+        siftUp(slot[b]);
+        stats.refreshes++;
     }
 }
 
 std::optional<BlockId>
 PriorityScheduler::next()
 {
-    while (!heap.empty()) {
-        std::pop_heap(heap.begin(), heap.end());
-        HeapEntry top = heap.back();
-        heap.pop_back();
-        if (!active[top.block] ||
-            top.priority != pushedPrio[top.block]) {
-            stats.staleDiscards++;
-            continue;   // stale
-        }
-        active[top.block] = 0;
-        prio[top.block] = 0.0;   // processed: gradient estimate consumed
-        pushedPrio[top.block] = 0.0;
-        nActive--;
-        return top.block;
+    if (heap.empty())
+        return std::nullopt;
+    const BlockId top = heap.front();
+    const BlockId last = heap.back();
+    heap.pop_back();
+    if (!heap.empty()) {
+        place(0, last);
+        siftDown(0);
     }
-    GRAPHABCD_ASSERT(nActive == 0, "active blocks missing from the heap");
-    return std::nullopt;
+    slot[top] = npos;
+    prio[top] = 0.0;   // processed: gradient estimate consumed
+    return top;
+}
+
+void
+PriorityScheduler::place(std::size_t i, BlockId b)
+{
+    heap[i] = b;
+    slot[b] = static_cast<std::uint32_t>(i);
+}
+
+void
+PriorityScheduler::siftUp(std::size_t i)
+{
+    const BlockId b = heap[i];
+    while (i > 0) {
+        const std::size_t parent = (i - 1) / 2;
+        if (!(prio[heap[parent]] < prio[b]))
+            break;
+        place(i, heap[parent]);
+        i = parent;
+    }
+    place(i, b);
+}
+
+void
+PriorityScheduler::siftDown(std::size_t i)
+{
+    const BlockId b = heap[i];
+    const std::size_t n = heap.size();
+    for (;;) {
+        std::size_t child = 2 * i + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && prio[heap[child]] < prio[heap[child + 1]])
+            child++;
+        if (!(prio[b] < prio[heap[child]]))
+            break;
+        place(i, heap[child]);
+        i = child;
+    }
+    place(i, b);
 }
 
 // ---------------------------------------------------------------- Random

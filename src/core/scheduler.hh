@@ -16,13 +16,8 @@
  * --------------------
  * Every scheduler call is serialized: the engine's control lock (or a
  * single-threaded run loop) covers each activate(), next(),
- * activeCount() and counters() call.  PriorityScheduler in particular
- * relies on this — next() identifies a block's live heap entry by
- * comparing the popped key against pushedPrio[b], and an activate()
- * interleaved between the pop and the compare could retag the live
- * entry and make next() discard the only entry of an active block
- * (breaking the "active blocks missing from the heap" invariant).  The
- * audit test in tests/test_scheduler.cc pins the invariant.
+ * activeCount() and counters() call.  No scheduler synchronizes
+ * internally.
  */
 
 #ifndef GRAPHABCD_CORE_SCHEDULER_HH
@@ -42,15 +37,15 @@ namespace graphabcd {
 /**
  * Cumulative work counters a scheduler maintains over its lifetime.
  * Plain (non-atomic) fields: every scheduler call already happens under
- * the engine's control lock.  heapPushes / staleDiscards / refreshes
- * measure heap churn and are only meaningful for PriorityScheduler.
+ * the engine's control lock.  heapPushes / refreshes measure heap work
+ * and are only meaningful for PriorityScheduler.
  */
 struct SchedulerCounters
 {
     std::uint64_t activations = 0;   //!< activate() calls
-    std::uint64_t heapPushes = 0;    //!< entries pushed into the heap
-    std::uint64_t staleDiscards = 0; //!< lazy-deleted entries seen by next()
-    std::uint64_t refreshes = 0;     //!< re-pushes of already-active blocks
+    std::uint64_t heapPushes = 0;    //!< inactive blocks entering the heap
+    std::uint64_t refreshes = 0;     //!< sift-ups of active blocks whose
+                                     //!< priority grew
 };
 
 /**
@@ -116,17 +111,11 @@ class CyclicScheduler : public BlockScheduler
 
 /**
  * Gauss-Southwell priority selection: argmax of the maintained gradient
- * estimates.  Max-heap with lazy deletion; stale heap entries are skipped
- * on pop, so activate() is O(log B) and next() is amortised O(log B).
- *
- * next() tells a block's live heap entry from its stale duplicates by
- * key comparison against pushedPrio, which is sound only because every
- * call is serialized (file-level concurrency contract).
- * Duplicate *keys* are fine — two entries of one block pushed at equal
- * priorities are interchangeable, and whichever pops second fails the
- * active[] check.  The audit test in tests/test_scheduler.cc checks the
- * invariants (every pop is an active max-priority block; a drain
- * matches a reference model exactly).
+ * estimates.  An indexed binary max-heap holds exactly the active
+ * blocks, one entry each, with a block -> heap position index: a
+ * priority that grows sifts its block's entry up in place, so
+ * activate() and next() are O(log active) and every pop is an exact
+ * argmax.
  */
 class PriorityScheduler : public BlockScheduler
 {
@@ -135,29 +124,20 @@ class PriorityScheduler : public BlockScheduler
 
     void activate(BlockId b, double priority_delta) override;
     std::optional<BlockId> next() override;
-    std::size_t activeCount() const override { return nActive; }
+    std::size_t activeCount() const override { return heap.size(); }
     double priority(BlockId b) const override { return prio[b]; }
     Schedule kind() const override { return Schedule::Priority; }
 
   private:
-    struct HeapEntry
-    {
-        double priority;
-        BlockId block;
-
-        bool
-        operator<(const HeapEntry &other) const
-        {
-            // std::priority_queue is a max-heap on operator<.
-            return priority < other.priority;
-        }
-    };
+    void siftUp(std::size_t i);
+    void siftDown(std::size_t i);
+    void place(std::size_t i, BlockId b);
 
     std::vector<double> prio;
-    std::vector<double> pushedPrio;   //!< key of the live heap entry
-    std::vector<char> active;
-    std::vector<HeapEntry> heap;   //!< std::*_heap managed
-    std::size_t nActive = 0;
+    std::vector<BlockId> heap;        //!< active blocks, max-heap on prio
+    std::vector<std::uint32_t> slot;  //!< block -> heap index or npos
+
+    static constexpr std::uint32_t npos = ~0u;
 };
 
 /**

@@ -2,16 +2,19 @@
  * @file
  * Tests of the accumulative (Maiter-style) delta engine: equivalence
  * with the exact references across schedulers and thread counts,
- * conservation of value mass by construction, and survival of the
- * interleaving that breaks the operation-based DeltaState.  The
- * cancel-storm stress lives with the shared pump, in test_run_loop.cc.
+ * conservation of value mass by construction, the block-local delta
+ * combiner, and survival of the interleaving that breaks the
+ * operation-based DeltaState.  The cancel-storm stress lives with the
+ * shared pump, in test_run_loop.cc.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "algorithms/reference.hh"
 #include "algorithms/sssp.hh"
 #include "core/accum_engine.hh"
+#include "core/scheduler.hh"
 #include "core/stop_token.hh"
 #include "graph/generators.hh"
 
@@ -251,6 +255,180 @@ TEST(AccumConservation, BudgetHaltedRunStillConserves)
 
     EXPECT_NEAR(conservedMass(x, engine.pendingSnapshot(), alpha), 1.0,
                 1e-9);
+}
+
+// ----------------------------------------------------------- combiner
+
+template <typename P>
+using ScratchOf = typename AccumState<P>::Scratch;
+
+/** @return whether the combiner holds no delta: every slot at the
+ *  identity (or not yet sized) and no destination listed. */
+template <typename P>
+bool
+combinerIsClean(const ScratchOf<P> &scratch, const P &p)
+{
+    return scratch.touched.empty() &&
+           std::all_of(scratch.combined.begin(), scratch.combined.end(),
+                       [&p](auto x) { return x == p.identity(); });
+}
+
+/** The engine's block kernel on one thread: extract-apply-scatter each
+ *  vertex of b with the participant's scratch, then flush.
+ *  @return shared-accumulator combines, direct plus flushed. */
+template <typename P>
+std::uint64_t
+runBlock(AccumState<P> &state, const P &p, const BlockPartition &g,
+         BlockId b, double tol, ScratchOf<P> &scratch,
+         BlockActivations &batch)
+{
+    auto on_activate = [&batch](BlockId db, double mag) {
+        batch.add(db, mag);
+    };
+    std::uint64_t combines = 0;
+    for (VertexId v = g.blockBegin(b); v < g.blockEnd(b); v++)
+        combines += state.processVertex(p, v, tol, on_activate, scratch)
+                        .scatters;
+    return combines + state.flush(p, tol, on_activate, scratch);
+}
+
+/** Drive `state` to quiescence block by block on one scratch, calling
+ *  after_block(scratch) between blocks. */
+template <typename P>
+void
+drainByBlocks(AccumState<P> &state, const P &p, const BlockPartition &g,
+              double tol, Schedule schedule,
+              const std::function<void(const ScratchOf<P> &)> &after_block)
+{
+    auto sched = makeSeededScheduler(schedule, g.numBlocks(), 1);
+    ScratchOf<P> scratch;
+    BlockActivations batch(g.numBlocks());
+    int blocks = 0;
+    while (auto b = sched->next()) {
+        ASSERT_LT(blocks++, 1000000) << "no quiescence";
+        runBlock(state, p, g, *b, tol, scratch, batch);
+        batch.commit(*sched);
+        after_block(scratch);
+    }
+}
+
+TEST(AccumCombiner, CleanAndConservingAfterEveryBlock)
+{
+    // Between blocks no delta may sit in the combiner, so values plus
+    // accumulators carry all rank mass after every block, not only at
+    // the fixpoint.
+    const double alpha = 0.85;
+    Rng rng(91);
+    EdgeList el = ringWithChords(127, 600, rng);
+    BlockPartition g(el, 8);
+    PageRankProgram p(alpha);
+    for (Schedule schedule : {Schedule::Cyclic, Schedule::Priority}) {
+        AccumState<PageRankProgram> state(g, p);
+        int checked = 0;
+        drainByBlocks<PageRankProgram>(
+            state, p, g, 1e-13, schedule,
+            [&](const ScratchOf<PageRankProgram> &scratch) {
+                ASSERT_TRUE(combinerIsClean(scratch, p))
+                    << "block " << checked;
+                ASSERT_NEAR(conservedMass(state.valuesSnapshot(),
+                                          state.pendingSnapshot(), alpha),
+                            1.0, 1e-10)
+                    << "block " << checked;
+                checked++;
+            });
+        EXPECT_GT(checked, static_cast<int>(g.numBlocks()));
+
+        std::vector<double> ref = pagerankReference(el, alpha);
+        std::vector<double> x = state.valuesSnapshot();
+        for (VertexId v = 0; v < el.numVertices(); v++)
+            EXPECT_NEAR(x[v], ref[v], 1e-7) << "vertex " << v;
+    }
+}
+
+TEST(AccumCombiner, SharedCombinesCountDistinctDestinations)
+{
+    // Block 0 = {0..3}, block 1 = {4..7}.  Sources 0 and 1 share the
+    // out-of-block destinations 4 and 5; 1 also reaches 6, and 0 feeds
+    // 1 inside the block.  Six edge traversals, but four shared
+    // combines: one direct (0 -> 1) and one flushed per distinct
+    // destination 4, 5, 6.
+    const double alpha = 0.85;
+    EdgeList el(8);
+    for (auto [src, dst] : std::vector<std::pair<VertexId, VertexId>>{
+             {0, 4}, {0, 5}, {0, 1}, {1, 4}, {1, 5}, {1, 6}})
+        el.addEdge(src, dst);
+    BlockPartition g(el, 4);
+    ASSERT_EQ(g.numBlocks(), 2u);
+    PageRankProgram p(alpha);
+    AccumState<PageRankProgram> state(g, p);
+    const double teleport = state.pendingAt(0);
+
+    ScratchOf<PageRankProgram> scratch;
+    BlockActivations batch(g.numBlocks());
+    auto on_activate = [&batch](BlockId db, double mag) {
+        batch.add(db, mag);
+    };
+    std::uint64_t direct = 0;
+    for (VertexId v = 0; v < 4; v++)
+        direct += state.processVertex(p, v, 0.0, on_activate, scratch)
+                      .scatters;
+    EXPECT_EQ(direct, 1u);
+    ASSERT_EQ(scratch.touched.size(), 3u);
+    // Nothing left the combiner yet.
+    EXPECT_DOUBLE_EQ(state.pendingAt(4), teleport);
+    EXPECT_EQ(state.flush(p, 0.0, on_activate, scratch), 3u);
+    EXPECT_TRUE(combinerIsClean(scratch, p));
+
+    // Each destination received both sources' deltas in one combine.
+    const double d0 = teleport;
+    const double d1 = teleport + alpha * d0 / 3.0;
+    EXPECT_NEAR(state.pendingAt(4), teleport + alpha * (d0 + d1) / 3.0,
+                1e-15);
+    EXPECT_NEAR(state.pendingAt(5), state.pendingAt(4), 1e-15);
+    EXPECT_NEAR(state.pendingAt(6), teleport + alpha * d1 / 3.0, 1e-15);
+    // The flush woke block 1 (and the direct combine block 0) once.
+    EXPECT_EQ(batch.size(), 2u);
+}
+
+TEST(AccumCombiner, EngineScatterWritesCountSharedCombines)
+{
+    // Larger blocks see more sources per destination, so the shared
+    // combines fall below the edge traversals.
+    Rng rng(92);
+    EdgeList el = generateRmat(1024, 16384, rng);
+    EngineOptions opt;
+    opt.blockSize = 256;
+    opt.numThreads = 2;
+    opt.tolerance = 1e-10;
+    BlockPartition g(el, opt.blockSize);
+    AccumEngine<PageRankProgram> engine(g, PageRankProgram(0.85), opt);
+    std::vector<double> x;
+    const EngineReport report = engine.run(x);
+    EXPECT_TRUE(report.converged);
+    EXPECT_GT(report.scatterWrites, 0u);
+    EXPECT_LT(report.scatterWrites, report.edgeTraversals);
+}
+
+TEST(AccumCombiner, SsspMatchesDijkstraBlockByBlock)
+{
+    // Min accumulation pre-combines too: the combiner keeps the best
+    // candidate per destination.
+    Rng rng(93);
+    EdgeList el = generateRmat(211, 1700, rng, {.weighted = true});
+    BlockPartition g(el, 16);
+    SsspProgram p(0);
+    for (Schedule schedule : {Schedule::Cyclic, Schedule::Priority}) {
+        AccumState<SsspProgram> state(g, p);
+        drainByBlocks<SsspProgram>(
+            state, p, g, 1e-9, schedule,
+            [&](const ScratchOf<SsspProgram> &scratch) {
+                ASSERT_TRUE(combinerIsClean(scratch, p));
+            });
+        std::vector<double> ref = dijkstraReference(el, 0);
+        std::vector<double> dist = state.valuesSnapshot();
+        for (VertexId v = 0; v < el.numVertices(); v++)
+            EXPECT_NEAR(dist[v], ref[v], 1e-6) << "vertex " << v;
+    }
 }
 
 // ------------------------------------------- adversarial interleaving

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests of the run machinery the real engines share: the convergence
- * contract RunAccounting gives every engine, and a cancel storm over
- * both BlockPump users (async and accum) for the sanitizer legs.
+ * contract RunAccounting gives every engine, BlockPump's recycling of
+ * participant state, and a cancel storm over both BlockPump users
+ * (async and accum) for the sanitizer legs.
  */
 
 #include <gtest/gtest.h>
@@ -20,10 +21,12 @@
 #include "algorithms/reference.hh"
 #include "core/accum_engine.hh"
 #include "core/async_engine.hh"
+#include "core/block_pump.hh"
 #include "core/engine.hh"
 #include "core/stop_token.hh"
 #include "graph/generators.hh"
 #include "obs/convergence.hh"
+#include "runtime/executor.hh"
 
 namespace graphabcd {
 namespace {
@@ -146,6 +149,59 @@ INSTANTIATE_TEST_SUITE_P(
     paramName);
 
 #endif // GRAPHABCD_OBS_ENABLED
+
+// ------------------------------------------ participant state recycling
+
+std::atomic<int> localsBuilt{0};
+
+/** A pump Local that counts its default constructions. */
+struct CountingLocal
+{
+    CountingLocal() { localsBuilt.fetch_add(1); }
+};
+
+/**
+ * A participant's Local (the accum engine's O(|V|) combiner) travels
+ * with its activation batch through the pump's idle list, so pool tasks
+ * that requeue every 32 blocks never build a new one: a run builds at
+ * most `participation` of them, however many quanta it pumps.
+ */
+TEST(BlockPump, BuildsAtMostOneLocalPerParticipant)
+{
+    constexpr BlockId kBlocks = 8192;   // 256 quanta of 32 blocks
+    constexpr std::uint32_t kParticipation = 4;
+    EngineOptions opt;
+    opt.numThreads = kParticipation;
+    opt.executor = std::make_shared<Executor>(kParticipation - 1);
+    auto sched = makeSeededScheduler(Schedule::Cyclic, kBlocks, 1);
+    RunAccounting acct("test.pump.run", kBlocks, opt);
+
+    std::atomic<std::uint64_t> processed{0};
+    auto kernel = [&processed](BlockId, CountingLocal &,
+                               BlockActivations &) {
+        // Long enough for pool participants to claim a share and
+        // requeue, short enough to keep the test fast.
+        const auto until = std::chrono::steady_clock::now() +
+                           std::chrono::microseconds(5);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        processed.fetch_add(1);
+        BlockWork work;
+        work.vertices = 1;
+        return work;
+    };
+    const PumpConfig cfg{"test.pump", kParticipation, 1, kBlocks,
+                         /*exclusive=*/false};
+    localsBuilt.store(0);
+    const EngineReport report =
+        BlockPump<CountingLocal, decltype(kernel)>(cfg, *sched, acct, opt,
+                                                   kernel)
+            .run();
+    EXPECT_TRUE(report.converged);
+    EXPECT_EQ(processed.load(), kBlocks);
+    EXPECT_GE(localsBuilt.load(), 1);
+    EXPECT_LE(localsBuilt.load(), static_cast<int>(kParticipation));
+}
 
 // ------------------------------------------------- pump cancel storm
 

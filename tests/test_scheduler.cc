@@ -97,7 +97,7 @@ TEST(Priority, ProcessingResetsPriority)
     EXPECT_EQ(s.next(), 1u);   // old 10.0 must not linger
 }
 
-TEST(Priority, StaleHeapEntriesAreSkipped)
+TEST(Priority, RepeatedRoundsPopInPriorityOrder)
 {
     PriorityScheduler s(3);
     for (int round = 0; round < 100; round++) {
@@ -109,72 +109,74 @@ TEST(Priority, StaleHeapEntriesAreSkipped)
     }
 }
 
-TEST(Priority, ZeroDeltaActivationDoesNotChurnTheHeap)
+TEST(Priority, GrowthOfAnActiveBlockSiftsItsOneEntryUp)
 {
-    // Regression: blocks are legitimately activated with delta 0 (e.g.
-    // a scatter whose values changed below tolerance elsewhere).  With
-    // pushedPrio at 0 the 25% growth test `prio > pushed * 1.25`
-    // degenerates, so every re-activation must still be throttled.
+    PriorityScheduler s(4);
+    s.activate(0, 1.0);
+    s.activate(1, 2.0);
+    s.activate(2, 3.0);
+    s.activate(0, 5.0);   // 0 now has 6.0: overtakes 2 and 1 in place
+    EXPECT_EQ(s.activeCount(), 3u);
+    EXPECT_EQ(s.next(), 0u);
+    EXPECT_EQ(s.next(), 2u);
+    EXPECT_EQ(s.next(), 1u);
+    EXPECT_EQ(s.next(), std::nullopt);
+}
+
+TEST(Priority, ZeroDeltaActivationDoesNotTouchTheHeap)
+{
+    // Blocks are legitimately activated with delta 0 (e.g. a scatter
+    // whose values changed below tolerance elsewhere): the first call
+    // enters the block, later ones neither re-enter nor sift it.
     PriorityScheduler s(2);
     s.activate(0, 0.0);
-    const std::uint64_t pushes = s.counters().heapPushes;
-    EXPECT_EQ(pushes, 1u);
+    EXPECT_EQ(s.counters().heapPushes, 1u);
     for (int i = 0; i < 1000; i++)
         s.activate(0, 0.0);
-    EXPECT_EQ(s.counters().heapPushes, pushes);   // no churn
+    EXPECT_EQ(s.counters().heapPushes, 1u);
+    EXPECT_EQ(s.counters().refreshes, 0u);
     EXPECT_EQ(s.next(), 0u);                      // still schedulable
     EXPECT_EQ(s.next(), std::nullopt);
 }
 
-TEST(Priority, NegativeDeltaIsClampedAndDoesNotChurn)
+TEST(Priority, NegativeDeltaIsClampedAndDoesNotTouchTheHeap)
 {
-    // Regression: a negative delta used to drive prio below pushedPrio,
-    // making the refresh condition true on every call — one heap entry
-    // per activation, exactly the churn the throttle exists to stop.
     PriorityScheduler s(2);
     s.activate(0, 4.0);
-    const std::uint64_t pushes = s.counters().heapPushes;
     for (int i = 0; i < 1000; i++)
         s.activate(0, -1.0);
     EXPECT_DOUBLE_EQ(s.priority(0), 4.0);   // clamped, never lowered
-    EXPECT_EQ(s.counters().heapPushes, pushes);
+    EXPECT_EQ(s.counters().heapPushes, 1u);
+    EXPECT_EQ(s.counters().refreshes, 0u);
     s.activate(1, 1.0);
     EXPECT_EQ(s.next(), 0u);   // gradient order preserved
     EXPECT_EQ(s.next(), 1u);
 }
 
-TEST(Priority, ChurnThrottleIsLogarithmicInGrowth)
+TEST(Priority, CountersTrackActivationsPushesAndRefreshes)
 {
-    // 1000 unit-delta activations grow the priority to ~1001; entries
-    // are refreshed only on >25% growth, so the push count must be
-    // O(log_1.25 1001) ~ 31, not O(1000).
-    PriorityScheduler s(1);
+    // One heap entry per active block, however often it is activated:
+    // re-activations that grow the priority sift that entry up.
+    PriorityScheduler s(2);
     s.activate(0, 1.0);
     for (int i = 0; i < 1000; i++)
         s.activate(0, 1.0);
-    EXPECT_LT(s.counters().heapPushes, 40u);
-    EXPECT_GT(s.counters().refreshes, 0u);
+    EXPECT_EQ(s.counters().activations, 1001u);
+    EXPECT_EQ(s.counters().heapPushes, 1u);
+    EXPECT_EQ(s.counters().refreshes, 1000u);
+    EXPECT_EQ(s.activeCount(), 1u);
     EXPECT_EQ(s.next(), 0u);
-}
-
-TEST(Priority, CountersTrackActivationsAndStaleDiscards)
-{
-    PriorityScheduler s(2);
-    s.activate(0, 1.0);
-    s.activate(0, 2.0);   // >25% growth: refresh, old entry goes stale
-    EXPECT_EQ(s.counters().activations, 2u);
+    EXPECT_EQ(s.next(), std::nullopt);
+    s.activate(0, 1.0);   // re-enters after processing
     EXPECT_EQ(s.counters().heapPushes, 2u);
-    EXPECT_EQ(s.next(), 0u);
-    EXPECT_EQ(s.next(), std::nullopt);   // pops the stale leftover
-    EXPECT_EQ(s.counters().staleDiscards, 1u);
 }
 
-// Satellite audit: PriorityScheduler's lazy deletion against a
-// reference model, under its (documented) fully-serialized contract.
-// The model maps block -> accumulated priority; every pop must return
-// an active block of maximal priority, and a full drain must empty the
-// model exactly.  Randomized over activation patterns that produce
-// duplicate heap keys, refreshes, and stale entries.
+// PriorityScheduler against a reference model.  The model maps block ->
+// accumulated priority; every pop must return an active block of
+// exactly maximal priority (the heap has one entry per block, sifted on
+// every growth), and a full drain must empty the model exactly.
+// Randomized over activation patterns with equal, zero and growing
+// deltas, so ties and in-place sift-ups both occur.
 TEST(Priority, RandomizedModelAudit)
 {
     constexpr BlockId kBlocks = 16;
@@ -187,8 +189,6 @@ TEST(Priority, RandomizedModelAudit)
             if (rng.nextBounded(3) != 0) {
                 const auto b =
                     static_cast<BlockId>(rng.nextBounded(kBlocks));
-                // Mix of equal, zero, and growing deltas so duplicate
-                // heap keys and throttled refreshes both occur.
                 const double d =
                     static_cast<double>(rng.nextBounded(4));
                 if (d > 0.0)
@@ -207,15 +207,8 @@ TEST(Priority, RandomizedModelAudit)
                 double best = 0.0;
                 for (auto &[b, p] : model)
                     best = std::max(best, p);
-                // The scheduler refreshes a heap entry only once a
-                // block's priority outgrows its pushed key by 25%
-                // (churn throttle), so the pop is approximate
-                // Gauss-Southwell: the popped block's true priority is
-                // within a 1.25x factor of the maximum, never worse.
-                EXPECT_GE(model[*got] * 1.25 + 1e-9, best)
-                    << "inversion beyond the 25% refresh-throttle "
-                    << "bound: popped " << model[*got] << " best "
-                    << best;
+                EXPECT_EQ(model[*got], best)
+                    << "popped " << model[*got] << " best " << best;
                 model.erase(*got);
                 prio[*got] = 0.0;
             }

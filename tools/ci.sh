@@ -57,11 +57,12 @@ run_preset() {
         # runs heavier to cover many claim/commit/drain interleavings
         # under the race detector.
         # The Activation tests run every schedule's batched commits on
-        # 4 participants.
+        # 4 participants; the combiner and pump-recycling tests cover
+        # the per-participant state the pump hands between tasks.
         echo "== pump stress (${preset}) =="
         GRAPHABCD_PUMP_STRESS_ITERS=24 \
             "./build-tsan/tests/abcd_tests" \
-            --gtest_filter='*PumpStress.*:Activation.*'
+            --gtest_filter='*PumpStress.*:Activation.*:AccumCombiner.*:BlockPump.*'
 
         # The serve layer's cancel/cache-hit/shed races are guarded by
         # finishJob's terminal CAS; rerun the multi-tenant storm heavier
