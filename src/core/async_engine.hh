@@ -5,15 +5,18 @@
  * the GATHER-APPLY / SCATTER kernel fusion the paper applies to its
  * software baseline).
  *
- * Vertex and edge-carried values are relaxed atomics: GATHER reads
- * whatever SCATTER has most recently published (possibly stale — that is
- * asynchronous BCD), and SCATTER publishes whole values (state-based
- * update information, Sec. IV-A3), so no locks or barriers are needed on
- * the data plane.  The run loop is the shared BlockPump
- * (core/block_pump.hh): one control lock per block and a bounded
- * dispatch FIFO (the software stand-in for the paper's accelerator task
- * queue) of 4 x participation blocks, which bounds staleness (Sec.
- * III-D).  This engine supplies only the fused per-block kernel.
+ * The state is core/state.hh's ValueArrays over relaxed atomics: the
+ * vertex values and one published edge copy per vertex, in place of the
+ * paper's per-edge copies.  GATHER reads whatever copy SCATTER has most
+ * recently published (possibly stale — that is asynchronous BCD), and
+ * SCATTER publishes whole values (state-based update information, Sec.
+ * IV-A3) in one store, so a reader sees a vertex's copy all-or-nothing
+ * and no locks or barriers are needed on the data plane.  The run loop
+ * is the shared BlockPump (core/block_pump.hh): one control lock per
+ * block and a bounded dispatch FIFO (the software stand-in for the
+ * paper's accelerator task queue) of 4 x participation blocks, which
+ * bounds staleness (Sec. III-D).  This engine supplies only the fused
+ * per-block kernel.
  *
  * ExecMode::Barrier caps participation at one in-flight block (the
  * paper's per-block memory-barrier baseline); ExecMode::Bsp processes
@@ -33,6 +36,7 @@
 #include "core/engine.hh"
 #include "core/options.hh"
 #include "core/scheduler.hh"
+#include "core/state.hh"
 #include "core/vertex_program.hh"
 #include "graph/partition.hh"
 #include "obs/obs.hh"
@@ -76,7 +80,7 @@ class AsyncEngine
 
         out_values.resize(graph.numVertices());
         for (VertexId v = 0; v < graph.numVertices(); v++)
-            out_values[v] = values[v].load(std::memory_order_relaxed);
+            out_values[v] = loadSlot(state.values[v]);
         report.seconds = timer.seconds();
         return report;
     }
@@ -85,78 +89,22 @@ class AsyncEngine
     void
     initState()
     {
-        const VertexId n = graph.numVertices();
-        const bool warm = [&] {
-            if constexpr (std::is_same_v<Value, double>)
-                return options.warmStart && options.warmStart->size() == n;
-            else
-                return false;
-        }();
-        values = std::vector<std::atomic<Value>>(n);
-        edgeValues = std::vector<std::atomic<Value>>(graph.numEdges());
-        std::vector<Value> ev(n);
-        for (VertexId v = 0; v < n; v++) {
-            Value init = program.init(v, graph);
+        state.seed(graph, program, [&](VertexId v) -> Value {
             if constexpr (std::is_same_v<Value, double>) {
-                if (warm)
-                    init = (*options.warmStart)[v];
+                if (options.warmStart &&
+                    options.warmStart->size() == graph.numVertices())
+                    return (*options.warmStart)[v];
             }
-            values[v].store(init, std::memory_order_relaxed);
-            ev[v] = program.edgeValue(v, init, graph);
-        }
-        // Seed the edge-carried copies by walking destination in-lists
-        // (position order), which every layout supports directly.
-        for (VertexId v = 0; v < n; v++) {
-            graph.forEachInEdge(v, [&](EdgeId pos, VertexId src, float) {
-                edgeValues[pos].store(ev[src], std::memory_order_relaxed);
-            });
-        }
-    }
-
-    /** GATHER-APPLY of vertex v (value `old`) against the current
-     *  edge-carried values. */
-    Value
-    gatherApply(VertexId v, Value old, const BlockEdgesView &slice)
-    {
-        auto acc = program.identity();
-        for (EdgeId e = graph.inEdgeBegin(v); e < graph.inEdgeEnd(v); e++) {
-            Value ev = edgeValues[e].load(std::memory_order_relaxed);
-            acc = program.combine(
-                acc, program.edgeTerm(old, ev, slice.wgt[e - slice.base]));
-        }
-        return program.apply(v, acc, old, graph);
-    }
-
-    /**
-     * SCATTER v's new value onto its out-edges, adding each edge's
-     * destination block to `activations`.
-     * @return edges written.
-     */
-    std::size_t
-    scatter(VertexId v, Value next, ScatterScratch &scratch,
-            BlockActivations &activations)
-    {
-        const ScatterView out = graph.scatterList(v, scratch);
-        if (out.empty())
-            return 0;
-        // Read the outgoing edges' previous value before the stores
-        // below overwrite it: the activation priority is old-vs-new,
-        // not new-vs-new.
-        const Value old_ev =
-            edgeValues[out.pos.front()].load(std::memory_order_relaxed);
-        const Value ev = program.edgeValue(v, next, graph);
-        const double edge_delta = program.delta(old_ev, ev);
-        for (std::size_t i = 0; i < out.size(); i++) {
-            edgeValues[out.pos[i]].store(ev, std::memory_order_relaxed);
-            activations.add(out.blk[i], edge_delta);
-        }
-        return out.size();
+            return program.init(v, graph);
+        });
     }
 
     /**
      * Fused GATHER-APPLY-SCATTER of one block directly against the
-     * atomic arrays; the pump's kernel.  `scratch` is per-participant:
-     * pumps run concurrently, so each owns its own decode buffers.
+     * atomic arrays; the pump's kernel.  A vertex scattered earlier in
+     * the block is read at its new copy (in-block Gauss-Seidel).
+     * `scratch` is per-participant: pumps run concurrently, so each
+     * owns its own decode buffers.
      */
     BlockWork
     processAndCommit(BlockId b, LayoutScratch &scratch,
@@ -168,15 +116,17 @@ class AsyncEngine
         const BlockEdgesView slice = graph.blockEdges(b, scratch.slice);
         for (VertexId v = graph.blockBegin(b); v < graph.blockEnd(b);
              v++) {
-            const Value old = values[v].load(std::memory_order_relaxed);
-            const Value next = gatherApply(v, old, slice);
+            const Value old = loadSlot(state.values[v]);
+            const Value next =
+                state.gatherApply(graph, program, v, old, slice);
             const double d = program.delta(old, next);
             work.l1 += d;
-            values[v].store(next, std::memory_order_relaxed);
+            storeSlot(state.values[v], next);
             if (d > options.tolerance) {
                 work.active++;
-                work.scatters +=
-                    scatter(v, next, scratch.scatter, activations);
+                work.scatters += state.scatter(graph, program, v, next,
+                                               scratch.scatter,
+                                               activations);
             }
         }
         graph.chargeScatterBytes(scratch.scatter);
@@ -254,7 +204,9 @@ class AsyncEngine
                         cursor.fetch_add(1, std::memory_order_relaxed);
                     if (i >= wave.size())
                         return;
-                    updates[i] = gatherApplyBlock(wave[i], slice_scratch);
+                    updates[i] = state.gatherBlock(
+                        graph, program, wave[i], options.tolerance,
+                        slice_scratch);
                 }
             };
             // participation-1 pool helpers; the caller sweeps too.
@@ -281,27 +233,6 @@ class AsyncEngine
         return acct.finish(stopped, !stopped && sched->empty());
     }
 
-    /** Jacobi helper: GATHER-APPLY one block without committing. */
-    BlockUpdate<Value>
-    gatherApplyBlock(BlockId b, EdgeSliceScratch &slice_scratch)
-    {
-        BlockUpdate<Value> out;
-        out.block = b;
-        const BlockEdgesView slice = graph.blockEdges(b, slice_scratch);
-        for (VertexId v = graph.blockBegin(b); v < graph.blockEnd(b);
-             v++) {
-            const Value old = values[v].load(std::memory_order_relaxed);
-            const Value next = gatherApply(v, old, slice);
-            double d = program.delta(old, next);
-            out.l1Delta += d;
-            if (d > options.tolerance)
-                out.changed++;
-            out.newValues.push_back(next);
-            out.deltas.push_back(d);
-        }
-        return out;
-    }
-
     /** Jacobi helper: commit + activate one block update. */
     BlockWork
     commitUpdate(const BlockUpdate<Value> &update, BlockScheduler &sched,
@@ -311,17 +242,9 @@ class AsyncEngine
         BlockWork work{update.newValues.size(), 1,
                        graph.blockEdgeCount(update.block), 0,
                        update.changed, update.l1Delta};
-        const VertexId begin = graph.blockBegin(update.block);
-        for (std::size_t i = 0; i < update.newValues.size(); i++) {
-            const VertexId v = begin + static_cast<VertexId>(i);
-            values[v].store(update.newValues[i],
-                            std::memory_order_relaxed);
-            if (update.deltas[i] > options.tolerance) {
-                work.scatters += scatter(v, update.newValues[i],
-                                         scatter_scratch, activations);
-            }
-        }
-        graph.chargeScatterBytes(scatter_scratch);
+        work.scatters = state.commit(graph, program, update,
+                                     options.tolerance, scatter_scratch,
+                                     activations);
         activations.commit(sched);
         return work;
     }
@@ -330,8 +253,7 @@ class AsyncEngine
     Program program;
     EngineOptions options;
 
-    std::vector<std::atomic<Value>> values;
-    std::vector<std::atomic<Value>> edgeValues;
+    ValueArrays<Program, std::atomic<Value>> state;
 };
 
 } // namespace graphabcd

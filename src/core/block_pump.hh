@@ -17,17 +17,17 @@
  * mutex that every participant takes exactly once per block: commit
  * the previous block's activation batch, refill the FIFO from the
  * scheduler, claim the next block.  The batch is a BlockActivations
- * (core/scheduler.hh): the kernel records every edge it writes into
- * the participant's batch, deduplicated per destination block, so the
- * locked commit costs one activate() per distinct block, not one per
- * edge written.
+ * (core/scheduler.hh): the kernel records every out-edge it scatters
+ * to in the participant's batch, deduplicated per destination block,
+ * so the locked commit costs one activate() per distinct block, not one
+ * per out-edge.
  *
  * The FIFO bounds staleness (Sec. III-D): each item carries the
  * block-update count at FIFO entry, and the difference read at claim
  * time is the measured staleness, which FIFO order keeps at <= window
- * + participants.  AsyncEngine uses a window of 4 x participation (1 in
- * Barrier mode); AccumEngine uses 1, i.e. claims straight from the
- * scheduler, because its deltas commute.
+ * + participants (asserted in every build).  AsyncEngine uses a window
+ * of 4 x participation (1 in Barrier mode); AccumEngine uses 1, i.e.
+ * claims straight from the scheduler, because its deltas commute.
  *
  * An exclusive pump never runs one block on two participants at once.
  * The scheduler re-issues a block that is re-activated while an earlier
@@ -59,6 +59,7 @@
 #include "core/scheduler.hh"
 #include "obs/obs.hh"
 #include "runtime/executor.hh"
+#include "support/logging.hh"
 
 namespace graphabcd {
 
@@ -201,10 +202,7 @@ class BlockPump
                 }
                 state = kQueued;
             }
-            std::uint64_t stamp = 0;
-            if constexpr (obs::kEnabled)
-                stamp = acct_.blockUpdates();
-            ctl_.fifo.push_back({*b, stamp});
+            ctl_.fifo.push_back({*b, acct_.blockUpdates()});
         }
         if (ctl_.halted && !ctl_.fifo.empty()) {
             ctl_.droppedWork = true;
@@ -215,8 +213,9 @@ class BlockPump
     }
 
     /** Claim the FIFO head.  Measuring staleness inside the locked
-     *  claim keeps the FIFO bound exact: only items claimed before this
-     *  one can have committed by now. */
+     *  claim keeps the FIFO bound exact: only blocks in flight at the
+     *  stamp or ahead in the FIFO can have been counted since, and
+     *  every build checks that bound. */
     std::optional<WorkItem>
     claimLocked()
     {
@@ -226,9 +225,12 @@ class BlockPump
         ctl_.fifo.pop_front();
         if (cfg_.exclusive)
             ctl_.dispatched[item.block] = kRunning;
+        const std::uint64_t staleness = acct_.blockUpdates() - item.stamp;
+        GRAPHABCD_ASSERT(staleness <= cfg_.window + cfg_.participation,
+                         "staleness ", staleness, " exceeds the dispatch "
+                         "window bound");
         if constexpr (obs::kEnabled) {
-            staleHist_.record(
-                static_cast<double>(acct_.blockUpdates() - item.stamp));
+            staleHist_.record(static_cast<double>(staleness));
             depthGauge_.set(static_cast<double>(ctl_.fifo.size()));
         }
         return item;

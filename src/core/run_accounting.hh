@@ -66,7 +66,8 @@ struct BlockWork
     std::uint64_t blocks = 1;     //!< block updates
     std::uint64_t edges = 0;      //!< edge traversals
     /** Scatter writes into state other blocks read: one per out-edge
-     *  position written for serial and async; for accum, one per shared
+     *  scattered to for serial and async (the paper's edge-carried
+     *  writes; one published copy is stored); for accum, one per shared
      *  accumulator combine — a combiner flush per distinct
      *  destination plus each direct in-block combine — so it shows
      *  the pre-combining against `edges`. */

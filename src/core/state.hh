@@ -1,17 +1,30 @@
 /**
  * @file
- * Mutable BCD state: vertex values plus edge-carried value copies.
+ * Mutable BCD state: vertex values plus one published edge copy per
+ * vertex, and the one GATHER-APPLY / SCATTER kernel over them.
  *
- * There is exactly one copy of the topology (in BlockPartition); this
- * class owns the value arrays that change during a run.  `edgeValues` is
- * parallel to the partition's CSC edge arrays: position e holds the
- * edge-carried copy of edgeSrc(e)'s value, written by SCATTER.
+ * There is exactly one copy of the topology (in BlockPartition); the
+ * state owns the two |V|-sized arrays that change during a run.
+ * `published[u]` is edgeValue(u, values[u]) as of u's last SCATTER:
+ * the copy every out-edge of u carries in the paper's edge-carried
+ * layout (Sec. IV-A2).  All of u's out-edges carry the same copy, so
+ * one slot per vertex holds what the per-edge copies held.  GATHER
+ * reads published[src] through the slice's source ids; SCATTER stores
+ * the new copy once and walks the out-edges only to feed the
+ * activation batch.  A vertex moving by <= tol does not scatter and
+ * keeps its old copy.  HARP still charges the paper's edge-carried
+ * bytes by formula (DESIGN.md §1).
+ *
+ * ValueArrays is written once over its slot type: plain Values for the
+ * single-threaded users (SerialEngine and the HARP simulator, through
+ * BcdState) and relaxed atomics for AsyncEngine's participants.
  */
 
 #ifndef GRAPHABCD_CORE_STATE_HH
 #define GRAPHABCD_CORE_STATE_HH
 
-#include <cmath>
+#include <atomic>
+#include <span>
 #include <vector>
 
 #include "core/scheduler.hh"
@@ -35,88 +48,114 @@ struct BlockUpdate
     VertexId changed = 0;           //!< vertices moving more than tol
 };
 
-/**
- * Vertex + edge-carried values of one run.
- *
- * One instance is driven by one thread at a time (SerialEngine, the
- * HarpSystem event loop, the GraphMat baseline); the layout decode
- * scratches are members under that contract.
- */
-template <VertexProgram Program>
-class BcdState
+/** Plain or relaxed-atomic access to one value slot. */
+template <typename V>
+V loadSlot(const V &s) { return s; }
+
+template <typename V>
+V
+loadSlot(const std::atomic<V> &s)
 {
-  public:
+    return s.load(std::memory_order_relaxed);
+}
+
+template <typename V>
+void storeSlot(V &s, const V &v) { s = v; }
+
+template <typename V>
+void
+storeSlot(std::atomic<V> &s, const V &v)
+{
+    s.store(v, std::memory_order_relaxed);
+}
+
+/**
+ * The two value arrays of one run over `Slot` storage (Value or
+ * std::atomic<Value>).  Threaded users keep one writer per vertex: a
+ * vertex is written only by its own block's kernel, and a pump runs a
+ * block on one participant at a time.
+ */
+template <VertexProgram Program, typename Slot>
+struct ValueArrays
+{
     using Value = typename Program::Value;
 
-    BcdState() = default;
+    std::vector<Slot> values;      //!< |V| vertex values
+    std::vector<Slot> published;   //!< |V| edge copies, see file comment
 
-    /** Initialise values and edge copies from the program's init(). */
-    BcdState(const BlockPartition &g, const Program &p) { reset(g, p); }
-
-    /** Re-initialise in place. */
+    /** Adopt values init(v) and publish every vertex's edge copy. */
+    template <typename Init>
     void
-    reset(const BlockPartition &g, const Program &p)
+    seed(const BlockPartition &g, const Program &p, Init &&init)
     {
         const VertexId n = g.numVertices();
-        values_.resize(n);
-        for (VertexId v = 0; v < n; v++)
-            values_[v] = p.init(v, g);
-        seedEdgeValues(g, p);
+        values = std::vector<Slot>(n);
+        published = std::vector<Slot>(n);
+        for (VertexId v = 0; v < n; v++) {
+            const Value x = init(v);
+            storeSlot(values[v], x);
+            storeSlot(published[v], p.edgeValue(v, x, g));
+        }
     }
 
-    /**
-     * Seed the run from explicit per-vertex values (warm start): adopt
-     * `init` and re-derive every edge-carried copy, exactly as reset()
-     * does from Program::init().  `init.size()` must equal |V|.
-     */
-    void
-    setValues(const BlockPartition &g, const Program &p,
-              std::vector<Value> init)
+    /** GATHER-APPLY of vertex v (value `old`) over its in-edges in
+     *  `slice`, reading each source's published copy. */
+    Value
+    gatherApply(const BlockPartition &g, const Program &p, VertexId v,
+                const Value &old, const BlockEdgesView &slice) const
     {
-        GRAPHABCD_ASSERT(init.size() == g.numVertices(),
-                         "warm-start size must match |V|");
-        values_ = std::move(init);
-        seedEdgeValues(g, p);
+        auto acc = p.identity();
+        const EdgeId end = g.inEdgeEnd(v) - slice.base;
+        for (EdgeId i = g.inEdgeBegin(v) - slice.base; i < end; i++) {
+            acc = p.combine(
+                acc, p.edgeTerm(old, loadSlot(published[slice.src[i]]),
+                                slice.wgt[i]));
+        }
+        return p.apply(v, acc, old, g);
     }
 
-    const std::vector<Value> &values() const { return values_; }
-    std::vector<Value> &values() { return values_; }
-
-    const Value &value(VertexId v) const { return values_[v]; }
-
-    const std::vector<Value> &edgeValues() const { return edgeValues_; }
-    std::vector<Value> &edgeValues() { return edgeValues_; }
+    /**
+     * SCATTER v's new value: store its edge copy once and add each
+     * out-edge's destination block to `activations`.  The priority is
+     * the change of the copy (the Gauss-Southwell estimate: what a
+     * destination block actually receives, e.g. rank/degree for PR).
+     * @return out-edges scattered to.
+     */
+    EdgeId
+    scatter(const BlockPartition &g, const Program &p, VertexId v,
+            const Value &next, ScatterScratch &scratch,
+            BlockActivations &activations)
+    {
+        const std::span<const BlockId> blocks = g.scatterBlocks(v, scratch);
+        if (blocks.empty())
+            return 0;
+        const Value ev = p.edgeValue(v, next, g);
+        const double edge_delta = p.delta(loadSlot(published[v]), ev);
+        storeSlot(published[v], ev);
+        for (BlockId b : blocks)
+            activations.add(b, edge_delta);
+        return blocks.size();
+    }
 
     /**
-     * GATHER-APPLY over block b (no mutation): stream the block's
-     * in-edge slice, reduce per destination vertex, apply.
+     * GATHER-APPLY over block b without committing: stream the block's
+     * in-edge slice (plain spans in place, compressed decoded into
+     * `scratch`; either way the partition's gather tally is charged).
      * @param tol per-vertex change threshold for the `changed` count.
      */
     BlockUpdate<Value>
-    processBlock(const BlockPartition &g, const Program &p, BlockId b,
-                 double tol) const
+    gatherBlock(const BlockPartition &g, const Program &p, BlockId b,
+                double tol, EdgeSliceScratch &scratch) const
     {
         BlockUpdate<Value> out;
         out.block = b;
-        const VertexId begin = g.blockBegin(b);
-        const VertexId end = g.blockEnd(b);
-        out.newValues.reserve(end - begin);
-        out.deltas.reserve(end - begin);
-
-        // Stream the slice through the layout: plain returns spans in
-        // place, compressed decodes into the member scratch — either
-        // way the partition's gather bytes-moved tally is charged.
-        const BlockEdgesView slice = g.blockEdges(b, gatherScratch_);
-
-        for (VertexId v = begin; v < end; v++) {
-            auto acc = p.identity();
-            const Value &old = values_[v];
-            for (EdgeId e = g.inEdgeBegin(v); e < g.inEdgeEnd(v); e++) {
-                acc = p.combine(acc, p.edgeTerm(old, edgeValues_[e],
-                                                slice.wgt[e - slice.base]));
-            }
-            Value next = p.apply(v, acc, old, g);
-            double d = p.delta(old, next);
+        out.newValues.reserve(g.blockVertexCount(b));
+        out.deltas.reserve(g.blockVertexCount(b));
+        const BlockEdgesView slice = g.blockEdges(b, scratch);
+        for (VertexId v = g.blockBegin(b); v < g.blockEnd(b); v++) {
+            const Value old = loadSlot(values[v]);
+            const Value next = gatherApply(g, p, v, old, slice);
+            const double d = p.delta(old, next);
             GRAPHABCD_ASSERT(!(d < 0.0), "delta() must be non-negative");
             out.l1Delta += d;
             if (d > tol)
@@ -128,44 +167,90 @@ class BcdState
     }
 
     /**
-     * SCATTER: commit a block update — write the new vertex values and
-     * copy each changed vertex's edge value onto its out-edges.  State-
-     * based (whole values, not deltas), so replays are idempotent.
-     * @param tol vertices moving by <= tol skip the edge copies.
-     * @param sched if set, activated once per distinct block written,
-     *        with the L1 sum of the edge deltas written into it.
-     * @return number of out-edge positions written (random writes).
+     * SCATTER a block update: store the new values and scatter every
+     * vertex moving by more than `tol`.  State-based (whole values, not
+     * deltas), so replays are idempotent.
+     * @return out-edges scattered to.
+     */
+    EdgeId
+    commit(const BlockPartition &g, const Program &p,
+           const BlockUpdate<Value> &update, double tol,
+           ScatterScratch &scratch, BlockActivations &activations)
+    {
+        const VertexId begin = g.blockBegin(update.block);
+        EdgeId scatters = 0;
+        for (std::size_t i = 0; i < update.newValues.size(); i++) {
+            const VertexId v = begin + static_cast<VertexId>(i);
+            storeSlot(values[v], update.newValues[i]);
+            if (update.deltas[i] > tol) {
+                scatters += scatter(g, p, v, update.newValues[i], scratch,
+                                    activations);
+            }
+        }
+        g.chargeScatterBytes(scratch);
+        return scatters;
+    }
+};
+
+/**
+ * The plain-storage state of one run.
+ *
+ * One instance is driven by one thread at a time (SerialEngine, the
+ * HarpSystem event loop); the layout decode scratches and the
+ * activation batch are members under that contract.
+ */
+template <VertexProgram Program>
+class BcdState
+{
+  public:
+    using Value = typename Program::Value;
+
+    /** Initialise values and published copies from Program::init(). */
+    BcdState(const BlockPartition &g, const Program &p)
+        : activations_(g.numBlocks())
+    {
+        arrays_.seed(g, p, [&](VertexId v) { return p.init(v, g); });
+    }
+
+    /**
+     * Seed the run from explicit per-vertex values (warm start), exactly
+     * as the constructor does from Program::init().  `init.size()` must
+     * equal |V|.
+     */
+    void
+    setValues(const BlockPartition &g, const Program &p,
+              const std::vector<Value> &init)
+    {
+        GRAPHABCD_ASSERT(init.size() == g.numVertices(),
+                         "warm-start size must match |V|");
+        arrays_.seed(g, p, [&](VertexId v) { return init[v]; });
+    }
+
+    const std::vector<Value> &values() const { return arrays_.values; }
+
+    const Value &value(VertexId v) const { return arrays_.values[v]; }
+
+    /** GATHER-APPLY over block b (no mutation); see ValueArrays. */
+    BlockUpdate<Value>
+    processBlock(const BlockPartition &g, const Program &p, BlockId b,
+                 double tol) const
+    {
+        return arrays_.gatherBlock(g, p, b, tol, gatherScratch_);
+    }
+
+    /**
+     * SCATTER: commit a block update (see ValueArrays::commit).
+     * @param sched if set, activated once per distinct block scattered
+     *        to, with the L1 sum of the edge-copy deltas sent into it.
+     * @return out-edges scattered to.
      */
     EdgeId
     commitBlock(const BlockPartition &g, const Program &p,
                 const BlockUpdate<Value> &update, double tol,
                 BlockScheduler *sched = nullptr)
     {
-        const VertexId begin = g.blockBegin(update.block);
-        EdgeId writes = 0;
-        for (std::size_t i = 0; i < update.newValues.size(); i++) {
-            const VertexId v = begin + static_cast<VertexId>(i);
-            values_[v] = update.newValues[i];
-            if (update.deltas[i] > tol) {
-                const ScatterView out = g.scatterList(v, scatterScratch_);
-                if (out.empty())
-                    continue;
-                Value ev = p.edgeValue(v, values_[v], g);
-                // Gauss-Southwell estimate: the perturbation a
-                // destination block actually receives is the change of
-                // the *edge-carried* value (e.g. rank/degree for PR).
-                // All of v's out-edges carried the same old copy, so
-                // the first position serves as the old value.
-                const double edge_delta =
-                    p.delta(edgeValues_[out.pos.front()], ev);
-                for (std::size_t j = 0; j < out.size(); j++) {
-                    edgeValues_[out.pos[j]] = ev;
-                    activations_.add(out.blk[j], edge_delta);
-                }
-                writes += out.size();
-            }
-        }
-        g.chargeScatterBytes(scatterScratch_);
+        const EdgeId writes = arrays_.commit(g, p, update, tol,
+                                             scatterScratch_, activations_);
         if (sched)
             activations_.commit(*sched);
         else
@@ -174,29 +259,7 @@ class BcdState
     }
 
   private:
-    /**
-     * Derive every edge-carried copy from the current vertex values.
-     * Walks destination in-lists (position order), which works in every
-     * layout; the per-source copies are precomputed once.
-     */
-    void
-    seedEdgeValues(const BlockPartition &g, const Program &p)
-    {
-        const VertexId n = g.numVertices();
-        std::vector<Value> ev(n);
-        for (VertexId v = 0; v < n; v++)
-            ev[v] = p.edgeValue(v, values_[v], g);
-        edgeValues_.resize(g.numEdges());
-        activations_.resize(g.numBlocks());
-        for (VertexId v = 0; v < n; v++) {
-            g.forEachInEdge(v, [&](EdgeId pos, VertexId src, float) {
-                edgeValues_[pos] = ev[src];
-            });
-        }
-    }
-
-    std::vector<Value> values_;
-    std::vector<Value> edgeValues_;
+    ValueArrays<Program, Value> arrays_;
 
     // Layout decode buffers and the activation batch; see the class
     // contract above.

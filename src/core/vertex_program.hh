@@ -3,9 +3,9 @@
  * The GAS vertex-program contract used by every GraphABCD engine.
  *
  * GraphABCD executes the *pull-push* variant of Gather-Apply-Scatter
- * (paper Fig. 3(c)): vertex values are copied onto out-going edges, so
- * GATHER streams a block's in-edge slice sequentially and never touches
- * the vertex array at random.  A vertex program supplies:
+ * (paper Fig. 3(c)): SCATTER publishes an edge value per vertex, and
+ * GATHER streams a block's in-edge slice and reads its sources'
+ * published values (core/state.hh).  A vertex program supplies:
  *
  *   Value      — the per-vertex (and edge-carried) state;
  *   Accum      — the GATHER accumulator;
@@ -17,8 +17,8 @@
  *                is what the tagged dataflow reduction unit evaluates
  *                out of order, paper Sec. IV-C);
  *   apply      — new vertex value from old value + reduced accumulator;
- *   edgeValue  — the value SCATTER copies onto out-edges (e.g. rank/deg
- *                for PageRank);
+ *   edgeValue  — the value SCATTER publishes for its out-edges (e.g.
+ *                rank/deg for PageRank);
  *   delta      — scalar magnitude of a value change, used for the
  *                activation threshold and the Gauss-Southwell priority
  *                estimate (paper Sec. IV-B).

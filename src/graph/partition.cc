@@ -359,14 +359,11 @@ BlockPartition::blockEdges(BlockId b, EdgeSliceScratch &scratch) const
 ScatterView
 BlockPartition::scatterList(VertexId v, ScatterScratch &scratch) const
 {
-    const EdgeId begin = scatterOffsets[v], end = scatterOffsets[v + 1];
-    const EdgeId deg = end - begin;
-    const std::span<const BlockId> blk{scatterBlk_.data() + begin,
-                                       scatterBlk_.data() + end};
-    scratch.bytes += deg * sizeof(BlockId);
+    const std::span<const BlockId> blk = scatterBlocks(v, scratch);
+    const EdgeId deg = blk.size();
     if (!compressed()) {
         scratch.bytes += deg * sizeof(EdgeId);
-        return {{scatterPos.data() + begin, scatterPos.data() + end}, blk};
+        return {{scatterPos.data() + scatterOffsets[v], deg}, blk};
     }
 
     scratch.pos.resize(deg);

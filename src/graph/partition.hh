@@ -7,11 +7,10 @@
  * matrix is sliced into chunks by *destination* vertex.  In-coming edges of
  * the same vertex are contiguous in memory, so a PE streaming one block's
  * edge slice performs only sequential reads.  Out-going edge positions are
- * kept in a separate scatter index: SCATTER writes each updated vertex
- * value into those (random) positions.  Beside every scatter slot sits
- * the destination block of that position (the 4-byte sidecar), so
- * SCATTER learns which blocks it activates from a sequential read
- * instead of searching for the block that owns each position.
+ * kept in a separate scatter index.  Beside every scatter slot sits the
+ * destination block of that position (the 4-byte sidecar), so SCATTER
+ * learns which blocks it activates from a sequential read instead of
+ * searching for the block that owns each position.
  *
  * There is exactly one copy of the edges (paper footnote 4): the in-edge
  * CSC arrays.  The scatter index stores positions *into* those arrays.
@@ -118,9 +117,8 @@ struct BytesMoved
 };
 
 /**
- * The blocked graph.  Immutable after construction; the mutable
- * edge-carried vertex values live in core::EdgeValues, parallel to the
- * edge arrays here.
+ * The blocked graph.  Immutable after construction; the values that
+ * change during a run live in the engines (core/state.hh).
  */
 class BlockPartition
 {
@@ -167,9 +165,6 @@ class BlockPartition
     const VertexPermutation &permutation() const { return perm_; }
 
     WeightMode weightMode() const { return weightMode_; }
-
-    /** True when destination ids are stored as 16-bit block locals. */
-    bool dstLocal16() const { return dstLocal16_; }
 
     /**
      * @return nominal vertices per block (the constructor argument for
@@ -273,6 +268,19 @@ class BlockPartition
      * them with chargeScatterBytes().
      */
     ScatterView scatterList(VertexId v, ScatterScratch &scratch) const;
+
+    /**
+     * The destination blocks of v's out-edges alone (scatterList's
+     * `blk`, without decoding positions), for SCATTER loops that only
+     * activate.  The sidecar bytes read are tallied in `scratch`.
+     */
+    std::span<const BlockId>
+    scatterBlocks(VertexId v, ScatterScratch &scratch) const
+    {
+        const EdgeId begin = scatterOffsets[v], end = scatterOffsets[v + 1];
+        scratch.bytes += (end - begin) * sizeof(BlockId);
+        return {scatterBlk_.data() + begin, scatterBlk_.data() + end};
+    }
 
     /** Move `scratch`'s tally to the scatter bytes-moved counter; one
      *  shared atomic add per call, so callers charge once per block. */

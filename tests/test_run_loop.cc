@@ -2,8 +2,8 @@
  * @file
  * Tests of the run machinery the real engines share: the convergence
  * contract RunAccounting gives every engine, BlockPump's recycling of
- * participant state, and a cancel storm over both BlockPump users
- * (async and accum) for the sanitizer legs.
+ * participant state and staleness bound, and a cancel storm over both
+ * BlockPump users (async and accum) for the sanitizer legs.
  */
 
 #include <gtest/gtest.h>
@@ -201,6 +201,33 @@ TEST(BlockPump, BuildsAtMostOneLocalPerParticipant)
     EXPECT_EQ(processed.load(), kBlocks);
     EXPECT_GE(localsBuilt.load(), 1);
     EXPECT_LE(localsBuilt.load(), static_cast<int>(kParticipation));
+}
+
+/**
+ * Every claim checks, in every build, that the blocks counted since the
+ * item entered the FIFO stay within window + participation (a panic
+ * otherwise).  Four participants on R-MAT keep the FIFO full and
+ * commits interleaved with claims.
+ */
+TEST(BlockPump, StalenessStaysUnderTheWindowBound)
+{
+    Rng rng(41);
+    EdgeList el = generateRmat(4096, 32768, rng);
+    EngineOptions opt;
+    opt.blockSize = 16;
+    opt.numThreads = 4;
+    opt.tolerance = 1e-10;
+    opt.executor = std::make_shared<Executor>(3);
+    BlockPartition g(el, opt.blockSize);
+
+    std::vector<double> x;
+    const EngineReport report =
+        AsyncEngine<PageRankProgram>(g, PageRankProgram(), opt).run(x);
+    EXPECT_TRUE(report.converged);
+    EXPECT_GT(report.blockUpdates, 4u * g.numBlocks());
+    const std::vector<double> ref = pagerankReference(el, 0.85);
+    for (VertexId v = 0; v < el.numVertices(); v++)
+        ASSERT_NEAR(x[v], ref[v], 1e-7) << "vertex " << v;
 }
 
 // ------------------------------------------------- pump cancel storm

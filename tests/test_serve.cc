@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <random>
 #include <set>
 #include <string>
@@ -759,9 +760,10 @@ expectSameComponents(const std::vector<double> &labels,
  * in layout `lo` under `schedule`, against the exact references — or
  * the serial engine on the plain layout for ppr, which has none.  lp's
  * fixpoint depends on the update order, so it is only checked for a
- * well-formed labelling.  On the empty graph no source is a vertex, so
- * the source algorithms are refused by inputsValid, as serve refuses
- * them.
+ * well-formed labelling.  Every pr cell must also conserve the
+ * reference's rank mass, since every engine's GATHER reads published
+ * copies.  On the empty graph no source is a vertex, so the source
+ * algorithms are refused by inputsValid, as serve refuses them.
  */
 void
 checkEveryRunnableCell(const EdgeList &directed, LayoutOptions lo = {},
@@ -787,11 +789,14 @@ checkEveryRunnableCell(const EdgeList &directed, LayoutOptions lo = {},
         const std::string name(algo.name);
         std::vector<double> expected;
         double tol = 0.0;
+        double expected_mass = 0.0;   // pr only
         bool exact = true;
         if (empty && algo.usesSource) {
             // No reference: every cell is refused below.
         } else if (name == "pr") {
             expected = pagerankReference(el, 0.85);
+            expected_mass =
+                std::accumulate(expected.begin(), expected.end(), 0.0);
             tol = 1e-7;
         } else if (name == "ppr") {
             SerialEngine<PersonalizedPageRankProgram>(
@@ -848,6 +853,18 @@ checkEveryRunnableCell(const EdgeList &directed, LayoutOptions lo = {},
             for (VertexId v = 0; v < el.numVertices(); v++)
                 EXPECT_NEAR(out.values[v], expected[v], tol)
                     << "vertex " << v;
+            if (name == "pr") {
+                // A run stops once no vertex moves by more than tol, so
+                // each rank may sit up to about tol / (1 - alpha) off
+                // (a geometric tail of sub-tolerance moves) and the
+                // mass up to |V| times that.  Allow 10x: 1.4e-8 on
+                // rmat211, where the per-vertex checks allow 2.1e-5.
+                const double mass = std::accumulate(
+                    out.values.begin(), out.values.end(), 0.0);
+                const double bound = 10.0 * el.numVertices() *
+                                     opt.tolerance / (1.0 - 0.85);
+                EXPECT_NEAR(mass, expected_mass, bound) << "PageRank mass";
+            }
         }
     }
     // lp has no delta form; every other cell runs.

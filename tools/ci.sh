@@ -58,11 +58,13 @@ run_preset() {
         # under the race detector.
         # The Activation tests run every schedule's batched commits on
         # 4 participants; the combiner and pump-recycling tests cover
-        # the per-participant state the pump hands between tasks.
+        # the per-participant state the pump hands between tasks; the
+        # Published tests run a threaded BSP superstep over the
+        # relaxed-atomic published copies.
         echo "== pump stress (${preset}) =="
         GRAPHABCD_PUMP_STRESS_ITERS=24 \
             "./build-tsan/tests/abcd_tests" \
-            --gtest_filter='*PumpStress.*:Activation.*:AccumCombiner.*:BlockPump.*'
+            --gtest_filter='*PumpStress.*:Activation.*:AccumCombiner.*:BlockPump.*:Published.*'
 
         # The serve layer's cancel/cache-hit/shed races are guarded by
         # finishJob's terminal CAS; rerun the multi-tenant storm heavier
