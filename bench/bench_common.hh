@@ -34,6 +34,7 @@
 #include "harp/graphicionado.hh"
 #include "harp/system.hh"
 #include "support/flags.hh"
+#include "support/logging.hh"
 #include "support/table.hh"
 #include "support/units.hh"
 
@@ -80,6 +81,8 @@ writeBenchJson(const std::string &path, const char *benchmark,
         ofs << "}" << (i + 1 < num_rows ? "," : "") << "\n";
     }
     ofs << "  ]\n}\n";
+    if (!ofs)
+        fatal("cannot write ", path);
     std::fprintf(stderr, "info: wrote %s (%zu rows)\n", path.c_str(),
                  num_rows);
 }

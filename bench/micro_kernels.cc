@@ -14,6 +14,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,6 +27,8 @@
 #include "graph/partition.hh"
 #include "harp/reduction.hh"
 #include "support/logging.hh"
+
+#include "bench_common.hh"
 
 namespace graphabcd {
 namespace {
@@ -137,7 +140,8 @@ struct LayoutCell
     double gatherBytesPerEdge = 0.0;   //!< measured, moved/traversed
     double scatterBytesPerEdge = 0.0;  //!< measured, moved/traversed
     double bytesPerEdge = 0.0;         //!< gather + scatter
-    double staticBytesPerEdge = 0.0;   //!< stored topology B/edge
+    double staticBytesPerEdge = 0.0;   //!< stored gather B/edge
+    double staticOutBytesPerEdge = 0.0;  //!< stored out-edge B/edge
     double epochs = 0.0;
 };
 
@@ -169,6 +173,7 @@ measureCell(const char *algo, const EdgeList &el, Program prog,
     cell.bytesPerEdge =
         cell.gatherBytesPerEdge + cell.scatterBytesPerEdge;
     cell.staticBytesPerEdge = g.gatherBytesPerEdge();
+    cell.staticOutBytesPerEdge = g.scatterBytesPerEdge();
     cell.epochs = report.epochs;
     return cell;
 }
@@ -222,42 +227,36 @@ runLayoutGrid(const std::string &path)
         return cells.front();
     };
 
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return 1;
-    }
-    std::fprintf(out, "{\n");
-    std::fprintf(out,
-                 "  \"dataset\": \"rmat v=%u e=%llu\",\n"
-                 "  \"block_size\": 512,\n  \"engine\": \"serial\",\n",
-                 el.numVertices(),
-                 static_cast<unsigned long long>(el.numEdges()));
-    std::fprintf(out, "  \"cells\": [\n");
-    for (std::size_t i = 0; i < cells.size(); i++) {
-        const LayoutCell &c = cells[i];
-        const double reduction =
-            1.0 - c.bytesPerEdge / plainOf(c.algo).bytesPerEdge;
-        std::fprintf(
-            out,
-            "    {\"algo\": \"%s\", \"layout\": \"%s\", "
-            "\"reorder\": \"%s\", \"gather_bytes_per_edge\": %.3f, "
-            "\"scatter_bytes_per_edge\": %.3f, "
-            "\"bytes_per_edge\": %.3f, "
-            "\"static_topology_bytes_per_edge\": %.3f, "
-            "\"reduction_vs_plain\": %.3f, \"epochs\": %.2f}%s\n",
-            c.algo.c_str(), to_string(c.layout), to_string(c.reorder),
-            c.gatherBytesPerEdge, c.scatterBytesPerEdge, c.bytesPerEdge,
-            c.staticBytesPerEdge, reduction, c.epochs,
-            i + 1 < cells.size() ? "," : "");
-        std::printf("%-4s %-10s %-4s  %7.3f B/edge  (%.1f%% vs plain)\n",
-                    c.algo.c_str(), to_string(c.layout),
-                    to_string(c.reorder), c.bytesPerEdge,
-                    reduction * 100.0);
-    }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
-    std::printf("wrote %s\n", path.c_str());
+    std::ostringstream fields;
+    fields << "  \"dataset\": \"rmat v=" << el.numVertices()
+           << " e=" << el.numEdges() << "\",\n"
+           << "  \"block_size\": 512,\n  \"engine\": \"serial\",\n";
+    bench::writeBenchJson(
+        path, "layout_bytes_per_edge", fields.str(), cells.size(),
+        [&](std::ostream &os, std::size_t i) {
+            const LayoutCell &c = cells[i];
+            const double reduction =
+                1.0 - c.bytesPerEdge / plainOf(c.algo).bytesPerEdge;
+            char buf[512];
+            std::snprintf(
+                buf, sizeof(buf),
+                "\"algo\": \"%s\", \"layout\": \"%s\", "
+                "\"reorder\": \"%s\", \"gather_bytes_per_edge\": %.3f, "
+                "\"scatter_bytes_per_edge\": %.3f, "
+                "\"bytes_per_edge\": %.3f, "
+                "\"static_topology_bytes_per_edge\": %.3f, "
+                "\"static_out_edge_bytes_per_edge\": %.3f, "
+                "\"reduction_vs_plain\": %.3f, \"epochs\": %.2f",
+                c.algo.c_str(), to_string(c.layout), to_string(c.reorder),
+                c.gatherBytesPerEdge, c.scatterBytesPerEdge,
+                c.bytesPerEdge, c.staticBytesPerEdge,
+                c.staticOutBytesPerEdge, reduction, c.epochs);
+            os << buf;
+            std::printf("%-4s %-10s %-4s  %7.3f B/edge  (%.1f%% vs plain)\n",
+                        c.algo.c_str(), to_string(c.layout),
+                        to_string(c.reorder), c.bytesPerEdge,
+                        reduction * 100.0);
+        });
     return 0;
 }
 

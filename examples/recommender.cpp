@@ -72,8 +72,9 @@ main(int argc, char **argv)
     // rated yet.
     const VertexId user = data.userVertex(0);
     std::vector<char> seen(movies, 0);
-    for (EdgeId pos : g.scatterPositions(user))
-        seen[g.edgeDst(pos) - users] = 1;
+    ScatterScratch scratch;
+    for (VertexId movie : g.outEdges(user, scratch).dst)
+        seen[movie - users] = 1;
 
     std::vector<std::pair<double, VertexId>> scored;
     for (VertexId m = 0; m < movies; m++) {

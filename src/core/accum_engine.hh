@@ -208,8 +208,8 @@ class AccumState
     }
 
     /**
-     * One participant's scatter scratch: the scatter-list decode buffer
-     * and the block-local delta combiner (DESIGN.md §10.1).  The
+     * One participant's scatter scratch: the out-edge bytes tally and
+     * the block-local delta combiner (DESIGN.md §10.1).  The
      * combiner is a dense per-vertex buffer held at the identity plus
      * the destinations folded into it since the last flush().
      * Participants run concurrently, so each brings its own; BlockPump
@@ -219,14 +219,14 @@ class AccumState
     struct Scratch
     {
         /** A destination folded into the combiner, with its block
-         *  (the scatter list's sidecar, so flush() reads no index). */
+         *  (the out-edge sidecar, so flush() reads no index). */
         struct Touched
         {
             VertexId v;
             BlockId blk;
         };
 
-        ScatterScratch decode;
+        ScatterScratch scatter;        //!< out-edge bytes read
         std::vector<Value> combined;   //!< per vertex; identity if clean
         std::vector<Touched> touched;  //!< first-fold order
     };
@@ -312,15 +312,14 @@ class AccumState
             scratch.combined.assign(values_.size(), identity);
         const BlockId home = graph.blockOf(v);
         const Value shipped = Form::shipped(p, v, next, d, graph);
-        const ScatterView out = graph.scatterList(v, scratch.decode);
+        const OutEdgesView out = graph.outEdges(v, scratch.scatter);
         for (std::size_t i = 0; i < out.size(); i++) {
-            const EdgeId pos = out.pos[i];
             const Value contrib =
-                Form::propagate(p, shipped, graph.edgeWeight(pos));
+                Form::propagate(p, shipped, out.weight(i));
             if (contrib == identity)
                 continue;
             const BlockId blk = out.blk[i];
-            const VertexId dst = graph.edgeDstAt(pos, blk);
+            const VertexId dst = out.dst[i];
             if (blk == home) {
                 shareDelta(p, dst, blk, contrib, tol, on_activate);
                 r.scatters++;
@@ -373,7 +372,7 @@ class AccumState
         Scratch scratch;
         Result r = processVertex(p, v, tol, on_activate, scratch);
         r.scatters += flush(p, tol, on_activate, scratch);
-        graph.chargeScatterBytes(scratch.decode);
+        graph.chargeScatterBytes(scratch.scatter);
         return r;
     }
 
@@ -508,7 +507,7 @@ class AccumEngine
             // Every applied vertex moved by more than the tolerance.
             work.active = work.vertices;
             foldbacks.fetch_add(folded, std::memory_order_relaxed);
-            graph.chargeScatterBytes(scratch.decode);
+            graph.chargeScatterBytes(scratch.scatter);
             return work;
         };
 

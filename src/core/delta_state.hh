@@ -28,6 +28,7 @@
 #define GRAPHABCD_CORE_DELTA_STATE_HH
 
 #include <concepts>
+#include <span>
 #include <vector>
 
 #include "core/options.hh"
@@ -117,16 +118,30 @@ class DeltaState
     DeltaState(const BlockPartition &g, const Program &p)
         : graph(g), activations_(g.numBlocks())
     {
-        values_.resize(g.numVertices());
+        const VertexId n = g.numVertices();
+        // Each source's out-edge CSC positions, in the partition's
+        // out-edge slot order (ascending), by a counting sort over the
+        // in-edges: SCATTER accumulates into CSC-ordered pending slots.
+        outBegin_.assign(static_cast<std::size_t>(n) + 1, 0);
+        for (VertexId v = 0; v < n; v++)
+            outBegin_[v + 1] = outBegin_[v] + g.outDegree(v);
+        outPos_.resize(g.numEdges());
+        std::vector<EdgeId> cursor(outBegin_.begin(), outBegin_.end() - 1);
+        for (VertexId v = 0; v < n; v++) {
+            g.forEachInEdge(v, [&](EdgeId pos, VertexId src, float) {
+                outPos_[cursor[src]++] = pos;
+            });
+        }
+
+        values_.resize(n);
         pending_.assign(g.numEdges(), Value{});
-        residual_.assign(g.numVertices(), Value{});
-        for (VertexId v = 0; v < g.numVertices(); v++) {
+        residual_.assign(n, Value{});
+        for (VertexId v = 0; v < n; v++) {
             values_[v] = p.init(v, g);
             Value seed = p.initialPending(v, g);
-            for (EdgeId pos : g.scatterList(v, scatterScratch_).pos)
-                pending_[pos] = seed;
+            for (EdgeId i = outBegin_[v]; i < outBegin_[v + 1]; i++)
+                pending_[outPos_[i]] = seed;
         }
-        g.chargeScatterBytes(scatterScratch_);
     }
 
     const std::vector<Value> &values() const { return values_; }
@@ -194,12 +209,14 @@ class DeltaState
                                        update.newValues[i], graph);
             values_[v] = update.newValues[i];
             residual_[v] = Value{};   // consumed by this gather
-            const ScatterView out = graph.scatterList(v, scatterScratch_);
-            for (std::size_t j = 0; j < out.size(); j++) {
-                pending_[out.pos[j]] += inc;   // accumulate, not overwrite
-                activations_.add(out.blk[j], update.deltas[i]);
+            const std::span<const BlockId> blk =
+                graph.scatterBlocks(v, scatterScratch_);
+            const EdgeId *pos = outPos_.data() + outBegin_[v];
+            for (std::size_t j = 0; j < blk.size(); j++) {
+                pending_[pos[j]] += inc;   // accumulate, not overwrite
+                activations_.add(blk[j], update.deltas[i]);
             }
-            writes += out.size();
+            writes += blk.size();
         }
         graph.chargeScatterBytes(scatterScratch_);
         if (sched)
@@ -214,8 +231,10 @@ class DeltaState
     std::vector<Value> values_;
     std::vector<Value> pending_;
     std::vector<Value> residual_;
+    std::vector<EdgeId> outBegin_;   //!< size V+1, into outPos_
+    std::vector<EdgeId> outPos_;     //!< size E, CSC positions by source
     // One thread drives an instance (serial/barriered by design — see
-    // the file comment), so the decode scratch and the activation batch
+    // the file comment), so the bytes tally and the activation batch
     // are members.
     ScatterScratch scatterScratch_;
     BlockActivations activations_;

@@ -6,13 +6,13 @@
  * Encoding is LEB128: seven payload bits per byte, the high bit marks a
  * continuation.  Sorted id lists are stored as a first absolute value
  * followed by non-negative deltas, so typical social-graph neighbor
- * lists cost 1-2 bytes per edge instead of 4 (ids) or 8 (positions).
+ * lists cost 1-2 bytes per edge instead of 4.
  *
  * Two decode paths:
  *
- *  - decodeVarint32/decodeVarint64: unchecked, for trusted in-memory
- *    streams built by this process (the hot gather/scatter loops);
- *  - getVarint32/getVarint64: bounds- and canonicality-checked, for
+ *  - decodeVarint32: unchecked, for trusted in-memory streams built by
+ *    this process (the hot gather loops);
+ *  - getVarint32: bounds- and canonicality-checked, for
  *    byte streams read from disk.  A truncated stream, an encoding
  *    longer than the maximum, a value overflowing the output type, or
  *    a non-canonical padded encoding all return an error instead of
@@ -31,23 +31,10 @@ namespace codec {
 
 /** Longest legal encoding of a 32-bit value (ceil(32 / 7)). */
 constexpr std::size_t kMaxVarint32Bytes = 5;
-/** Longest legal encoding of a 64-bit value (ceil(64 / 7)). */
-constexpr std::size_t kMaxVarint64Bytes = 10;
 
 /** Append the LEB128 encoding of `x` to `out`. */
 inline void
 putVarint32(std::vector<std::uint8_t> &out, std::uint32_t x)
-{
-    while (x >= 0x80) {
-        out.push_back(static_cast<std::uint8_t>(x) | 0x80);
-        x >>= 7;
-    }
-    out.push_back(static_cast<std::uint8_t>(x));
-}
-
-/** Append the LEB128 encoding of `x` to `out`. */
-inline void
-putVarint64(std::vector<std::uint8_t> &out, std::uint64_t x)
 {
     while (x >= 0x80) {
         out.push_back(static_cast<std::uint8_t>(x) | 0x80);
@@ -69,26 +56,6 @@ decodeVarint32(const std::uint8_t *p, std::uint32_t &out)
         return p;
     }
     std::uint32_t x = b & 0x7f;
-    unsigned shift = 7;
-    do {
-        b = *p++;
-        x |= (b & 0x7f) << shift;
-        shift += 7;
-    } while (b & 0x80);
-    out = x;
-    return p;
-}
-
-/** Unchecked 64-bit decode for trusted in-memory streams. */
-inline const std::uint8_t *
-decodeVarint64(const std::uint8_t *p, std::uint64_t &out)
-{
-    std::uint64_t b = *p++;
-    if (b < 0x80) {
-        out = b;
-        return p;
-    }
-    std::uint64_t x = b & 0x7f;
     unsigned shift = 7;
     do {
         b = *p++;
@@ -126,7 +93,7 @@ to_string(VarintStatus s)
       case VarintStatus::Ok:        return "ok";
       case VarintStatus::Truncated: return "truncated varint";
       case VarintStatus::Overlong:  return "overlong varint";
-      case VarintStatus::Overflow:  return "varint overflows 32/64 bits";
+      case VarintStatus::Overflow:  return "varint overflows 32 bits";
     }
     return "?";
 }
@@ -161,31 +128,6 @@ getVarint32(const std::uint8_t *p, const std::uint8_t *end,
     return {VarintStatus::Overlong, 0};
 }
 
-/** Checked decode of an untrusted 64-bit varint in [p, end). */
-inline VarintResult
-getVarint64(const std::uint8_t *p, const std::uint8_t *end,
-            std::uint64_t &out)
-{
-    std::uint64_t x = 0;
-    for (std::size_t i = 0; i < kMaxVarint64Bytes; i++) {
-        if (p + i == end)
-            return {VarintStatus::Truncated, 0};
-        const std::uint8_t b = p[i];
-        const std::uint64_t payload = b & 0x7f;
-        // Byte 9 (the tenth) may only carry 64 - 9*7 = 1 payload bit.
-        if (i == kMaxVarint64Bytes - 1 && payload > 0x01)
-            return {VarintStatus::Overflow, 0};
-        x |= payload << (7 * i);
-        if (!(b & 0x80)) {
-            if (i > 0 && payload == 0)
-                return {VarintStatus::Overlong, 0};
-            out = x;
-            return {VarintStatus::Ok, i + 1};
-        }
-    }
-    return {VarintStatus::Overlong, 0};
-}
-
 /**
  * Append a sorted (non-decreasing) 32-bit id list as first-absolute +
  * deltas.  An empty list appends nothing — zero-degree vertices cost
@@ -198,18 +140,6 @@ encodeDeltaList32(std::span<const std::uint32_t> sorted,
     std::uint32_t prev = 0;
     for (std::size_t i = 0; i < sorted.size(); i++) {
         putVarint32(out, i == 0 ? sorted[0] : sorted[i] - prev);
-        prev = sorted[i];
-    }
-}
-
-/** Append a sorted 64-bit id list as first-absolute + deltas. */
-inline void
-encodeDeltaList64(std::span<const std::uint64_t> sorted,
-                  std::vector<std::uint8_t> &out)
-{
-    std::uint64_t prev = 0;
-    for (std::size_t i = 0; i < sorted.size(); i++) {
-        putVarint64(out, i == 0 ? sorted[0] : sorted[i] - prev);
         prev = sorted[i];
     }
 }

@@ -1,14 +1,9 @@
 #include "graph/csr.hh"
 
-#include <algorithm>
-#include <numeric>
-
-#include "support/logging.hh"
-
 namespace graphabcd {
 
-Csr::Csr(const EdgeList &el, Axis axis, GraphLayout layout)
-    : nVertices(el.numVertices()), nEdges(el.numEdges()), layout_(layout)
+Csr::Csr(const EdgeList &el, Axis axis)
+    : nVertices(el.numVertices()), nEdges(el.numEdges())
 {
     const EdgeId m = nEdges;
     offsets.assign(static_cast<std::size_t>(nVertices) + 1, 0);
@@ -33,117 +28,6 @@ Csr::Csr(const EdgeList &el, Axis axis, GraphLayout layout)
         adj[pos] = col;
         wgt[pos] = e.weight;
     }
-
-    if (compressed())
-        pack();
-}
-
-void
-Csr::pack()
-{
-    const EdgeId m = nEdges;
-
-    // Delta encoding needs sorted rows; keep weights paired with their
-    // neighbor through the sort.
-    std::vector<EdgeId> order(m);
-    for (VertexId v = 0; v < nVertices; v++) {
-        const EdgeId begin = offsets[v], end = offsets[v + 1];
-        if (end - begin < 2)
-            continue;
-        std::iota(order.begin() + begin, order.begin() + end, begin);
-        std::stable_sort(order.begin() + begin, order.begin() + end,
-                         [&](EdgeId a, EdgeId b) {
-                             return adj[a] < adj[b];
-                         });
-        std::vector<VertexId> na(end - begin);
-        std::vector<float> nw(end - begin);
-        for (EdgeId i = begin; i < end; i++) {
-            na[i - begin] = adj[order[i]];
-            nw[i - begin] = wgt[order[i]];
-        }
-        std::copy(na.begin(), na.end(), adj.begin() + begin);
-        std::copy(nw.begin(), nw.end(), wgt.begin() + begin);
-    }
-
-    // Narrowest weight sidecar that preserves every value exactly.
-    weightMode_ = WeightMode::Unit;
-    for (EdgeId e = 0; e < m && weightMode_ != WeightMode::Float32; e++) {
-        const float w = wgt[e];
-        if (w == 1.0f)
-            continue;
-        if (w >= 0.0f && w <= 255.0f &&
-            w == static_cast<float>(static_cast<std::uint8_t>(w)))
-            weightMode_ = WeightMode::U8;
-        else
-            weightMode_ = WeightMode::Float32;
-    }
-    if (weightMode_ == WeightMode::U8) {
-        wgt8_.resize(m);
-        for (EdgeId e = 0; e < m; e++)
-            wgt8_[e] = static_cast<std::uint8_t>(wgt[e]);
-    }
-    if (weightMode_ != WeightMode::Float32) {
-        wgt.clear();
-        wgt.shrink_to_fit();
-    }
-
-    byteOffsets_.resize(static_cast<std::size_t>(nVertices) + 1);
-    for (VertexId v = 0; v < nVertices; v++) {
-        byteOffsets_[v] = stream_.size();
-        codec::encodeDeltaList32(
-            std::span<const VertexId>(adj.data() + offsets[v],
-                                      adj.data() + offsets[v + 1]),
-            stream_);
-    }
-    byteOffsets_[nVertices] = stream_.size();
-
-    adj.clear();
-    adj.shrink_to_fit();
-}
-
-Csr::RowView
-Csr::row(VertexId row, RowScratch &scratch) const
-{
-    if (!compressed()) {
-        return {neighbors(row), weights(row)};
-    }
-    const std::uint32_t deg = degree(row);
-    scratch.nbr.resize(deg);
-    scratch.wgt.resize(deg);
-    const std::uint8_t *p = stream_.data() + byteOffsets_[row];
-    VertexId prev = 0;
-    for (std::uint32_t i = 0; i < deg; i++) {
-        std::uint32_t d;
-        p = codec::decodeVarint32(p, d);
-        prev = i == 0 ? d : prev + d;
-        scratch.nbr[i] = prev;
-        scratch.wgt[i] = weightAt(offsets[row] + i);
-    }
-    return {std::span<const VertexId>(scratch.nbr),
-            std::span<const float>(scratch.wgt)};
-}
-
-double
-Csr::bytesPerEdge() const
-{
-    if (nEdges == 0)
-        return 0.0;
-    if (!compressed())
-        return static_cast<double>(sizeof(VertexId) + sizeof(float));
-    std::size_t sidecar = 0;
-    switch (weightMode_) {
-      case WeightMode::Unit:
-        sidecar = 0;
-        break;
-      case WeightMode::U8:
-        sidecar = nEdges;
-        break;
-      case WeightMode::Float32:
-        sidecar = static_cast<std::size_t>(nEdges) * sizeof(float);
-        break;
-    }
-    return static_cast<double>(stream_.size() + sidecar) /
-           static_cast<double>(nEdges);
 }
 
 } // namespace graphabcd

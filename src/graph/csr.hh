@@ -1,32 +1,18 @@
 /**
  * @file
  * Compressed sparse row adjacency, used by the GraphMat baseline and the
- * exact reference algorithms.
- *
- * Two physical layouts behind one API (DESIGN.md §11):
- *
- *  - GraphLayout::Plain — classic parallel (neighbor, weight) arrays;
- *    the span accessors neighbors()/weights() view them directly.
- *  - GraphLayout::Compressed — each row's neighbors are sorted and
- *    stored as a varint delta stream (first id absolute, then gaps),
- *    with the weight sidecar elided when every weight is 1.0f or
- *    narrowed to one byte when all are small integers.  Rows are read
- *    through row() into a caller-owned RowScratch, or streamed with
- *    forEachNeighbor(); the span accessors assert on this layout
- *    because there is no decoded array to view.
+ * exact reference algorithms: classic parallel (neighbor, weight)
+ * arrays, viewed row by row through neighbors()/weights().
  */
 
 #ifndef GRAPHABCD_GRAPH_CSR_HH
 #define GRAPHABCD_GRAPH_CSR_HH
 
-#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "graph/codec.hh"
 #include "graph/edge_list.hh"
-#include "graph/layout.hh"
 #include "graph/types.hh"
 
 namespace graphabcd {
@@ -42,22 +28,6 @@ class Csr
     /** Which endpoint indexes the rows. */
     enum class Axis { BySource, ByDestination };
 
-    /** Caller-owned decode buffer for compressed rows. */
-    struct RowScratch
-    {
-        std::vector<VertexId> nbr;
-        std::vector<float> wgt;
-    };
-
-    /** One decoded (or directly viewed) row. */
-    struct RowView
-    {
-        std::span<const VertexId> nbr;
-        std::span<const float> wgt;
-
-        std::size_t size() const { return nbr.size(); }
-    };
-
     Csr() = default;
 
     /**
@@ -65,66 +35,25 @@ class Csr
      * @param el input edges.
      * @param axis BySource => row v holds v's out-neighbors (dst ids);
      *             ByDestination => row v holds v's in-neighbors (src ids).
-     * @param layout physical row storage; Compressed sorts each row by
-     *        neighbor id (weights stay paired with their neighbor).
      */
-    Csr(const EdgeList &el, Axis axis,
-        GraphLayout layout = GraphLayout::Plain);
+    Csr(const EdgeList &el, Axis axis);
 
     VertexId numVertices() const { return nVertices; }
     EdgeId numEdges() const { return nEdges; }
-    GraphLayout layout() const { return layout_; }
-    bool compressed() const { return layout_ == GraphLayout::Compressed; }
 
-    /**
-     * @return neighbor ids of `row` (out- or in-, per the build axis).
-     * Plain layout only — compressed rows have no array to view; use
-     * row() or forEachNeighbor().
-     */
+    /** @return neighbor ids of `row` (out- or in-, per the build axis). */
     std::span<const VertexId>
     neighbors(VertexId row) const
     {
-        assert(!compressed());
         return {adj.data() + offsets[row],
                 adj.data() + offsets[row + 1]};
     }
 
-    /** @return weights parallel to neighbors(row).  Plain layout only. */
+    /** @return weights parallel to neighbors(row). */
     std::span<const float>
     weights(VertexId row) const
     {
-        assert(!compressed());
         return {wgt.data() + offsets[row], wgt.data() + offsets[row + 1]};
-    }
-
-    /**
-     * @return the row's (neighbor, weight) pairs, decoding into
-     * `scratch` when compressed (the view aliases `scratch` until the
-     * next row() call with the same scratch).  Works on both layouts.
-     */
-    RowView row(VertexId row, RowScratch &scratch) const;
-
-    /** Invoke fn(neighbor, weight) for each entry of the row. */
-    template <typename Fn>
-    void
-    forEachNeighbor(VertexId row, Fn &&fn) const
-    {
-        if (!compressed()) {
-            const EdgeId begin = offsets[row], end = offsets[row + 1];
-            for (EdgeId i = begin; i < end; i++)
-                fn(adj[i], wgt[i]);
-            return;
-        }
-        const std::uint32_t deg = degree(row);
-        const std::uint8_t *p = stream_.data() + byteOffsets_[row];
-        VertexId prev = 0;
-        for (std::uint32_t i = 0; i < deg; i++) {
-            std::uint32_t d;
-            p = codec::decodeVarint32(p, d);
-            const VertexId nbr = i == 0 ? d : prev + d;
-            prev = nbr;
-            fn(nbr, weightAt(offsets[row] + i));
-        }
     }
 
     /** @return degree of the row (out- or in-, per the build axis). */
@@ -137,39 +66,12 @@ class Csr
     /** @return the row offsets array (size numVertices()+1). */
     const std::vector<EdgeId> &rowOffsets() const { return offsets; }
 
-    /**
-     * @return measured topology+weight bytes stored per edge for this
-     * layout (plain: exactly 8; compressed: varint stream + sidecar).
-     */
-    double bytesPerEdge() const;
-
   private:
-    float
-    weightAt(EdgeId e) const
-    {
-        switch (weightMode_) {
-          case WeightMode::Unit:
-            return 1.0f;
-          case WeightMode::U8:
-            return static_cast<float>(wgt8_[e]);
-          default:
-            return wgt[e];
-        }
-    }
-
-    void pack();   //!< plain arrays -> sorted varint streams
-
     VertexId nVertices = 0;
     EdgeId nEdges = 0;
-    GraphLayout layout_ = GraphLayout::Plain;
-    WeightMode weightMode_ = WeightMode::Float32;
     std::vector<EdgeId> offsets;   //!< size nVertices+1
-    std::vector<VertexId> adj;     //!< plain: size numEdges
-    std::vector<float> wgt;        //!< plain / Float32: size numEdges
-    // Compressed-only storage.
-    std::vector<std::uint8_t> stream_;      //!< concatenated row codes
-    std::vector<std::size_t> byteOffsets_;  //!< size nVertices+1
-    std::vector<std::uint8_t> wgt8_;        //!< U8 sidecar
+    std::vector<VertexId> adj;     //!< size numEdges
+    std::vector<float> wgt;        //!< size numEdges
 };
 
 } // namespace graphabcd

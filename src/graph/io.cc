@@ -203,18 +203,7 @@ saveEdgeListPacked(const EdgeList &el, const std::string &path)
         std::copy(nw.begin(), nw.end(), wgt.begin() + begin);
     }
 
-    // Narrowest weight sidecar preserving every value exactly.
-    WeightMode mode = WeightMode::Unit;
-    for (std::uint64_t e = 0; e < m && mode != WeightMode::Float32; e++) {
-        const float w = wgt[e];
-        if (w == 1.0f)
-            continue;
-        if (w >= 0.0f && w <= 255.0f &&
-            w == static_cast<float>(static_cast<std::uint8_t>(w)))
-            mode = WeightMode::U8;
-        else
-            mode = WeightMode::Float32;
-    }
+    const WeightMode mode = narrowestWeightMode(wgt);
 
     std::vector<std::uint8_t> stream;
     stream.reserve(m * 2);

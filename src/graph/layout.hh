@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string_view>
 
 namespace graphabcd {
@@ -26,18 +27,33 @@ namespace graphabcd {
 /** Physical encoding of adjacency structures. */
 enum class GraphLayout
 {
-    Plain,       //!< 4-byte ids, 8-byte scatter positions, f32 weights
-    Compressed,  //!< delta-varint id/position streams, weight sidecar,
-                 //!< 16-bit in-block destination ids where blocks allow
+    Plain,       //!< 4-byte source ids, f32 weights
+    Compressed,  //!< delta-varint source-id streams, narrowest weights
 };
 
-/** How edge weights are materialised in the compressed layout. */
+/** How edge weights are stored (compressed layout, `.abcz` files). */
 enum class WeightMode : std::uint8_t
 {
     Unit,     //!< every weight is 1.0f; nothing stored
     U8,       //!< integral weights in [0, 255]; one byte per edge
     Float32,  //!< arbitrary weights; the plain f32 array is kept
 };
+
+/** @return the narrowest WeightMode that holds every weight exactly. */
+inline WeightMode
+narrowestWeightMode(std::span<const float> weights)
+{
+    WeightMode mode = WeightMode::Unit;
+    for (const float w : weights) {
+        if (w == 1.0f)
+            continue;
+        if (!(w >= 0.0f && w <= 255.0f &&
+              w == static_cast<float>(static_cast<std::uint8_t>(w))))
+            return WeightMode::Float32;
+        mode = WeightMode::U8;
+    }
+    return mode;
+}
 
 /** Vertex id assignment the structures are built in. */
 enum class VertexReorder
@@ -46,7 +62,7 @@ enum class VertexReorder
     Hub,   //!< hub-clustering: stable sort by descending degree bucket
 };
 
-/** Bundle passed to builders (BlockPartition, Csr, GraphRegistry). */
+/** Bundle passed to builders (BlockPartition, GraphRegistry). */
 struct LayoutOptions
 {
     GraphLayout layout = GraphLayout::Plain;

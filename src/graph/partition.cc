@@ -75,6 +75,23 @@ BlockPartition::BlockPartition(const EdgeList &el,
     buildFromBoundaries(*input);
 }
 
+WeightColumn::WeightColumn(std::vector<float> w, WeightMode mode)
+    : mode_(mode)
+{
+    switch (mode_) {
+      case WeightMode::Unit:
+        break;
+      case WeightMode::U8:
+        u8_.resize(w.size());
+        for (std::size_t i = 0; i < w.size(); i++)
+            u8_[i] = static_cast<std::uint8_t>(w[i]);
+        break;
+      case WeightMode::Float32:
+        f32_ = std::move(w);
+        break;
+    }
+}
+
 void
 BlockPartition::buildFromBoundaries(const EdgeList &el)
 {
@@ -89,8 +106,7 @@ BlockPartition::buildFromBoundaries(const EdgeList &el)
     nEdges_ = m;
     inOffsets.assign(static_cast<std::size_t>(nVertices) + 1, 0);
     edgeSrc_.resize(m);
-    edgeDst_.resize(m);
-    edgeWeight_.resize(m);
+    std::vector<float> wgt(m);
 
     // Counting sort by destination: in-coming edges of the same vertex
     // become contiguous; since blocks are contiguous vertex ranges, each
@@ -105,55 +121,53 @@ BlockPartition::buildFromBoundaries(const EdgeList &el)
         for (const Edge &e : el.edges()) {
             EdgeId pos = cursor[e.dst]++;
             edgeSrc_[pos] = e.src;
-            edgeDst_[pos] = e.dst;
-            edgeWeight_[pos] = e.weight;
+            wgt[pos] = e.weight;
         }
     }
 
     // Compressed layouts delta-encode each vertex's source list, which
-    // requires it sorted.  This must happen before the scatter index is
-    // built so positions and sources stay consistent; plain layouts
-    // keep the historical input-order lists byte for byte.
+    // requires it sorted; plain layouts keep the input-order lists byte
+    // for byte.  The out-edge adjacency below is built from the final
+    // CSC order either way.
     if (compressed())
-        sortInLists();
+        sortInLists(wgt);
+    const WeightMode mode =
+        compressed() ? narrowestWeightMode(wgt) : WeightMode::Float32;
 
-    // Scatter index: group CSC positions by their *source* vertex with a
-    // second counting sort, so SCATTER can enumerate where to copy a
-    // vertex's new value.
+    // Out-edge adjacency: a second counting sort, by *source*.  Walking
+    // the CSC in position order fills each source's slots ascending by
+    // destination (CSC order within a destination's multi-edges).
     scatterOffsets.assign(static_cast<std::size_t>(nVertices) + 1, 0);
     for (EdgeId pos = 0; pos < m; pos++)
         scatterOffsets[edgeSrc_[pos] + 1]++;
     for (VertexId v = 0; v < nVertices; v++)
         scatterOffsets[v + 1] += scatterOffsets[v];
 
-    scatterPos.resize(m);
+    outDst_.resize(m);
+    scatterBlk_.resize(m);
+    std::vector<float> out_wgt(mode == WeightMode::Unit ? 0 : m);
     {
         std::vector<EdgeId> cursor(scatterOffsets.begin(),
                                    scatterOffsets.end() - 1);
-        for (EdgeId pos = 0; pos < m; pos++)
-            scatterPos[cursor[edgeSrc_[pos]]++] = pos;
+        for (VertexId v = 0; v < nVertices; v++) {
+            for (EdgeId pos = inOffsets[v]; pos < inOffsets[v + 1]; pos++) {
+                const EdgeId slot = cursor[edgeSrc_[pos]]++;
+                outDst_[slot] = v;
+                scatterBlk_[slot] = vertexBlock[v];
+                if (!out_wgt.empty())
+                    out_wgt[slot] = wgt[pos];
+            }
+        }
     }
-
-    // Destination-block sidecar, slot for slot with the scatter index:
-    // SCATTER reads the blocks it activates sequentially beside the
-    // positions instead of searching for each position's block.
-    scatterBlk_.resize(m);
-    for (EdgeId i = 0; i < m; i++)
-        scatterBlk_[i] = vertexBlock[edgeDst_[scatterPos[i]]];
-
-    blockEdgeStarts_.resize(static_cast<std::size_t>(nBlocks) + 1);
-    for (BlockId b = 0; b < nBlocks; b++)
-        blockEdgeStarts_[b] = edgeBegin(b);
-    blockEdgeStarts_[nBlocks] = m;
+    outWeights_ = WeightColumn(std::move(out_wgt), mode);
+    inWeights_ = WeightColumn(std::move(wgt), mode);
 
     if (compressed())
-        packCompressed();
-    else
-        weightMode_ = WeightMode::Float32;
+        packGatherStream();
 }
 
 void
-BlockPartition::sortInLists()
+BlockPartition::sortInLists(std::vector<float> &wgt)
 {
     // Sort each vertex's in-list segment by source id so the deltas of
     // the packed stream are non-negative and small.  Destination is
@@ -165,54 +179,26 @@ BlockPartition::sortInLists()
             continue;
         seg.clear();
         for (EdgeId e = begin; e < end; e++)
-            seg.emplace_back(edgeSrc_[e], edgeWeight_[e]);
+            seg.emplace_back(edgeSrc_[e], wgt[e]);
         std::stable_sort(seg.begin(), seg.end(),
                          [](const auto &a, const auto &b) {
                              return a.first < b.first;
                          });
         for (EdgeId e = begin; e < end; e++) {
             edgeSrc_[e] = seg[e - begin].first;
-            edgeWeight_[e] = seg[e - begin].second;
+            wgt[e] = seg[e - begin].second;
         }
     }
 }
 
 void
-BlockPartition::packCompressed()
+BlockPartition::packGatherStream()
 {
-    const EdgeId m = nEdges_;
-
-    // Weight sidecar mode: Unit when every weight is exactly 1.0f (the
-    // common unweighted case — zero bytes), U8 when all weights are
-    // integral in [0, 255] (generated SSSP/CF-style small ratings),
-    // Float32 otherwise (the wide array is simply kept).
-    weightMode_ = WeightMode::Unit;
-    for (EdgeId e = 0; e < m && weightMode_ != WeightMode::Float32; e++) {
-        const float w = edgeWeight_[e];
-        if (w == 1.0f)
-            continue;
-        if (w >= 0.0f && w <= 255.0f &&
-            w == static_cast<float>(static_cast<std::uint8_t>(w))) {
-            weightMode_ = WeightMode::U8;
-            continue;
-        }
-        weightMode_ = WeightMode::Float32;
-    }
-    if (weightMode_ == WeightMode::U8) {
-        wgt8_.resize(m);
-        for (EdgeId e = 0; e < m; e++)
-            wgt8_[e] = static_cast<std::uint8_t>(edgeWeight_[e]);
-    }
-    if (weightMode_ != WeightMode::Float32) {
-        edgeWeight_.clear();
-        edgeWeight_.shrink_to_fit();
-    }
-
-    // Gather streams: per-vertex delta-varint source lists (sorted by
-    // sortInLists).  gatherOffsets_[v] is the byte offset of v's list.
+    // Per-vertex delta-varint source lists (sorted by sortInLists).
+    // gatherOffsets_[v] is the byte offset of v's list.
     gatherOffsets_.resize(static_cast<std::size_t>(nVertices) + 1);
     gatherStream_.clear();
-    gatherStream_.reserve(m * 2);
+    gatherStream_.reserve(nEdges_ * 2);
     for (VertexId v = 0; v < nVertices; v++) {
         gatherOffsets_[v] = gatherStream_.size();
         codec::encodeDeltaList32(
@@ -223,47 +209,17 @@ BlockPartition::packCompressed()
     gatherOffsets_[nVertices] = gatherStream_.size();
     gatherStream_.shrink_to_fit();
 
-    // Scatter streams: per-vertex delta-varint position lists.  The
-    // counting sort above produced them ascending, so deltas are
-    // non-negative and the common in-block runs are 1-byte.
-    scatterByteOffsets_.resize(static_cast<std::size_t>(nVertices) + 1);
-    scatterStream_.clear();
-    scatterStream_.reserve(m * 2);
-    for (VertexId v = 0; v < nVertices; v++) {
-        scatterByteOffsets_[v] = scatterStream_.size();
-        codec::encodeDeltaList64(
-            {scatterPos.data() + scatterOffsets[v],
-             scatterPos.data() + scatterOffsets[v + 1]},
-            scatterStream_);
-    }
-    scatterByteOffsets_[nVertices] = scatterStream_.size();
-    scatterStream_.shrink_to_fit();
-
-    // 16-bit in-block destination ids, possible iff every block spans
-    // at most 2^16 vertices (the default block sizes are far smaller).
-    dstLocal16_ = nBlocks > 0;
-    for (BlockId b = 0; b < nBlocks; b++) {
-        if (blockVertexCount(b) > 65536) {
-            dstLocal16_ = false;
-            break;
-        }
-    }
-    if (dstLocal16_) {
-        dst16_.resize(m);
-        for (EdgeId e = 0; e < m; e++) {
-            const VertexId d = edgeDst_[e];
-            dst16_[e] = static_cast<std::uint16_t>(
-                d - blockBegin(vertexBlock[d]));
-        }
-        edgeDst_.clear();
-        edgeDst_.shrink_to_fit();
-    }
-
-    // The packed streams now carry the topology; drop the wide arrays.
+    // The packed stream now carries the sources; drop the wide array.
     edgeSrc_.clear();
     edgeSrc_.shrink_to_fit();
-    scatterPos.clear();
-    scatterPos.shrink_to_fit();
+}
+
+VertexId
+BlockPartition::inEdgeOwner(EdgeId e) const
+{
+    GRAPHABCD_ASSERT(e < nEdges_, "edge position out of range");
+    const auto it = std::upper_bound(inOffsets.begin(), inOffsets.end(), e);
+    return static_cast<VertexId>(it - inOffsets.begin()) - 1;
 }
 
 VertexId
@@ -273,8 +229,7 @@ BlockPartition::edgeSrc(EdgeId e) const
         return edgeSrc_[e];
     // Sample/debug path: locate the owning destination vertex, then
     // decode its list up to position e.
-    const auto it = std::upper_bound(inOffsets.begin(), inOffsets.end(), e);
-    const VertexId v = static_cast<VertexId>(it - inOffsets.begin()) - 1;
+    const VertexId v = inEdgeOwner(e);
     const std::uint8_t *p = gatherStream_.data() + gatherOffsets_[v];
     VertexId src = 0;
     for (EdgeId i = inOffsets[v]; i <= e; i++) {
@@ -288,19 +243,7 @@ BlockPartition::edgeSrc(EdgeId e) const
 VertexId
 BlockPartition::edgeDst(EdgeId e) const
 {
-    if (!dstLocal16_)
-        return edgeDst_[e];
-    const BlockId b = dstBlockSearch(e);
-    return blockBegin(b) + dst16_[e];
-}
-
-BlockId
-BlockPartition::dstBlockSearch(EdgeId e) const
-{
-    GRAPHABCD_ASSERT(e < nEdges_, "edge position out of range");
-    const auto it = std::upper_bound(blockEdgeStarts_.begin(),
-                                     blockEdgeStarts_.end(), e);
-    return static_cast<BlockId>(it - blockEdgeStarts_.begin()) - 1;
+    return inEdgeOwner(e);
 }
 
 BlockEdgesView
@@ -315,7 +258,7 @@ BlockPartition::blockEdges(BlockId b, EdgeSliceScratch &scratch) const
             std::memory_order_relaxed);
         return {begin,
                 {edgeSrc_.data() + begin, edgeSrc_.data() + end},
-                {edgeWeight_.data() + begin, edgeWeight_.data() + end}};
+                inWeights_.floats().subspan(begin, count)};
     }
 
     scratch.src.resize(count);
@@ -334,50 +277,19 @@ BlockPartition::blockEdges(BlockId b, EdgeSliceScratch &scratch) const
     }
 
     std::span<const float> wgt;
-    switch (weightMode_) {
-      case WeightMode::Unit:
-        scratch.wgt.assign(count, 1.0f);
-        wgt = scratch.wgt;
-        break;
-      case WeightMode::U8:
+    if (weightMode() == WeightMode::Float32) {
+        wgt = inWeights_.floats().subspan(begin, count);
+    } else {
         scratch.wgt.resize(count);
         for (EdgeId i = 0; i < count; i++)
-            scratch.wgt[i] = static_cast<float>(wgt8_[begin + i]);
+            scratch.wgt[i] = inWeights_.at(begin + i);
         wgt = scratch.wgt;
-        break;
-      case WeightMode::Float32:
-        wgt = {edgeWeight_.data() + begin, edgeWeight_.data() + end};
-        break;
     }
 
     gatherBytesMoved_.fetch_add(
-        gatherPackedBytes(b) + count * sidecarBytesPerEdge(),
+        gatherPackedBytes(b) + count * inWeights_.bytesPerEdge(),
         std::memory_order_relaxed);
     return {begin, scratch.src, wgt};
-}
-
-ScatterView
-BlockPartition::scatterList(VertexId v, ScatterScratch &scratch) const
-{
-    const std::span<const BlockId> blk = scatterBlocks(v, scratch);
-    const EdgeId deg = blk.size();
-    if (!compressed()) {
-        scratch.bytes += deg * sizeof(EdgeId);
-        return {{scatterPos.data() + scatterOffsets[v], deg}, blk};
-    }
-
-    scratch.pos.resize(deg);
-    const std::uint8_t *p =
-        scatterStream_.data() + scatterByteOffsets_[v];
-    EdgeId pos = 0;
-    for (EdgeId i = 0; i < deg; i++) {
-        std::uint64_t d = 0;
-        p = codec::decodeVarint64(p, d);
-        pos = i == 0 ? d : pos + d;
-        scratch.pos[i] = pos;
-    }
-    scratch.bytes += scatterByteOffsets_[v + 1] - scatterByteOffsets_[v];
-    return {scratch.pos, blk};
 }
 
 } // namespace graphabcd

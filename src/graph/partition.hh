@@ -6,27 +6,28 @@
  * contiguous blocks (intervals) of `blockSize` vertices, and the adjacency
  * matrix is sliced into chunks by *destination* vertex.  In-coming edges of
  * the same vertex are contiguous in memory, so a PE streaming one block's
- * edge slice performs only sequential reads.  Out-going edge positions are
- * kept in a separate scatter index.  Beside every scatter slot sits the
- * destination block of that position (the 4-byte sidecar), so SCATTER
- * learns which blocks it activates from a sequential read instead of
- * searching for the block that owns each position.
+ * edge slice performs only sequential reads.
  *
- * There is exactly one copy of the edges (paper footnote 4): the in-edge
- * CSC arrays.  The scatter index stores positions *into* those arrays.
+ * There is exactly one copy of the in-edges (paper footnote 4): the CSC
+ * arrays GATHER streams.  SCATTER walks the *out-edge adjacency* beside
+ * it: each source's out-edges, slot for slot and ascending by
+ * destination, as a destination id, the destination's block (the
+ * 4-byte sidecar SCATTER activates from) and a weight.  Nothing points
+ * from one order into the other; each is read sequentially.
  *
  * Two physical layouts (DESIGN.md §11):
  *
- *  - GraphLayout::Plain: 4-byte src/dst ids, f32 weights, 8-byte scatter
- *    positions — byte-identical to the historical layout.
+ *  - GraphLayout::Plain: 4-byte source ids and f32 weights in CSC
+ *    order, input order kept inside each in-list.
  *  - GraphLayout::Compressed: per-vertex in-lists sorted by source and
- *    delta-varint encoded; weights demoted to a Unit (nothing stored) or
- *    U8 sidecar when values allow; destination ids narrowed to 16-bit
- *    in-block locals when every block spans ≤ 65536 vertices; scatter
- *    position lists delta-varint encoded.  Hot loops decode a block (or
- *    a vertex's scatter list) into caller-owned scratch; every decode
- *    charges a bytes-moved tally so bench/micro_kernels can report
- *    bytes/edge honestly and feed the ratio to the HARP Bus model.
+ *    delta-varint encoded; weights demoted to a Unit (nothing stored)
+ *    or U8 column when values allow.  Hot loops decode a block into
+ *    caller-owned scratch.
+ *
+ * The out-edge adjacency is the same in both layouts, its weights in
+ * the partition's WeightMode.  Every read charges a bytes-moved tally
+ * so bench/micro_kernels can report bytes/edge honestly and feed the
+ * ratio to the HARP Bus model.
  *
  * An optional hub-clustering VertexPermutation is applied to the edge
  * list before the boundaries are computed; engines then run entirely in
@@ -38,7 +39,6 @@
 #define GRAPHABCD_GRAPH_PARTITION_HH
 
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -74,30 +74,83 @@ struct BlockEdgesView
 };
 
 /**
- * Decode buffer for one vertex's scatter list; reuse across calls.  It
- * also tallies the scatter-index bytes its decodes read, which
- * BlockPartition::chargeScatterBytes() moves to the partition's shared
- * tally once per block rather than once per vertex.
+ * Per-participant tally of the out-edge adjacency bytes its SCATTER
+ * reads moved, which BlockPartition::chargeScatterBytes() moves to the
+ * partition's shared tally once per block rather than once per vertex.
  */
 struct ScatterScratch
 {
-    std::vector<EdgeId> pos;
     std::uint64_t bytes = 0;   //!< read, not yet charged
 };
 
 /**
- * One vertex's scatter list: the ascending CSC positions of its
- * out-edges and, slot for slot, the block owning each position's
- * destination.  Spans point into the partition or the scratch the list
- * was decoded into; valid until that scratch is reused.
+ * Edge weights in one edge order (CSC or out-edge), stored at a
+ * WeightMode: nothing under Unit, one byte per edge under U8, the f32
+ * array under Float32.
  */
-struct ScatterView
+class WeightColumn
 {
-    std::span<const EdgeId> pos;
-    std::span<const BlockId> blk;
+  public:
+    WeightColumn() = default;
 
-    std::size_t size() const { return pos.size(); }
-    bool empty() const { return pos.empty(); }
+    /** Store `w` at `mode`, which must hold every value exactly
+     *  (narrowestWeightMode(w), or wider).  Unit ignores `w`. */
+    WeightColumn(std::vector<float> w, WeightMode mode);
+
+    WeightMode mode() const { return mode_; }
+
+    /** @return weight i; O(1) in every mode. */
+    float
+    at(EdgeId i) const
+    {
+        switch (mode_) {
+          case WeightMode::Unit:
+            return 1.0f;
+          case WeightMode::U8:
+            return static_cast<float>(u8_[i]);
+          case WeightMode::Float32:
+            return f32_[i];
+        }
+        return 1.0f;
+    }
+
+    /** @return the stored f32 array (empty unless Float32). */
+    std::span<const float> floats() const { return f32_; }
+
+    /** @return bytes stored per weight: 0, 1 or 4. */
+    std::uint64_t
+    bytesPerEdge() const
+    {
+        switch (mode_) {
+          case WeightMode::Unit:    return 0;
+          case WeightMode::U8:      return 1;
+          case WeightMode::Float32: return sizeof(float);
+        }
+        return 0;
+    }
+
+  private:
+    WeightMode mode_ = WeightMode::Float32;
+    std::vector<float> f32_;
+    std::vector<std::uint8_t> u8_;
+};
+
+/**
+ * One vertex's out-edges, slot for slot and ascending by destination:
+ * destination id, destination block and weight.  The spans point into
+ * the partition and live as long as it does.
+ */
+struct OutEdgesView
+{
+    std::span<const VertexId> dst;
+    std::span<const BlockId> blk;
+    const WeightColumn *weights = nullptr;
+    EdgeId base = 0;   //!< first slot, in out-edge order
+
+    std::size_t size() const { return dst.size(); }
+    bool empty() const { return dst.empty(); }
+
+    float weight(std::size_t i) const { return weights->at(base + i); }
 };
 
 /** Bundle for call sites that both gather and scatter. */
@@ -111,7 +164,7 @@ struct LayoutScratch
 struct BytesMoved
 {
     std::uint64_t gather = 0;   //!< edge-slice streaming (GATHER)
-    std::uint64_t scatter = 0;  //!< scatter-index reads (SCATTER)
+    std::uint64_t scatter = 0;  //!< out-edge reads (SCATTER)
 
     std::uint64_t total() const { return gather + scatter; }
 };
@@ -164,7 +217,7 @@ class BlockPartition
     /** Original-id <-> internal-id mapping (identity for reorder=none). */
     const VertexPermutation &permutation() const { return perm_; }
 
-    WeightMode weightMode() const { return weightMode_; }
+    WeightMode weightMode() const { return inWeights_.mode(); }
 
     /**
      * @return nominal vertices per block (the constructor argument for
@@ -216,40 +269,13 @@ class BlockPartition
     VertexId edgeSrc(EdgeId e) const;
 
     /**
-     * @return destination vertex of in-edge position e.  O(1) except
-     * under 16-bit local destinations, where the owning block is found
-     * by binary search — scatter loops use edgeDstAt() with the block
-     * from their ScatterView instead.
+     * @return destination vertex of in-edge position e: the vertex whose
+     * in-edge range holds e, by binary search.  Debug/sample path only.
      */
     VertexId edgeDst(EdgeId e) const;
 
     /** @return weight of in-edge position e; O(1) in every layout. */
-    float
-    edgeWeight(EdgeId e) const
-    {
-        switch (weightMode_) {
-          case WeightMode::Unit:
-            return 1.0f;
-          case WeightMode::U8:
-            return static_cast<float>(wgt8_[e]);
-          case WeightMode::Float32:
-            return edgeWeight_[e];
-        }
-        return 1.0f;
-    }
-
-    /**
-     * Destination vertex of position e, whose destination block `blk`
-     * the caller read from the same slot of a ScatterView: O(1) in
-     * every layout.
-     */
-    VertexId
-    edgeDstAt(EdgeId e, BlockId blk) const
-    {
-        if (!dstLocal16_)
-            return edgeDst_[e];
-        return blockBegin(blk) + dst16_[e];
-    }
+    float edgeWeight(EdgeId e) const { return inWeights_.at(e); }
 
     /**
      * Decode block b's edge slice.  Plain layout returns spans straight
@@ -261,18 +287,27 @@ class BlockPartition
     BlockEdgesView blockEdges(BlockId b, EdgeSliceScratch &scratch) const;
 
     /**
-     * Decode vertex v's scatter list (ascending CSC positions of v's
-     * out-edges, with their destination blocks).  Plain layout returns
-     * spans into the scatter index; compressed decodes the positions
-     * into `scratch`.  The bytes read are tallied in `scratch`; charge
-     * them with chargeScatterBytes().
+     * v's out-edges: destination, destination block and weight, slot
+     * for slot, ascending by destination.  The bytes read are tallied
+     * in `scratch`; charge them with chargeScatterBytes().
      */
-    ScatterView scatterList(VertexId v, ScatterScratch &scratch) const;
+    OutEdgesView
+    outEdges(VertexId v, ScatterScratch &scratch) const
+    {
+        const EdgeId begin = scatterOffsets[v], end = scatterOffsets[v + 1];
+        scratch.bytes += (end - begin) * (sizeof(VertexId) +
+                                          sizeof(BlockId) +
+                                          outWeights_.bytesPerEdge());
+        return {{outDst_.data() + begin, outDst_.data() + end},
+                {scatterBlk_.data() + begin, scatterBlk_.data() + end},
+                &outWeights_,
+                begin};
+    }
 
     /**
-     * The destination blocks of v's out-edges alone (scatterList's
-     * `blk`, without decoding positions), for SCATTER loops that only
-     * activate.  The sidecar bytes read are tallied in `scratch`.
+     * The destination blocks of v's out-edges alone (outEdges()' `blk`),
+     * for SCATTER loops that only activate.  The sidecar bytes read are
+     * tallied in `scratch`.
      */
     std::span<const BlockId>
     scatterBlocks(VertexId v, ScatterScratch &scratch) const
@@ -306,7 +341,7 @@ class BlockPartition
         const EdgeId begin = inOffsets[v], end = inOffsets[v + 1];
         if (!compressed()) {
             for (EdgeId e = begin; e < end; e++)
-                fn(e, edgeSrc_[e], edgeWeight_[e]);
+                fn(e, edgeSrc_[e], edgeWeight(e));
             return;
         }
         const std::uint8_t *p = gatherStream_.data() + gatherOffsets_[v];
@@ -317,19 +352,6 @@ class BlockPartition
             src = e == begin ? d : src + d;
             fn(e, src, edgeWeight(e));
         }
-    }
-
-    /**
-     * @return positions (into the in-edge arrays) of v's out-edges.
-     * Plain layout only — compressed callers use scatterList().
-     */
-    std::span<const EdgeId>
-    scatterPositions(VertexId v) const
-    {
-        assert(!compressed() &&
-               "scatterPositions() is plain-layout only; use scatterList()");
-        return {scatterPos.data() + scatterOffsets[v],
-                scatterPos.data() + scatterOffsets[v + 1]};
     }
 
     /** @return out-degree of v. */
@@ -364,7 +386,8 @@ class BlockPartition
                    2ULL * verts * value_bytes;
         }
         return gatherPackedBytes(b) +
-               blockEdgeCount(b) * (sidecarBytesPerEdge() + value_bytes) +
+               blockEdgeCount(b) *
+                   (inWeights_.bytesPerEdge() + value_bytes) +
                2ULL * verts * value_bytes;
     }
 
@@ -380,20 +403,17 @@ class BlockPartition
         if (!compressed() || nEdges_ == 0)
             return static_cast<double>(sizeof(VertexId) + sizeof(float));
         return static_cast<double>(gatherStream_.size() +
-                                   sidecarBytesPerEdge() * nEdges_) /
+                                   inWeights_.bytesPerEdge() * nEdges_) /
                static_cast<double>(nEdges_);
     }
 
-    /** Scatter-index bytes per edge for this layout: positions plus
-     *  the 4-byte destination-block sidecar (12.0 for plain). */
+    /** Out-edge adjacency bytes per edge: destination id, the
+     *  destination-block sidecar and the weight (12.0 for plain). */
     double
     scatterBytesPerEdge() const
     {
-        if (!compressed() || nEdges_ == 0)
-            return static_cast<double>(sizeof(EdgeId) + sizeof(BlockId));
-        return static_cast<double>(scatterStream_.size()) /
-                   static_cast<double>(nEdges_) +
-               static_cast<double>(sizeof(BlockId));
+        return static_cast<double>(sizeof(VertexId) + sizeof(BlockId) +
+                                   outWeights_.bytesPerEdge());
     }
 
     /** Snapshot of the bytes-moved tallies (relaxed reads). */
@@ -413,35 +433,23 @@ class BlockPartition
     }
 
   private:
-    /** Shared tail of both constructors: CSC and scatter index. */
+    /** Shared tail of both constructors: CSC and out-edge adjacency. */
     void buildFromBoundaries(const EdgeList &el);
 
-    /** Sort each vertex's in-list by source (compressed pre-pass). */
-    void sortInLists();
+    /** Sort each vertex's in-list (and `wgt`) by source. */
+    void sortInLists(std::vector<float> &wgt);
 
-    /** Build the varint streams and sidecars, then drop wide arrays. */
-    void packCompressed();
+    /** Build the delta-varint gather stream, then drop edgeSrc_. */
+    void packGatherStream();
 
-    /** Binary search for the block owning in-edge position e. */
-    BlockId dstBlockSearch(EdgeId e) const;
+    /** @return the vertex whose in-edge range holds position e. */
+    VertexId inEdgeOwner(EdgeId e) const;
 
     /** Packed gather-stream bytes of block b's slice. */
     std::uint64_t
     gatherPackedBytes(BlockId b) const
     {
         return gatherOffsets_[blockEnd(b)] - gatherOffsets_[blockBegin(b)];
-    }
-
-    /** Sidecar bytes per edge for the active weight mode. */
-    std::uint64_t
-    sidecarBytesPerEdge() const
-    {
-        switch (weightMode_) {
-          case WeightMode::Unit:    return 0;
-          case WeightMode::U8:      return 1;
-          case WeightMode::Float32: return sizeof(float);
-        }
-        return 0;
     }
 
     VertexId nVertices = 0;
@@ -455,26 +463,19 @@ class BlockPartition
     std::vector<VertexId> blockBegins;  //!< size numBlocks+1
     std::vector<BlockId> vertexBlock;   //!< size V, vertex -> block
 
+    // In-edges, CSC order (GATHER).
     std::vector<EdgeId> inOffsets;        //!< size V+1, CSC row offsets
-    std::vector<VertexId> edgeSrc_;       //!< size E, CSC order (plain)
-    std::vector<VertexId> edgeDst_;       //!< size E (plain / !dst16)
-    std::vector<float> edgeWeight_;       //!< size E (plain / Float32)
-
-    std::vector<EdgeId> scatterOffsets;   //!< size V+1
-    std::vector<EdgeId> scatterPos;       //!< size E, positions (plain)
-    std::vector<BlockId> scatterBlk_;     //!< size E, destination block
-                                          //!< per scatter slot (both)
-
-    // Compressed-layout arrays (empty under GraphLayout::Plain).
-    WeightMode weightMode_ = WeightMode::Float32;
-    bool dstLocal16_ = false;
+    std::vector<VertexId> edgeSrc_;       //!< size E (plain only)
     std::vector<std::uint8_t> gatherStream_;   //!< delta-varint src lists
+                                               //!< (compressed only)
     std::vector<std::uint64_t> gatherOffsets_; //!< size V+1, byte offsets
-    std::vector<std::uint8_t> scatterStream_;  //!< delta-varint positions
-    std::vector<std::uint64_t> scatterByteOffsets_; //!< size V+1
-    std::vector<std::uint16_t> dst16_;         //!< size E, in-block dst
-    std::vector<std::uint8_t> wgt8_;           //!< size E under U8
-    std::vector<EdgeId> blockEdgeStarts_;      //!< size numBlocks+1
+    WeightColumn inWeights_;
+
+    // Out-edges, source order (SCATTER), the same in both layouts.
+    std::vector<EdgeId> scatterOffsets;   //!< size V+1
+    std::vector<VertexId> outDst_;        //!< size E, destination
+    std::vector<BlockId> scatterBlk_;     //!< size E, destination block
+    WeightColumn outWeights_;
 
     // Bytes-moved tallies; relaxed — a bench-time observability aid,
     // not a synchronisation point.  mutable so const hot paths charge

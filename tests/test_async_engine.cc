@@ -337,7 +337,7 @@ TEST(AsyncEngineStop, StoppedRunPublishesProgress)
 TEST(AsyncEngine, SinkHeavyGraphMatchesReference)
 {
     // Regression for the processAndCommit scatter path: a graph where
-    // most vertices are sinks (no out-edges, empty scatterPositions)
+    // most vertices are sinks (no out-edges)
     // exercises the early-continue and the hoisted old-edge-value read
     // in both the fused commit (Async) and the wave commit (Bsp).
     EdgeList el(64);

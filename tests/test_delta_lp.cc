@@ -59,13 +59,13 @@ TEST(PageRankDelta, LostUpdateAnomalyUnderAsyncInterleaving)
 
     // Pick two blocks where B feeds A: the first B with an out-edge
     // into another block, and the lowest such block A, read from the
-    // scatter lists' destination-block sidecar.
+    // out-edges' destination-block sidecar.
     BlockId block_a = invalidBlock, block_b = invalidBlock;
     ScatterScratch scratch;
     for (BlockId b = 0; b < g.numBlocks() && block_a == invalidBlock;
          b++) {
         for (VertexId v = g.blockBegin(b); v < g.blockEnd(b); v++) {
-            for (BlockId dst : g.scatterList(v, scratch).blk) {
+            for (BlockId dst : g.scatterBlocks(v, scratch)) {
                 if (dst != b && (block_a == invalidBlock || dst < block_a)) {
                     block_b = b;
                     block_a = dst;

@@ -27,7 +27,6 @@
 #include "algorithms/reference.hh"
 #include "core/engine.hh"
 #include "graph/codec.hh"
-#include "graph/csr.hh"
 #include "graph/generators.hh"
 #include "graph/io.hh"
 #include "graph/partition.hh"
@@ -68,38 +67,11 @@ TEST(Codec, Varint32RoundTrip)
     }
 }
 
-TEST(Codec, Varint64RoundTrip)
-{
-    const std::uint64_t values[] = {
-        0, 1, 127, 128, (1ull << 32) - 1, 1ull << 32, 1ull << 56,
-        std::numeric_limits<std::uint64_t>::max()};
-    for (std::uint64_t x : values) {
-        std::vector<std::uint8_t> buf;
-        codec::putVarint64(buf, x);
-        ASSERT_LE(buf.size(), codec::kMaxVarint64Bytes);
-
-        std::uint64_t fast = 0;
-        const std::uint8_t *p = codec::decodeVarint64(buf.data(), fast);
-        EXPECT_EQ(fast, x);
-        EXPECT_EQ(p, buf.data() + buf.size());
-
-        std::uint64_t checked = 0;
-        const auto r = codec::getVarint64(
-            buf.data(), buf.data() + buf.size(), checked);
-        ASSERT_TRUE(r.ok()) << codec::to_string(r.status);
-        EXPECT_EQ(checked, x);
-        EXPECT_EQ(r.bytes, buf.size());
-    }
-}
-
 TEST(Codec, MaxValuesUseMaxLengthEncodings)
 {
     std::vector<std::uint8_t> buf;
     codec::putVarint32(buf, std::numeric_limits<std::uint32_t>::max());
     EXPECT_EQ(buf.size(), codec::kMaxVarint32Bytes);
-    buf.clear();
-    codec::putVarint64(buf, std::numeric_limits<std::uint64_t>::max());
-    EXPECT_EQ(buf.size(), codec::kMaxVarint64Bytes);
 }
 
 // ---------------------------------------------------------------------
@@ -117,15 +89,6 @@ TEST(Codec, TruncatedStreamsError)
             << "prefix length " << len;
         EXPECT_EQ(r.bytes, 0u);
     }
-    std::vector<std::uint8_t> buf64;
-    codec::putVarint64(buf64, std::numeric_limits<std::uint64_t>::max());
-    for (std::size_t len = 0; len < buf64.size(); len++) {
-        std::uint64_t out = 0;
-        const auto r =
-            codec::getVarint64(buf64.data(), buf64.data() + len, out);
-        EXPECT_EQ(r.status, codec::VarintStatus::Truncated)
-            << "prefix length " << len;
-    }
 }
 
 TEST(Codec, OverlongEncodingsRejected)
@@ -140,15 +103,6 @@ TEST(Codec, OverlongEncodingsRejected)
     const std::uint8_t too_long[] = {0xff, 0xff, 0xff, 0xff, 0xff, 0x01};
     r = codec::getVarint32(too_long, too_long + 6, out);
     EXPECT_NE(r.status, codec::VarintStatus::Ok);
-
-    // Eleven bytes for 64-bit.
-    const std::uint8_t too_long64[] = {0xff, 0xff, 0xff, 0xff, 0xff,
-                                       0xff, 0xff, 0xff, 0xff, 0xff,
-                                       0x01};
-    std::uint64_t out64 = 0;
-    const auto r64 =
-        codec::getVarint64(too_long64, too_long64 + 11, out64);
-    EXPECT_NE(r64.status, codec::VarintStatus::Ok);
 }
 
 TEST(Codec, OverflowingFinalBytesRejected)
@@ -158,13 +112,6 @@ TEST(Codec, OverflowingFinalBytesRejected)
     std::uint32_t out = 0;
     const auto r = codec::getVarint32(wide32, wide32 + 5, out);
     EXPECT_EQ(r.status, codec::VarintStatus::Overflow);
-
-    // Ten bytes whose tenth carries more than 1 payload bit.
-    const std::uint8_t wide64[] = {0xff, 0xff, 0xff, 0xff, 0xff,
-                                   0xff, 0xff, 0xff, 0xff, 0x02};
-    std::uint64_t out64 = 0;
-    const auto r64 = codec::getVarint64(wide64, wide64 + 10, out64);
-    EXPECT_EQ(r64.status, codec::VarintStatus::Overflow);
 }
 
 TEST(Codec, DeltaListRoundTripIncludingEmpty)
@@ -243,12 +190,6 @@ TEST(CodecFuzz, RandomRoundTripsAndGarbageNeverOverread)
             junk.data(), junk.data() + junk.size(), v32);
         if (g.ok()) {
             ASSERT_LE(g.bytes, junk.size());
-        }
-        std::uint64_t v64 = 0;
-        const auto g64 = codec::getVarint64(
-            junk.data(), junk.data() + junk.size(), v64);
-        if (g64.ok()) {
-            ASSERT_LE(g64.bytes, junk.size());
         }
     }
 }
@@ -399,47 +340,6 @@ TEST(Permutation, HubClusterFrontLoadsHubsAndRoundTrips)
     const auto internal = perm.valuesToInternal(original);
     EXPECT_EQ(internal[0], 99 * 1.5);
     EXPECT_EQ(perm.valuesToOriginal(internal), original);
-}
-
-// ---------------------------------------------------------------------
-// Csr layouts
-
-TEST(CsrLayout, CompressedRowsMatchPlainSorted)
-{
-    Rng rng(41);
-    const EdgeList el = weightedRmat(200, 1000, rng);
-    const Csr plain(el, Csr::Axis::BySource);
-    const Csr packed(el, Csr::Axis::BySource, GraphLayout::Compressed);
-    ASSERT_EQ(packed.numEdges(), plain.numEdges());
-    EXPECT_LT(packed.bytesPerEdge(), plain.bytesPerEdge());
-    Csr::RowScratch scratch;
-    for (VertexId v = 0; v < el.numVertices(); v++) {
-        ASSERT_EQ(packed.degree(v), plain.degree(v));
-        // Plain row sorted by neighbor, weights carried along.
-        std::vector<std::pair<VertexId, float>> want;
-        auto nbrs = plain.neighbors(v);
-        auto wgts = plain.weights(v);
-        for (std::size_t i = 0; i < nbrs.size(); i++)
-            want.emplace_back(nbrs[i], wgts[i]);
-        std::stable_sort(want.begin(), want.end(),
-                         [](const auto &a, const auto &b) {
-                             return a.first < b.first;
-                         });
-        const Csr::RowView row = packed.row(v, scratch);
-        ASSERT_EQ(row.size(), want.size());
-        std::size_t i = 0;
-        for (; i < want.size(); i++) {
-            EXPECT_EQ(row.nbr[i], want[i].first);
-            EXPECT_FLOAT_EQ(row.wgt[i], want[i].second);
-        }
-        i = 0;
-        packed.forEachNeighbor(v, [&](VertexId nbr, float w) {
-            EXPECT_EQ(nbr, want[i].first);
-            EXPECT_FLOAT_EQ(w, want[i].second);
-            i++;
-        });
-        EXPECT_EQ(i, want.size());
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -8,11 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <tuple>
 #include <unordered_map>
+#include <vector>
 
 #include "algorithms/pagerank.hh"
 #include "algorithms/reference.hh"
@@ -65,23 +68,27 @@ TEST_P(SeedSweep, PartitionConservesEdgesAndDegrees)
     EXPECT_EQ(covered, n);
 }
 
-TEST_P(SeedSweep, ScatterIndexIsAPermutation)
+TEST_P(SeedSweep, OutEdgesArePermutationOfInEdges)
 {
     Rng rng(GetParam() ^ 0xABCDULL);
     const auto n = static_cast<VertexId>(32 + rng.nextBounded(256));
     EdgeList el = generateErdosRenyi(n, 6 * n, rng);
     BlockPartition g(el, 17);
 
-    std::vector<EdgeId> seen;
+    // Every out-edge slot is one CSC edge, each used exactly once.
+    using Arc = std::tuple<VertexId, VertexId, float>;
+    std::vector<Arc> out, in;
+    ScatterScratch scratch;
     for (VertexId v = 0; v < n; v++) {
-        for (EdgeId pos : g.scatterPositions(v)) {
-            EXPECT_EQ(g.edgeSrc(pos), v);
-            seen.push_back(pos);
-        }
+        const OutEdgesView o = g.outEdges(v, scratch);
+        for (std::size_t i = 0; i < o.size(); i++)
+            out.emplace_back(v, o.dst[i], o.weight(i));
     }
-    std::sort(seen.begin(), seen.end());
     for (EdgeId e = 0; e < g.numEdges(); e++)
-        EXPECT_EQ(seen[e], e);
+        in.emplace_back(g.edgeSrc(e), g.edgeDst(e), g.edgeWeight(e));
+    std::sort(out.begin(), out.end());
+    std::sort(in.begin(), in.end());
+    EXPECT_EQ(out, in);
 }
 
 TEST_P(SeedSweep, EngineRunsAreDeterministic)

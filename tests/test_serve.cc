@@ -887,8 +887,8 @@ TEST(Registry, EveryRunnableCellMatchesTheReference)
         checkEveryRunnableCell(graph);
     }
     // Every engine activates blocks from the destination-block sidecar
-    // of the scatter index, which both layouts and both vertex orders
-    // build; every schedule consumes the batched activations.
+    // of the out-edge adjacency, which both layouts and both vertex
+    // orders build; every schedule consumes the batched activations.
     const EdgeList &rmat = graphs.front().second;
     for (GraphLayout layout :
          {GraphLayout::Plain, GraphLayout::Compressed}) {
