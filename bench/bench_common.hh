@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -59,10 +60,50 @@ declareCommonFlags(Flags &flags)
 }
 
 /**
+ * @return the output of shell command `cmd` without its trailing
+ * newlines, or nullopt when it cannot run or exits non-zero.
+ */
+inline std::optional<std::string>
+commandOutput(const std::string &cmd)
+{
+    FILE *pipe = popen(cmd.c_str(), "r");
+    if (!pipe)
+        return std::nullopt;
+    std::string out;
+    char buf[256];
+    while (std::fgets(buf, sizeof(buf), pipe))
+        out += buf;
+    if (pclose(pipe) != 0)
+        return std::nullopt;
+    while (!out.empty() && out.back() == '\n')
+        out.pop_back();
+    return out;
+}
+
+/**
+ * @return the short commit of the source tree this bench was built
+ * from, with "+dirty" when the tree has uncommitted changes, or
+ * "unknown" when git or the repository is not available.
+ */
+inline std::string
+sourceCommit()
+{
+    const std::string git =
+        std::string("git -C '") + GRAPHABCD_SOURCE_DIR + "' ";
+    const auto head =
+        commandOutput(git + "rev-parse --short HEAD 2>/dev/null");
+    const auto status =
+        commandOutput(git + "status --porcelain 2>/dev/null");
+    if (!head || head->empty() || !status)
+        return "unknown";
+    return *head + (status->empty() ? "" : "+dirty");
+}
+
+/**
  * Write a BENCH_*.json file: the benchmark name, a host block (core
- * count and build type), `fields` (extra top-level lines, each
- * `  "key": value,\n`), then one row object per index whose members
- * `row(ofs, i)` prints.
+ * count, build type and source commit), `fields` (extra top-level
+ * lines, each `  "key": value,\n`), then one row object per index
+ * whose members `row(ofs, i)` prints.
  */
 template <typename RowFn>
 void
@@ -73,7 +114,8 @@ writeBenchJson(const std::string &path, const char *benchmark,
     std::ofstream ofs(path);
     ofs << "{\n  \"benchmark\": \"" << benchmark << "\",\n"
         << "  \"host\": {\"cores\": " << std::thread::hardware_concurrency()
-        << ", \"build_type\": \"" << GRAPHABCD_BUILD_TYPE << "\"},\n"
+        << ", \"build_type\": \"" << GRAPHABCD_BUILD_TYPE
+        << "\", \"commit\": \"" << sourceCommit() << "\"},\n"
         << fields << "  \"rows\": [\n";
     for (std::size_t i = 0; i < num_rows; i++) {
         ofs << "    {";
@@ -171,8 +213,8 @@ abcdPagerank(const BlockPartition &g, EngineOptions opt, HarpConfig cfg)
     out.sim = sys.run(x);
     out.seconds = out.sim.seconds;
     out.mtes = out.sim.mtes;
-    out.iterations = out.sim.epochs;
-    out.converged = out.sim.converged;
+    out.iterations = out.sim.engine.epochs;
+    out.converged = out.sim.engine.converged;
     return out;
 }
 
@@ -187,8 +229,8 @@ abcdSssp(const BlockPartition &g, EngineOptions opt, HarpConfig cfg)
     out.sim = sys.run(dist);
     out.seconds = out.sim.seconds;
     out.mtes = out.sim.mtes;
-    out.iterations = out.sim.epochs;
-    out.converged = out.sim.converged;
+    out.iterations = out.sim.engine.epochs;
+    out.converged = out.sim.engine.converged;
     return out;
 }
 
@@ -211,8 +253,8 @@ abcdCf(const BlockPartition &g, EngineOptions opt, HarpConfig cfg,
         });
     out.seconds = out.sim.seconds;
     out.mtes = out.sim.mtes;
-    out.iterations = out.sim.epochs;
-    out.converged = out.sim.converged;
+    out.iterations = out.sim.engine.epochs;
+    out.converged = out.sim.engine.converged;
     return out;
 }
 

@@ -69,7 +69,7 @@ main(int argc, char **argv)
                 .add(r.busUtilization, 3)
                 .add(formatBytes(static_cast<double>(
                     r.busReadBytes + r.busWriteBytes)))
-                .add(r.epochs, 4);
+                .add(r.engine.epochs, 4);
             if (best_ranks.empty() || r.seconds < best_time) {
                 best_time = r.seconds;
                 best_ranks = ranks;

@@ -451,6 +451,8 @@ class AccumEngine
     AccumEngine(const BlockPartition &g, Program p, EngineOptions opt)
         : graph(g), program(std::move(p)), options(opt)
     {
+        GRAPHABCD_ASSERT(options.mode == ExecMode::Async,
+                         "AccumEngine runs only ExecMode::Async");
     }
 
     /**

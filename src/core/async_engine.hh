@@ -18,10 +18,10 @@
  * bounds staleness (Sec. III-D).  This engine supplies only the fused
  * per-block kernel.
  *
- * ExecMode::Barrier caps participation at one in-flight block (the
- * paper's per-block memory-barrier baseline); ExecMode::Bsp processes
- * whole supersteps against a frozen snapshot (Jacobi), reproducing the
- * paper's Fig. 7 baselines.
+ * It runs only the paper's barrierless model (ExecMode::Async).  The
+ * Barrier and BSP baselines of the paper's Fig. 7 are execution models
+ * on the HARP platform, so the simulator (harp/system.hh) runs them;
+ * SerialEngine runs Jacobi supersteps for the convergence baselines.
  */
 
 #ifndef GRAPHABCD_CORE_ASYNC_ENGINE_HH
@@ -40,7 +40,6 @@
 #include "core/vertex_program.hh"
 #include "graph/partition.hh"
 #include "obs/obs.hh"
-#include "runtime/executor.hh"
 #include "support/timer.hh"
 
 namespace graphabcd {
@@ -63,6 +62,8 @@ class AsyncEngine
     AsyncEngine(const BlockPartition &g, Program p, EngineOptions opt)
         : graph(g), program(std::move(p)), options(opt)
     {
+        GRAPHABCD_ASSERT(options.mode == ExecMode::Async,
+                         "AsyncEngine runs only ExecMode::Async");
     }
 
     /**
@@ -74,9 +75,7 @@ class AsyncEngine
     {
         Timer timer;
         initState();
-        EngineReport report = options.mode == ExecMode::Bsp
-            ? runBsp()
-            : runAsync(options.mode == ExecMode::Barrier);
+        EngineReport report = runPump();
 
         out_values.resize(graph.numVertices());
         for (VertexId v = 0; v < graph.numVertices(); v++)
@@ -134,20 +133,17 @@ class AsyncEngine
     }
 
     EngineReport
-    runAsync(bool barrier_per_block)
+    runPump()
     {
         RunAccounting acct("engine.async.run", graph.numVertices(),
                            options);
         auto sched = makeSeededScheduler(options.schedule,
                                          graph.numBlocks(), options.seed);
-        // Barrier mode admits one in-flight block (participation one,
-        // dispatch window one): the per-block memory barrier baseline.
         const std::uint32_t participation =
-            barrier_per_block ? 1 : std::max(1u, options.numThreads);
-        const PumpConfig cfg{
-            "engine.async", participation,
-            barrier_per_block ? 1 : std::size_t{participation} * 4,
-            graph.numBlocks(), /*exclusive=*/true};
+            std::max(1u, options.numThreads);
+        const PumpConfig cfg{"engine.async", participation,
+                             std::size_t{participation} * 4,
+                             graph.numBlocks(), /*exclusive=*/true};
         auto kernel = [this](BlockId b, LayoutScratch &scratch,
                              BlockActivations &activations) {
             return processAndCommit(b, scratch, activations);
@@ -155,98 +151,6 @@ class AsyncEngine
         return BlockPump<LayoutScratch, decltype(kernel)>(
                    cfg, *sched, acct, options, kernel)
             .run();
-    }
-
-    EngineReport
-    runBsp()
-    {
-        // Jacobi supersteps with a pool-parallel wave and a global
-        // barrier (Job::wait) per iteration; commits go to a double
-        // buffer.
-        RunAccounting acct("engine.bsp.run", graph.numVertices(),
-                           options);
-        auto sched = makeSeededScheduler(options.schedule,
-                                         graph.numBlocks(), options.seed);
-
-        const std::uint32_t participation =
-            std::max(1u, options.numThreads);
-        std::shared_ptr<Executor> exec =
-            options.executor ? options.executor : Executor::shared();
-        std::shared_ptr<Executor::Job> job =
-            exec->createJob(participation);
-
-        bool stopped = false;
-        std::vector<BlockId> wave;
-        std::vector<BlockUpdate<Value>> updates;
-        // Commits run serially after the superstep barrier, so one
-        // scatter decode buffer and one activation batch serve every
-        // commitUpdate call.
-        ScatterScratch commit_scratch;
-        BlockActivations commit_activations(graph.numBlocks());
-        while (!sched->empty()) {
-            if (options.stop.stopRequested()) {
-                stopped = true;
-                break;
-            }
-            wave.clear();
-            while (auto b = sched->next())
-                wave.push_back(*b);
-
-            updates.assign(wave.size(), {});
-            std::atomic<std::size_t> cursor{0};
-            auto sweep = [&] {
-                // Declared inside the body, NOT captured: this one
-                // closure runs on several workers at once, and each
-                // needs its own decode buffer.
-                EdgeSliceScratch slice_scratch;
-                for (;;) {
-                    std::size_t i =
-                        cursor.fetch_add(1, std::memory_order_relaxed);
-                    if (i >= wave.size())
-                        return;
-                    updates[i] = state.gatherBlock(
-                        graph, program, wave[i], options.tolerance,
-                        slice_scratch);
-                }
-            };
-            // participation-1 pool helpers; the caller sweeps too.
-            const std::size_t helpers = std::min<std::size_t>(
-                participation - 1, wave.size());
-            for (std::size_t h = 0; h < helpers; h++)
-                job->submit(sweep);
-            sweep();
-            job->wait();   // the global memory barrier
-
-            BlockWork step;   // the superstep's convergence-window share
-            for (const auto &update : updates) {
-                const BlockWork work = commitUpdate(
-                    update, *sched, commit_scratch, commit_activations);
-                acct.count(work);
-                step.l1 += work.l1;
-                step.active += work.active;
-            }
-            acct.observe(step);
-            if (acct.epochs() >= options.maxEpochs)
-                break;
-        }
-        RunAccounting::flushSchedulerCounters(*sched);
-        return acct.finish(stopped, !stopped && sched->empty());
-    }
-
-    /** Jacobi helper: commit + activate one block update. */
-    BlockWork
-    commitUpdate(const BlockUpdate<Value> &update, BlockScheduler &sched,
-                 ScatterScratch &scatter_scratch,
-                 BlockActivations &activations)
-    {
-        BlockWork work{update.newValues.size(), 1,
-                       graph.blockEdgeCount(update.block), 0,
-                       update.changed, update.l1Delta};
-        work.scatters = state.commit(graph, program, update,
-                                     options.tolerance, scatter_scratch,
-                                     activations);
-        activations.commit(sched);
-        return work;
     }
 
     const BlockPartition &graph;

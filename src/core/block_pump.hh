@@ -26,8 +26,8 @@
  * block-update count at FIFO entry, and the difference read at claim
  * time is the measured staleness, which FIFO order keeps at <= window
  * + participants (asserted in every build).  AsyncEngine uses a window
- * of 4 x participation (1 in Barrier mode); AccumEngine uses 1, i.e.
- * claims straight from the scheduler, because its deltas commute.
+ * of 4 x participation; AccumEngine uses 1, i.e. claims straight from
+ * the scheduler, because its deltas commute.
  *
  * An exclusive pump never runs one block on two participants at once.
  * The scheduler re-issues a block that is re-activated while an earlier

@@ -144,7 +144,6 @@ class SerialEngine
         obs::Histogram &fanoutHist = obs::histogram(
             "engine.serial.scatter_fanout", obs::fanoutBuckets());
 
-        std::vector<TracePoint> trace;
         double next_trace = options.traceInterval;
         bool stopped = false;
         bool objective_met = false;
@@ -183,7 +182,6 @@ class SerialEngine
             if (options.traceInterval > 0.0 &&
                 epochs + 1e-12 >= next_trace) {
                 next_trace += options.traceInterval;
-                trace.push_back(TracePoint{epochs, step.l1});
                 if (trace_fn)
                     trace_fn(epochs, state.values());
                 if (stop_fn && stop_fn(epochs, state.values())) {
@@ -194,10 +192,7 @@ class SerialEngine
             if (epochs >= options.maxEpochs)
                 break;
         }
-        EngineReport report =
-            acct.finish(stopped, objective_met || sched->empty());
-        report.trace = std::move(trace);
-        return report;
+        return acct.finish(stopped, objective_met || sched->empty());
     }
 
     const BlockPartition &graph;

@@ -39,8 +39,10 @@ const char *to_string(Schedule schedule);
 std::optional<Schedule> parseSchedule(std::string_view s);
 
 /**
- * Execution model, used by the threaded engine and the HARP simulator to
- * build the paper's Fig. 7 breakdown.
+ * Execution model.  The HARP simulator runs all three to build the
+ * paper's Fig. 7 breakdown; SerialEngine runs Bsp as Jacobi supersteps
+ * (Async and Barrier are the same serial Gauss-Seidel sweep); the
+ * threaded engines (async, accum) run only Async.
  */
 enum class ExecMode
 {
@@ -66,8 +68,7 @@ struct EngineOptions
     /** Block selection rule. */
     Schedule schedule = Schedule::Cyclic;
 
-    /** Execution model (threaded engine / simulator only; the serial
-     *  engine is inherently Gauss-Seidel over blocks). */
+    /** Execution model (see ExecMode for which engine runs which). */
     ExecMode mode = ExecMode::Async;
 
     /**

@@ -53,6 +53,7 @@ RunAccounting::sample(ConvergenceWindow &win, bool final) const
             p.edgeTraversals =
                 edgeTraversals_.load(std::memory_order_relaxed);
             p.wallSeconds = timer_.seconds();
+            p.simSeconds = win.simSeconds;
             if (final)
                 win.series->recordFinal(p);
             else

@@ -9,10 +9,10 @@
  * EngineReport.  Engines only say what one block (or superstep) did, as
  * a BlockWork.
  *
- * Used by SerialEngine, AsyncEngine (all modes) and AccumEngine
- * (through the BlockPump).  The HARP simulator and the
- * GraphMat baseline keep their own accounting: they sample simulated
- * time and whole supersteps.
+ * Used by every BCD engine: SerialEngine, AsyncEngine and AccumEngine
+ * (through the BlockPump) and the HARP simulator, which also stamps
+ * each convergence sample with its simulated time.  The GraphMat
+ * baseline keeps its own accounting: it counts whole supersteps.
  */
 
 #ifndef GRAPHABCD_CORE_RUN_ACCOUNTING_HH
@@ -21,7 +21,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "core/options.hh"
 #include "obs/obs.hh"
@@ -30,13 +29,6 @@
 namespace graphabcd {
 
 class BlockScheduler;
-
-/** One sample of a convergence trace. */
-struct TracePoint
-{
-    double epochs = 0.0;     //!< |V|-normalised vertex updates so far
-    double blockDelta = 0.0; //!< L1 delta of the most recent update
-};
 
 /** Outcome and work accounting of an engine run. */
 struct EngineReport
@@ -56,7 +48,6 @@ struct EngineReport
      * hooks so the uninstrumented hot loop stays byte-comparable.
      */
     double residual = 0.0;
-    std::vector<TracePoint> trace;
 };
 
 /** What one block update (or one superstep) did. */
@@ -87,6 +78,7 @@ struct ConvergenceWindow
     double l1 = 0.0;
     std::uint64_t active = 0;
     double nextSample = 0.0;   //!< epoch of the next interval sample
+    double simSeconds = 0.0;   //!< simulated time, set by a simulator
 };
 
 class RunAccounting
@@ -139,18 +131,12 @@ class RunAccounting
     /** The run-wide window (options.convergence). */
     ConvergenceWindow &window() { return window_; }
 
-    /** A fresh window feeding `series` at the run's sample interval. */
-    ConvergenceWindow
-    openWindow(std::shared_ptr<obs::ConvergenceSeries> series) const
-    {
-        return ConvergenceWindow{std::move(series), 0.0, 0, interval_};
-    }
-
     /**
      * Fold `w` into `win` and record a sample once the run crosses the
      * window's next interval boundary.  No-op under GRAPHABCD_OBS=OFF.
+     * @return whether a sample was recorded.
      */
-    void
+    bool
     observe(ConvergenceWindow &win, const BlockWork &w) const
     {
         if constexpr (obs::kEnabled) {
@@ -159,11 +145,13 @@ class RunAccounting
             if (win.series && epochs() + 1e-12 >= win.nextSample) {
                 win.nextSample = epochs() + interval_;
                 sample(win, false);
+                return true;
             }
         }
+        return false;
     }
 
-    void observe(const BlockWork &w) { observe(window_, w); }
+    bool observe(const BlockWork &w) { return observe(window_, w); }
 
     /** Record the window as one point (if it has a series), then reset. */
     void sample(ConvergenceWindow &win, bool final) const;

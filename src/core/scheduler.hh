@@ -186,17 +186,21 @@ class BlockActivations
     resize(BlockId num_blocks)
     {
         sum_.assign(num_blocks, kUntouched);
-        touched_.clear();
+        touched_.resize(num_blocks);   // a block enters at most once
+        count_ = 0;
     }
 
-    /** Record a write of `delta` into block b's edge slice. */
+    /**
+     * Record a write of `delta` into block b's edge slice.  Kept free of
+     * any allocation path so every engine's per-edge loop inlines it.
+     */
     void
     add(BlockId b, double delta)
     {
         double &s = sum_[b];
         if (s < 0.0) {
             s = 0.0;
-            touched_.push_back(b);
+            touched_[count_++] = b;
         }
         if (delta > 0.0)
             s += delta;
@@ -206,9 +210,9 @@ class BlockActivations
     BlockId numBlocks() const { return static_cast<BlockId>(sum_.size()); }
 
     /** @return distinct blocks in the batch. */
-    std::size_t size() const { return touched_.size(); }
+    std::size_t size() const { return count_; }
 
-    bool empty() const { return touched_.empty(); }
+    bool empty() const { return count_ == 0; }
 
     /** Call fn(block, l1_sum) once per distinct block, in first-touch
      *  order, and empty the batch. */
@@ -216,11 +220,12 @@ class BlockActivations
     void
     flush(Fn &&fn)
     {
-        for (BlockId b : touched_) {
+        for (std::size_t i = 0; i < count_; i++) {
+            const BlockId b = touched_[i];
             fn(b, sum_[b]);
             sum_[b] = kUntouched;
         }
-        touched_.clear();
+        count_ = 0;
     }
 
     /** Activate every block of the batch on `sched`; empties it. */
@@ -235,6 +240,7 @@ class BlockActivations
 
     std::vector<double> sum_;       //!< per block; kUntouched if absent
     std::vector<BlockId> touched_;  //!< distinct blocks, first-touch order
+    std::size_t count_ = 0;         //!< used prefix of touched_
 };
 
 /** Factory keyed by the EngineOptions schedule. */

@@ -202,18 +202,7 @@ struct Progress
     std::atomic<std::uint64_t> edgeTraversals{0};
     std::atomic<std::uint64_t> scatterWrites{0};
 
-    /** Publish absolute totals (single-writer engines). */
-    void
-    publish(std::uint64_t vertex_updates, std::uint64_t block_updates,
-            std::uint64_t edge_traversals, std::uint64_t scatter_writes)
-    {
-        vertexUpdates.store(vertex_updates, std::memory_order_relaxed);
-        blockUpdates.store(block_updates, std::memory_order_relaxed);
-        edgeTraversals.store(edge_traversals, std::memory_order_relaxed);
-        scatterWrites.store(scatter_writes, std::memory_order_relaxed);
-    }
-
-    /** Add per-block increments (multi-writer engines). */
+    /** Add per-block increments (RunAccounting::count, thread safe). */
     void
     accumulate(std::uint64_t vertex_updates, std::uint64_t block_updates,
                std::uint64_t edge_traversals,

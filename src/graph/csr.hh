@@ -63,9 +63,6 @@ class Csr
         return static_cast<std::uint32_t>(offsets[row + 1] - offsets[row]);
     }
 
-    /** @return the row offsets array (size numVertices()+1). */
-    const std::vector<EdgeId> &rowOffsets() const { return offsets; }
-
   private:
     VertexId nVertices = 0;
     EdgeId nEdges = 0;

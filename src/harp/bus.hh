@@ -50,9 +50,6 @@ class Bus
         return grant;
     }
 
-    /** @return when the link next becomes idle. */
-    double freeTime() const { return freeAt; }
-
     /** @return cumulative busy seconds. */
     double busySeconds() const { return busy; }
 
@@ -65,9 +62,6 @@ class Bus
     {
         return horizon > 0.0 ? busy / horizon : 0.0;
     }
-
-    /** @return configured bandwidth in bytes/second. */
-    double bytesPerSecond() const { return bandwidth; }
 
   private:
     double bandwidth;

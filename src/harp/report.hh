@@ -8,23 +8,22 @@
 
 #include <cstdint>
 
+#include "core/run_accounting.hh"
+
 namespace graphabcd {
 
-/** Timing, work and utilization counters of one HarpSystem::run(). */
+/**
+ * What one HarpSystem::run() adds to the engine report: simulated time
+ * and throughput, utilization, memory traffic and where tasks ran.
+ */
 struct SimReport
 {
+    /** Work counters and outcome, as every engine reports them;
+     *  engine.seconds is the host wall clock spent simulating. */
+    EngineReport engine;
+
     // ----------------------------------------------------------- time
     double seconds = 0.0;        //!< simulated execution time
-    double hostSeconds = 0.0;    //!< wall clock spent simulating
-
-    // ----------------------------------------------------------- work
-    double epochs = 0.0;         //!< vertexUpdates / |V|
-    std::uint64_t blockUpdates = 0;
-    std::uint64_t vertexUpdates = 0;
-    std::uint64_t edgeTraversals = 0;
-    std::uint64_t scatterWrites = 0;
-    bool converged = false;
-    bool stopped = false;        //!< ended early by EngineOptions::stop
 
     // ----------------------------------------------------- throughput
     double mtes = 0.0;           //!< million traversed edges / second

@@ -19,10 +19,16 @@
  * values are committed at the simulated dispatch instant, and SCATTER
  * commits at the simulated completion instant, so asynchronous stale
  * reads — and their effect on convergence — are real, not modelled.
- * ExecMode::Barrier serialises one block end-to-end at a time (the
- * paper's 'Barrier' baseline); ExecMode::Bsp runs Jacobi supersteps
- * with a global barrier (the 'BSP' baseline).  Hybrid execution adds
- * CPU-side GATHER-APPLY workers fed from the same task queue.
+ * ExecMode::Barrier dispatches one PE-wide wave at a time and fences
+ * after it commits (the paper's 'Barrier' baseline); ExecMode::Bsp runs
+ * Jacobi supersteps with a global barrier (the 'BSP' baseline).  Hybrid
+ * execution adds CPU-side GATHER-APPLY workers fed from the same task
+ * queue.
+ *
+ * Accounting goes through RunAccounting, as in every BCD engine: each
+ * committed task is one BlockWork, the convergence window is observed
+ * once per commit (once per superstep under Bsp) and its samples carry
+ * the simulated time next to the host wall clock.
  */
 
 #ifndef GRAPHABCD_HARP_SYSTEM_HH
@@ -31,10 +37,12 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <type_traits>
 #include <vector>
 
 #include "core/options.hh"
+#include "core/run_accounting.hh"
 #include "core/scheduler.hh"
 #include "core/state.hh"
 #include "core/vertex_program.hh"
@@ -44,7 +52,6 @@
 #include "harp/event_queue.hh"
 #include "harp/report.hh"
 #include "obs/obs.hh"
-#include "support/timer.hh"
 
 namespace graphabcd {
 
@@ -87,7 +94,7 @@ class HarpSystem
     SimReport
     run(std::vector<Value> &out_values, const StopFn &stop_fn = nullptr)
     {
-        wallTimer.start();
+        acct.emplace("engine.sim.run", graph.numVertices(), engineOpt);
         state = std::make_unique<BcdState<Program>>(graph, program);
         if constexpr (std::is_same_v<Value, double>) {
             if (engineOpt.warmStart &&
@@ -106,7 +113,6 @@ class HarpSystem
         nextTrace = engineOpt.traceInterval > 0.0
             ? engineOpt.traceInterval
             : 1.0;
-        nextConvSample = convInterval();
 
         if (engineOpt.mode == ExecMode::Bsp)
             startWave();
@@ -114,23 +120,18 @@ class HarpSystem
             events.schedule(0.0, [this] { trySchedule(); });
 
         events.runToCompletion();
-        recordConvergence(/*final=*/true);
+        acct->window().simSeconds = events.now();
+        report.engine = acct->finish(
+            cancelled, !cancelled && (stopFnFired || sched->empty()));
+        acct.reset();
 
         const double horizon = endTime;
         report.seconds = horizon;
-        report.hostSeconds = wallTimer.seconds();
-        report.epochs = static_cast<double>(report.vertexUpdates) /
-                        std::max<double>(graph.numVertices(), 1.0);
-        report.stopped = cancelled;
-        report.converged = !cancelled && (stopped || sched->empty());
         if (horizon > 0.0) {
-            report.mtes = static_cast<double>(report.edgeTraversals) /
-                          horizon / 1e6;
-            double pe_busy = 0.0;
-            for (double b : peBusy)
-                pe_busy += b;
-            report.peUtilization =
-                pe_busy / (static_cast<double>(totalPes()) * horizon);
+            report.mtes =
+                static_cast<double>(report.engine.edgeTraversals) /
+                horizon / 1e6;
+            report.peUtilization = peUtilization(horizon);
             double cpu_busy = 0.0;
             for (double b : cpuBusy)
                 cpu_busy += b;
@@ -198,7 +199,7 @@ class HarpSystem
     void
     trySchedule()
     {
-        if (checkCancelled() || stopped)
+        if (checkCancelled() || stopFnFired)
             return;
         std::size_t window = dispatchWindow();
         if (engineOpt.mode == ExecMode::Barrier) {
@@ -218,7 +219,7 @@ class HarpSystem
         while (inflight < window &&
                (engineOpt.mode != ExecMode::Barrier ||
                 inflight < totalPes())) {
-            if (maxedOut())
+            if (acct->budgetSpent())
                 break;
             auto b = sched->next();
             if (!b)
@@ -233,14 +234,6 @@ class HarpSystem
             if (cfg.hybrid)
                 events.schedule(t, [this] { tryStartCpu(); });
         }
-    }
-
-    bool
-    maxedOut() const
-    {
-        return static_cast<double>(report.vertexUpdates) >=
-               engineOpt.maxEpochs *
-                   std::max<double>(graph.numVertices(), 1.0);
     }
 
     // ------------------------------------------------------ FPGA PEs
@@ -430,38 +423,17 @@ class HarpSystem
     commitTask(const Task &task)
     {
         const double now = events.now();
+        inflight--;
+        endTime = std::max(endTime, now);
         if (engineOpt.mode == ExecMode::Bsp) {
             // Jacobi: park the update until the wave barrier.
             waveDone.push_back(task);
-            inflight--;
-            report.blockUpdates++;
-            report.vertexUpdates += task.update.newValues.size();
-            report.edgeTraversals += graph.blockEdgeCount(task.block);
-            endTime = std::max(endTime, now);
             if (inflight == 0)
                 finishWave();
             return;
         }
 
-        report.scatterWrites += state->commitBlock(
-            graph, program, task.update, engineOpt.tolerance,
-            sched.get());
-        report.blockUpdates++;
-        report.vertexUpdates += task.update.newValues.size();
-        report.edgeTraversals += graph.blockEdgeCount(task.block);
-        inflight--;
-        endTime = std::max(endTime, now);
-        if constexpr (obs::kEnabled) {
-            winL1 += task.update.l1Delta;
-            winActive += task.update.changed;
-        }
-        recordConvergence(/*final=*/false);
-        if (engineOpt.progress) {
-            engineOpt.progress->publish(report.vertexUpdates,
-                                        report.blockUpdates,
-                                        report.edgeTraversals,
-                                        report.scatterWrites);
-        }
+        observe(commit(task));
         checkStop();
         if (engineOpt.mode == ExecMode::Barrier) {
             // The wave's memory barrier: dispatching resumes only after
@@ -476,13 +448,26 @@ class HarpSystem
         }
     }
 
+    /** SCATTER one task's update into the state and count it. */
+    BlockWork
+    commit(const Task &task)
+    {
+        const std::uint64_t scatters = state->commitBlock(
+            graph, program, task.update, engineOpt.tolerance, sched.get());
+        const BlockWork work{task.update.newValues.size(), 1,
+                             graph.blockEdgeCount(task.block), scatters,
+                             task.update.changed, task.update.l1Delta};
+        acct->count(work);
+        return work;
+    }
+
     // ------------------------------------------------------ BSP waves
 
     /** Dispatch one Jacobi superstep: every active block at once. */
     void
     startWave()
     {
-        if (checkCancelled() || stopped || maxedOut())
+        if (checkCancelled() || stopFnFired || acct->budgetSpent())
             return;
         bool any = false;
         while (auto b = sched->next()) {
@@ -504,77 +489,45 @@ class HarpSystem
     {
         const double barrier_done = events.now() + cfg.barrierSeconds;
         endTime = std::max(endTime, barrier_done);
+        BlockWork step;   // the superstep's convergence-window share
         for (const Task &task : waveDone) {
-            report.scatterWrites += state->commitBlock(
-                graph, program, task.update, engineOpt.tolerance,
-                sched.get());
-            if constexpr (obs::kEnabled) {
-                winL1 += task.update.l1Delta;
-                winActive += task.update.changed;
-            }
+            const BlockWork work = commit(task);
+            step.l1 += work.l1;
+            step.active += work.active;
         }
         waveDone.clear();
-        recordConvergence(/*final=*/false);
+        observe(step);
         checkStop();
-        if (!stopped) {
+        if (!stopFnFired) {
             events.schedule(barrier_done, [this] { startWave(); });
         }
     }
 
     // -------------------------------------------------- observability
 
-    double
-    convInterval() const
-    {
-        return engineOpt.traceInterval > 0.0 ? engineOpt.traceInterval
-                                             : 1.0;
-    }
-
     /**
-     * Publish one convergence sample (simulated + wall time) and keep
-     * the harp.pe_utilization gauge live while the simulation runs, so
-     * the periodic Sampler sees utilization evolve instead of only the
-     * end-of-run scalar.  Rides the per-block commit path; compiled
-     * out with the rest of the obs layer.
+     * Fold one commit (or superstep) into the run's convergence window.
+     * A recorded sample carries the simulated time, and refreshes the
+     * harp.pe_utilization gauge so the periodic Sampler sees
+     * utilization evolve instead of only the end-of-run scalar.
      */
     void
-    recordConvergence(bool final)
+    observe(const BlockWork &step)
     {
-        if constexpr (obs::kEnabled) {
-            const double epochs =
-                static_cast<double>(report.vertexUpdates) /
-                std::max<double>(graph.numVertices(), 1.0);
-            if (!final) {
-                if (epochs + 1e-12 < nextConvSample)
-                    return;
-                nextConvSample = epochs + convInterval();
-            }
-            const double now = events.now();
-            if (now > 0.0) {
-                double busy = 0.0;
-                for (double b : peBusy)
-                    busy += b;
-                obs::gauge("harp.pe_utilization")
-                    .set(busy /
-                         (static_cast<double>(totalPes()) * now));
-            }
-            if (engineOpt.convergence) {
-                obs::ConvergencePoint pt;
-                pt.epochs = epochs;
-                pt.residual = winL1;
-                pt.activeVertices = winActive;
-                pt.vertexUpdates = report.vertexUpdates;
-                pt.edgeTraversals = report.edgeTraversals;
-                pt.wallSeconds = wallTimer.seconds();
-                pt.simSeconds = now;
-                if (final)
-                    engineOpt.convergence->recordFinal(pt);
-                else
-                    engineOpt.convergence->record(pt);
-            }
-            winL1 = 0.0;
-            winActive = 0;
-        }
+        const double now = events.now();
+        acct->window().simSeconds = now;
+        if (acct->observe(step) && now > 0.0)
+            obs::gauge("harp.pe_utilization").set(peUtilization(now));
+    }
+
+    /** Mean pipeline-active fraction of the PEs over [0, horizon]. */
+    double
+    peUtilization(double horizon) const
+    {
+        double busy = 0.0;
+        for (double b : peBusy)
+            busy += b;
+        return busy / (static_cast<double>(totalPes()) * horizon);
     }
 
     /** Track layout of the simulated timeline: PEs first, CPU workers
@@ -605,16 +558,14 @@ class HarpSystem
     {
         if (!stopFn)
             return;
-        const double epochs =
-            static_cast<double>(report.vertexUpdates) /
-            std::max<double>(graph.numVertices(), 1.0);
+        const double epochs = acct->epochs();
         if (epochs + 1e-12 < nextTrace)
             return;
         nextTrace += engineOpt.traceInterval > 0.0
             ? engineOpt.traceInterval
             : 1.0;
         if (stopFn(epochs, state->values()))
-            stopped = true;
+            stopFnFired = true;
     }
 
     // --------------------------------------------------------- members
@@ -642,11 +593,8 @@ class HarpSystem
 
     std::uint64_t inflight = 0;
     double endTime = 0.0;
-    Timer wallTimer;
-    double winL1 = 0.0;          //!< convergence window accumulators:
-    std::uint64_t winActive = 0; //!< touched only when obs is enabled
-    double nextConvSample = 1.0;
-    bool stopped = false;      //!< StopFn convergence fired
+    std::optional<RunAccounting> acct;   //!< live during run()
+    bool stopFnFired = false;  //!< StopFn convergence fired
     bool cancelled = false;    //!< EngineOptions::stop fired
     double nextTrace = 1.0;
     StopFn stopFn;

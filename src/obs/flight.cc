@@ -111,13 +111,6 @@ FlightRecorder::armed() const
     return armed_;
 }
 
-std::string
-FlightRecorder::armedPath() const
-{
-    std::lock_guard<std::mutex> lock(mtx_);
-    return path_;
-}
-
 void
 FlightRecorder::armSignals()
 {

@@ -74,7 +74,6 @@ class FlightRecorder
     void disarm();
 
     bool armed() const;
-    std::string armedPath() const;
 
     /**
      * Install best-effort handlers for fatal signals (SIGSEGV, SIGABRT,

@@ -113,13 +113,6 @@ Sampler::running() const
     return running_;
 }
 
-double
-Sampler::intervalSeconds() const
-{
-    std::lock_guard<std::mutex> lock(mtx_);
-    return intervalSeconds_;
-}
-
 SampleSeries &
 Sampler::seriesFor(const std::string &key)
 {

@@ -107,8 +107,6 @@ class Sampler
 
     bool running() const;
 
-    double intervalSeconds() const;
-
     /** Take one snapshot right now (also what the thread does). */
     void sampleOnce();
 

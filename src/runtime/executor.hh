@@ -74,8 +74,7 @@ class Executor
         /**
          * Block until every task submitted so far has finished.  The
          * releasing worker's mutex handoff orders the tasks' writes
-         * before the return, so wait() doubles as the join barrier of
-         * a BSP wave.
+         * before the return, so the caller reads them race-free.
          */
         void wait();
 

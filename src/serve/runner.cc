@@ -24,22 +24,6 @@ namespace graphabcd {
 
 namespace {
 
-/** Translate a simulator report into the common EngineReport shape. */
-EngineReport
-fromSimReport(const SimReport &sim)
-{
-    EngineReport report;
-    report.epochs = sim.epochs;
-    report.blockUpdates = sim.blockUpdates;
-    report.vertexUpdates = sim.vertexUpdates;
-    report.edgeTraversals = sim.edgeTraversals;
-    report.scatterWrites = sim.scatterWrites;
-    report.converged = sim.converged;
-    report.stopped = sim.stopped;
-    report.seconds = sim.hostSeconds;
-    return report;
-}
-
 /**
  * The wedge engine: deliberately makes no progress, for exercising the
  * stall watchdog end to end (tests, the ci.sh stall drill).  Hidden
@@ -89,7 +73,7 @@ runSim(const BlockPartition &g, const P &program, const JobRequest &req,
     HarpConfig cfg = harp;
     cfg.layoutBytesPerEdge = g.gatherBytesPerEdge();
     out.sim = HarpSystem<P>(g, program, req.options, cfg).run(out.values);
-    out.report = fromSimReport(*out.sim);
+    out.report = out.sim->engine;
 }
 
 template <typename P>
@@ -112,8 +96,10 @@ runWedge(const BlockPartition &g, const P &, const JobRequest &req,
 
 /**
  * The one engine dispatch: the runner of req.engine for program type
- * P, or null (with the reason in *why) when that engine does not exist
- * or cannot run P.  Eligibility is a compile-time property of P.
+ * P, or null (with the reason in *why) when that engine does not exist,
+ * cannot run P or does not run the request's execution mode (the
+ * threaded engines run only Async).  Eligibility on P is a compile-time
+ * property of P.
  */
 template <typename P>
 EngineFn<P>
@@ -131,6 +117,13 @@ engineFor(const JobRequest &req, std::string *why)
     if (it == std::end(kEngines) ||
         (it->second == EngineKind::Wedge && !wedgeEngineEnabled()))
         return reject("unknown engine '" + req.engine + "'");
+    // The threaded engines run only the barrierless model.
+    if ((it->second == EngineKind::Async ||
+         it->second == EngineKind::Accum) &&
+        req.options.mode != ExecMode::Async)
+        return reject("mode '" + std::string(to_string(req.options.mode)) +
+                      "' does not run on engine=" + req.engine +
+                      "; engine=serial or engine=sim runs it");
     switch (it->second) {
       case EngineKind::Serial:
         return &runEngine<SerialEngine<P>, P>;

@@ -104,7 +104,10 @@ template <typename Program>
 RunOutcome runProgram(const BlockPartition &g, const Program &program,
                       const JobRequest &req, const HarpConfig &harp = {});
 
-/** @return whether runAnalyticsJob recognises req.algo and req.engine. */
+/**
+ * @return whether runAnalyticsJob recognises req.algo and req.engine
+ * and that engine runs req.options.mode.
+ */
 bool isRunnable(const JobRequest &req, std::string *why = nullptr);
 
 /**

@@ -12,7 +12,7 @@ namespace graphabcd {
 
 /**
  * Monotonic stopwatch.  start() (or construction) begins a measurement;
- * seconds()/millis() read the elapsed time without stopping it.
+ * seconds()/micros() read the elapsed time without stopping it.
  */
 class Timer
 {
@@ -29,17 +29,14 @@ class Timer
         return std::chrono::duration<double>(Clock::now() - begin).count();
     }
 
-    /** @return elapsed milliseconds since start(). */
-    double millis() const { return seconds() * 1e3; }
-
     /** @return elapsed microseconds since start(). */
     double micros() const { return seconds() * 1e6; }
 
   private:
     using Clock = std::chrono::steady_clock;
 
-    // Every duration this library reports (EngineReport::seconds,
-    // SimReport::hostSeconds, serve-layer job accounting) flows through
+    // Every host duration this library reports (EngineReport::seconds,
+    // serve-layer job accounting) flows through
     // this class, so pinning the clock here keeps them all immune to
     // wall-clock adjustments (NTP slew, DST, manual changes).
     static_assert(Clock::is_steady,

@@ -2,7 +2,7 @@
  * @file
  * Tests of the threaded asynchronous engine: the barrierless, lock-free
  * execution must reach the same fixed points as the serial engine and
- * the exact references, under every execution mode and thread count.
+ * the exact references at every thread count.
  */
 
 #include <gtest/gtest.h>
@@ -25,20 +25,13 @@
 namespace graphabcd {
 namespace {
 
-struct AsyncCase
-{
-    std::uint32_t threads;
-    ExecMode mode;
-};
-
 std::string
-caseName(const testing::TestParamInfo<AsyncCase> &info)
+caseName(const testing::TestParamInfo<std::uint32_t> &info)
 {
-    return std::string("t") + std::to_string(info.param.threads) + "_" +
-           to_string(info.param.mode);
+    return std::string("t") + std::to_string(info.param) + "_async";
 }
 
-class AsyncSweep : public testing::TestWithParam<AsyncCase>
+class AsyncSweep : public testing::TestWithParam<std::uint32_t>
 {
   protected:
     EngineOptions
@@ -46,8 +39,7 @@ class AsyncSweep : public testing::TestWithParam<AsyncCase>
     {
         EngineOptions opt;
         opt.blockSize = 32;
-        opt.numThreads = GetParam().threads;
-        opt.mode = GetParam().mode;
+        opt.numThreads = GetParam();
         opt.tolerance = 1e-12;
         return opt;
     }
@@ -172,15 +164,8 @@ TEST_P(AsyncSweep, ConnectedComponentsMatchUnionFind)
         EXPECT_DOUBLE_EQ(labels[v], ref[v]);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ThreadsAndModes, AsyncSweep,
-    testing::Values(AsyncCase{1, ExecMode::Async},
-                    AsyncCase{2, ExecMode::Async},
-                    AsyncCase{4, ExecMode::Async},
-                    AsyncCase{2, ExecMode::Barrier},
-                    AsyncCase{2, ExecMode::Bsp},
-                    AsyncCase{4, ExecMode::Bsp}),
-    caseName);
+INSTANTIATE_TEST_SUITE_P(ThreadsAndModes, AsyncSweep,
+                         testing::Values(1u, 2u, 4u), caseName);
 
 TEST(AsyncEngine, PriorityScheduleWorksThreaded)
 {
@@ -226,12 +211,11 @@ TEST(AsyncEngine, RepeatedRunsAreStable)
 
 /** Options for a run that can never converge (negative tolerance). */
 EngineOptions
-endlessOptions(ExecMode mode, std::uint32_t threads)
+endlessOptions(std::uint32_t threads)
 {
     EngineOptions opt;
     opt.blockSize = 16;
     opt.numThreads = threads;
-    opt.mode = mode;
     opt.tolerance = -1.0;   // residual >= 0 never beats this
     opt.maxEpochs = 1e9;
     return opt;
@@ -241,44 +225,41 @@ TEST(AsyncEngineStop, StopTokenTerminatesWorkersPromptly)
 {
     Rng rng(57);
     EdgeList el = generateRmat(300, 2400, rng);
-    for (ExecMode mode : {ExecMode::Async, ExecMode::Bsp}) {
-        EngineOptions opt = endlessOptions(mode, 4);
-        StopSource source;
-        opt.stop = source.token();
-        BlockPartition g(el, opt.blockSize);
-        AsyncEngine<PageRankProgram> engine(g, PageRankProgram(), opt);
+    EngineOptions opt = endlessOptions(4);
+    StopSource source;
+    opt.stop = source.token();
+    BlockPartition g(el, opt.blockSize);
+    AsyncEngine<PageRankProgram> engine(g, PageRankProgram(), opt);
 
-        std::thread canceller([&source] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(30));
-            source.requestStop();
-        });
-        const auto t0 = std::chrono::steady_clock::now();
-        std::vector<double> x;
-        EngineReport report = engine.run(x);
-        canceller.join();
-        const double elapsed =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
+    std::thread canceller([&source] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+        source.requestStop();
+    });
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<double> x;
+    EngineReport report = engine.run(x);
+    canceller.join();
+    const double elapsed = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
 
-        // run() returned because the token fired, long before the
-        // 1e9-epoch budget, and said so in the report.
-        EXPECT_TRUE(report.stopped) << to_string(mode);
-        EXPECT_FALSE(report.converged) << to_string(mode);
-        EXPECT_LT(elapsed, 10.0) << to_string(mode);
+    // run() returned because the token fired, long before the
+    // 1e9-epoch budget, and said so in the report.
+    EXPECT_TRUE(report.stopped);
+    EXPECT_FALSE(report.converged);
+    EXPECT_LT(elapsed, 10.0);
 
-        // State is consistent: a full-size, finite value vector.
-        ASSERT_EQ(x.size(), el.numVertices());
-        for (VertexId v = 0; v < el.numVertices(); v++)
-            EXPECT_TRUE(std::isfinite(x[v])) << "vertex " << v;
-    }
+    // State is consistent: a full-size, finite value vector.
+    ASSERT_EQ(x.size(), el.numVertices());
+    for (VertexId v = 0; v < el.numVertices(); v++)
+        EXPECT_TRUE(std::isfinite(x[v])) << "vertex " << v;
 }
 
 TEST(AsyncEngineStop, PreCancelledTokenStopsBeforeWork)
 {
     Rng rng(58);
     EdgeList el = generateRmat(128, 1024, rng);
-    EngineOptions opt = endlessOptions(ExecMode::Async, 2);
+    EngineOptions opt = endlessOptions(2);
     StopSource source;
     source.requestStop();
     opt.stop = source.token();
@@ -295,7 +276,7 @@ TEST(AsyncEngineStop, DeadlineAloneStopsTheRun)
 {
     Rng rng(59);
     EdgeList el = generateRmat(200, 1600, rng);
-    EngineOptions opt = endlessOptions(ExecMode::Async, 3);
+    EngineOptions opt = endlessOptions(3);
     opt.stop = StopToken().withDeadline(0.05);
     BlockPartition g(el, opt.blockSize);
     AsyncEngine<PageRankProgram> engine(g, PageRankProgram(), opt);
@@ -309,7 +290,7 @@ TEST(AsyncEngineStop, StoppedRunPublishesProgress)
 {
     Rng rng(60);
     EdgeList el = generateRmat(200, 1600, rng);
-    EngineOptions opt = endlessOptions(ExecMode::Async, 2);
+    EngineOptions opt = endlessOptions(2);
     StopSource source;
     opt.stop = source.token();
     auto progress = std::make_shared<Progress>();
@@ -337,9 +318,9 @@ TEST(AsyncEngineStop, StoppedRunPublishesProgress)
 TEST(AsyncEngine, SinkHeavyGraphMatchesReference)
 {
     // Regression for the processAndCommit scatter path: a graph where
-    // most vertices are sinks (no out-edges)
-    // exercises the early-continue and the hoisted old-edge-value read
-    // in both the fused commit (Async) and the wave commit (Bsp).
+    // most vertices are sinks (no out-edges) exercises the
+    // early-continue and the hoisted old-edge-value read of the fused
+    // commit.
     EdgeList el(64);
     for (VertexId v = 1; v < 64; v++)
         el.addEdge(0, v);         // hub fans out; 1..63 are sinks
@@ -347,22 +328,17 @@ TEST(AsyncEngine, SinkHeavyGraphMatchesReference)
     el.addEdge(2, 0);
 
     std::vector<double> ref = pagerankReference(el, 0.85);
-    for (ExecMode mode : {ExecMode::Async, ExecMode::Bsp}) {
-        EngineOptions opt;
-        opt.blockSize = 8;
-        opt.numThreads = 2;
-        opt.mode = mode;
-        opt.tolerance = 1e-12;
-        BlockPartition g(el, opt.blockSize);
-        AsyncEngine<PageRankProgram> engine(g, PageRankProgram(0.85),
-                                            opt);
-        std::vector<double> x;
-        EngineReport report = engine.run(x);
-        EXPECT_TRUE(report.converged) << to_string(mode);
-        for (VertexId v = 0; v < el.numVertices(); v++)
-            EXPECT_NEAR(x[v], ref[v], 1e-6)
-                << to_string(mode) << " vertex " << v;
-    }
+    EngineOptions opt;
+    opt.blockSize = 8;
+    opt.numThreads = 2;
+    opt.tolerance = 1e-12;
+    BlockPartition g(el, opt.blockSize);
+    AsyncEngine<PageRankProgram> engine(g, PageRankProgram(0.85), opt);
+    std::vector<double> x;
+    EngineReport report = engine.run(x);
+    EXPECT_TRUE(report.converged);
+    for (VertexId v = 0; v < el.numVertices(); v++)
+        EXPECT_NEAR(x[v], ref[v], 1e-6) << "vertex " << v;
 }
 
 TEST(AsyncEngine, ReportsWorkCounters)

@@ -17,6 +17,7 @@
 #include "graph/io.hh"
 #include "graph/stats.hh"
 #include "support/logging.hh"
+#include "temp_path.hh"
 
 namespace graphabcd {
 namespace {
@@ -233,8 +234,7 @@ TEST(Io, RoundTripPreservesGraph)
 {
     Rng rng(4);
     EdgeList el = generateErdosRenyi(50, 200, rng, /*weighted=*/true);
-    std::string path = std::filesystem::temp_directory_path() /
-                       "abcd_io_test.el";
+    std::string path = tempPath("io_test.el");
     saveEdgeList(el, path);
     EdgeList loaded = loadEdgeList(path, /*densify=*/false);
     ASSERT_EQ(loaded.numEdges(), el.numEdges());
@@ -248,8 +248,7 @@ TEST(Io, RoundTripPreservesGraph)
 
 TEST(Io, DensifyRemapsSparseIds)
 {
-    std::string path = std::filesystem::temp_directory_path() /
-                       "abcd_io_sparse.el";
+    std::string path = tempPath("io_sparse.el");
     {
         FILE *f = std::fopen(path.c_str(), "w");
         std::fputs("# comment\n100 200\n200 300\n", f);
@@ -265,8 +264,7 @@ TEST(Io, BinaryRoundTripIsExact)
 {
     Rng rng(44);
     EdgeList el = generateRmat(200, 1500, rng, {.weighted = true});
-    std::string path = std::filesystem::temp_directory_path() /
-                       "abcd_io_test.bin";
+    std::string path = tempPath("io_test.bin");
     saveEdgeListBinary(el, path);
     EdgeList loaded = loadEdgeListBinary(path);
     ASSERT_EQ(loaded.numVertices(), el.numVertices());
@@ -278,8 +276,7 @@ TEST(Io, BinaryRoundTripIsExact)
 
 TEST(Io, BinaryRejectsBadMagic)
 {
-    std::string path = std::filesystem::temp_directory_path() /
-                       "abcd_io_bad.bin";
+    std::string path = tempPath("io_bad.bin");
     {
         std::ofstream ofs(path, std::ios::binary);
         ofs << "not a graph at all, sorry";
@@ -292,8 +289,7 @@ TEST(Io, BinaryDetectsTruncation)
 {
     Rng rng(45);
     EdgeList el = generateErdosRenyi(50, 400, rng);
-    std::string path = std::filesystem::temp_directory_path() /
-                       "abcd_io_trunc.bin";
+    std::string path = tempPath("io_trunc.bin");
     saveEdgeListBinary(el, path);
     std::filesystem::resize_file(
         path, std::filesystem::file_size(path) / 2);
@@ -310,8 +306,7 @@ TEST(Io, RejectsVertexIdsWiderThan32Bits)
 {
     // Ids beyond VertexId used to be silently truncated, aliasing
     // distinct vertices; they must fail loudly, naming the line.
-    std::string path = std::filesystem::temp_directory_path() /
-                       "abcd_io_wide.el";
+    std::string path = tempPath("io_wide.el");
     {
         FILE *f = std::fopen(path.c_str(), "w");
         std::fputs("0 1\n1 2\n7 5000000000\n", f);
@@ -335,8 +330,7 @@ TEST(Io, BinaryRejectsOversizedHeaderEdgeCount)
     // fail before allocating, not OOM on a multi-exabyte vector.
     Rng rng(46);
     EdgeList el = generateErdosRenyi(20, 60, rng);
-    std::string path = std::filesystem::temp_directory_path() /
-                       "abcd_io_badcount.bin";
+    std::string path = tempPath("io_badcount.bin");
     saveEdgeListBinary(el, path);
     {
         // Overwrite the uint64 edge count at offset 12 (magic 4 +

@@ -36,7 +36,7 @@ TEST(HarpSystem, PageRankMatchesReference)
                                     baseOptions(32), HarpConfig{});
     std::vector<double> x;
     SimReport report = sys.run(x);
-    EXPECT_TRUE(report.converged);
+    EXPECT_TRUE(report.engine.converged);
     std::vector<double> ref = pagerankReference(el, 0.85);
     for (VertexId v = 0; v < el.numVertices(); v++)
         EXPECT_NEAR(x[v], ref[v], 1e-6);
@@ -56,7 +56,7 @@ TEST(HarpSystem, SsspMatchesDijkstraInAllModes)
         HarpSystem<SsspProgram> sys(g, SsspProgram(0), opt, HarpConfig{});
         std::vector<double> dist;
         SimReport report = sys.run(dist);
-        EXPECT_TRUE(report.converged) << to_string(mode);
+        EXPECT_TRUE(report.engine.converged) << to_string(mode);
         for (VertexId v = 0; v < el.numVertices(); v++)
             EXPECT_NEAR(dist[v], ref[v], 1e-6)
                 << to_string(mode) << " vertex " << v;
@@ -77,7 +77,7 @@ TEST(HarpSystem, CfWideValuesRun)
                                  HarpConfig{});
     std::vector<FeatureVec<8>> x;
     SimReport report = sys.run(x);
-    EXPECT_GT(report.blockUpdates, 0u);
+    EXPECT_GT(report.engine.blockUpdates, 0u);
 
     CfProgram<8> prog(0.2, 0.02);
     std::vector<FeatureVec<8>> init;
@@ -109,7 +109,7 @@ TEST(HarpSystem, AsyncIsFastestExecutionMode)
         std::vector<double> x;
         SimReport report = sys.run(x);
         seconds[idx] = report.seconds;
-        epochs[idx] = report.epochs;
+        epochs[idx] = report.engine.epochs;
         idx++;
     }
     EXPECT_LT(seconds[0], seconds[1]);   // async < barrier
@@ -133,7 +133,7 @@ TEST(HarpSystem, BarrierMatchesAsyncConvergenceRate)
         HarpSystem<PageRankProgram> sys(g, PageRankProgram(), opt,
                                         HarpConfig{});
         std::vector<double> x;
-        epochs[idx++] = sys.run(x).epochs;
+        epochs[idx++] = sys.run(x).engine.epochs;
     }
     EXPECT_NEAR(epochs[0], epochs[1], 0.35 * epochs[1]);
 }
@@ -268,9 +268,9 @@ TEST(HarpSystem, StopFnEndsRunEarly)
         x, [](double epochs, const std::vector<double> &) {
             return epochs >= 3.0;
         });
-    EXPECT_TRUE(report.converged);
+    EXPECT_TRUE(report.engine.converged);
     // Some in-flight overshoot past the stop check is expected.
-    EXPECT_LT(report.epochs, 8.0);
+    EXPECT_LT(report.engine.epochs, 8.0);
 }
 
 TEST(HarpSystem, ReportInvariantsHold)
@@ -290,9 +290,9 @@ TEST(HarpSystem, ReportInvariantsHold)
     EXPECT_LE(report.peUtilization, 1.0);
     EXPECT_LE(report.busUtilization, 1.0 + 1e-9);
     EXPECT_EQ(report.fpgaTasks + report.cpuGatherTasks,
-              report.blockUpdates);
-    EXPECT_NEAR(report.epochs,
-                static_cast<double>(report.vertexUpdates) /
+              report.engine.blockUpdates);
+    EXPECT_NEAR(report.engine.epochs,
+                static_cast<double>(report.engine.vertexUpdates) /
                     el.numVertices(),
                 1e-9);
 }

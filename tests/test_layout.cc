@@ -35,6 +35,7 @@
 #include "serve/runner.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
+#include "temp_path.hh"
 
 namespace graphabcd {
 namespace {
@@ -197,12 +198,6 @@ TEST(CodecFuzz, RandomRoundTripsAndGarbageNeverOverread)
 // ---------------------------------------------------------------------
 // Packed "ABCZ" loader
 
-std::string
-tmpPath(const char *name)
-{
-    return std::string(::testing::TempDir()) + name;
-}
-
 /** Canonical (src, dst, weight) triples for order-independent compare. */
 std::vector<std::tuple<VertexId, VertexId, float>>
 canonical(const EdgeList &el)
@@ -230,7 +225,7 @@ TEST(PackedIo, RoundTripsUnitAndWeightedGraphs)
     EdgeList unit = generateRmat(300, 1200, rng);
     EdgeList weighted = weightedRmat(300, 1200, rng);
     for (const EdgeList *el : {&unit, &weighted}) {
-        const std::string path = tmpPath("roundtrip.abcz");
+        const std::string path = tempPath("roundtrip.abcz");
         saveEdgeListPacked(*el, path);
         const EdgeList back = loadEdgeListPacked(path);
         EXPECT_EQ(back.numVertices(), el->numVertices());
@@ -244,8 +239,8 @@ TEST(PackedIo, PackedIsSmallerThanRawBinary)
 {
     Rng rng(33);
     const EdgeList el = generateRmat(1 << 12, 1 << 15, rng);
-    const std::string packed = tmpPath("size.abcz");
-    const std::string raw = tmpPath("size.bin");
+    const std::string packed = tempPath("size.abcz");
+    const std::string raw = tempPath("size.bin");
     saveEdgeListPacked(el, packed);
     saveEdgeListBinary(el, raw);
     const auto size = [](const std::string &p) {
@@ -261,7 +256,7 @@ TEST(PackedIo, CorruptEdgeCountHeaderFailsWithOffsets)
 {
     Rng rng(35);
     const EdgeList el = generateRmat(128, 512, rng);
-    const std::string path = tmpPath("corrupt.abcz");
+    const std::string path = tempPath("corrupt.abcz");
     saveEdgeListPacked(el, path);
     {
         // The edge-count field sits after magic (4) + version (4);
@@ -287,7 +282,7 @@ TEST(PackedIo, TruncatedStreamFailsNotOverreads)
 {
     Rng rng(37);
     const EdgeList el = generateRmat(128, 512, rng);
-    const std::string path = tmpPath("truncated.abcz");
+    const std::string path = tempPath("truncated.abcz");
     saveEdgeListPacked(el, path);
     std::vector<char> bytes;
     {

@@ -47,6 +47,7 @@
 #include "serve/graph_registry.hh"
 #include "serve/job_manager.hh"
 #include "support/logging.hh"
+#include "temp_path.hh"
 
 namespace graphabcd {
 namespace {
@@ -1191,7 +1192,13 @@ TEST(CausalSpan, ExecutorTasksInheritTheSubmittersSpanTree)
     EXPECT_EQ(inners, 4u);
 }
 
-TEST(ServeObs, AsyncServeJobFormsOneCausalSpanTree)
+/**
+ * Run one traced serve job of `engine` (pr on a small RMAT) and return
+ * its span tree after checking it is one causal tree: exactly one root
+ * and every span reaching it through recorded parents.
+ */
+std::map<std::uint64_t, SpanNode>
+tracedServeJobTree(const std::string &engine)
 {
     TraceRecorder &rec = TraceRecorder::global();
     rec.clear();
@@ -1207,13 +1214,13 @@ TEST(ServeObs, AsyncServeJobFormsOneCausalSpanTree)
     JobRequest req;
     req.graph = "g";
     req.algo = "pr";
-    req.engine = "async";
+    req.engine = engine;
     req.options.numThreads = 2;
     req.allowCached = false;
     req.allowWarmStart = false;
     const auto sub = manager.submit(req);
-    ASSERT_TRUE(sub.ok());
-    ASSERT_TRUE(manager.wait(sub.id, 60.0));
+    EXPECT_TRUE(sub.ok());
+    EXPECT_TRUE(manager.wait(sub.id, 60.0));
     manager.shutdown();
     rec.setEnabled(false);
 
@@ -1223,9 +1230,9 @@ TEST(ServeObs, AsyncServeJobFormsOneCausalSpanTree)
 
     JsonValue doc;
     std::string why;
-    ASSERT_TRUE(parseJson(os.str(), &doc, &why)) << why;
+    EXPECT_TRUE(parseJson(os.str(), &doc, &why)) << why;
     const auto tree = spanTreeOf(doc, sub.id);
-    ASSERT_FALSE(tree.empty());
+    EXPECT_FALSE(tree.empty());
 
     // Exactly one root (parent == 0): the serve.job span.
     std::uint64_t root = 0;
@@ -1246,23 +1253,60 @@ TEST(ServeObs, AsyncServeJobFormsOneCausalSpanTree)
         int steps = 0;
         while (cur != root) {
             const auto it = tree.find(cur);
-            ASSERT_NE(it, tree.end())
-                << "span " << span << " orphaned at " << cur;
+            if (it == tree.end()) {
+                ADD_FAILURE() << "span " << span << " orphaned at " << cur;
+                break;
+            }
             cur = it->second.parent;
-            ASSERT_LT(++steps, 64);
+            if (++steps >= 64) {
+                ADD_FAILURE() << "span " << span << " has a parent cycle";
+                break;
+            }
         }
     }
+    return tree;
+}
 
-    // The tree contains each layer of the job's execution.
+/** @return how many spans of each name the tree holds. */
+std::map<std::string, std::size_t>
+spanNames(const std::map<std::uint64_t, SpanNode> &tree)
+{
     std::map<std::string, std::size_t> names;
     for (const auto &[span, node] : tree) {
         (void)span;
         names[node.name]++;
     }
+    return names;
+}
+
+TEST(ServeObs, AsyncServeJobFormsOneCausalSpanTree)
+{
+    auto names = spanNames(tracedServeJobTree("async"));
+    // The tree contains each layer of the job's execution.
     EXPECT_GE(names["serve.queue_wait"], 1u);
     EXPECT_GE(names["serve.run"], 1u);
     EXPECT_GE(names["engine.async.run"], 1u);
     EXPECT_GE(names["executor.task"], 1u);
+}
+
+/**
+ * The simulator opens its run span through RunAccounting like every
+ * engine, so a traced sim job shows engine.sim.run under serve.run.
+ */
+TEST(ServeObs, SimServeJobFormsOneCausalSpanTree)
+{
+    const auto tree = tracedServeJobTree("sim");
+    std::size_t runs = 0;
+    for (const auto &[span, node] : tree) {
+        (void)span;
+        if (node.name != "engine.sim.run")
+            continue;
+        runs++;
+        const auto parent = tree.find(node.parent);
+        ASSERT_NE(parent, tree.end());
+        EXPECT_EQ(parent->second.name, "serve.run");
+    }
+    EXPECT_EQ(runs, 1u);
 }
 
 TEST(Histogram, ExemplarLinksASampleToItsSpan)
@@ -1415,8 +1459,7 @@ TEST(FlightRecorder, FatalDumpWritesParseableBlackBox)
     cfg.workers = 1;
     JobManager manager(registry, cfg);   // registers the serve provider
 
-    const std::string path =
-        testing::TempDir() + "graphabcd_flight_test.json";
+    const std::string path = tempPath("flight_test.json");
     std::remove(path.c_str());
     obs::flightArm(path);
     obs::flightNote("test", "before the crash");

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <numeric>
 #include <tuple>
@@ -26,6 +25,7 @@
 #include "graph/io.hh"
 #include "graph/partition.hh"
 #include "harp/reduction.hh"
+#include "temp_path.hh"
 
 namespace graphabcd {
 namespace {
@@ -221,8 +221,7 @@ TEST(FailureInjection, NegativeScaleIsFatal)
 
 TEST(FailureInjection, GarbledEdgeFileIsFatal)
 {
-    std::string path = std::filesystem::temp_directory_path() /
-                       "abcd_garbled.el";
+    std::string path = tempPath("garbled.el");
     {
         std::ofstream ofs(path);
         ofs << "1 2\nnot numbers\n";

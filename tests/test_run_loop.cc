@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests of the run machinery the real engines share: the convergence
- * contract RunAccounting gives every engine, BlockPump's recycling of
- * participant state and staleness bound, and a cancel storm over both
- * BlockPump users (async and accum) for the sanitizer legs.
+ * Tests of the run machinery the engines share: the convergence
+ * contract RunAccounting gives every engine (the HARP simulator
+ * included), BlockPump's recycling of participant state and staleness
+ * bound, and a cancel storm over both BlockPump users (async and accum)
+ * for the sanitizer legs.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include "core/engine.hh"
 #include "core/stop_token.hh"
 #include "graph/generators.hh"
+#include "harp/system.hh"
 #include "obs/convergence.hh"
 #include "runtime/executor.hh"
 
@@ -37,10 +39,9 @@ enum class Runner
     Serial,
     Jacobi,
     Async,
-    Barrier,
-    Bsp,
     AccumCyclic,
     AccumPriority,
+    Sim,
 };
 
 const char *
@@ -50,10 +51,9 @@ runnerName(Runner r)
       case Runner::Serial: return "serial";
       case Runner::Jacobi: return "jacobi";
       case Runner::Async: return "async";
-      case Runner::Barrier: return "barrier";
-      case Runner::Bsp: return "bsp";
       case Runner::AccumCyclic: return "accum_cyclic";
       case Runner::AccumPriority: return "accum_priority";
+      case Runner::Sim: return "sim";
     }
     return "?";
 }
@@ -64,7 +64,11 @@ paramName(const testing::TestParamInfo<Runner> &info)
     return runnerName(info.param);
 }
 
-/** Run PageRank under `r`; opt.mode / schedule are set here. */
+/**
+ * Run PageRank under `r`; opt.mode / schedule are set here.  Sim runs
+ * the HARP simulator with the default HarpConfig and returns its
+ * engine report.
+ */
 EngineReport
 runPageRank(Runner r, const BlockPartition &g, EngineOptions opt,
             std::vector<double> &x)
@@ -76,11 +80,6 @@ runPageRank(Runner r, const BlockPartition &g, EngineOptions opt,
         return SerialEngine<PageRankProgram>(g, PageRankProgram(0.85), opt)
             .run(x);
       case Runner::Async:
-      case Runner::Barrier:
-      case Runner::Bsp:
-        opt.mode = r == Runner::Async     ? ExecMode::Async
-                   : r == Runner::Barrier ? ExecMode::Barrier
-                                          : ExecMode::Bsp;
         return AsyncEngine<PageRankProgram>(g, PageRankProgram(0.85), opt)
             .run(x);
       case Runner::AccumCyclic:
@@ -90,6 +89,11 @@ runPageRank(Runner r, const BlockPartition &g, EngineOptions opt,
         return AccumEngine<PageRankProgram>(
                    g, PageRankProgram(0.85), opt)
             .run(x);
+      case Runner::Sim:
+        return HarpSystem<PageRankProgram>(g, PageRankProgram(0.85), opt,
+                                           HarpConfig{})
+            .run(x)
+            .engine;
     }
     return {};
 }
@@ -107,7 +111,9 @@ class ConvergenceContract : public testing::TestWithParam<Runner>
  * go backwards, the final point is the report, and a window's active
  * vertex count never exceeds the run's vertex updates.  The last bound
  * caught the accum engine subtracting folds from applies on uint64
- * (a final point of activeVertices = 2^64 - 106720 on RMAT 16k).
+ * (a final point of activeVertices = 2^64 - 106720 on RMAT 16k).  The
+ * simulator's points also carry simulated time, which never falls and
+ * is positive at the end.
  */
 TEST_P(ConvergenceContract, SeriesMatchesTheReport)
 {
@@ -139,13 +145,21 @@ TEST_P(ConvergenceContract, SeriesMatchesTheReport)
     EXPECT_DOUBLE_EQ(pts.back().epochs, report.epochs);
     EXPECT_EQ(pts.back().vertexUpdates, report.vertexUpdates);
     EXPECT_DOUBLE_EQ(pts.back().residual, report.residual);
+
+    if (GetParam() == Runner::Sim) {
+        for (std::size_t i = 1; i < pts.size(); i++) {
+            EXPECT_LE(pts[i - 1].simSeconds, pts[i].simSeconds)
+                << "simulated time fell at sample " << i;
+        }
+        EXPECT_GT(pts.back().simSeconds, 0.0);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, ConvergenceContract,
     testing::Values(Runner::Serial, Runner::Jacobi, Runner::Async,
-                    Runner::Barrier, Runner::Bsp, Runner::AccumCyclic,
-                    Runner::AccumPriority),
+                    Runner::AccumCyclic, Runner::AccumPriority,
+                    Runner::Sim),
     paramName);
 
 #endif // GRAPHABCD_OBS_ENABLED

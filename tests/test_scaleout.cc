@@ -38,7 +38,7 @@ TEST(ScaleOut, ResultsStayCorrectWithMultipleAccelerators)
     for (std::uint32_t accels : {1u, 2u, 4u}) {
         std::vector<double> x;
         SimReport report = runPr(g, accels, x);
-        EXPECT_TRUE(report.converged) << accels << " accelerators";
+        EXPECT_TRUE(report.engine.converged) << accels << " accelerators";
         for (VertexId v = 0; v < el.numVertices(); v++)
             EXPECT_NEAR(x[v], ref[v], 1e-6);
     }
@@ -67,8 +67,8 @@ TEST(ScaleOut, EpochCountStaysBoundedAcrossDevices)
     EdgeList el = generateRmat(8192, 65536, rng);
     BlockPartition g(el, 32);
     std::vector<double> x;
-    double e1 = runPr(g, 1, x).epochs;
-    double e4 = runPr(g, 4, x).epochs;
+    double e1 = runPr(g, 1, x).engine.epochs;
+    double e4 = runPr(g, 4, x).engine.epochs;
     EXPECT_LT(e4, e1 * 1.6);
 }
 
@@ -87,7 +87,7 @@ TEST(ScaleOut, PeCountAggregatesAcrossDevices)
     std::vector<double> x;
     SimReport report = sys.run(x);
     EXPECT_EQ(report.fpgaTasks + report.cpuGatherTasks,
-              report.blockUpdates);
+              report.engine.blockUpdates);
     EXPECT_GT(report.peUtilization, 0.0);
     EXPECT_LE(report.peUtilization, 1.0);
 }
@@ -144,7 +144,7 @@ TEST(Heterogeneous, ExplicitListOverridesUniformKnobs)
     HarpSystem<PageRankProgram> sys(g, PageRankProgram(), opt, cfg);
     std::vector<double> x;
     SimReport report = sys.run(x);
-    EXPECT_TRUE(report.converged);
+    EXPECT_TRUE(report.engine.converged);
     EXPECT_GT(report.fpgaTasks, 0u);
 }
 

@@ -679,6 +679,38 @@ TEST_F(ServeTest, AccumEngineRejectsAlgosWithoutADeltaForm)
 }
 
 /**
+ * The threaded engines run only the barrierless model.  A Barrier or
+ * BSP request for them is refused with a reason naming the mode and
+ * the engines that run it, not run as Async under its own cache key.
+ */
+TEST_F(ServeTest, ThreadedEnginesRefuseSynchronousModes)
+{
+    auto g = registry.get("web");
+    for (const char *engine : {"async", "accum"}) {
+        for (ExecMode mode : {ExecMode::Barrier, ExecMode::Bsp}) {
+            SCOPED_TRACE(std::string(engine) + "/" + to_string(mode));
+            JobRequest req = request("web", "pr", engine);
+            req.options.mode = mode;
+            std::string why;
+            EXPECT_FALSE(isRunnable(req, &why));
+            const RunOutcome out = runAnalyticsJob(*g, req);
+            EXPECT_FALSE(out.ok());
+            EXPECT_EQ(out.error, why);
+            EXPECT_NE(why.find(to_string(mode)), std::string::npos) << why;
+            EXPECT_NE(why.find("engine=serial"), std::string::npos) << why;
+            EXPECT_NE(why.find("engine=sim"), std::string::npos) << why;
+        }
+    }
+    // The modes stay runnable where they are modelled.
+    for (const char *engine : {"serial", "sim"}) {
+        JobRequest req = request("web", "pr", engine);
+        req.options.mode = ExecMode::Bsp;
+        std::string why;
+        EXPECT_TRUE(isRunnable(req, &why)) << engine << ": " << why;
+    }
+}
+
+/**
  * The adversarial inputs of the Registry matrix, next to a plain RMAT:
  * each breaks an assumption a per-block activation rule could make
  * (every block has in-edges, every vertex an out-edge, one component,

@@ -49,11 +49,12 @@ TEST_P(SimConservation, BusBytesMatchProcessedBlocks)
     // Reconstruct from the report: reads = edges*rec + vertices*vbytes
     // summed per task.  Edge traversals and vertex updates are exactly
     // those sums' drivers.
-    expected_read = r.edgeTraversals * rec + r.vertexUpdates * vbytes;
-    expected_write = r.vertexUpdates * vbytes;
+    expected_read = r.engine.edgeTraversals * rec +
+                    r.engine.vertexUpdates * vbytes;
+    expected_write = r.engine.vertexUpdates * vbytes;
     EXPECT_EQ(r.busReadBytes, expected_read);
     EXPECT_EQ(r.busWriteBytes, expected_write);
-    EXPECT_EQ(r.fpgaTasks, r.blockUpdates);
+    EXPECT_EQ(r.fpgaTasks, r.engine.blockUpdates);
 }
 
 TEST_P(SimConservation, TimeRespectsTheBandwidthBound)
@@ -85,7 +86,7 @@ TEST_P(SimConservation, UtilizationsAreConsistentFractions)
     EXPECT_LE(r.busUtilization, 1.0 + 1e-9);
     EXPECT_GE(r.cpuUtilization, 0.0);
     EXPECT_LE(r.cpuUtilization, 1.0 + 1e-9);
-    EXPECT_EQ(r.fpgaTasks + r.cpuGatherTasks, r.blockUpdates);
+    EXPECT_EQ(r.fpgaTasks + r.cpuGatherTasks, r.engine.blockUpdates);
 }
 
 TEST_P(SimConservation, HybridMovesTrafficOffTheBus)
@@ -102,9 +103,9 @@ TEST_P(SimConservation, HybridMovesTrafficOffTheBus)
     if (b.cpuGatherTasks > 0) {
         // Bus bytes per block update must be lower with hybrid on.
         double per_a = static_cast<double>(a.busReadBytes) /
-                       a.blockUpdates;
+                       a.engine.blockUpdates;
         double per_b = static_cast<double>(b.busReadBytes) /
-                       b.blockUpdates;
+                       b.engine.blockUpdates;
         EXPECT_LT(per_b, per_a);
     }
 }

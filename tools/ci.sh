@@ -59,8 +59,8 @@ run_preset() {
         # The Activation tests run every schedule's batched commits on
         # 4 participants; the combiner and pump-recycling tests cover
         # the per-participant state the pump hands between tasks; the
-        # Published tests run a threaded BSP superstep over the
-        # relaxed-atomic published copies.
+        # Published tests pin what GATHER reads from the published
+        # copies.
         echo "== pump stress (${preset}) =="
         GRAPHABCD_PUMP_STRESS_ITERS=24 \
             "./build-tsan/tests/abcd_tests" \
