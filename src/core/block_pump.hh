@@ -118,9 +118,9 @@ class BlockPump
         // quiescence.  No lock needed: wait() ordered every
         // participant (and its activations) before this point.
         const bool stopped = stop_.stopRequested();
-        RunAccounting::flushSchedulerCounters(sched_);
-        return acct_.finish(stopped, !stopped && !ctl_.droppedWork &&
-                                         sched_.empty());
+        return acct_.finish(sched_, stopped,
+                            !stopped && !ctl_.droppedWork &&
+                                sched_.empty());
     }
 
   private:

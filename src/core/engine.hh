@@ -192,7 +192,8 @@ class SerialEngine
             if (epochs >= options.maxEpochs)
                 break;
         }
-        return acct.finish(stopped, objective_met || sched->empty());
+        return acct.finish(*sched, stopped,
+                           objective_met || sched->empty());
     }
 
     const BlockPartition &graph;

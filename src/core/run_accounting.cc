@@ -65,7 +65,8 @@ RunAccounting::sample(ConvergenceWindow &win, bool final) const
 }
 
 EngineReport
-RunAccounting::finish(bool stopped, bool converged)
+RunAccounting::finish(const BlockScheduler &sched, bool stopped,
+                      bool converged)
 {
     EngineReport r;
     r.vertexUpdates = vertexUpdates();
@@ -78,20 +79,13 @@ RunAccounting::finish(bool stopped, bool converged)
     if constexpr (obs::kEnabled) {
         r.residual = window_.l1;
         sample(window_, true);
-    }
-    r.seconds = timer_.seconds();
-    return r;
-}
-
-void
-RunAccounting::flushSchedulerCounters(const BlockScheduler &sched)
-{
-    if constexpr (obs::kEnabled) {
         const SchedulerCounters c = sched.counters();
         obs::counter("scheduler.activations").add(c.activations);
         obs::counter("scheduler.heap_pushes").add(c.heapPushes);
         obs::counter("scheduler.refreshes").add(c.refreshes);
     }
+    r.seconds = timer_.seconds();
+    return r;
 }
 
 } // namespace graphabcd

@@ -157,13 +157,12 @@ class RunAccounting
     void sample(ConvergenceWindow &win, bool final) const;
 
     /**
-     * Record the run-wide final point and assemble the report.
+     * Record the run-wide final point, fold the run's scheduler
+     * counters into the registry and assemble the report.
      * report.residual is the final window's L1 (obs builds only).
      */
-    EngineReport finish(bool stopped, bool converged);
-
-    /** Fold a finished run's scheduler counters into the registry. */
-    static void flushSchedulerCounters(const BlockScheduler &sched);
+    EngineReport finish(const BlockScheduler &sched, bool stopped,
+                        bool converged);
 
   private:
     obs::Span span_;

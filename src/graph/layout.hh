@@ -19,7 +19,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
+#include <ranges>
 #include <string_view>
 
 namespace graphabcd {
@@ -39,9 +39,11 @@ enum class WeightMode : std::uint8_t
     Float32,  //!< arbitrary weights; the plain f32 array is kept
 };
 
-/** @return the narrowest WeightMode that holds every weight exactly. */
-inline WeightMode
-narrowestWeightMode(std::span<const float> weights)
+/** @return the narrowest WeightMode that holds every weight exactly;
+ *  order-free, so any range over the same weights gives the same mode. */
+template <std::ranges::input_range Weights>
+WeightMode
+narrowestWeightMode(Weights &&weights)
 {
     WeightMode mode = WeightMode::Unit;
     for (const float w : weights) {

@@ -1,14 +1,214 @@
 #include "graph/partition.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <ranges>
 #include <utility>
 
+#include "runtime/executor.hh"
 #include "support/logging.hh"
 
 namespace graphabcd {
 
+namespace {
+
+/** Items per task of every build pass.  A graph of at most this many
+ *  edges builds as one task on the calling thread. */
+constexpr EdgeId kGrain = EdgeId{1} << 19;
+
+/** Keys per bucket of the bucketed sort (log2): a bucket's key cursors
+ *  and its slice of the output stay in cache while it is finished. */
+constexpr unsigned kBucketBits = 12;
+constexpr VertexId kBucketKeys = VertexId{1} << kBucketBits;
+
+/** @return tasks of kGrain items covering n items (at least one). */
+std::size_t
+taskCount(EdgeId n)
+{
+    return static_cast<std::size_t>(std::max<EdgeId>(1, (n + kGrain - 1) /
+                                                            kGrain));
+}
+
+/** @return [begin, end) of chunk c of n items. */
+std::pair<EdgeId, EdgeId>
+chunk(std::size_t c, EdgeId n)
+{
+    return {c * kGrain, std::min<EdgeId>(n, (c + 1) * kGrain)};
+}
+
+/**
+ * Run body(t) for every t in [0, tasks) and return once all finished.
+ * Up to size() - 1 workers of `exec` (the shared pool when null) help
+ * the calling thread, which claims tasks too, so every task runs even
+ * while no worker is free.  A single task runs inline without touching
+ * the pool.
+ */
+template <typename Fn>
+void
+runTasks(Executor *exec, std::size_t tasks, const Fn &body)
+{
+    if (tasks == 1) {
+        body(0);
+        return;
+    }
+    Executor &pool = exec ? *exec : *Executor::shared();
+    std::atomic<std::size_t> next{0};
+    auto drain = [&] {
+        for (std::size_t t;
+             (t = next.fetch_add(1, std::memory_order_relaxed)) < tasks;)
+            body(t);
+    };
+    const auto helpers = static_cast<std::uint32_t>(
+        std::min<std::size_t>(tasks, pool.size()) - 1);
+    auto job = pool.createJob(helpers);
+    for (std::uint32_t i = 0; i < helpers; i++)
+        job->submit(drain);
+    drain();
+    job->wait();
+}
+
+/** One edge as a sort pass carries it: an endpoint and the weight. */
+struct SortItem
+{
+    VertexId id;
+    float w;
+};
+
+/** The columns a sort pass reads or writes; `w` is null when the
+ *  partition stores no weights (WeightMode::Unit). */
+struct SortColumns
+{
+    VertexId *id;
+    float *w;
+
+    void
+    store(EdgeId slot, SortItem item) const
+    {
+        id[slot] = item.id;
+        if (w)
+            w[slot] = item.w;
+    }
+
+    SortItem
+    load(EdgeId slot) const
+    {
+        return {id[slot], w ? w[slot] : 1.0f};
+    }
+};
+
+/**
+ * Stable counting sort of items [0, n) by key in [0, n_keys), after
+ * propagation blocking (Beamer et al., IPDPS 2017): random writes are
+ * binned into buckets of kBucketKeys keys first, then finished in cache.
+ *
+ *  1. Each input chunk counts its items per bucket.
+ *  2. Each chunk writes its items, in order, to its run of every
+ *     bucket's slice: one sequential write stream per bucket, and the
+ *     chunk order keeps the sort stable.
+ *  3. Each bucket is counting-sorted in cache, which fills `offsets`.
+ *
+ * read(begin, end, emit) calls emit(key, item) for items begin..end-1
+ * in order.  Items land in `out` at their sorted slots; `offsets` gets
+ * n_keys + 1 entries, key k's items at [offsets[k], offsets[k + 1]).
+ * `keys` (n entries) holds each slot's key between steps 2 and 3.
+ */
+template <typename Read>
+void
+bucketSort(Executor *exec, EdgeId n, VertexId n_keys, const Read &read,
+           SortColumns out, VertexId *keys, std::vector<EdgeId> &offsets)
+{
+    const std::size_t buckets =
+        (std::size_t{n_keys} + kBucketKeys - 1) >> kBucketBits;
+    const std::size_t chunks = taskCount(n);
+
+    // cursor[c * buckets + b]: chunk c's count, then next slot, in b.
+    std::vector<EdgeId> cursor(chunks * buckets, 0);
+    runTasks(exec, chunks, [&](std::size_t c) {
+        EdgeId *count = cursor.data() + c * buckets;
+        const auto [begin, end] = chunk(c, n);
+        read(begin, end, [count](VertexId key, SortItem) {
+            count[key >> kBucketBits]++;
+        });
+    });
+
+    // Bucket b's slice holds chunk 0's run of it, then chunk 1's, ...
+    std::vector<EdgeId> bucketBegin(buckets + 1);
+    EdgeId sum = 0;
+    for (std::size_t b = 0; b < buckets; b++) {
+        bucketBegin[b] = sum;
+        for (std::size_t c = 0; c < chunks; c++)
+            sum += std::exchange(cursor[c * buckets + b], sum);
+    }
+    bucketBegin[buckets] = sum;
+
+    runTasks(exec, chunks, [&](std::size_t c) {
+        EdgeId *next = cursor.data() + c * buckets;
+        const auto [begin, end] = chunk(c, n);
+        read(begin, end, [next, out, keys](VertexId key, SortItem item) {
+            const EdgeId slot = next[key >> kBucketBits]++;
+            out.store(slot, item);
+            keys[slot] = key;
+        });
+    });
+
+    // Step 3 tasks: runs of whole buckets holding about kGrain items.
+    std::vector<std::size_t> runBegin{0};
+    for (std::size_t b = 1; b < buckets; b++) {
+        if (bucketBegin[b] - bucketBegin[runBegin.back()] >= kGrain)
+            runBegin.push_back(b);
+    }
+    runBegin.push_back(buckets);
+
+    offsets.resize(std::size_t{n_keys} + 1);
+    runTasks(exec, runBegin.size() - 1, [&](std::size_t r) {
+        std::vector<EdgeId> next(kBucketKeys);
+        std::vector<SortItem> items;
+        for (std::size_t b = runBegin[r]; b < runBegin[r + 1]; b++) {
+            const VertexId k0 = static_cast<VertexId>(b << kBucketBits);
+            const VertexId width = std::min(kBucketKeys, n_keys - k0);
+            const EdgeId lo = bucketBegin[b], hi = bucketBegin[b + 1];
+            std::fill_n(next.begin(), width, 0);
+            items.resize(hi - lo);
+            for (EdgeId s = lo; s < hi; s++) {
+                items[s - lo] = out.load(s);
+                next[keys[s] - k0]++;
+            }
+            EdgeId slot = lo;
+            for (VertexId k = 0; k < width; k++) {
+                offsets[k0 + k] = slot;
+                slot += std::exchange(next[k], slot);
+            }
+            for (EdgeId s = lo; s < hi; s++)
+                out.store(next[keys[s] - k0]++, items[s - lo]);
+        }
+    });
+    offsets[n_keys] = n;
+}
+
+/**
+ * Reader over a sorted order for bucketSort: slot s, owned by key v
+ * (offsets[v] <= s < offsets[v + 1]), becomes key cols.id[s] with item
+ * {v, cols.w[s]} — the same edge seen from its other endpoint.
+ */
+auto
+readSorted(const std::vector<EdgeId> &offsets, SortColumns cols)
+{
+    return [&offsets, cols](EdgeId begin, EdgeId end, auto &&emit) {
+        auto v = static_cast<VertexId>(
+            std::upper_bound(offsets.begin(), offsets.end(), begin) -
+            offsets.begin() - 1);
+        for (EdgeId s = begin; s < end; s++) {
+            while (offsets[v + 1] <= s)
+                v++;
+            emit(cols.id[s], SortItem{v, cols.load(s).w});
+        }
+    };
+}
+
+} // namespace
+
 BlockPartition::BlockPartition(const EdgeList &el, VertexId block_size,
-                               LayoutOptions lo)
+                               LayoutOptions lo, Executor *exec)
     : nVertices(el.numVertices()), layoutOpts_(lo)
 {
     GRAPHABCD_ASSERT(block_size > 0, "block size must be positive");
@@ -23,36 +223,28 @@ BlockPartition::BlockPartition(const EdgeList &el, VertexId block_size,
         blockBegins[b] = b * blockSize_;
     blockBegins[nBlocks] = nVertices;
 
-    if (layoutOpts_.reorder == VertexReorder::Hub) {
+    if (layoutOpts_.reorder == VertexReorder::Hub)
         perm_ = VertexPermutation::hubCluster(el);
-        buildFromBoundaries(perm_.apply(el));
-    } else {
-        buildFromBoundaries(el);
-    }
+    buildFromBoundaries(el, exec);
 }
 
 BlockPartition::BlockPartition(const EdgeList &el,
                                EdgeId target_edges_per_block,
-                               EdgeBalanced, LayoutOptions lo)
+                               EdgeBalanced, LayoutOptions lo,
+                               Executor *exec)
     : nVertices(el.numVertices()), layoutOpts_(lo)
 {
     GRAPHABCD_ASSERT(target_edges_per_block > 0,
                      "edge budget must be positive");
-
-    // The edge-balanced cut depends on per-vertex in-degrees, so remap
-    // to internal ids *before* computing the boundaries.
-    EdgeList remapped;
-    const EdgeList *input = &el;
-    if (layoutOpts_.reorder == VertexReorder::Hub) {
+    if (layoutOpts_.reorder == VertexReorder::Hub)
         perm_ = VertexPermutation::hubCluster(el);
-        remapped = perm_.apply(el);
-        input = &remapped;
-    }
 
-    // Greedy contiguous cut: extend the current block until its in-edge
-    // count reaches the target; a single hub vertex may exceed the
-    // target on its own (blocks always hold at least one vertex).
-    std::vector<std::uint32_t> ind = input->inDegrees();
+    // Greedy contiguous cut over internal-id in-degrees: extend the
+    // current block until its in-edge count reaches the target; a
+    // single hub vertex may exceed the target on its own (blocks always
+    // hold at least one vertex).
+    const std::vector<std::uint32_t> ind =
+        perm_.valuesToInternal(el.inDegrees());
     blockBegins.push_back(0);
     EdgeId in_block = 0;
     for (VertexId v = 0; v < nVertices; v++) {
@@ -72,7 +264,7 @@ BlockPartition::BlockPartition(const EdgeList &el,
         ? std::max<VertexId>(1, nVertices / nBlocks)
         : 1;
 
-    buildFromBoundaries(*input);
+    buildFromBoundaries(el, exec);
 }
 
 WeightColumn::WeightColumn(std::vector<float> w, WeightMode mode)
@@ -93,7 +285,7 @@ WeightColumn::WeightColumn(std::vector<float> w, WeightMode mode)
 }
 
 void
-BlockPartition::buildFromBoundaries(const EdgeList &el)
+BlockPartition::buildFromBoundaries(const EdgeList &el, Executor *exec)
 {
     // Vertex -> block lookup.
     vertexBlock.resize(nVertices);
@@ -104,61 +296,57 @@ BlockPartition::buildFromBoundaries(const EdgeList &el)
 
     const EdgeId m = el.numEdges();
     nEdges_ = m;
-    inOffsets.assign(static_cast<std::size_t>(nVertices) + 1, 0);
+    // Compressed layouts store the narrowest weights that hold every
+    // value, and carry none through the sorts under Unit.
+    const WeightMode mode = compressed()
+        ? narrowestWeightMode(el.edges() |
+                              std::views::transform(&Edge::weight))
+        : WeightMode::Float32;
+    const bool weighted = mode != WeightMode::Unit;
     edgeSrc_.resize(m);
-    std::vector<float> wgt(m);
-
-    // Counting sort by destination: in-coming edges of the same vertex
-    // become contiguous; since blocks are contiguous vertex ranges, each
-    // block's edge slice is contiguous too (the paper's layout).
-    for (const Edge &e : el.edges())
-        inOffsets[e.dst + 1]++;
-    for (VertexId v = 0; v < nVertices; v++)
-        inOffsets[v + 1] += inOffsets[v];
-
-    {
-        std::vector<EdgeId> cursor(inOffsets.begin(), inOffsets.end() - 1);
-        for (const Edge &e : el.edges()) {
-            EdgeId pos = cursor[e.dst]++;
-            edgeSrc_[pos] = e.src;
-            wgt[pos] = e.weight;
-        }
-    }
-
-    // Compressed layouts delta-encode each vertex's source list, which
-    // requires it sorted; plain layouts keep the input-order lists byte
-    // for byte.  The out-edge adjacency below is built from the final
-    // CSC order either way.
-    if (compressed())
-        sortInLists(wgt);
-    const WeightMode mode =
-        compressed() ? narrowestWeightMode(wgt) : WeightMode::Float32;
-
-    // Out-edge adjacency: a second counting sort, by *source*.  Walking
-    // the CSC in position order fills each source's slots ascending by
-    // destination (CSC order within a destination's multi-edges).
-    scatterOffsets.assign(static_cast<std::size_t>(nVertices) + 1, 0);
-    for (EdgeId pos = 0; pos < m; pos++)
-        scatterOffsets[edgeSrc_[pos] + 1]++;
-    for (VertexId v = 0; v < nVertices; v++)
-        scatterOffsets[v + 1] += scatterOffsets[v];
-
     outDst_.resize(m);
     scatterBlk_.resize(m);
-    std::vector<float> out_wgt(mode == WeightMode::Unit ? 0 : m);
-    {
-        std::vector<EdgeId> cursor(scatterOffsets.begin(),
-                                   scatterOffsets.end() - 1);
-        for (VertexId v = 0; v < nVertices; v++) {
-            for (EdgeId pos = inOffsets[v]; pos < inOffsets[v + 1]; pos++) {
-                const EdgeId slot = cursor[edgeSrc_[pos]]++;
-                outDst_[slot] = v;
-                scatterBlk_[slot] = vertexBlock[v];
-                if (!out_wgt.empty())
-                    out_wgt[slot] = wgt[pos];
-            }
+    std::vector<float> wgt(weighted ? m : 0), out_wgt(weighted ? m : 0);
+    const SortColumns in{edgeSrc_.data(), weighted ? wgt.data() : nullptr};
+    const SortColumns out{outDst_.data(),
+                          weighted ? out_wgt.data() : nullptr};
+
+    // CSC by destination: in-coming edges of the same vertex become
+    // contiguous, in input order; since blocks are contiguous vertex
+    // ranges, each block's edge slice is contiguous too (the paper's
+    // layout).  Ids go through the permutation as they are read.
+    const Edge *edges = el.edges().data();
+    auto read_input = [this, edges](EdgeId begin, EdgeId end,
+                                    auto &&emit) {
+        for (EdgeId i = begin; i < end; i++) {
+            const Edge &e = edges[i];
+            emit(perm_.toInternal(e.dst),
+                 SortItem{perm_.toInternal(e.src), e.weight});
         }
-    }
+    };
+    bucketSort(exec, m, nVertices, read_input, in, outDst_.data(),
+               inOffsets);
+
+    // Out-edge adjacency by source, over the CSC: each source's slots
+    // ascend by destination, a destination's multi-edges in CSC order.
+    bucketSort(exec, m, nVertices, readSorted(inOffsets, in), out,
+               scatterBlk_.data(), scatterOffsets);
+
+    // Compressed layouts delta-encode each in-list, which needs it
+    // ascending by source: sorting by destination again, now over the
+    // out-edge order, gives exactly that, multi-edges in input order.
+    // Plain layouts keep the input-order lists.
+    if (compressed())
+        bucketSort(exec, m, nVertices, readSorted(scatterOffsets, out), in,
+                   scatterBlk_.data(), inOffsets);
+
+    // The destination-block sidecar, over the sorts' key scratch.
+    runTasks(exec, taskCount(m), [&](std::size_t c) {
+        const auto [begin, end] = chunk(c, m);
+        for (EdgeId s = begin; s < end; s++)
+            scatterBlk_[s] = vertexBlock[outDst_[s]];
+    });
+
     outWeights_ = WeightColumn(std::move(out_wgt), mode);
     inWeights_ = WeightColumn(std::move(wgt), mode);
 
@@ -167,34 +355,9 @@ BlockPartition::buildFromBoundaries(const EdgeList &el)
 }
 
 void
-BlockPartition::sortInLists(std::vector<float> &wgt)
-{
-    // Sort each vertex's in-list segment by source id so the deltas of
-    // the packed stream are non-negative and small.  Destination is
-    // constant inside a segment; weights travel with their source.
-    std::vector<std::pair<VertexId, float>> seg;
-    for (VertexId v = 0; v < nVertices; v++) {
-        const EdgeId begin = inOffsets[v], end = inOffsets[v + 1];
-        if (end - begin < 2)
-            continue;
-        seg.clear();
-        for (EdgeId e = begin; e < end; e++)
-            seg.emplace_back(edgeSrc_[e], wgt[e]);
-        std::stable_sort(seg.begin(), seg.end(),
-                         [](const auto &a, const auto &b) {
-                             return a.first < b.first;
-                         });
-        for (EdgeId e = begin; e < end; e++) {
-            edgeSrc_[e] = seg[e - begin].first;
-            wgt[e] = seg[e - begin].second;
-        }
-    }
-}
-
-void
 BlockPartition::packGatherStream()
 {
-    // Per-vertex delta-varint source lists (sorted by sortInLists).
+    // Per-vertex delta-varint source lists (each ascending by source).
     // gatherOffsets_[v] is the byte offset of v's list.
     gatherOffsets_.resize(static_cast<std::size_t>(nVertices) + 1);
     gatherStream_.clear();

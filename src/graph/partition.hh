@@ -29,10 +29,15 @@
  * so bench/micro_kernels can report bytes/edge honestly and feed the
  * ratio to the HARP Bus model.
  *
- * An optional hub-clustering VertexPermutation is applied to the edge
- * list before the boundaries are computed; engines then run entirely in
- * internal ids and callers translate at the API boundary (see
- * permutation.hh for the contract).
+ * An optional hub-clustering VertexPermutation maps every id as the
+ * build reads the edge list, before the boundaries are applied; engines
+ * then run entirely in internal ids and callers translate at the API
+ * boundary (see permutation.hh for the contract).
+ *
+ * The build is two (plain) or three (compressed) stable bucketed
+ * counting sorts (DESIGN.md §11.2), run as fixed-size tasks on an
+ * Executor with the caller taking part; the result does not depend on
+ * how many threads ran them.
  */
 
 #ifndef GRAPHABCD_GRAPH_PARTITION_HH
@@ -50,6 +55,8 @@
 #include "graph/types.hh"
 
 namespace graphabcd {
+
+class Executor;
 
 /** Decode buffer for one block's edge slice; reuse across calls. */
 struct EdgeSliceScratch
@@ -184,9 +191,12 @@ class BlockPartition
      * @param block_size vertices per block; |V| (or more) degenerates to
      *        a single block, i.e. full gradient descent / BSP.
      * @param lo physical layout and vertex-order options.
+     * @param exec pool the build's tasks run on; null means
+     *        Executor::shared().  Graphs of up to 2^19 edges build on
+     *        the calling thread alone.
      */
     BlockPartition(const EdgeList &el, VertexId block_size,
-                   LayoutOptions lo = {});
+                   LayoutOptions lo = {}, Executor *exec = nullptr);
 
     /** Tag selecting the edge-balanced builder. */
     struct EdgeBalanced
@@ -201,7 +211,8 @@ class BlockPartition
      * the cost of variable block vertex counts.
      */
     BlockPartition(const EdgeList &el, EdgeId target_edges_per_block,
-                   EdgeBalanced, LayoutOptions lo = {});
+                   EdgeBalanced, LayoutOptions lo = {},
+                   Executor *exec = nullptr);
 
     VertexId numVertices() const { return nVertices; }
     EdgeId numEdges() const { return nEdges_; }
@@ -434,10 +445,7 @@ class BlockPartition
 
   private:
     /** Shared tail of both constructors: CSC and out-edge adjacency. */
-    void buildFromBoundaries(const EdgeList &el);
-
-    /** Sort each vertex's in-list (and `wgt`) by source. */
-    void sortInLists(std::vector<float> &wgt);
+    void buildFromBoundaries(const EdgeList &el, Executor *exec);
 
     /** Build the delta-varint gather stream, then drop edgeSrc_. */
     void packGatherStream();

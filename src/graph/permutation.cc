@@ -1,8 +1,8 @@
 #include "graph/permutation.hh"
 
-#include <algorithm>
+#include <array>
 #include <bit>
-#include <numeric>
+#include <utility>
 
 namespace graphabcd {
 
@@ -37,40 +37,26 @@ VertexPermutation::hubCluster(const EdgeList &el)
     const auto in_deg = el.inDegrees();
 
     // Bucket by the log2 of the total degree so hubs of similar weight
-    // cluster together while the stable sort preserves input order
-    // within a bucket (keeps locality the input already had).
-    std::vector<std::uint32_t> bucket(n);
-    for (VertexId v = 0; v < n; v++) {
+    // cluster together, in descending bucket order; a stable counting
+    // sort keeps input order within a bucket (keeps locality the input
+    // already had).  bit_width(deg + 1) of a 33-bit degree sum is in
+    // [1, 33], so the rank 33 - bucket is in [0, 32].
+    auto rank = [&](VertexId v) {
         const std::uint64_t deg =
             static_cast<std::uint64_t>(out_deg[v]) + in_deg[v];
-        bucket[v] = std::bit_width(deg + 1);
-    }
+        return 33 - std::bit_width(deg + 1);
+    };
+    std::array<VertexId, 33> next{};
+    for (VertexId v = 0; v < n; v++)
+        next[rank(v)]++;
+    VertexId slot = 0;
+    for (VertexId &r : next)
+        slot += std::exchange(r, slot);
 
-    std::vector<VertexId> order(n);
-    std::iota(order.begin(), order.end(), VertexId{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&](VertexId a, VertexId b) {
-                         return bucket[a] > bucket[b];
-                     });
-
-    // order[i] is the original id placed at internal slot i; invert to
-    // the original -> internal direction the ctor expects.
     std::vector<VertexId> to_internal(n);
-    for (VertexId i = 0; i < n; i++)
-        to_internal[order[i]] = i;
+    for (VertexId v = 0; v < n; v++)
+        to_internal[v] = next[rank(v)]++;
     return VertexPermutation(std::move(to_internal));
-}
-
-EdgeList
-VertexPermutation::apply(const EdgeList &el) const
-{
-    if (identity_)
-        return el;
-    assert(el.numVertices() == toInternal_.size());
-    EdgeList out(el.numVertices());
-    for (const Edge &e : el.edges())
-        out.addEdge(toInternal_[e.src], toInternal_[e.dst], e.weight);
-    return out;
 }
 
 } // namespace graphabcd

@@ -10,12 +10,12 @@
  * identifies as first-order for bandwidth-bound traversal.
  *
  * Contract (DESIGN.md §11): engines run entirely in *internal*
- * (permuted) ids.  The permutation is applied exactly once, when the
- * EdgeList is remapped at partition build time, and un-applied exactly
- * once, at the API boundary (serve runner / CLI dump), so every id a
- * caller sends or receives is an original id.  On a uniform-degree
- * graph every vertex lands in the same bucket and the stable sort
- * leaves ids untouched — hubCluster detects that and returns identity.
+ * (permuted) ids.  The permutation is applied exactly once, as the
+ * partition build reads the EdgeList, and un-applied exactly once, at
+ * the API boundary (serve runner / CLI dump), so every id a caller
+ * sends or receives is an original id.  On a uniform-degree graph
+ * every vertex lands in the same bucket and the stable sort leaves ids
+ * untouched — hubCluster detects that and returns identity.
  */
 
 #ifndef GRAPHABCD_GRAPH_PERMUTATION_HH
@@ -70,9 +70,6 @@ class VertexPermutation
     {
         return identity_ ? internal : toOriginal_[internal];
     }
-
-    /** @return `el` with both endpoints remapped to internal ids. */
-    EdgeList apply(const EdgeList &el) const;
 
     /**
      * Re-key a per-vertex vector from internal to original ids:

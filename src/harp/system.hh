@@ -122,7 +122,8 @@ class HarpSystem
         events.runToCompletion();
         acct->window().simSeconds = events.now();
         report.engine = acct->finish(
-            cancelled, !cancelled && (stopFnFired || sched->empty()));
+            *sched, cancelled,
+            !cancelled && (stopFnFired || sched->empty()));
         acct.reset();
 
         const double horizon = endTime;

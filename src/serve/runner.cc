@@ -47,6 +47,25 @@ constexpr std::pair<std::string_view, EngineKind> kEngines[] = {
     {"wedge", EngineKind::Wedge},
 };
 
+/** @return the engine called `name`, or null when there is none. */
+const EngineKind *
+findEngine(std::string_view name)
+{
+    for (const auto &[engine_name, kind] : kEngines) {
+        if (engine_name == name)
+            return &kind;
+    }
+    return nullptr;
+}
+
+/** The engines that run on pool threads: they run only the barrierless
+ *  model, and only their results depend on the thread count. */
+bool
+threaded(EngineKind kind)
+{
+    return kind == EngineKind::Async || kind == EngineKind::Accum;
+}
+
 /** Runs program P on g for req, filling out. */
 template <typename P>
 using EngineFn = void (*)(const BlockPartition &g, const P &program,
@@ -110,21 +129,15 @@ engineFor(const JobRequest &req, std::string *why)
             *why = reason;
         return nullptr;
     };
-    const auto it =
-        std::find_if(std::begin(kEngines), std::end(kEngines),
-                     [&](const auto &e) { return e.first == req.engine; });
+    const EngineKind *kind = findEngine(req.engine);
     // The watchdog drill engine exists only when enabled.
-    if (it == std::end(kEngines) ||
-        (it->second == EngineKind::Wedge && !wedgeEngineEnabled()))
+    if (!kind || (*kind == EngineKind::Wedge && !wedgeEngineEnabled()))
         return reject("unknown engine '" + req.engine + "'");
-    // The threaded engines run only the barrierless model.
-    if ((it->second == EngineKind::Async ||
-         it->second == EngineKind::Accum) &&
-        req.options.mode != ExecMode::Async)
+    if (threaded(*kind) && req.options.mode != ExecMode::Async)
         return reject("mode '" + std::string(to_string(req.options.mode)) +
                       "' does not run on engine=" + req.engine +
                       "; engine=serial or engine=sim runs it");
-    switch (it->second) {
+    switch (*kind) {
       case EngineKind::Serial:
         return &runEngine<SerialEngine<P>, P>;
       case EngineKind::Async:
@@ -378,7 +391,12 @@ jobFingerprint(std::uint64_t graph_fingerprint, const JobRequest &req)
     fp.mix(opt.tolerance);
     fp.mix(opt.maxEpochs);
     fp.mix(opt.seed);
-    fp.mix(static_cast<std::uint64_t>(opt.numThreads));
+    // Serial and simulated runs give the same result at every thread
+    // count, so equal requests differing only in `threads=` share one
+    // cache entry.
+    const EngineKind *kind = findEngine(req.engine);
+    if (kind && threaded(*kind))
+        fp.mix(static_cast<std::uint64_t>(opt.numThreads));
     return fp.value();
 }
 

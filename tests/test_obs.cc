@@ -1332,6 +1332,36 @@ TEST(Histogram, ExemplarLinksASampleToItsSpan)
     EXPECT_NE(dump.find("ex_span=12"), std::string::npos) << dump;
 }
 
+/** RunAccounting::finish flushes the scheduler counters for every
+ *  engine, so one serial job shows them in the STATS dump. */
+TEST(ServeObs, SerialJobFlushesSchedulerCounters)
+{
+    obs::counter("scheduler.activations").reset();
+    Rng rng(18);
+    GraphRegistry registry;
+    registry.add("g", generateRmat(120, 700, rng), 32);
+    ServeConfig cfg;
+    cfg.workers = 1;
+    JobManager manager(registry, cfg);
+
+    JobRequest req;
+    req.graph = "g";
+    req.algo = "pr";
+    req.engine = "serial";
+    req.allowCached = false;
+    req.allowWarmStart = false;
+    const auto sub = manager.submit(req);
+    ASSERT_TRUE(sub.ok());
+    ASSERT_TRUE(manager.wait(sub.id, 30.0));
+
+    const std::string dump = obs::dumpMetrics();
+    const std::string key = "counter scheduler.activations ";
+    const std::size_t at = dump.find(key);
+    ASSERT_NE(at, std::string::npos) << dump;
+    EXPECT_GT(std::stoull(dump.substr(at + key.size())), 0u) << dump;
+    manager.shutdown();
+}
+
 TEST(ServeObs, TenantMetricKeysAreSanitized)
 {
     EXPECT_EQ(obs::sanitizeMetricComponent("bad tenant\"name"),

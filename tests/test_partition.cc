@@ -7,13 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hh"
 #include "graph/partition.hh"
+#include "runtime/executor.hh"
 
 namespace graphabcd {
 namespace {
@@ -327,6 +331,295 @@ TEST(Partition, VertexWithNoEdgesHasEmptySlices)
     EXPECT_TRUE(g.outEdges(3, scratch).empty());
     EXPECT_TRUE(g.scatterBlocks(3, scratch).empty());
     EXPECT_EQ(g.outDegree(3), 0u);
+}
+
+// ------------------------------------------------------------- the build
+
+/** Every array a BlockPartition exposes, read through its accessors. */
+struct FlatPartition
+{
+    std::vector<VertexId> toInternal;
+    std::vector<VertexId> blockBegins;
+    std::vector<BlockId> vertexBlock;
+    std::vector<EdgeId> inOffsets;
+    std::vector<VertexId> inSrc;
+    std::vector<float> inWeight;
+    std::vector<EdgeId> outOffsets;
+    std::vector<VertexId> outDst;
+    std::vector<BlockId> outBlk;
+    std::vector<float> outWeight;
+    WeightMode mode = WeightMode::Float32;
+
+    bool operator==(const FlatPartition &) const = default;
+};
+
+FlatPartition
+flatten(const BlockPartition &g)
+{
+    const VertexId n = g.numVertices();
+    FlatPartition f;
+    f.mode = g.weightMode();
+    for (BlockId b = 0; b < g.numBlocks(); b++)
+        f.blockBegins.push_back(g.blockBegin(b));
+    f.blockBegins.push_back(n);
+    ScatterScratch scratch;
+    for (VertexId v = 0; v < n; v++) {
+        f.toInternal.push_back(g.permutation().toInternal(v));
+        f.vertexBlock.push_back(g.blockOf(v));
+        f.inOffsets.push_back(g.inEdgeBegin(v));
+        g.forEachInEdge(v, [&](EdgeId, VertexId src, float w) {
+            f.inSrc.push_back(src);
+            f.inWeight.push_back(w);
+        });
+        const OutEdgesView out = g.outEdges(v, scratch);
+        f.outOffsets.push_back(out.base);
+        for (std::size_t i = 0; i < out.size(); i++) {
+            f.outDst.push_back(out.dst[i]);
+            f.outBlk.push_back(out.blk[i]);
+            f.outWeight.push_back(out.weight(i));
+        }
+    }
+    f.inOffsets.push_back(g.numEdges());
+    f.outOffsets.push_back(g.numEdges());
+    return f;
+}
+
+/**
+ * The partition the bucketed build must reproduce, built the plain way:
+ * a hub permutation by comparison sort, an edge list remapped to it,
+ * a direct counting sort by destination, a stable sort of each in-list
+ * by source (compressed only) and a direct counting sort by source
+ * over the CSC.
+ */
+FlatPartition
+naiveBuild(const EdgeList &el, LayoutOptions lo, bool balanced,
+           EdgeId param)
+{
+    const VertexId n = el.numVertices();
+    FlatPartition f;
+
+    f.toInternal.resize(n);
+    std::iota(f.toInternal.begin(), f.toInternal.end(), VertexId{0});
+    if (lo.reorder == VertexReorder::Hub) {
+        const auto od = el.outDegrees(), id = el.inDegrees();
+        auto bucket = [&](VertexId v) {
+            return std::bit_width(std::uint64_t{od[v]} + id[v] + 1);
+        };
+        std::vector<VertexId> order(n);
+        std::iota(order.begin(), order.end(), VertexId{0});
+        std::stable_sort(order.begin(), order.end(),
+                         [&](VertexId a, VertexId b) {
+                             return bucket(a) > bucket(b);
+                         });
+        for (VertexId i = 0; i < n; i++)
+            f.toInternal[order[i]] = i;
+    }
+    std::vector<Edge> edges;
+    for (const Edge &e : el.edges())
+        edges.emplace_back(f.toInternal[e.src], f.toInternal[e.dst],
+                           e.weight);
+
+    f.blockBegins = {0};
+    if (!balanced) {
+        const VertexId bs =
+            std::min<VertexId>(static_cast<VertexId>(param),
+                               std::max<VertexId>(n, 1));
+        for (VertexId v = bs; v < n; v += bs)
+            f.blockBegins.push_back(v);
+        if (n > 0)
+            f.blockBegins.push_back(n);
+    } else {
+        std::vector<EdgeId> ind(n);
+        for (const Edge &e : edges)
+            ind[e.dst]++;
+        EdgeId in_block = 0;
+        for (VertexId v = 0; v < n; v++) {
+            in_block += ind[v];
+            if (in_block >= param && v + 1 < n) {
+                f.blockBegins.push_back(v + 1);
+                in_block = 0;
+            }
+        }
+        if (n > 0)
+            f.blockBegins.push_back(n);
+    }
+    for (std::size_t b = 0; b + 1 < f.blockBegins.size(); b++) {
+        for (VertexId v = f.blockBegins[b]; v < f.blockBegins[b + 1]; v++)
+            f.vertexBlock.push_back(static_cast<BlockId>(b));
+    }
+
+    const EdgeId m = edges.size();
+    f.inOffsets.assign(std::size_t{n} + 1, 0);
+    for (const Edge &e : edges)
+        f.inOffsets[e.dst + 1]++;
+    std::partial_sum(f.inOffsets.begin(), f.inOffsets.end(),
+                     f.inOffsets.begin());
+    f.inSrc.resize(m);
+    f.inWeight.resize(m);
+    {
+        std::vector<EdgeId> cursor(f.inOffsets.begin(), f.inOffsets.end() - 1);
+        for (const Edge &e : edges) {
+            const EdgeId pos = cursor[e.dst]++;
+            f.inSrc[pos] = e.src;
+            f.inWeight[pos] = e.weight;
+        }
+    }
+    if (lo.layout == GraphLayout::Compressed) {
+        std::vector<std::pair<VertexId, float>> seg;
+        for (VertexId v = 0; v < n; v++) {
+            seg.clear();
+            for (EdgeId e = f.inOffsets[v]; e < f.inOffsets[v + 1]; e++)
+                seg.emplace_back(f.inSrc[e], f.inWeight[e]);
+            std::stable_sort(seg.begin(), seg.end(),
+                             [](const auto &a, const auto &b) {
+                                 return a.first < b.first;
+                             });
+            for (std::size_t i = 0; i < seg.size(); i++) {
+                f.inSrc[f.inOffsets[v] + i] = seg[i].first;
+                f.inWeight[f.inOffsets[v] + i] = seg[i].second;
+            }
+        }
+    }
+
+    f.outOffsets.assign(std::size_t{n} + 1, 0);
+    for (const VertexId src : f.inSrc)
+        f.outOffsets[src + 1]++;
+    std::partial_sum(f.outOffsets.begin(), f.outOffsets.end(),
+                     f.outOffsets.begin());
+    f.outDst.resize(m);
+    f.outBlk.resize(m);
+    f.outWeight.resize(m);
+    {
+        std::vector<EdgeId> cursor(f.outOffsets.begin(),
+                                   f.outOffsets.end() - 1);
+        for (VertexId v = 0; v < n; v++) {
+            for (EdgeId pos = f.inOffsets[v]; pos < f.inOffsets[v + 1];
+                 pos++) {
+                const EdgeId slot = cursor[f.inSrc[pos]]++;
+                f.outDst[slot] = v;
+                f.outBlk[slot] = f.vertexBlock[v];
+                f.outWeight[slot] = f.inWeight[pos];
+            }
+        }
+    }
+
+    f.mode = lo.layout == GraphLayout::Compressed
+        ? narrowestWeightMode(f.inWeight)
+        : WeightMode::Float32;
+    return f;
+}
+
+/** Graphs covering the build's edge cases, by name. */
+std::vector<std::pair<std::string, EdgeList>>
+buildGraphs()
+{
+    std::vector<std::pair<std::string, EdgeList>> graphs;
+    graphs.emplace_back("empty", EdgeList());
+    graphs.emplace_back("one vertex", EdgeList(1));
+
+    EdgeList loops(40);
+    Rng rng(91);
+    for (VertexId v = 0; v < 40; v++) {
+        loops.addEdge(v, v);
+        if (v % 3 == 0)
+            loops.addEdge(v, v);
+        loops.addEdge(v, static_cast<VertexId>(rng.nextBounded(40)));
+    }
+    graphs.emplace_back("self-loops, unit weights", std::move(loops));
+
+    // Few vertices, many parallel edges, every weight distinct: the
+    // order of a vertex's multi-edges shows in its weights.
+    EdgeList multi(12);
+    for (int i = 0; i < 900; i++) {
+        multi.addEdge(static_cast<VertexId>(rng.nextBounded(12)),
+                      static_cast<VertexId>(rng.nextBounded(12)),
+                      0.25f + static_cast<float>(i));
+    }
+    graphs.emplace_back("multi-edges, distinct weights", std::move(multi));
+
+    // |V| is not a multiple of any power-of-two bucket width.
+    EdgeList ragged(5003);
+    for (int i = 0; i < 40000; i++) {
+        ragged.addEdge(static_cast<VertexId>(rng.nextBounded(5003)),
+                       static_cast<VertexId>(rng.nextBounded(5003)),
+                       static_cast<float>(1 + i % 7));
+    }
+    graphs.emplace_back("ragged |V|, u8 weights", std::move(ragged));
+
+    // |V| > 65,536 and over 2^19 edges (several build tasks), most of
+    // them into 48 hubs scattered over the id space, so hub reorder
+    // puts most edges into the first bucket of internal ids.
+    const VertexId n = 70001;
+    EdgeList hubs(n);
+    for (int i = 0; i < 540000; i++) {
+        const VertexId hub = static_cast<VertexId>((i % 48) * 1447 + 3);
+        const auto other = static_cast<VertexId>(rng.nextBounded(n));
+        if (i % 7 == 6)
+            hubs.addEdge(other, static_cast<VertexId>(rng.nextBounded(n)));
+        else if (i % 3 == 2)
+            hubs.addEdge(hub, other);
+        else
+            hubs.addEdge(other, hub, static_cast<float>(i % 3));
+    }
+    graphs.emplace_back("hub-heavy, 540k edges", std::move(hubs));
+    return graphs;
+}
+
+/**
+ * The bucketed build matches the plain one on every array, on every
+ * layout x reorder x cut, and gives the same partition on one worker
+ * as on four.
+ */
+TEST(PartitionBuild, MatchesNaiveBuildAtOneAndFourWorkers)
+{
+    Executor one(1), four(4);
+    for (const auto &[name, el] : buildGraphs()) {
+        SCOPED_TRACE(name);
+        for (GraphLayout layout :
+             {GraphLayout::Plain, GraphLayout::Compressed}) {
+            for (VertexReorder reorder :
+                 {VertexReorder::None, VertexReorder::Hub}) {
+                for (bool balanced : {false, true}) {
+                    SCOPED_TRACE(std::string(to_string(layout)) + " " +
+                                 std::string(to_string(reorder)) +
+                                 (balanced ? " edge-balanced" : " fixed"));
+                    const LayoutOptions lo{layout, reorder};
+                    const EdgeId param = balanced
+                        ? std::max<EdgeId>(1, el.numEdges() / 9)
+                        : 1000;
+                    auto build = [&](Executor &exec) {
+                        return balanced
+                            ? BlockPartition(el, param,
+                                             BlockPartition::EdgeBalanced{},
+                                             lo, &exec)
+                            : BlockPartition(
+                                  el, static_cast<VertexId>(param), lo,
+                                  &exec);
+                    };
+                    const FlatPartition at1 = flatten(build(one));
+                    const FlatPartition at4 = flatten(build(four));
+                    const FlatPartition want =
+                        naiveBuild(el, lo, balanced, param);
+                    EXPECT_TRUE(at1 == want);
+                    EXPECT_TRUE(at4 == at1);
+                }
+            }
+        }
+    }
+}
+
+/** The hub permutation is the stable descending log2-degree order. */
+TEST(PartitionBuild, HubPermutationMatchesTheStableSortOrder)
+{
+    for (const auto &[name, el] : buildGraphs()) {
+        SCOPED_TRACE(name);
+        const VertexPermutation perm = VertexPermutation::hubCluster(el);
+        const FlatPartition want =
+            naiveBuild(el, {GraphLayout::Plain, VertexReorder::Hub},
+                       false, 1);
+        for (VertexId v = 0; v < el.numVertices(); v++)
+            ASSERT_EQ(perm.toInternal(v), want.toInternal[v]) << v;
+    }
 }
 
 } // namespace

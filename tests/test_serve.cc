@@ -349,6 +349,24 @@ TEST(Fingerprint, DifferentEngineOptionsDoNotAlias)
     EXPECT_EQ(f0, jobFamilyFingerprint(gfp, eng));
 }
 
+TEST(Fingerprint, ThreadCountKeysOnlyThreadedEngines)
+{
+    for (const char *engine : {"serial", "sim", "async", "accum"}) {
+        SCOPED_TRACE(engine);
+        JobRequest two;
+        two.graph = "g";
+        two.algo = "pr";
+        two.engine = engine;
+        two.options.numThreads = 2;
+        JobRequest three = two;
+        three.options.numThreads = 3;
+        const bool threaded = std::string(engine) == "async" ||
+                              std::string(engine) == "accum";
+        EXPECT_EQ(jobFingerprint(0x1234, two) != jobFingerprint(0x1234, three),
+                  threaded);
+    }
+}
+
 TEST(Fingerprint, AlgoSourceAndGraphSplitFamilies)
 {
     JobRequest base;
@@ -964,6 +982,26 @@ TEST_F(ServeTest, RepeatedJobIsServedFromTheResultCache)
     EXPECT_GE(manager.cache().stats().hits, 1u);
     EXPECT_EQ(manager.result(second.id).get(),
               manager.result(first.id).get());
+}
+
+TEST_F(ServeTest, SerialJobAtAnotherThreadCountIsACacheHit)
+{
+    JobManager manager(registry);
+    JobRequest req = request("web", "pr", "serial");
+    req.allowCached = true;
+    req.options.numThreads = 2;
+    JobManager::Submitted first = manager.submit(req);
+    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE(manager.wait(first.id, 60.0));
+
+    req.options.numThreads = 3;
+    JobManager::Submitted second = manager.submit(req);
+    ASSERT_TRUE(second.ok());
+    ASSERT_TRUE(manager.wait(second.id, 60.0));
+    auto st = manager.status(second.id);
+    ASSERT_TRUE(st.has_value());
+    EXPECT_TRUE(st->cacheHit);
+    EXPECT_EQ(manager.stats().cacheHits, 1u);
 }
 
 TEST_F(ServeTest, FinishedJobsDoNotPinFetchedResults)

@@ -60,11 +60,12 @@ run_preset() {
         # 4 participants; the combiner and pump-recycling tests cover
         # the per-participant state the pump hands between tasks; the
         # Published tests pin what GATHER reads from the published
-        # copies.
+        # copies.  The PartitionBuild tests run the partition build's
+        # sort tasks on a 4-worker pool.
         echo "== pump stress (${preset}) =="
         GRAPHABCD_PUMP_STRESS_ITERS=24 \
             "./build-tsan/tests/abcd_tests" \
-            --gtest_filter='*PumpStress.*:Activation.*:AccumCombiner.*:BlockPump.*:Published.*'
+            --gtest_filter='*PumpStress.*:Activation.*:AccumCombiner.*:BlockPump.*:Published.*:PartitionBuild.*'
 
         # The serve layer's cancel/cache-hit/shed races are guarded by
         # finishJob's terminal CAS; rerun the multi-tenant storm heavier
