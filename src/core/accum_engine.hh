@@ -1,43 +1,45 @@
 /**
  * @file
  * Accumulative (delta) BCD engine — Maiter-style delta propagation made
- * safe under barrierless execution (ROADMAP item 1).
+ * safe under barrierless execution.
  *
  * The paper rejects operation-based updates because the per-edge
  * pending arrays of PageRank-Delta put a read-modify-write window
  * between GATHER's consume and SCATTER's accumulate (Sec. IV-A3; the
  * anomaly is reproduced by src/core/delta_state.hh).  Maiter's insight
  * is that the window is an artifact of the *layout*, not of delta
- * propagation itself: give every vertex ONE atomic pending accumulator,
- * make SCATTER a single atomic accumulate (fetch-add for PageRank, CAS
- * min for path problems) and GATHER a single exchange-to-zero, and
- * every delta is either in the accumulator or in exactly one
- * extractor's hands — nothing can be overwritten or double-counted, no
- * locks, no barriers.  Commutative + associative accumulation is the
- * whole correctness argument.
+ * propagation itself: give every vertex ONE pending accumulator whose
+ * combine (add for PageRank, min for path problems) commutes and
+ * associates, and a delta can be moved, merged and applied in any
+ * order without being overwritten or double-counted.
  *
- * It also licenses pre-combining: a participant folds the deltas its
- * block ships to other blocks into a private per-vertex combiner and
- * pays one atomic combine per distinct destination when the block ends,
- * not one per edge.  Deltas into the block being processed are combined
- * directly, so later vertices of the block read them in the same pass.
+ * Ownership follows the paper's unit of work, the block (DESIGN.md
+ * §10.1).  The pump claims a block exclusively, and each block's
+ * accumulators sit behind one mutex.  The kernel takes that lock once
+ * to move the claimed block's accumulators into the participant's
+ * buffer and once to combine back what is left; every delta it ships
+ * to another block is pre-combined in the same buffer and lands with
+ * one lock per destination block.  A delta is therefore always in
+ * exactly one accumulator or one participant's buffer, guarded by the
+ * lock or owned by that participant: no per-vertex or per-edge atomic
+ * read-modify-write is needed.  Deltas into the claimed block combine
+ * into the buffer, so later vertices of the block read them in the
+ * same pass (in-block Gauss-Seidel).
  *
  * Conservation: a delta whose application would move the value by less
- * than the tolerance is not dropped (the bug this engine exists to
- * kill) but folded back into the vertex's accumulator, so value mass is
+ * than the tolerance is not dropped but stays pending, so value mass is
  * conserved *by construction*: for PageRank,
- * sum(values) + sum(pending)/(1-alpha) == 1 holds whenever no combiner
- * holds a delta (after every flushed block), and
- * the fixpoint drops rank mass only through the per-vertex tolerance,
- * never through lost residuals.
+ * sum(values) + sum(pending)/(1-alpha) == 1 holds whenever no buffer
+ * holds a delta (after every block), and the fixpoint drops rank mass
+ * only through the per-vertex tolerance, never through lost residuals.
  *
- * Scheduling: deltas make the Gauss-Southwell rule natural — a block's
- * priority tracks the estimated value moves of the deltas accumulated
- * into it since its last processing, maintained by the scatter hook.
- * The hook applies Maiter's activation filter: a destination is woken
- * only when its whole accumulated pending would move its value by more
- * than the tolerance, so sub-tolerance traffic parks in the
- * accumulator (conserved) instead of churning the worklist.
+ * Scheduling: every combine into an accumulator is followed, under the
+ * same lock, by Maiter's activation filter on the exact total — a
+ * block is woken only when one of its vertices' whole pending would
+ * move its value by more than the tolerance — so sub-tolerance traffic
+ * parks in the accumulator (conserved) instead of churning the
+ * worklist, and no wake-up is lost.  A block's priority grows by the
+ * estimated moves of the deltas it received (Gauss-Southwell).
  * Activations collect in the participant's per-block batch
  * (BlockActivations), which the pump commits under the control lock,
  * exactly like AsyncEngine.
@@ -61,6 +63,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -142,19 +145,16 @@ struct DeltaForm
 
 } // namespace detail
 
-/** What processVertex did with a vertex's accumulator. */
-enum class AccumOutcome
-{
-    Idle,     //!< accumulator held the identity: no work
-    Folded,   //!< sub-tolerance move: residual folded back, no scatter
-    Applied,  //!< value moved; deltas scattered downstream
-};
-
 /**
- * The accumulative data plane: one atomic value + one atomic pending
- * accumulator per vertex.  Exposed separately from the engine so tests
- * can drive adversarial interleavings directly (the analogue of
- * DeltaState's split gather/commit API) and audit conservation.
+ * The accumulative data plane: per vertex a value and one pending
+ * accumulator, the accumulators guarded by one mutex per block.
+ * Exposed separately from the engine so tests can drive adversarial
+ * block orders directly (the analogue of DeltaState's split
+ * gather/commit API) and audit conservation.
+ *
+ * Values are atomics only so the activation filter may read a vertex
+ * of a block in flight: a value is stored by the one participant that
+ * holds its block, with a relaxed store, never read-modify-written.
  */
 template <Accumulable Program>
 class AccumState
@@ -165,15 +165,13 @@ class AccumState
     static_assert(std::atomic<Value>::is_always_lock_free,
                   "AccumState needs a lock-free atomic Value");
 
-    AccumState(const BlockPartition &g, const Program &p) : graph(g)
+    AccumState(const BlockPartition &g, const Program &p)
+        : graph(g), values_(g.numVertices()), pending_(g.numVertices()),
+          locks_(g.numBlocks())
     {
-        const VertexId n = g.numVertices();
-        values_ = std::vector<std::atomic<Value>>(n);
-        pending_ = std::vector<std::atomic<Value>>(n);
-        for (VertexId v = 0; v < n; v++) {
+        for (VertexId v = 0; v < g.numVertices(); v++) {
             values_[v].store(p.identity(), std::memory_order_relaxed);
-            pending_[v].store(Form::initialDelta(p, v, g),
-                              std::memory_order_relaxed);
+            pending_[v] = Form::initialDelta(p, v, g);
         }
     }
 
@@ -186,7 +184,8 @@ class AccumState
     Value
     pendingAt(VertexId v) const
     {
-        return pending_[v].load(std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(locks_[graph.blockOf(v)].m);
+        return pending_[v];
     }
 
     std::vector<Value>
@@ -202,176 +201,178 @@ class AccumState
     pendingSnapshot() const
     {
         std::vector<Value> out(pending_.size());
-        for (std::size_t v = 0; v < pending_.size(); v++)
-            out[v] = pending_[v].load(std::memory_order_relaxed);
+        for (BlockId b = 0; b < graph.numBlocks(); b++) {
+            std::lock_guard<std::mutex> lock(locks_[b].m);
+            for (VertexId v = graph.blockBegin(b); v < graph.blockEnd(b);
+                 v++)
+                out[v] = pending_[v];
+        }
         return out;
     }
 
     /**
-     * One participant's scatter scratch: the out-edge bytes tally and
-     * the block-local delta combiner (DESIGN.md §10.1).  The
-     * combiner is a dense per-vertex buffer held at the identity plus
-     * the destinations folded into it since the last flush().
+     * One participant's buffer (DESIGN.md §10.1): a dense per-vertex
+     * array of Values held at the identity, which carries the claimed
+     * block's accumulators and pre-combines the deltas bound for other
+     * blocks, plus those destinations listed per destination block.
      * Participants run concurrently, so each brings its own; BlockPump
      * recycles it across requeues, so the O(|V|) fill is paid once per
      * participant per run.
      */
     struct Scratch
     {
-        /** A destination folded into the combiner, with its block
-         *  (the out-edge sidecar, so flush() reads no index). */
-        struct Touched
-        {
-            VertexId v;
-            BlockId blk;
-        };
-
-        ScatterScratch scatter;        //!< out-edge bytes read
-        std::vector<Value> combined;   //!< per vertex; identity if clean
-        std::vector<Touched> touched;  //!< first-fold order
+        ScatterScratch scatter;      //!< out-edge bytes read
+        std::vector<Value> buffer;   //!< per vertex; identity if clean
+        /** Per destination block: its vertices with a delta in the
+         *  buffer, in first-fold order. */
+        std::vector<std::vector<VertexId>> touched;
+        std::vector<BlockId> blocks;   //!< blocks with touched vertices
     };
 
-    /** Result of one processVertex call. */
+    /** What one processBlock call did. */
     struct Result
     {
-        AccumOutcome outcome = AccumOutcome::Idle;
-        double magnitude = 0.0;       //!< value move (Applied) or the
-                                      //!< sub-tolerance move (Folded)
-        std::uint32_t scatters = 0;   //!< shared-accumulator combines
+        /** Applied vertices, their L1 move and out-edges; `scatters`
+         *  counts combines into other blocks' accumulators. */
+        BlockWork work;
+        std::uint64_t folded = 0;   //!< sub-tolerance, left pending
     };
 
     /**
-     * Extract-apply-scatter one vertex.
+     * Extract-apply-scatter every vertex of block b, which the caller
+     * holds exclusively (BlockPump's claim):
      *
-     * The extraction (exchange to identity) and every shared combine
-     * are single atomic RMWs, so any interleaving with concurrent
-     * processors — including of the same vertex — loses nothing: a
-     * delta is in exactly one accumulator, one combiner or one
-     * extractor's hands at all times.  The value update is a CAS loop
-     * for the same reason.  A move <= tol folds the still-useful part
-     * of the delta back into the accumulator (conservation) without
-     * activating downstream blocks (quiescence).
+     *  1. Under b's lock, move b's accumulators into the buffer and
+     *     leave the identity behind.
+     *  2. Walk b's vertices.  A vertex whose pending would move its
+     *     value by <= tol keeps it in the buffer (the fold-back); one
+     *     that moves stores its value and scatters: a delta into b
+     *     combines into the buffer, where a later vertex of b reads it
+     *     in this pass, and a delta into another block is pre-combined
+     *     there too.  Sum and Min commute and associate (Maiter's
+     *     condition), so pre-combining is exact.
+     *  3. Under b's lock, combine the buffer back into b's accumulators,
+     *     which may hold deltas flushed while b was in flight.
+     *  4. For each destination block X, under X's lock, combine X's
+     *     pre-combined deltas into its accumulators.
      *
-     * Scatter: a delta to a destination in v's own block is combined
-     * straight into the destination's accumulator, so a later vertex
-     * of the block being processed reads it in this pass (in-block
-     * Gauss-Seidel).  A delta bound for another block is folded into
-     * the scratch's combiner with a plain combine; flush() ships it.
-     * Sum and Min commute and associate (Maiter's condition), so
-     * pre-combining is exact.
-     *
-     * @param on_activate (dst_block, est_move), called per shared
-     *        combine that passes the Maiter activation filter; see
-     *        shareDelta().
-     * @param scratch the participant's scratch.  Its combiner holds
-     *        deltas until flush(), which the caller must run before
-     *        committing its activation batch.
+     * Each combine into an accumulator (steps 3 and 4) runs Maiter's
+     * activation filter on the exact total under the same lock, and
+     * wakes the block once, through on_activate(block, est_move), if
+     * any of its vertices passes.  Schedulers accumulate activation
+     * priorities (Gauss-Southwell L1), so est_move sums the moves of
+     * the deltas this call combined, not of the totals, which would
+     * count earlier deltas again.  The last combine into a vertex's
+     * accumulator always tests its final total against its current
+     * value, so a run that quiesces leaves no vertex whose pending
+     * would move it by more than tol.
      *
      * Flattened: this is the per-edge loop, and the serve runner's
      * translation unit instantiates every (program, engine) cell, so
      * GCC's unit-wide inlining budget otherwise runs out before the
-     * activation push is inlined here (measured ~12% slower PageRank).
+     * scatter is inlined here.
      */
     template <typename OnActivate>
     [[gnu::flatten]] Result
-    processVertex(const Program &p, VertexId v, double tol,
-                  OnActivate &&on_activate, Scratch &scratch)
+    processBlock(const Program &p, BlockId b, double tol,
+                 OnActivate &&on_activate, Scratch &scratch)
     {
+        const Value identity = p.identity();
+        if (scratch.buffer.size() != values_.size()) {
+            scratch.buffer.assign(values_.size(), identity);
+            // A block's list holds each of its vertices at most once
+            // (twice only after a Sum cancels to the identity), so
+            // sizing it now spares the growth reallocations.
+            scratch.touched.assign(graph.numBlocks(), {});
+            for (BlockId x = 0; x < graph.numBlocks(); x++)
+                scratch.touched[x].reserve(graph.blockVertexCount(x));
+        }
+        Value *const buf = scratch.buffer.data();
+        const VertexId lo = graph.blockBegin(b), hi = graph.blockEnd(b);
+        {
+            std::lock_guard<std::mutex> lock(locks_[b].m);
+            for (VertexId v = lo; v < hi; v++)
+                buf[v] = std::exchange(pending_[v], identity);
+        }
+
         Result r;
-        const Value identity = p.identity();
-        const Value d =
-            pending_[v].exchange(identity, std::memory_order_acq_rel);
-        if (d == identity)
-            return r;
-        Value cur = values_[v].load(std::memory_order_relaxed);
-        Value next = cur;
-        for (;;) {
-            next = p.combine(cur, d);
-            const double mag = p.delta(cur, next);
-            if (!(mag > tol)) {
-                const Value residual = Form::foldResidual(p, d, cur);
-                if (!(residual == identity))
-                    atomicCombine(p, pending_[v], residual);
-                r.outcome = AccumOutcome::Folded;
-                r.magnitude = mag;
-                return r;
-            }
-            if (values_[v].compare_exchange_weak(
-                    cur, next, std::memory_order_acq_rel,
-                    std::memory_order_relaxed)) {
-                r.outcome = AccumOutcome::Applied;
-                r.magnitude = mag;
-                break;
-            }
-            // CAS lost to a concurrent applier of this vertex: re-apply
-            // d against the fresh value (monotonicity makes any order
-            // reach the same fixpoint).
-        }
-
-        if (scratch.combined.size() != values_.size())
-            scratch.combined.assign(values_.size(), identity);
-        const BlockId home = graph.blockOf(v);
-        const Value shipped = Form::shipped(p, v, next, d, graph);
-        const OutEdgesView out = graph.outEdges(v, scratch.scatter);
-        for (std::size_t i = 0; i < out.size(); i++) {
-            const Value contrib =
-                Form::propagate(p, shipped, out.weight(i));
-            if (contrib == identity)
-                continue;
-            const BlockId blk = out.blk[i];
-            const VertexId dst = out.dst[i];
-            if (blk == home) {
-                shareDelta(p, dst, blk, contrib, tol, on_activate);
-                r.scatters++;
-                continue;
-            }
-            Value &slot = scratch.combined[dst];
-            if (slot == identity)
-                scratch.touched.push_back({dst, blk});
-            slot = p.combine(slot, contrib);
-        }
-        return r;
-    }
-
-    /**
-     * Ship the combiner: one shared combine, one value read and one
-     * activation-filter test per distinct destination, then reset the
-     * touched slots.  A delta in the combiner is in one extractor's
-     * hands; flushing before the activation batch's locked commit
-     * keeps the pump's quiescence detection exact.  Flattened like
-     * processVertex: it is the per-destination loop.
-     * @return shared-accumulator combines done.
-     */
-    template <typename OnActivate>
-    [[gnu::flatten]] std::uint32_t
-    flush(const Program &p, double tol, OnActivate &&on_activate,
-          Scratch &scratch)
-    {
-        const Value identity = p.identity();
-        std::uint32_t combines = 0;
-        for (const typename Scratch::Touched &t : scratch.touched) {
-            const Value d = std::exchange(scratch.combined[t.v], identity);
-            // A slot listed twice (a Sum that cancelled to the identity
-            // and was folded into again) is clean the second time.
+        for (VertexId v = lo; v < hi; v++) {
+            const Value d = buf[v];
             if (d == identity)
                 continue;
-            shareDelta(p, t.v, t.blk, d, tol, on_activate);
-            combines++;
-        }
-        scratch.touched.clear();
-        return combines;
-    }
+            const Value cur = values_[v].load(std::memory_order_relaxed);
+            const Value next = p.combine(cur, d);
+            const double mag = p.delta(cur, next);
+            if (!(mag > tol)) {
+                buf[v] = Form::foldResidual(p, d, cur);
+                r.folded++;
+                continue;
+            }
+            values_[v].store(next, std::memory_order_relaxed);
+            buf[v] = identity;   // before scatter: a self-loop refills it
+            r.work.vertices++;
+            r.work.l1 += mag;
 
-    /** processVertex with a throwaway scratch, flushed at once (direct
-     *  test callers). */
-    template <typename OnActivate>
-    Result
-    processVertex(const Program &p, VertexId v, double tol,
-                  OnActivate &&on_activate)
-    {
-        Scratch scratch;
-        Result r = processVertex(p, v, tol, on_activate, scratch);
-        r.scatters += flush(p, tol, on_activate, scratch);
+            const Value shipped = Form::shipped(p, v, next, d, graph);
+            const OutEdgesView out = graph.outEdges(v, scratch.scatter);
+            r.work.edges += out.size();
+            for (std::size_t i = 0; i < out.size(); i++) {
+                const Value contrib =
+                    Form::propagate(p, shipped, out.weight(i));
+                if (contrib == identity)
+                    continue;
+                const VertexId dst = out.dst[i];
+                const BlockId blk = out.blk[i];
+                Value &slot = buf[dst];
+                if (blk != b && slot == identity) {
+                    std::vector<VertexId> &list = scratch.touched[blk];
+                    if (list.empty())
+                        scratch.blocks.push_back(blk);
+                    list.push_back(dst);
+                }
+                slot = p.combine(slot, contrib);
+            }
+        }
+        // Every applied vertex moved by more than the tolerance.
+        r.work.active = r.work.vertices;
+
+        bool wake = false;
+        double est = 0.0;
+        {
+            std::lock_guard<std::mutex> lock(locks_[b].m);
+            for (VertexId v = lo; v < hi; v++) {
+                const Value mine = std::exchange(buf[v], identity);
+                Value &acc = pending_[v];
+                acc = p.combine(acc, mine);
+                if (!(acc == identity))
+                    wake = passesFilter(p, v, mine, tol, est) || wake;
+            }
+        }
+        if (wake)
+            on_activate(b, est);
+        for (const BlockId x : scratch.blocks) {
+            std::vector<VertexId> &list = scratch.touched[x];
+            wake = false;
+            est = 0.0;
+            {
+                std::lock_guard<std::mutex> lock(locks_[x].m);
+                for (const VertexId v : list) {
+                    const Value d = std::exchange(buf[v], identity);
+                    // A vertex listed twice (a Sum that cancelled to the
+                    // identity and was folded into again) is clean the
+                    // second time.
+                    if (d == identity)
+                        continue;
+                    pending_[v] = p.combine(pending_[v], d);
+                    r.work.scatters++;
+                    wake = passesFilter(p, v, d, tol, est) || wake;
+                }
+            }
+            list.clear();
+            if (wake)
+                on_activate(x, est);
+        }
+        scratch.blocks.clear();
         graph.chargeScatterBytes(scratch.scatter);
         return r;
     }
@@ -380,64 +381,45 @@ class AccumState
     using Form = detail::DeltaForm<Program>;
 
     /**
-     * Combine d into dst's shared accumulator, then apply Maiter's
-     * activation filter: wake dst's block only when dst's whole
-     * accumulated pending would move its value by more than tol.
-     * Sub-tolerance totals stay parked in the accumulator — for
-     * additive programs the last combiner of a super-tolerance total
-     * always observes it, and for monotone min-programs a skipped wake
-     * can never become necessary later (the estimated move only
-     * shrinks), so no wakeup is lost.
+     * Maiter's activation filter on v's whole pending, with v's block
+     * lock held: whether absorbing it would move v's value by more than
+     * tol.  If so, adds the move of `d`, the part just combined, to est.
      */
-    template <typename OnActivate>
-    void
-    shareDelta(const Program &p, VertexId dst, BlockId blk, Value d,
-               double tol, OnActivate &on_activate)
+    bool
+    passesFilter(const Program &p, VertexId v, Value d, double tol,
+                 double &est) const
     {
-        const Value after = atomicCombine(p, pending_[dst], d);
-        const Value dval = values_[dst].load(std::memory_order_relaxed);
-        if (p.delta(dval, p.combine(dval, after)) > tol) {
-            // Schedulers ACCUMULATE activation priorities
-            // (Gauss-Southwell L1), so pass this delta's own move — the
-            // running sum then tracks dst's total pending.  Passing the
-            // total would double-count earlier deltas and
-            // over-prioritize hot vertices into premature, fragmenting
-            // applies.
-            on_activate(blk, p.delta(dval, p.combine(dval, d)));
-        }
+        const Value val = values_[v].load(std::memory_order_relaxed);
+        if (!(p.delta(val, p.combine(val, pending_[v])) > tol))
+            return false;
+        est += p.delta(val, p.combine(val, d));
+        return true;
     }
 
-    /** @return the post-combine accumulator value. */
-    static Value
-    atomicCombine(const Program &p, std::atomic<Value> &slot, Value d)
+    /** One block's mutex, alone on its cache line so participants
+     *  locking neighbouring blocks do not share a line. */
+    struct alignas(64) BlockLock
     {
-        Value cur = slot.load(std::memory_order_relaxed);
-        for (;;) {
-            const Value next = p.combine(cur, d);
-            if (next == cur)
-                return cur;   // absorbing element (e.g. a worse min)
-            if (slot.compare_exchange_weak(cur, next,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_relaxed))
-                return next;
-        }
-    }
+        std::mutex m;
+    };
 
     const BlockPartition &graph;
     std::vector<std::atomic<Value>> values_;
-    std::vector<std::atomic<Value>> pending_;
+    std::vector<Value> pending_;   //!< guarded by the block's lock
+    mutable std::vector<BlockLock> locks_;
 };
 
 /**
  * Threaded accumulative engine: the shared BlockPump (core/block_pump.hh)
- * drives processBlock with a dispatch window of one — deltas are
- * commutative, so staleness bounding is unnecessary and blocks are
- * claimed straight from the scheduler.
+ * claims blocks exclusively and drives AccumState::processBlock with a
+ * dispatch window of one — deltas are commutative, so staleness
+ * bounding is unnecessary and blocks are claimed straight from the
+ * scheduler.
  *
- * vertexUpdates counts vertices whose value actually moved (Applied) —
- * that is the "vertex updates to tolerance" the Maiter comparison is
- * about.  Folded claims (sub-tolerance residual returned to the
- * accumulator) are deferrals, not updates; they are tallied in the
+ * vertexUpdates counts vertices whose value actually moved — that is
+ * the "vertex updates to tolerance" the Maiter comparison is about.
+ * Sub-tolerance vertices (residual left in the accumulator) are
+ * deferrals, not updates; they are tallied in the
  * engine.accum.foldbacks counter instead.  warmStart is ignored:
  * resuming needs a consistent (values, pending) pair, which cached
  * final values alone cannot provide.
@@ -471,50 +453,24 @@ class AccumEngine
         auto sched = makeSeededScheduler(options.schedule,
                                          graph.numBlocks(), options.seed);
         std::atomic<std::uint64_t> foldbacks{0};
-        obs::Histogram &residualHist = obs::histogram(
-            "engine.accum.residual_mag", obs::magnitudeBuckets());
 
         using Scratch = typename AccumState<Program>::Scratch;
 
-        // Extract-apply-scatter each vertex of one block, then flush
-        // the combiner ahead of the pump's locked commit.
         auto processBlock = [&](BlockId b, Scratch &scratch,
                                 BlockActivations &activations) {
-            BlockWork work;
-            std::uint64_t folded = 0;
-            auto on_activate = [&activations](BlockId db, double mag) {
-                activations.add(db, mag);
-            };
-            for (VertexId v = graph.blockBegin(b);
-                 v < graph.blockEnd(b); v++) {
-                auto r = state_->processVertex(
-                    program, v, options.tolerance, on_activate, scratch);
-                switch (r.outcome) {
-                  case AccumOutcome::Idle:
-                    break;
-                  case AccumOutcome::Folded:
-                    folded++;
-                    residualHist.record(r.magnitude);
-                    break;
-                  case AccumOutcome::Applied:
-                    work.vertices++;
-                    work.l1 += r.magnitude;
-                    work.edges += graph.outDegree(v);
-                    work.scatters += r.scatters;
-                    break;
-                }
-            }
-            work.scatters += state_->flush(program, options.tolerance,
-                                           on_activate, scratch);
-            // Every applied vertex moved by more than the tolerance.
-            work.active = work.vertices;
-            foldbacks.fetch_add(folded, std::memory_order_relaxed);
-            graph.chargeScatterBytes(scratch.scatter);
-            return work;
+            const auto r = state_->processBlock(
+                program, b, options.tolerance,
+                [&activations](BlockId db, double mag) {
+                    activations.add(db, mag);
+                },
+                scratch);
+            if (r.folded)
+                foldbacks.fetch_add(r.folded, std::memory_order_relaxed);
+            return r.work;
         };
 
         const PumpConfig cfg{"engine.accum", participation, 1,
-                             graph.numBlocks(), /*exclusive=*/false};
+                             graph.numBlocks()};
         EngineReport report =
             BlockPump<Scratch, decltype(processBlock)>(
                 cfg, *sched, acct, options, processBlock)

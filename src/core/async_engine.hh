@@ -143,7 +143,7 @@ class AsyncEngine
             std::max(1u, options.numThreads);
         const PumpConfig cfg{"engine.async", participation,
                              std::size_t{participation} * 4,
-                             graph.numBlocks(), /*exclusive=*/true};
+                             graph.numBlocks()};
         auto kernel = [this](BlockId b, LayoutScratch &scratch,
                              BlockActivations &activations) {
             return processAndCommit(b, scratch, activations);

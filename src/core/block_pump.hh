@@ -29,16 +29,17 @@
  * of 4 x participation; AccumEngine uses 1, i.e. claims straight from
  * the scheduler, because its deltas commute.
  *
- * An exclusive pump never runs one block on two participants at once.
- * The scheduler re-issues a block that is re-activated while an earlier
+ * The pump never runs one block on two participants at once.  The
+ * scheduler re-issues a block that is re-activated while an earlier
  * copy is still in the FIFO or in flight.  A copy still in the FIFO
  * already covers the re-issue (it will read the newer inputs); for a
  * copy in flight the pump re-activates the block when that copy
- * commits.  AsyncEngine needs this: two overlapping copies store whole
- * values, and the slower one can overwrite a newer value that nothing
- * re-activates (a converged SSSP run with wrong distances).
- * AccumEngine's atomic extract/combine makes overlap harmless, so its
- * pump is not exclusive.
+ * commits.  Both engines rely on this.  AsyncEngine stores whole
+ * values, so of two overlapping copies the slower one could overwrite
+ * a newer value that nothing re-activates (a converged SSSP run with
+ * wrong distances).  AccumEngine's kernel owns its block's vertices
+ * from claim to commit: it moves their accumulators into the
+ * participant's buffer and is their only writer.
  */
 
 #ifndef GRAPHABCD_CORE_BLOCK_PUMP_HH
@@ -70,7 +71,6 @@ struct PumpConfig
     std::uint32_t participation;  //!< participants, the caller included
     std::size_t window;           //!< dispatch FIFO capacity (>= 1)
     BlockId numBlocks;            //!< blocks the scheduler hands out
-    bool exclusive;               //!< one copy of a block at a time
 };
 
 /**
@@ -101,8 +101,7 @@ class BlockPump
           exec_(opt.executor ? opt.executor : Executor::shared()),
           job_(exec_->createJob(cfg.participation))
     {
-        if (cfg.exclusive)
-            ctl_.dispatched.assign(cfg.numBlocks, kIdle);
+        ctl_.dispatched.assign(cfg.numBlocks, kIdle);
     }
 
     /** Pump to quiescence or halt, then assemble the report. */
@@ -135,7 +134,7 @@ class BlockPump
         std::uint64_t stamp;   //!< block updates at FIFO entry
     };
 
-    /** Exclusive pumps: per-block dispatch state. */
+    /** Per-block dispatch state. */
     enum : std::uint8_t
     {
         kIdle,       //!< not in the FIFO, not in flight
@@ -159,13 +158,13 @@ class BlockPump
     {
         std::mutex m;
         std::deque<WorkItem> fifo;
-        std::vector<std::uint8_t> dispatched;   //!< exclusive pumps only
+        std::vector<std::uint8_t> dispatched;   //!< state per block
         std::uint32_t pumps = 0;      //!< live participants
         bool halted = false;          //!< stop token or budget
         bool droppedWork = false;     //!< a halt discarded FIFO items
         /** State of participants that returned or requeued.  Both
          *  halves are sized to the partition (the batch to its blocks,
-         *  the accum combiner to its vertices), so building them per
+         *  the accum buffer to its vertices), so building them per
          *  kQuantum blocks would pay that fill every quantum. */
         std::vector<std::unique_ptr<Participant>> idle;
     };
@@ -193,15 +192,13 @@ class BlockPump
             std::optional<BlockId> b = sched_.next();
             if (!b)
                 break;
-            if (cfg_.exclusive) {
-                std::uint8_t &state = ctl_.dispatched[*b];
-                if (state != kIdle) {
-                    if (state != kQueued)
-                        state = kReissued;
-                    continue;
-                }
-                state = kQueued;
+            std::uint8_t &state = ctl_.dispatched[*b];
+            if (state != kIdle) {
+                if (state != kQueued)
+                    state = kReissued;
+                continue;
             }
+            state = kQueued;
             ctl_.fifo.push_back({*b, acct_.blockUpdates()});
         }
         if (ctl_.halted && !ctl_.fifo.empty()) {
@@ -223,8 +220,7 @@ class BlockPump
             return std::nullopt;
         WorkItem item = ctl_.fifo.front();
         ctl_.fifo.pop_front();
-        if (cfg_.exclusive)
-            ctl_.dispatched[item.block] = kRunning;
+        ctl_.dispatched[item.block] = kRunning;
         const std::uint64_t staleness = acct_.blockUpdates() - item.stamp;
         GRAPHABCD_ASSERT(staleness <= cfg_.window + cfg_.participation,
                          "staleness ", staleness, " exceeds the dispatch "
@@ -274,8 +270,7 @@ class BlockPump
                 }
                 if (cur) {
                     self->activations.commit(sched_);
-                    if (cfg_.exclusive &&
-                        std::exchange(ctl_.dispatched[cur->block],
+                    if (std::exchange(ctl_.dispatched[cur->block],
                                       kIdle) == kReissued) {
                         // The scheduler picked it once already: top rank.
                         sched_.activate(cur->block,

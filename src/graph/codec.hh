@@ -32,15 +32,35 @@ namespace codec {
 /** Longest legal encoding of a 32-bit value (ceil(32 / 7)). */
 constexpr std::size_t kMaxVarint32Bytes = 5;
 
+/** Write the LEB128 encoding of `x` at `p`.
+ *  @return pointer past the written bytes. */
+inline std::uint8_t *
+writeVarint32(std::uint8_t *p, std::uint32_t x)
+{
+    while (x >= 0x80) {
+        *p++ = static_cast<std::uint8_t>(x) | 0x80;
+        x >>= 7;
+    }
+    *p++ = static_cast<std::uint8_t>(x);
+    return p;
+}
+
+/** @return bytes of the LEB128 encoding of `x`. */
+inline std::size_t
+varint32Bytes(std::uint32_t x)
+{
+    std::size_t n = 1;
+    for (; x >= 0x80; x >>= 7)
+        n++;
+    return n;
+}
+
 /** Append the LEB128 encoding of `x` to `out`. */
 inline void
 putVarint32(std::vector<std::uint8_t> &out, std::uint32_t x)
 {
-    while (x >= 0x80) {
-        out.push_back(static_cast<std::uint8_t>(x) | 0x80);
-        x >>= 7;
-    }
-    out.push_back(static_cast<std::uint8_t>(x));
+    std::uint8_t buf[kMaxVarint32Bytes];
+    out.insert(out.end(), buf, writeVarint32(buf, x));
 }
 
 /**
@@ -142,6 +162,32 @@ encodeDeltaList32(std::span<const std::uint32_t> sorted,
         putVarint32(out, i == 0 ? sorted[0] : sorted[i] - prev);
         prev = sorted[i];
     }
+}
+
+/** @return bytes encodeDeltaList32 emits for `sorted`. */
+inline std::size_t
+deltaList32Bytes(std::span<const std::uint32_t> sorted)
+{
+    std::size_t n = 0;
+    std::uint32_t prev = 0;
+    for (std::size_t i = 0; i < sorted.size(); i++) {
+        n += varint32Bytes(i == 0 ? sorted[0] : sorted[i] - prev);
+        prev = sorted[i];
+    }
+    return n;
+}
+
+/** encodeDeltaList32 into the deltaList32Bytes(sorted) bytes at `out`.
+ *  @return pointer past the written bytes. */
+inline std::uint8_t *
+encodeDeltaList32(std::span<const std::uint32_t> sorted, std::uint8_t *out)
+{
+    std::uint32_t prev = 0;
+    for (std::size_t i = 0; i < sorted.size(); i++) {
+        out = writeVarint32(out, i == 0 ? sorted[0] : sorted[i] - prev);
+        prev = sorted[i];
+    }
+    return out;
 }
 
 /**

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <ranges>
 #include <utility>
 
@@ -351,26 +352,44 @@ BlockPartition::buildFromBoundaries(const EdgeList &el, Executor *exec)
     inWeights_ = WeightColumn(std::move(wgt), mode);
 
     if (compressed())
-        packGatherStream();
+        packGatherStream(exec);
 }
 
 void
-BlockPartition::packGatherStream()
+BlockPartition::packGatherStream(Executor *exec)
 {
-    // Per-vertex delta-varint source lists (each ascending by source).
-    // gatherOffsets_[v] is the byte offset of v's list.
-    gatherOffsets_.resize(static_cast<std::size_t>(nVertices) + 1);
-    gatherStream_.clear();
-    gatherStream_.reserve(nEdges_ * 2);
-    for (VertexId v = 0; v < nVertices; v++) {
-        gatherOffsets_[v] = gatherStream_.size();
-        codec::encodeDeltaList32(
-            {edgeSrc_.data() + inOffsets[v],
-             edgeSrc_.data() + inOffsets[v + 1]},
-            gatherStream_);
+    // Per-vertex delta-varint source lists (each ascending by source),
+    // in two passes over tasks of about kGrain edges: each list's size
+    // into gatherOffsets_[v + 1], a prefix sum turning sizes into byte
+    // offsets (gatherOffsets_[v] is where v's list starts), then each
+    // task encodes its lists in place.  Task t packs the vertices whose
+    // lists start in edge chunk t.
+    const std::size_t tasks = taskCount(nEdges_);
+    std::vector<VertexId> first(tasks + 1, nVertices);
+    for (std::size_t t = 0; t < tasks; t++) {
+        first[t] = static_cast<VertexId>(
+            std::lower_bound(inOffsets.begin(),
+                             inOffsets.begin() + nVertices,
+                             chunk(t, nEdges_).first) -
+            inOffsets.begin());
     }
-    gatherOffsets_[nVertices] = gatherStream_.size();
-    gatherStream_.shrink_to_fit();
+    auto list = [this](VertexId v) {
+        return std::span<const VertexId>(edgeSrc_.data() + inOffsets[v],
+                                         edgeSrc_.data() + inOffsets[v + 1]);
+    };
+    gatherOffsets_.assign(static_cast<std::size_t>(nVertices) + 1, 0);
+    runTasks(exec, tasks, [&](std::size_t t) {
+        for (VertexId v = first[t]; v < first[t + 1]; v++)
+            gatherOffsets_[v + 1] = codec::deltaList32Bytes(list(v));
+    });
+    std::partial_sum(gatherOffsets_.begin(), gatherOffsets_.end(),
+                     gatherOffsets_.begin());
+    gatherStream_.resize(gatherOffsets_[nVertices]);
+    runTasks(exec, tasks, [&](std::size_t t) {
+        for (VertexId v = first[t]; v < first[t + 1]; v++)
+            codec::encodeDeltaList32(list(v),
+                                     gatherStream_.data() + gatherOffsets_[v]);
+    });
 
     // The packed stream now carries the sources; drop the wide array.
     edgeSrc_.clear();

@@ -418,6 +418,14 @@ class BlockPartition
                static_cast<double>(nEdges_);
     }
 
+    /** The compressed layout's packed gather stream: every vertex's
+     *  delta-varint source list, in vertex order (empty when plain). */
+    std::span<const std::uint8_t>
+    gatherStream() const
+    {
+        return gatherStream_;
+    }
+
     /** Out-edge adjacency bytes per edge: destination id, the
      *  destination-block sidecar and the weight (12.0 for plain). */
     double
@@ -447,8 +455,9 @@ class BlockPartition
     /** Shared tail of both constructors: CSC and out-edge adjacency. */
     void buildFromBoundaries(const EdgeList &el, Executor *exec);
 
-    /** Build the delta-varint gather stream, then drop edgeSrc_. */
-    void packGatherStream();
+    /** Build the delta-varint gather stream on `exec`'s tasks (the
+     *  shared pool when null), then drop edgeSrc_. */
+    void packGatherStream(Executor *exec);
 
     /** @return the vertex whose in-edge range holds position e. */
     VertexId inEdgeOwner(EdgeId e) const;

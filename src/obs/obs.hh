@@ -483,13 +483,6 @@ ringDepthBuckets()
     return {0, 1, 2, 4, 8, 16, 64, 256, 1024, 4096, 16384, 65536};
 }
 
-/** Log-spaced |delta| magnitudes (residual-fold histograms). */
-inline std::vector<double>
-magnitudeBuckets()
-{
-    return {1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6};
-}
-
 } // namespace obs
 } // namespace graphabcd
 

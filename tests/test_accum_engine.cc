@@ -2,10 +2,10 @@
  * @file
  * Tests of the accumulative (Maiter-style) delta engine: equivalence
  * with the exact references across schedulers and thread counts,
- * conservation of value mass by construction, the block-local delta
- * combiner, and survival of the interleaving that breaks the
- * operation-based DeltaState.  The cancel-storm stress lives with the
- * shared pump, in test_run_loop.cc.
+ * conservation of value mass by construction, the wake-up contract,
+ * the block-level kernel's pre-combining, and survival of the
+ * interleavings that break the operation-based DeltaState.  The
+ * cancel-storm stress lives with the shared pump, in test_run_loop.cc.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,8 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,6 +27,7 @@
 #include "core/scheduler.hh"
 #include "core/stop_token.hh"
 #include "graph/generators.hh"
+#include "runtime/executor.hh"
 
 namespace graphabcd {
 namespace {
@@ -257,39 +260,85 @@ TEST(AccumConservation, BudgetHaltedRunStillConserves)
                 1e-9);
 }
 
-// ----------------------------------------------------------- combiner
+/** @return whether every vertex's pending would move its value by at
+ *  most tol — what a quiesced run must leave behind. */
+template <typename P>
+bool
+noSuperTolerancePending(const P &p, const std::vector<double> &values,
+                        const std::vector<double> &pending, double tol,
+                        VertexId &bad)
+{
+    for (VertexId v = 0; v < values.size(); v++) {
+        if (p.delta(values[v], p.combine(values[v], pending[v])) > tol) {
+            bad = v;
+            return false;
+        }
+    }
+    return true;
+}
+
+TEST(AccumConservation, ConvergedRunLeavesNoSuperTolerancePending)
+{
+    // The wake-up contract: every combine into an accumulator runs the
+    // activation filter on the exact total, so a run that quiesces
+    // leaves no vertex whose pending would still move it by more than
+    // tol.  Repeated at 1, 2 and 4 participants for PR and SSSP.
+    Rng rng(94);
+    EdgeList el = generateRmat(1024, 8192, rng, {.weighted = true});
+    EngineOptions opt;
+    opt.blockSize = 16;
+    opt.tolerance = 1e-7;
+    opt.executor = std::make_shared<Executor>(3);
+    BlockPartition g(el, opt.blockSize);
+    for (std::uint32_t threads : {1u, 2u, 4u}) {
+        opt.numThreads = threads;
+        for (int run = 0; run < 8; run++) {
+            SCOPED_TRACE("threads " + std::to_string(threads) + " run " +
+                         std::to_string(run));
+            VertexId bad = 0;
+            PageRankProgram pr(0.85);
+            AccumEngine<PageRankProgram> pr_engine(g, pr, opt);
+            std::vector<double> x;
+            ASSERT_TRUE(pr_engine.run(x).converged);
+            EXPECT_TRUE(noSuperTolerancePending(
+                pr, x, pr_engine.pendingSnapshot(), opt.tolerance, bad))
+                << "pr vertex " << bad;
+
+            SsspProgram sssp(0);
+            AccumEngine<SsspProgram> sssp_engine(g, sssp, opt);
+            std::vector<double> dist;
+            ASSERT_TRUE(sssp_engine.run(dist).converged);
+            EXPECT_TRUE(noSuperTolerancePending(
+                sssp, dist, sssp_engine.pendingSnapshot(), opt.tolerance,
+                bad))
+                << "sssp vertex " << bad;
+        }
+    }
+}
+
+// ------------------------------------------------- block-level kernel
 
 template <typename P>
 using ScratchOf = typename AccumState<P>::Scratch;
 
-/** @return whether the combiner holds no delta: every slot at the
+/** @return whether the buffer holds no delta: every slot at the
  *  identity (or not yet sized) and no destination listed. */
 template <typename P>
 bool
-combinerIsClean(const ScratchOf<P> &scratch, const P &p)
+bufferIsClean(const ScratchOf<P> &scratch, const P &p)
 {
-    return scratch.touched.empty() &&
-           std::all_of(scratch.combined.begin(), scratch.combined.end(),
+    return scratch.blocks.empty() &&
+           std::all_of(scratch.touched.begin(), scratch.touched.end(),
+                       [](const auto &list) { return list.empty(); }) &&
+           std::all_of(scratch.buffer.begin(), scratch.buffer.end(),
                        [&p](auto x) { return x == p.identity(); });
 }
 
-/** The engine's block kernel on one thread: extract-apply-scatter each
- *  vertex of b with the participant's scratch, then flush.
- *  @return shared-accumulator combines, direct plus flushed. */
-template <typename P>
-std::uint64_t
-runBlock(AccumState<P> &state, const P &p, const BlockPartition &g,
-         BlockId b, double tol, ScratchOf<P> &scratch,
-         BlockActivations &batch)
+/** Add every activation to `batch`. */
+auto
+into(BlockActivations &batch)
 {
-    auto on_activate = [&batch](BlockId db, double mag) {
-        batch.add(db, mag);
-    };
-    std::uint64_t combines = 0;
-    for (VertexId v = g.blockBegin(b); v < g.blockEnd(b); v++)
-        combines += state.processVertex(p, v, tol, on_activate, scratch)
-                        .scatters;
-    return combines + state.flush(p, tol, on_activate, scratch);
+    return [&batch](BlockId db, double mag) { batch.add(db, mag); };
 }
 
 /** Drive `state` to quiescence block by block on one scratch, calling
@@ -306,7 +355,7 @@ drainByBlocks(AccumState<P> &state, const P &p, const BlockPartition &g,
     int blocks = 0;
     while (auto b = sched->next()) {
         ASSERT_LT(blocks++, 1000000) << "no quiescence";
-        runBlock(state, p, g, *b, tol, scratch, batch);
+        state.processBlock(p, *b, tol, into(batch), scratch);
         batch.commit(*sched);
         after_block(scratch);
     }
@@ -314,7 +363,7 @@ drainByBlocks(AccumState<P> &state, const P &p, const BlockPartition &g,
 
 TEST(AccumCombiner, CleanAndConservingAfterEveryBlock)
 {
-    // Between blocks no delta may sit in the combiner, so values plus
+    // Between blocks no delta may sit in a buffer, so values plus
     // accumulators carry all rank mass after every block, not only at
     // the fixpoint.
     const double alpha = 0.85;
@@ -328,7 +377,7 @@ TEST(AccumCombiner, CleanAndConservingAfterEveryBlock)
         drainByBlocks<PageRankProgram>(
             state, p, g, 1e-13, schedule,
             [&](const ScratchOf<PageRankProgram> &scratch) {
-                ASSERT_TRUE(combinerIsClean(scratch, p))
+                ASSERT_TRUE(bufferIsClean(scratch, p))
                     << "block " << checked;
                 ASSERT_NEAR(conservedMass(state.valuesSnapshot(),
                                           state.pendingSnapshot(), alpha),
@@ -347,53 +396,56 @@ TEST(AccumCombiner, CleanAndConservingAfterEveryBlock)
 
 TEST(AccumCombiner, SharedCombinesCountDistinctDestinations)
 {
-    // Block 0 = {0..3}, block 1 = {4..7}.  Sources 0 and 1 share the
-    // out-of-block destinations 4 and 5; 1 also reaches 6, and 0 feeds
-    // 1 inside the block.  Six edge traversals, but four shared
-    // combines: one direct (0 -> 1) and one flushed per distinct
-    // destination 4, 5, 6.
+    // Block 0 = {0..3}, block 1 = {4..7}, block 2 = {8..11}.  Sources 0
+    // and 1 share the destinations 4, 5 and 8; 1 also reaches 6, 2
+    // reaches 9, and 0 feeds 1 inside the block.  Nine edge traversals,
+    // but five combines into other blocks' accumulators (4, 5, 6, 8,
+    // 9), under one lock per destination block.
     const double alpha = 0.85;
-    EdgeList el(8);
+    EdgeList el(12);
     for (auto [src, dst] : std::vector<std::pair<VertexId, VertexId>>{
-             {0, 4}, {0, 5}, {0, 1}, {1, 4}, {1, 5}, {1, 6}})
+             {0, 4}, {0, 5}, {0, 8}, {0, 1}, {1, 4}, {1, 5}, {1, 6},
+             {1, 8}, {2, 9}})
         el.addEdge(src, dst);
     BlockPartition g(el, 4);
-    ASSERT_EQ(g.numBlocks(), 2u);
+    ASSERT_EQ(g.numBlocks(), 3u);
     PageRankProgram p(alpha);
     AccumState<PageRankProgram> state(g, p);
     const double teleport = state.pendingAt(0);
 
     ScratchOf<PageRankProgram> scratch;
-    BlockActivations batch(g.numBlocks());
-    auto on_activate = [&batch](BlockId db, double mag) {
-        batch.add(db, mag);
-    };
-    std::uint64_t direct = 0;
-    for (VertexId v = 0; v < 4; v++)
-        direct += state.processVertex(p, v, 0.0, on_activate, scratch)
-                      .scatters;
-    EXPECT_EQ(direct, 1u);
-    ASSERT_EQ(scratch.touched.size(), 3u);
-    // Nothing left the combiner yet.
-    EXPECT_DOUBLE_EQ(state.pendingAt(4), teleport);
-    EXPECT_EQ(state.flush(p, 0.0, on_activate, scratch), 3u);
-    EXPECT_TRUE(combinerIsClean(scratch, p));
+    std::vector<int> woken(g.numBlocks(), 0);
+    const auto r = state.processBlock(
+        p, 0, 0.0, [&woken](BlockId db, double) { woken[db]++; },
+        scratch);
+    EXPECT_EQ(r.work.vertices, 4u);
+    EXPECT_EQ(r.work.edges, 9u);
+    EXPECT_EQ(r.work.scatters, 5u);
+    EXPECT_EQ(r.folded, 0u);
+    EXPECT_TRUE(bufferIsClean(scratch, p));
 
-    // Each destination received both sources' deltas in one combine.
+    // Each destination received every source's delta in one combine.
     const double d0 = teleport;
-    const double d1 = teleport + alpha * d0 / 3.0;
-    EXPECT_NEAR(state.pendingAt(4), teleport + alpha * (d0 + d1) / 3.0,
+    const double d1 = teleport + alpha * d0 / 4.0;
+    const double d2 = teleport;
+    EXPECT_NEAR(state.pendingAt(4), teleport + alpha * (d0 / 4.0 +
+                                                        d1 / 4.0),
                 1e-15);
     EXPECT_NEAR(state.pendingAt(5), state.pendingAt(4), 1e-15);
-    EXPECT_NEAR(state.pendingAt(6), teleport + alpha * d1 / 3.0, 1e-15);
-    // The flush woke block 1 (and the direct combine block 0) once.
-    EXPECT_EQ(batch.size(), 2u);
+    EXPECT_NEAR(state.pendingAt(8), state.pendingAt(4), 1e-15);
+    EXPECT_NEAR(state.pendingAt(6), teleport + alpha * d1 / 4.0, 1e-15);
+    EXPECT_NEAR(state.pendingAt(9), teleport + alpha * d2, 1e-15);
+    // Vertex 1 absorbed 0's delta in the same pass, so block 0 holds
+    // nothing to wake for; blocks 1 and 2 were woken once each.
+    for (VertexId v = 0; v < 4; v++)
+        EXPECT_DOUBLE_EQ(state.pendingAt(v), 0.0) << "vertex " << v;
+    EXPECT_EQ(woken, (std::vector<int>{0, 1, 1}));
 }
 
 TEST(AccumCombiner, EngineScatterWritesCountSharedCombines)
 {
-    // Larger blocks see more sources per destination, so the shared
-    // combines fall below the edge traversals.
+    // Larger blocks see more sources per destination, so the combines
+    // into other blocks fall below the edge traversals.
     Rng rng(92);
     EdgeList el = generateRmat(1024, 16384, rng);
     EngineOptions opt;
@@ -411,7 +463,7 @@ TEST(AccumCombiner, EngineScatterWritesCountSharedCombines)
 
 TEST(AccumCombiner, SsspMatchesDijkstraBlockByBlock)
 {
-    // Min accumulation pre-combines too: the combiner keeps the best
+    // Min accumulation pre-combines too: the buffer keeps the best
     // candidate per destination.
     Rng rng(93);
     EdgeList el = generateRmat(211, 1700, rng, {.weighted = true});
@@ -422,7 +474,7 @@ TEST(AccumCombiner, SsspMatchesDijkstraBlockByBlock)
         drainByBlocks<SsspProgram>(
             state, p, g, 1e-9, schedule,
             [&](const ScratchOf<SsspProgram> &scratch) {
-                ASSERT_TRUE(combinerIsClean(scratch, p));
+                ASSERT_TRUE(bufferIsClean(scratch, p));
             });
         std::vector<double> ref = dijkstraReference(el, 0);
         std::vector<double> dist = state.valuesSnapshot();
@@ -437,11 +489,13 @@ TEST(AccumState, SurvivesTheInterleavingThatBreaksDeltaState)
 {
     // DeltaState's lost-update anomaly (test_delta_lp.cc): block A
     // gathers, block B scatters into A's slice, A's commit consumes the
-    // slice and destroys B's increments.  AccumState has no gather/
-    // consume window — extraction is one exchange, scatter is one
-    // combine — so the equivalent schedule (process A, process B which
-    // scatters into A, in any order and with re-processing) conserves
-    // mass after EVERY step and still reaches the exact fixpoint.
+    // slice and destroys B's increments.  AccumState has no such
+    // window — a block's accumulators move to the kernel's buffer and
+    // back under the block's lock, and every delta into another block
+    // lands under that block's lock — so the equivalent schedule
+    // (process A, process B which scatters into A, in any order and
+    // with re-claiming) conserves mass after EVERY block and still
+    // reaches the exact fixpoint.
     const double alpha = 0.85;
     Rng rng(113);   // the DeltaState anomaly test's graph scale; ring
                     // base keeps every vertex non-dangling so the
@@ -450,6 +504,8 @@ TEST(AccumState, SurvivesTheInterleavingThatBreaksDeltaState)
     BlockPartition g(el, 8);
     PageRankProgram p(alpha);
     AccumState<PageRankProgram> state(g, p);
+    ScratchOf<PageRankProgram> scratch;
+    auto ignore = [](BlockId, double) {};
 
     auto conserved = [&] {
         return conservedMass(state.valuesSnapshot(),
@@ -457,24 +513,24 @@ TEST(AccumState, SurvivesTheInterleavingThatBreaksDeltaState)
     };
     ASSERT_NEAR(conserved(), 1.0, 1e-12);
 
-    // Adversarial order: random vertices, re-processed arbitrarily
-    // often, checked after every single extract-apply-scatter.
-    for (int step = 0; step < 4000; step++) {
-        const auto v = static_cast<VertexId>(
-            rng.nextBounded(el.numVertices()));
-        state.processVertex(p, v, 1e-13, [](VertexId, double) {});
+    // Adversarial order: random blocks, re-claimed arbitrarily often,
+    // checked after every single block.
+    for (int step = 0; step < 1000; step++) {
+        const auto b =
+            static_cast<BlockId>(rng.nextBounded(g.numBlocks()));
+        state.processBlock(p, b, 1e-13, ignore, scratch);
         ASSERT_NEAR(conserved(), 1.0, 1e-10) << "step " << step;
     }
 
-    // Drive the remainder to quiescence with a worklist sweep.
+    // Drive the remainder to quiescence with block sweeps.
     bool moved = true;
     int sweeps = 0;
     while (moved && sweeps++ < 10000) {
         moved = false;
-        for (VertexId v = 0; v < el.numVertices(); v++) {
-            auto r = state.processVertex(p, v, 1e-13,
-                                         [](VertexId, double) {});
-            moved = moved || r.outcome == AccumOutcome::Applied;
+        for (BlockId b = 0; b < g.numBlocks(); b++) {
+            moved = state.processBlock(p, b, 1e-13, ignore, scratch)
+                            .work.vertices > 0 ||
+                    moved;
         }
     }
     ASSERT_LT(sweeps, 10000);
@@ -486,32 +542,100 @@ TEST(AccumState, SurvivesTheInterleavingThatBreaksDeltaState)
     EXPECT_NEAR(conserved(), 1.0, 1e-10);
 }
 
+TEST(AccumState, TwoParticipantsScatterIntoEachOtherInFlight)
+{
+    // Two blocks, each mostly feeding the other, processed at the same
+    // time by two participants each round: one flushes into the other's
+    // accumulators while the other holds them in its buffer.  After
+    // every round no mass is lost or duplicated, and every vertex whose
+    // pending would move it by more than tol has its block in one of
+    // the round's activation batches (the wake-up contract).
+    const double alpha = 0.85, tol = 1e-13;
+    constexpr VertexId kHalf = 2048;
+    Rng rng(95);
+    EdgeList el = generateCycle(2 * kHalf);
+    for (int i = 0; i < 6 * static_cast<int>(kHalf); i++) {
+        const auto src = static_cast<VertexId>(rng.nextBounded(2 * kHalf));
+        const auto off = static_cast<VertexId>(rng.nextBounded(kHalf));
+        el.addEdge(src, (src < kHalf ? kHalf : 0) + off);
+    }
+    BlockPartition g(el, kHalf);
+    ASSERT_EQ(g.numBlocks(), 2u);
+    PageRankProgram p(alpha);
+    AccumState<PageRankProgram> state(g, p);
+    ScratchOf<PageRankProgram> scratch[2];
+
+    for (int round = 0; round < 60; round++) {
+        BlockActivations batch[2] = {BlockActivations(2),
+                                     BlockActivations(2)};
+        std::atomic<int> ready{0};
+        auto participant = [&](BlockId b) {
+            ready.fetch_add(1);
+            while (ready.load() < 2) {
+            }
+            state.processBlock(p, b, tol, into(batch[b]), scratch[b]);
+        };
+        std::thread other(participant, BlockId{1});
+        participant(0);
+        other.join();
+
+        ASSERT_NEAR(conservedMass(state.valuesSnapshot(),
+                                  state.pendingSnapshot(), alpha),
+                    1.0, 1e-10)
+            << "round " << round;
+        std::vector<bool> woken(2, false);
+        for (BlockActivations &bt : batch)
+            bt.flush([&woken](BlockId b, double) { woken[b] = true; });
+        const std::vector<double> x = state.valuesSnapshot();
+        const std::vector<double> pending = state.pendingSnapshot();
+        for (VertexId v = 0; v < 2 * kHalf; v++) {
+            if (p.delta(x[v], p.combine(x[v], pending[v])) > tol) {
+                ASSERT_TRUE(woken[g.blockOf(v)])
+                    << "round " << round << " vertex " << v;
+            }
+        }
+    }
+
+    drainByBlocks<PageRankProgram>(state, p, g, tol, Schedule::Cyclic,
+                                   [](const auto &) {});
+    std::vector<double> ref = pagerankReference(el, alpha);
+    std::vector<double> x = state.valuesSnapshot();
+    for (VertexId v = 0; v < el.numVertices(); v++)
+        EXPECT_NEAR(x[v], ref[v], 1e-7) << "vertex " << v;
+}
+
 TEST(AccumState, SubToleranceResidualIsFoldedBackNotDropped)
 {
     // Directly pin the fold-back: a pending delta too small to apply
-    // must return to the accumulator (Folded), not vanish.
+    // must stay in the accumulator, not vanish.
     EdgeList el = generateCycle(8);
     BlockPartition g(el, 4);
     PageRankProgram p(0.85);
     AccumState<PageRankProgram> state(g, p);
+    ScratchOf<PageRankProgram> scratch;
+    int wakes = 0;
+    auto count = [&wakes](BlockId, double) { wakes++; };
 
-    const VertexId v = 3;
-    const double before = state.pendingAt(v);
+    const double before = state.pendingAt(3);
     ASSERT_GT(before, 0.0);
-    auto r = state.processVertex(p, v, /*tol=*/1.0,
-                                 [](VertexId, double) {});
-    EXPECT_EQ(r.outcome, AccumOutcome::Folded);
-    EXPECT_EQ(r.scatters, 0u);                    // no downstream noise
-    EXPECT_DOUBLE_EQ(state.pendingAt(v), before); // mass still there
-    EXPECT_DOUBLE_EQ(state.value(v), 0.0);        // value untouched
+    auto r = state.processBlock(p, 0, /*tol=*/1.0, count, scratch);
+    EXPECT_EQ(r.folded, 4u);
+    EXPECT_EQ(r.work.vertices, 0u);
+    EXPECT_EQ(r.work.scatters, 0u);            // no downstream noise
+    EXPECT_EQ(wakes, 0);                       // nothing passes the filter
+    EXPECT_DOUBLE_EQ(state.pendingAt(3), before); // mass still there
+    EXPECT_DOUBLE_EQ(state.value(3), 0.0);        // value untouched
 
-    // An idle accumulator reports Idle and does nothing.
-    auto r2 = state.processVertex(p, v, /*tol=*/0.0,
-                                  [](VertexId, double) {});
-    EXPECT_EQ(r2.outcome, AccumOutcome::Applied);
-    auto r3 = state.processVertex(p, v, /*tol=*/0.0,
-                                  [](VertexId, double) {});
-    EXPECT_EQ(r3.outcome, AccumOutcome::Idle);
+    // At tol 0 every vertex applies; 1..3 absorb their in-block
+    // arrivals in the same pass, so a second claim finds the block
+    // idle and does nothing.
+    auto r2 = state.processBlock(p, 0, /*tol=*/0.0, count, scratch);
+    EXPECT_EQ(r2.work.vertices, 4u);
+    EXPECT_EQ(r2.folded, 0u);
+    auto r3 = state.processBlock(p, 0, /*tol=*/0.0, count, scratch);
+    EXPECT_EQ(r3.work.vertices, 0u);
+    EXPECT_EQ(r3.folded, 0u);
+    EXPECT_TRUE(bufferIsClean(scratch, p));
 }
 
 // --------------------------------------------------- halts and budget

@@ -348,6 +348,7 @@ struct FlatPartition
     std::vector<VertexId> outDst;
     std::vector<BlockId> outBlk;
     std::vector<float> outWeight;
+    std::vector<std::uint8_t> packed;   //!< compressed gather stream
     WeightMode mode = WeightMode::Float32;
 
     bool operator==(const FlatPartition &) const = default;
@@ -381,6 +382,7 @@ flatten(const BlockPartition &g)
     }
     f.inOffsets.push_back(g.numEdges());
     f.outOffsets.push_back(g.numEdges());
+    f.packed.assign(g.gatherStream().begin(), g.gatherStream().end());
     return f;
 }
 
@@ -388,8 +390,8 @@ flatten(const BlockPartition &g)
  * The partition the bucketed build must reproduce, built the plain way:
  * a hub permutation by comparison sort, an edge list remapped to it,
  * a direct counting sort by destination, a stable sort of each in-list
- * by source (compressed only) and a direct counting sort by source
- * over the CSC.
+ * by source and a serial delta-varint pack (compressed only) and a
+ * direct counting sort by source over the CSC.
  */
 FlatPartition
 naiveBuild(const EdgeList &el, LayoutOptions lo, bool balanced,
@@ -479,6 +481,14 @@ naiveBuild(const EdgeList &el, LayoutOptions lo, bool balanced,
                 f.inWeight[f.inOffsets[v] + i] = seg[i].second;
             }
         }
+        // The packed stream, byte for byte: each in-list appended in
+        // vertex order.
+        for (VertexId v = 0; v < n; v++) {
+            codec::encodeDeltaList32(
+                {f.inSrc.data() + f.inOffsets[v],
+                 f.inSrc.data() + f.inOffsets[v + 1]},
+                f.packed);
+        }
     }
 
     f.outOffsets.assign(std::size_t{n} + 1, 0);
@@ -566,9 +576,9 @@ buildGraphs()
 }
 
 /**
- * The bucketed build matches the plain one on every array, on every
- * layout x reorder x cut, and gives the same partition on one worker
- * as on four.
+ * The bucketed build matches the plain one on every array (the
+ * compressed layout's packed stream byte for byte), on every layout x
+ * reorder x cut, and gives the same partition on one worker as on four.
  */
 TEST(PartitionBuild, MatchesNaiveBuildAtOneAndFourWorkers)
 {

@@ -175,7 +175,7 @@ struct CountingLocal
 };
 
 /**
- * A participant's Local (the accum engine's O(|V|) combiner) travels
+ * A participant's Local (the accum engine's O(|V|) buffer) travels
  * with its activation batch through the pump's idle list, so pool tasks
  * that requeue every 32 blocks never build a new one: a run builds at
  * most `participation` of them, however many quanta it pumps.
@@ -204,8 +204,7 @@ TEST(BlockPump, BuildsAtMostOneLocalPerParticipant)
         work.vertices = 1;
         return work;
     };
-    const PumpConfig cfg{"test.pump", kParticipation, 1, kBlocks,
-                         /*exclusive=*/false};
+    const PumpConfig cfg{"test.pump", kParticipation, 1, kBlocks};
     localsBuilt.store(0);
     const EngineReport report =
         BlockPump<CountingLocal, decltype(kernel)>(cfg, *sched, acct, opt,
@@ -253,8 +252,8 @@ class PumpStress : public testing::TestWithParam<Runner>
 /**
  * The TSan target for the shared BlockPump: 8 participants, a stop
  * token fired at staggered points from before the run to past
- * quiescence.  The accum instance claims without exclusivity, so one
- * block can run on two participants at once.
+ * quiescence.  The accum instance hands block accumulators between
+ * participants under the per-block locks.
  * GRAPHABCD_PUMP_STRESS_ITERS scales the
  * iteration count (tools/ci.sh raises it on the TSan leg).
  */

@@ -50,22 +50,26 @@ run_preset() {
     if [ "${preset}" = "tsan" ]; then
         # The shared block pump is the most concurrency-dense code in
         # the repo.  Rerun its cancel storm once per user: the async
-        # engine (dispatch FIFO, exclusive claims) and the accumulative
-        # engine (atomic per-vertex accumulators, overlapping claims);
-        # both commit their activation batches under the control lock.
+        # engine (dispatch FIFO) and the accumulative engine (block
+        # accumulators handed between participants under per-block
+        # locks); both claim blocks exclusively and commit their
+        # activation batches under the control lock.
         # The default iteration count keeps plain ctest fast; here it
         # runs heavier to cover many claim/commit/drain interleavings
         # under the race detector.
         # The Activation tests run every schedule's batched commits on
         # 4 participants; the combiner and pump-recycling tests cover
         # the per-participant state the pump hands between tasks; the
-        # Published tests pin what GATHER reads from the published
-        # copies.  The PartitionBuild tests run the partition build's
-        # sort tasks on a 4-worker pool.
+        # AccumState and AccumConservation tests run the block-lock
+        # hand-off with two participants in flight at once and the
+        # wake-up contract at 1, 2 and 4 participants; the Published
+        # tests pin what GATHER reads from the published copies.  The
+        # PartitionBuild tests run the partition build's sort and pack
+        # tasks on a 4-worker pool.
         echo "== pump stress (${preset}) =="
         GRAPHABCD_PUMP_STRESS_ITERS=24 \
             "./build-tsan/tests/abcd_tests" \
-            --gtest_filter='*PumpStress.*:Activation.*:AccumCombiner.*:BlockPump.*:Published.*:PartitionBuild.*'
+            --gtest_filter='*PumpStress.*:Activation.*:AccumCombiner.*:AccumState.*:AccumConservation.*:BlockPump.*:Published.*:PartitionBuild.*'
 
         # The serve layer's cancel/cache-hit/shed races are guarded by
         # finishJob's terminal CAS; rerun the multi-tenant storm heavier
