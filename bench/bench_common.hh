@@ -29,7 +29,6 @@
 #include "algorithms/sssp.hh"
 #include "baselines/graphmat/cpu_model.hh"
 #include "baselines/graphmat/engine.hh"
-#include "baselines/graphmat/programs.hh"
 #include "graph/datasets.hh"
 #include "graph/partition.hh"
 #include "harp/graphicionado.hh"
@@ -184,15 +183,6 @@ hubVertex(const BlockPartition &g)
     return best;
 }
 
-/** hubVertex() for an un-partitioned edge list. */
-inline VertexId
-hubVertex(const EdgeList &el)
-{
-    auto deg = el.outDegrees();
-    return static_cast<VertexId>(
-        std::max_element(deg.begin(), deg.end()) - deg.begin());
-}
-
 /** PR quiescence tolerance: a small fraction of the uniform rank. */
 inline double
 prTolerance(VertexId n)
@@ -289,14 +279,14 @@ bestOfFourConfigs(EngineOptions base_opt, HarpConfig base_cfg,
 
 /** GraphMat PageRank: functional run + CPU cost model. */
 inline RunResult
-graphmatPagerank(const EdgeList &el, graphmat::GraphMatReport *raw = nullptr)
+graphmatPagerank(const BlockPartition &g,
+                 graphmat::GraphMatReport *raw = nullptr)
 {
-    auto degs = el.outDegrees();
-    graphmat::GraphMatEngine<graphmat::PageRankSpmv> engine(
-        el, graphmat::PageRankSpmv(0.85, degs));
-    std::vector<graphmat::PageRankSpmv::Value> x;
-    auto report = engine.run(x, prTolerance(el.numVertices()));
-    CpuTimeReport t = graphmatTime(report, el.numVertices(), 8);
+    graphmat::GraphMatEngine<PageRankProgram> engine(g,
+                                                     PageRankProgram(0.85));
+    std::vector<double> x;
+    auto report = engine.run(x, prTolerance(g.numVertices()));
+    CpuTimeReport t = graphmatTime(report, g.numVertices(), 8);
     if (raw)
         *raw = report;
     return RunResult{t.seconds, t.mtes,
@@ -304,15 +294,16 @@ graphmatPagerank(const EdgeList &el, graphmat::GraphMatReport *raw = nullptr)
                      report.converged, {}};
 }
 
-/** GraphMat SSSP: functional run + CPU cost model. */
+/** GraphMat SSSP from the hub vertex: functional run + CPU cost model. */
 inline RunResult
-graphmatSssp(const EdgeList &el, graphmat::GraphMatReport *raw = nullptr)
+graphmatSssp(const BlockPartition &g,
+             graphmat::GraphMatReport *raw = nullptr)
 {
-    graphmat::GraphMatEngine<graphmat::SsspSpmv> engine(
-        el, graphmat::SsspSpmv(hubVertex(el)));
+    graphmat::GraphMatEngine<SsspProgram> engine(g,
+                                                 SsspProgram(hubVertex(g)));
     std::vector<double> dist;
     auto report = engine.run(dist, 1e-9);
-    CpuTimeReport t = graphmatTime(report, el.numVertices(), 8);
+    CpuTimeReport t = graphmatTime(report, g.numVertices(), 8);
     if (raw)
         *raw = report;
     return RunResult{t.seconds, t.mtes,
@@ -326,24 +317,24 @@ graphmatSssp(const EdgeList &el, graphmat::GraphMatReport *raw = nullptr)
  * improvement per superstep falls below 0.1% (after a short warmup;
  * CF has a flat start).  Like the paper's Fig. 5, GraphMat stops at a
  * worse RMSE than GraphABCD reaches, because Jacobi's descent flattens
- * earlier.
+ * earlier.  The RMSE is cfRmse over `g`, the symmetric rating graph
+ * both frameworks train on.
  * @param[out] final_rmse the RMSE it stops at — the GraphABCD target.
  */
 inline RunResult
-graphmatCf(const EdgeList &sym, const EdgeList &ratings,
-           double *final_rmse,
+graphmatCf(const BlockPartition &g, double *final_rmse,
            graphmat::GraphMatReport *raw = nullptr,
            std::uint32_t budget = 120)
 {
-    graphmat::GraphMatEngine<graphmat::CfSpmv<kCfDim>> engine(
-        sym, graphmat::CfSpmv<kCfDim>(kCfLearningRate, kCfLambda));
-    std::vector<std::array<float, kCfDim>> x;
+    graphmat::GraphMatEngine<CfProgram<kCfDim>> engine(
+        g, CfProgram<kCfDim>(kCfLearningRate, kCfLambda));
+    std::vector<FeatureVec<kCfDim>> x;
     double prev = 1e30;
     double last = 0.0;
     auto report = engine.run(
         x, 1e-6, budget,
         [&](std::uint32_t iter, const auto &values) {
-            double rmse = graphmat::cfSpmvRmse<kCfDim>(ratings, values);
+            double rmse = cfRmse<kCfDim>(g, values);
             bool stop = iter > 10 && (prev - rmse) < 1e-3 * rmse;
             prev = rmse;
             last = rmse;
@@ -354,7 +345,7 @@ graphmatCf(const EdgeList &sym, const EdgeList &ratings,
     // makes its measured CF throughput a fraction of its PR throughput
     // (paper Table II: 397 vs 1034 MTES on the same host).
     CpuTimeReport t =
-        graphmatTime(report, sym.numVertices(), 8 * kCfDim + 4);
+        graphmatTime(report, g.numVertices(), 8 * kCfDim + 4);
     if (final_rmse)
         *final_rmse = last;
     if (raw)

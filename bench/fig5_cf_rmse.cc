@@ -29,31 +29,28 @@ benchMain(int argc, char **argv)
         return 0;
 
     Dataset ds = loadDataset(flags.get("graph"), flags);
-    EdgeList sym = ds.graph.symmetrized();
     const auto budget =
         static_cast<std::uint32_t>(flags.getInt("iterations"));
     const auto block_size =
         static_cast<VertexId>(flags.getInt("block-size"));
+    const BlockPartition g(ds.graph.symmetrized(), block_size);
 
     // GraphMat: RMSE after every BSP superstep.
     std::vector<std::pair<double, double>> gm_curve;
     {
-        graphmat::GraphMatEngine<graphmat::CfSpmv<kCfDim>> engine(
-            sym,
-            graphmat::CfSpmv<kCfDim>(kCfLearningRate, kCfLambda));
-        std::vector<std::array<float, kCfDim>> x;
+        graphmat::GraphMatEngine<CfProgram<kCfDim>> engine(
+            g, CfProgram<kCfDim>(kCfLearningRate, kCfLambda));
+        std::vector<FeatureVec<kCfDim>> x;
         engine.run(x, 1e-6, budget,
                    [&](std::uint32_t iter, const auto &values) {
-                       gm_curve.emplace_back(
-                           iter, graphmat::cfSpmvRmse<kCfDim>(ds.graph,
-                                                              values));
+                       gm_curve.emplace_back(iter,
+                                             cfRmse<kCfDim>(g, values));
                        return false;
                    });
     }
 
     // GraphABCD: RMSE per traced epoch, cyclic and priority.
     auto abcd_curve = [&](Schedule sched) {
-        BlockPartition g(sym, block_size);
         EngineOptions opt;
         opt.blockSize = block_size;
         opt.schedule = sched;

@@ -100,7 +100,7 @@ benchMain(int argc, char **argv)
                 return abcdPagerank(g, o, c);
             });
         graphmat::GraphMatReport gm_raw;
-        RunResult gm_pr = graphmatPagerank(ds.graph, &gm_raw);
+        RunResult gm_pr = graphmatPagerank(g, &gm_raw);
         auto asic_pr = graphicionadoTime(gm_raw, ds.numVertices(), 8);
         emit("PR", key, abcd_pr, gm_pr, asic_pr.seconds);
 
@@ -109,7 +109,7 @@ benchMain(int argc, char **argv)
                 return abcdSssp(g, o, c);
             });
         graphmat::GraphMatReport gm_sp_raw;
-        RunResult gm_sp = graphmatSssp(ds.graph, &gm_sp_raw);
+        RunResult gm_sp = graphmatSssp(g, &gm_sp_raw);
         auto asic_sp =
             graphicionadoTime(gm_sp_raw, ds.numVertices(), 8);
         emit("SSSP", key, abcd_sp, gm_sp, asic_sp.seconds);
@@ -118,17 +118,15 @@ benchMain(int argc, char **argv)
     // -------------------------------------------------------------- CF
     for (const std::string key : {"SAC", "MOL", "NF"}) {
         Dataset ds = loadDataset(key, flags);
-        EdgeList sym = ds.graph.symmetrized();
         const auto cf_bs =
             static_cast<VertexId>(flags.getInt("cf-block-size"));
-        BlockPartition g(sym, cf_bs);
+        BlockPartition g(ds.graph.symmetrized(), cf_bs);
         EngineOptions base;
         base.blockSize = cf_bs;
 
         double target_rmse = 0.0;
         graphmat::GraphMatReport gm_raw;
-        RunResult gm_cf = graphmatCf(sym, ds.graph, &target_rmse,
-                                     &gm_raw);
+        RunResult gm_cf = graphmatCf(g, &target_rmse, &gm_raw);
         RunResult abcd_cf = bestOfFourConfigs(
             base, HarpConfig{},
             [&](EngineOptions o, HarpConfig c) {
@@ -136,7 +134,7 @@ benchMain(int argc, char **argv)
                               /*max_epochs=*/120.0);
             });
         auto asic_cf =
-            graphicionadoTime(gm_raw, sym.numVertices(), 4 * kCfDim);
+            graphicionadoTime(gm_raw, g.numVertices(), 4 * kCfDim);
         emit("CF", key, abcd_cf, gm_cf, asic_cf.seconds);
     }
 

@@ -51,7 +51,7 @@ benchMain(int argc, char **argv)
         BlockPartition g(ds.graph, block_size);
 
         {
-            RunResult gm = graphmatPagerank(ds.graph);
+            RunResult gm = graphmatPagerank(g);
             auto pr = [](const BlockPartition &gg, EngineOptions o,
                          HarpConfig c) { return abcdPagerank(gg, o, c); };
             double cyc = abcd_iters(pr, g, Schedule::Cyclic);
@@ -66,7 +66,7 @@ benchMain(int argc, char **argv)
                 .add(pri / cyc, 3);
         }
         {
-            RunResult gm = graphmatSssp(ds.graph);
+            RunResult gm = graphmatSssp(g);
             auto sp = [](const BlockPartition &gg, EngineOptions o,
                          HarpConfig c) { return abcdSssp(gg, o, c); };
             double cyc = abcd_iters(sp, g, Schedule::Cyclic);
@@ -86,13 +86,12 @@ benchMain(int argc, char **argv)
     // iteration counts; reproduce that comparison point.
     for (const std::string key : {"SAC", "MOL", "NF"}) {
         Dataset ds = loadDataset(key, flags);
-        EdgeList sym = ds.graph.symmetrized();
         const auto cf_bs =
             static_cast<VertexId>(flags.getInt("cf-block-size"));
-        BlockPartition g(sym, cf_bs);
+        BlockPartition g(ds.graph.symmetrized(), cf_bs);
 
         double gm_rmse = 0.0;
-        RunResult gm = graphmatCf(sym, ds.graph, &gm_rmse);
+        RunResult gm = graphmatCf(g, &gm_rmse);
         EngineOptions opt;
         opt.blockSize = cf_bs;
         opt.schedule = Schedule::Priority;

@@ -4,13 +4,14 @@
  * (Sundaram et al., VLDB 2015) — the framework the paper compares
  * against (Sec. V, Tables II/III).
  *
- * Every superstep performs one generalized sparse-matrix/vector step:
- * active vertices broadcast a message along their out-edges
- * (SEND_MESSAGE), messages are combined at the destination (REDUCE) and
- * folded into the vertex state (APPLY); vertices whose state changed are
- * active in the next superstep.  Commits are double-buffered, so the
- * semantics are pure Jacobi with a global barrier per iteration — block
- * size |V| in BCD terms.
+ * The paper places GraphMat in BCD's design space as block size |V|
+ * with Jacobi commits, so the engine runs the same vertex programs as
+ * the GraphABCD engines (core/vertex_program.hh) over the same
+ * BlockPartition.  Every superstep pulls each vertex's in-edges:
+ * edgeTerm(x[v], edgeValue(u, x[u]), w), folded with combine, then
+ * apply — GraphMat's SEND_MESSAGE / PROCESS_MESSAGE / REDUCE / APPLY.
+ * Commits are double-buffered with a global barrier per superstep;
+ * vertices whose state changed are active in the next one.
  *
  * The active-vertex filtering is what the paper calls out for SSSP:
  * only active columns are processed, which "in fact reduces its block
@@ -22,48 +23,17 @@
 #define GRAPHABCD_BASELINES_GRAPHMAT_ENGINE_HH
 
 #include <algorithm>
-#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "graph/csr.hh"
-#include "graph/edge_list.hh"
+#include "core/vertex_program.hh"
+#include "graph/partition.hh"
 #include "obs/obs.hh"
-#include "support/logging.hh"
 #include "support/timer.hh"
 
 namespace graphabcd {
 namespace graphmat {
-
-/**
- * Compile-time contract of a GraphMat vertex program, following
- * GraphMat's SEND_MESSAGE / PROCESS_MESSAGE / REDUCE / APPLY API (the
- * PROCESS_MESSAGE stage receives the destination vertex property, which
- * is what lets CF compute per-edge errors):
- *
- *   Value       — per-vertex state;
- *   Message     — the processed per-edge contribution;
- *   processEdge — SEND_MESSAGE + PROCESS_MESSAGE fused: per-edge
- *                 contribution from (dst state, src state, weight);
- *   reduce      — commutative/associative combiner;
- *   apply       — fold the reduced message into the state; returns the
- *                 new state.  A state change (re)activates the vertex.
- */
-template <typename P>
-concept SpmvProgram = requires(const P p, typename P::Value v,
-                               typename P::Message m, VertexId vid,
-                               float w, std::uint32_t n) {
-    typename P::Value;
-    typename P::Message;
-    { p.init(vid, n) } -> std::convertible_to<typename P::Value>;
-    { p.identity() } -> std::convertible_to<typename P::Message>;
-    { p.processEdge(v, v, w) } -> std::convertible_to<typename P::Message>;
-    { p.reduce(m, m) } -> std::convertible_to<typename P::Message>;
-    { p.apply(vid, m, v) } -> std::convertible_to<typename P::Value>;
-    { p.delta(v, v) } -> std::convertible_to<double>;
-    { p.usesFiltering() } -> std::convertible_to<bool>;
-};
 
 /** Work accounting of one GraphMat run. */
 struct GraphMatReport
@@ -78,24 +48,36 @@ struct GraphMatReport
 };
 
 /**
- * The BSP engine.  Built once per (graph, program); run() restarts from
- * init() every call.
+ * The BSP engine.  Built once per (partition, program); run() restarts
+ * from init() every call.  The partition must outlive the engine.
  */
-template <SpmvProgram Program>
+template <VertexProgram Program>
 class GraphMatEngine
 {
   public:
     using Value = typename Program::Value;
-    using Message = typename Program::Message;
+    using Accum = typename Program::Accum;
 
     /** Per-superstep observer (iteration, values) for RMSE curves. */
     using IterFn =
         std::function<bool(std::uint32_t, const std::vector<Value> &)>;
 
-    GraphMatEngine(const EdgeList &el, Program p)
-        : inCsr(el, Csr::Axis::ByDestination),
-          outDegrees(el.outDegrees()), program(std::move(p)),
-          nVertices(el.numVertices())
+    /**
+     * Active-vertex filtering is only sound for monotone programs whose
+     * apply folds the reduced accumulator into the old value by min
+     * (SSSP/BFS/CC): a partial reduce then loses nothing.  PR and CF
+     * recompute from *all* in-edges, so GraphMat runs them as full BSP
+     * sweeps — exactly the "GraphMat deviates from its BSP model in
+     * SSSP" distinction the paper draws (Sec. V-C).
+     */
+    static constexpr bool filtering = [] {
+        if constexpr (Accumulable<Program>)
+            return Program::accumulation == Accumulation::Min;
+        return false;
+    }();
+
+    GraphMatEngine(const BlockPartition &g, Program p)
+        : graph(g), program(std::move(p))
     {
     }
 
@@ -121,48 +103,40 @@ class GraphMatEngine
     run(std::vector<Value> &out_values, double tol,
         std::uint32_t max_iters = 10000, const IterFn &iter_fn = nullptr)
     {
+        const VertexId n = graph.numVertices();
         Timer timer;
         GraphMatReport report;
-        std::vector<Value> x(nVertices);
-        for (VertexId v = 0; v < nVertices; v++)
-            x[v] = program.init(v, nVertices);
+        report.filtered = filtering;
+        std::vector<Value> x(n);
+        for (VertexId v = 0; v < n; v++)
+            x[v] = program.init(v, graph);
         std::vector<Value> next(x);
 
-        // Active-vertex filtering is only sound for monotone programs
-        // whose APPLY folds the reduced message into the old value
-        // (SSSP/BFS/CC): a partial reduce then loses nothing.  PR and
-        // CF recompute from *all* in-edges, so GraphMat runs them as
-        // full BSP sweeps — exactly the "GraphMat deviates from its BSP
-        // model in SSSP" distinction the paper draws (Sec. V-C).
-        const bool filtering = program.usesFiltering();
-        report.filtered = filtering;
+        std::vector<char> active(n, 1);
+        std::vector<char> next_active(n, 0);
 
-        std::vector<char> active(nVertices, 1);
-        std::vector<char> next_active(nVertices, 0);
-
-        std::uint64_t active_count = nVertices;
+        std::uint64_t active_count = n;
         while (active_count > 0 && report.iterations < max_iters) {
             std::uint64_t moved = 0;
             double step_l1 = 0.0;
-            for (VertexId v = 0; v < nVertices; v++) {
-                Message acc = program.identity();
+            for (VertexId v = 0; v < n; v++) {
+                Accum acc = program.identity();
                 bool got = false;
-                auto nbrs = inCsr.neighbors(v);
-                auto wgts = inCsr.weights(v);
-                for (std::size_t i = 0; i < nbrs.size(); i++) {
-                    if (filtering && !active[nbrs[i]])
-                        continue;
-                    acc = program.reduce(
-                        acc,
-                        program.processEdge(x[v], x[nbrs[i]], wgts[i]));
+                graph.forEachInEdge(v, [&](EdgeId, VertexId u, float w) {
+                    if (filtering && !active[u])
+                        return;
+                    acc = program.combine(
+                        acc, program.edgeTerm(
+                                 x[v], program.edgeValue(u, x[u], graph),
+                                 w));
                     got = true;
                     report.edgesProcessed++;
-                }
+                });
                 if (filtering && !got) {
                     next[v] = x[v];
                     continue;
                 }
-                next[v] = program.apply(v, acc, x[v]);
+                next[v] = program.apply(v, acc, x[v], graph);
                 report.vertexUpdates++;
                 const double d = program.delta(next[v], x[v]);
                 if constexpr (obs::kEnabled)
@@ -174,9 +148,9 @@ class GraphMatEngine
             }
             // Message volume = out-edges of the vertices that sent this
             // superstep (what the SpMV streams; drives the cost model).
-            for (VertexId v = 0; v < nVertices; v++) {
+            for (VertexId v = 0; v < n; v++) {
                 if (!filtering || active[v])
-                    report.messagesSent += outDegrees[v];
+                    report.messagesSent += graph.outDegree(v);
             }
 
             // Global barrier: commit the double buffer.
@@ -190,9 +164,8 @@ class GraphMatEngine
             if constexpr (obs::kEnabled) {
                 if (convergence) {
                     obs::ConvergencePoint pt;
-                    pt.epochs =
-                        static_cast<double>(report.vertexUpdates) /
-                        std::max<double>(nVertices, 1.0);
+                    pt.epochs = static_cast<double>(report.vertexUpdates) /
+                                std::max<double>(n, 1.0);
                     pt.residual = step_l1;
                     pt.activeVertices = moved;
                     pt.vertexUpdates = report.vertexUpdates;
@@ -215,18 +188,15 @@ class GraphMatEngine
         }
         if (active_count == 0)
             report.converged = true;
-        report.effectiveEpochs =
-            static_cast<double>(report.vertexUpdates) /
-            std::max<double>(nVertices, 1.0);
+        report.effectiveEpochs = static_cast<double>(report.vertexUpdates) /
+                                 std::max<double>(n, 1.0);
         out_values = std::move(x);
         return report;
     }
 
   private:
-    Csr inCsr;
-    std::vector<std::uint32_t> outDegrees;
+    const BlockPartition &graph;
     Program program;
-    VertexId nVertices;
     std::shared_ptr<obs::ConvergenceSeries> convergence;
 };
 

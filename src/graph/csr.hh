@@ -1,8 +1,10 @@
 /**
  * @file
- * Compressed sparse row adjacency, used by the GraphMat baseline and the
- * exact reference algorithms: classic parallel (neighbor, weight)
- * arrays, viewed row by row through neighbors()/weights().
+ * Compressed sparse row adjacency for the exact reference solvers
+ * (algorithms/reference.cc, algorithms/extras.cc): classic parallel
+ * (neighbor, weight) arrays, viewed row by row through
+ * neighbors()/weights().  The engines, the GraphMat baseline included,
+ * read a BlockPartition instead.
  */
 
 #ifndef GRAPHABCD_GRAPH_CSR_HH

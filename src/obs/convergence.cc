@@ -4,70 +4,9 @@
 #include <iomanip>
 #include <sstream>
 
+#include "obs/log.hh"
+
 namespace graphabcd {
-
-// ---------------------------------------------------- ConvergenceSeries
-
-ConvergenceSeries::ConvergenceSeries(std::uint64_t id, std::string label,
-                                     std::size_t capacity)
-    : id_(id), label_(std::move(label)),
-      capacity_(std::max<std::size_t>(2, capacity))
-{
-}
-
-void
-ConvergenceSeries::record(const ConvergencePoint &point)
-{
-    std::lock_guard<std::mutex> lock(mtx_);
-    // Stride downsampling: drop all but every stride_-th sample, and
-    // when the buffer still fills, halve it and double the stride.
-    if (tick_++ % stride_ != 0)
-        return;
-    appendLocked(point);
-}
-
-void
-ConvergenceSeries::recordFinal(const ConvergencePoint &point)
-{
-    // The run's last sample always lands, regardless of stride, so the
-    // curve's final row and the engine report agree.
-    std::lock_guard<std::mutex> lock(mtx_);
-    appendLocked(point);
-}
-
-void
-ConvergenceSeries::appendLocked(const ConvergencePoint &point)
-{
-    if (points_.size() == capacity_) {
-        std::size_t keep = 0;
-        for (std::size_t i = 0; i < points_.size(); i += 2)
-            points_[keep++] = points_[i];
-        points_.resize(keep);
-        stride_ *= 2;
-    }
-    points_.push_back(point);
-}
-
-std::vector<ConvergencePoint>
-ConvergenceSeries::points() const
-{
-    std::lock_guard<std::mutex> lock(mtx_);
-    return points_;
-}
-
-std::size_t
-ConvergenceSeries::size() const
-{
-    std::lock_guard<std::mutex> lock(mtx_);
-    return points_.size();
-}
-
-ConvergencePoint
-ConvergenceSeries::back() const
-{
-    std::lock_guard<std::mutex> lock(mtx_);
-    return points_.empty() ? ConvergencePoint{} : points_.back();
-}
 
 // -------------------------------------------------- ConvergenceRecorder
 
@@ -173,15 +112,8 @@ ConvergenceRecorder::json() const
     bool first_series = true;
     for (const auto &series : list()) {
         os << (first_series ? "" : ",") << "\n{\"id\":" << series->id()
-           << ",\"label\":\"";
-        // Labels are library-built (jobNN:graph/algo) but escape
-        // defensively so a stray quote never breaks the document.
-        for (char c : series->label()) {
-            if (c == '"' || c == '\\')
-                os << '\\';
-            os << c;
-        }
-        os << "\",\"points\":[";
+           << ",\"label\":" << obs::jsonQuote(series->label())
+           << ",\"points\":[";
         first_series = false;
         bool first_point = true;
         for (const ConvergencePoint &p : series->points()) {

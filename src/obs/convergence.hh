@@ -33,6 +33,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/strided_series.hh"
+
 namespace graphabcd {
 
 /** One sample of a convergence curve. */
@@ -49,46 +51,25 @@ struct ConvergencePoint
 
 /**
  * The curve of one run.  record() is mutex-append (trace-interval
- * cadence, cold next to any engine's block loop); points() copies under
- * the same lock so readers never see a partial sample.
+ * cadence, cold next to any engine's block loop); recordFinal() lands
+ * the run's last sample regardless of stride, so the curve's final row
+ * and the engine report agree.
  */
-class ConvergenceSeries
+class ConvergenceSeries : public StridedSeries<ConvergencePoint>
 {
   public:
     ConvergenceSeries(std::uint64_t id, std::string label,
-                      std::size_t capacity = 4096);
-
-    ConvergenceSeries(const ConvergenceSeries &) = delete;
-    ConvergenceSeries &operator=(const ConvergenceSeries &) = delete;
-
-    /** Append one sample (downsampled once the series is full). */
-    void record(const ConvergencePoint &point);
-
-    /** Append the run's last sample, bypassing the stride filter. */
-    void recordFinal(const ConvergencePoint &point);
+                      std::size_t capacity = 4096)
+        : StridedSeries(capacity), id_(id), label_(std::move(label))
+    {
+    }
 
     std::uint64_t id() const { return id_; }
     const std::string &label() const { return label_; }
 
-    /** @return a consistent copy of the recorded points. */
-    std::vector<ConvergencePoint> points() const;
-
-    std::size_t size() const;
-
-    /** @return the last recorded point (all-zero when empty). */
-    ConvergencePoint back() const;
-
   private:
-    void appendLocked(const ConvergencePoint &point);
-
     const std::uint64_t id_;
     const std::string label_;
-    const std::size_t capacity_;
-
-    mutable std::mutex mtx_;
-    std::vector<ConvergencePoint> points_;
-    std::uint64_t tick_ = 0;    //!< record() calls seen
-    std::uint64_t stride_ = 1;  //!< keep every stride_-th call
 };
 
 /**

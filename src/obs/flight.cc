@@ -16,30 +16,6 @@ namespace obs {
 
 namespace {
 
-/** JSON string literal (quotes included), control chars escaped. */
-std::string
-jsonQuote(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    out.push_back('"');
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out.push_back('\\');
-            out.push_back(c);
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char esc[8];
-            std::snprintf(esc, sizeof(esc), "\\u%04x",
-                          static_cast<unsigned char>(c));
-            out += esc;
-        } else {
-            out.push_back(c);
-        }
-    }
-    out.push_back('"');
-    return out;
-}
-
 /** One latch for the signal path; a handler must never re-enter. */
 std::atomic<bool> g_signalDumping{false};
 

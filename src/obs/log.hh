@@ -41,6 +41,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 
@@ -59,6 +60,35 @@ enum class LogLevel : int
     Error = 3,
     Off = 4,
 };
+
+/**
+ * @return `s` as a JSON string literal, quotes included: `"` and `\`
+ * are backslash-escaped and every byte below 0x20 becomes `\u00XX`,
+ * so no label, name or message can make a document invalid.  The one
+ * escaper every JSON writer of the program uses.
+ */
+inline std::string
+jsonQuote(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size() + 2);
+    out.push_back('"');
+    for (const char c : s) {
+        if (c == '"' || c == '\\') {
+            out.push_back('\\');
+            out.push_back(c);
+        } else if (static_cast<unsigned char>(c) < 0x20) {
+            char esc[8];
+            std::snprintf(esc, sizeof(esc), "\\u%04x",
+                          static_cast<unsigned char>(c));
+            out += esc;
+        } else {
+            out.push_back(c);
+        }
+    }
+    out.push_back('"');
+    return out;
+}
 
 /** @return the level for a name like "debug"/"info", or fallback. */
 inline LogLevel
@@ -245,27 +275,6 @@ class Logger
         return buf;
     }
 
-    static void
-    appendJsonString(std::string &out, const char *s)
-    {
-        out.push_back('"');
-        for (; *s; s++) {
-            const char c = *s;
-            if (c == '"' || c == '\\') {
-                out.push_back('\\');
-                out.push_back(c);
-            } else if (static_cast<unsigned char>(c) < 0x20) {
-                char esc[8];
-                std::snprintf(esc, sizeof(esc), "\\u%04x",
-                              static_cast<unsigned char>(c));
-                out += esc;
-            } else {
-                out.push_back(c);
-            }
-        }
-        out.push_back('"');
-    }
-
     static std::string
     formatPlain(LogLevel level, const char *component, const char *msg,
                 const LogField *fields, std::size_t n_fields)
@@ -296,15 +305,15 @@ class Logger
         out += "\",\"level\":\"";
         out += logLevelName(level);
         out += "\",\"component\":";
-        appendJsonString(out, component);
+        out += jsonQuote(component);
         out += ",\"msg\":";
-        appendJsonString(out, msg);
+        out += jsonQuote(msg);
         for (std::size_t i = 0; i < n_fields; i++) {
             out += ',';
-            appendJsonString(out, fields[i].key);
+            out += jsonQuote(fields[i].key);
             out += ':';
             if (fields[i].quoted)
-                appendJsonString(out, fields[i].value.c_str());
+                out += jsonQuote(fields[i].value);
             else
                 out += fields[i].value;
         }

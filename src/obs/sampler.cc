@@ -10,50 +10,6 @@
 
 namespace graphabcd {
 
-// --------------------------------------------------------- SampleSeries
-
-SampleSeries::SampleSeries(std::string key, std::size_t capacity)
-    : key_(std::move(key)), capacity_(std::max<std::size_t>(2, capacity))
-{
-}
-
-void
-SampleSeries::record(double t_seconds, double value)
-{
-    std::lock_guard<std::mutex> lock(mtx_);
-    if (tick_++ % stride_ != 0)
-        return;
-    if (points_.size() == capacity_) {
-        std::size_t keep = 0;
-        for (std::size_t i = 0; i < points_.size(); i += 2)
-            points_[keep++] = points_[i];
-        points_.resize(keep);
-        stride_ *= 2;
-    }
-    points_.push_back(SamplePoint{t_seconds, value});
-}
-
-std::vector<SamplePoint>
-SampleSeries::points() const
-{
-    std::lock_guard<std::mutex> lock(mtx_);
-    return points_;
-}
-
-std::size_t
-SampleSeries::size() const
-{
-    std::lock_guard<std::mutex> lock(mtx_);
-    return points_.size();
-}
-
-SamplePoint
-SampleSeries::back() const
-{
-    std::lock_guard<std::mutex> lock(mtx_);
-    return points_.empty() ? SamplePoint{} : points_.back();
-}
-
 // -------------------------------------------------------------- Sampler
 
 Sampler &

@@ -36,6 +36,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/strided_series.hh"
+
 namespace graphabcd {
 
 class MetricsRegistry;
@@ -47,36 +49,26 @@ struct SamplePoint
     double value = 0.0;
 };
 
-/** The history of one metric; same downsampling scheme as
+/** The history of one metric, stride-downsampled like a
  *  ConvergenceSeries. */
-class SampleSeries
+class SampleSeries : public StridedSeries<SamplePoint>
 {
   public:
-    explicit SampleSeries(std::string key, std::size_t capacity);
+    SampleSeries(std::string key, std::size_t capacity)
+        : StridedSeries(capacity), key_(std::move(key))
+    {
+    }
 
-    SampleSeries(const SampleSeries &) = delete;
-    SampleSeries &operator=(const SampleSeries &) = delete;
-
-    void record(double t_seconds, double value);
+    void
+    record(double t_seconds, double value)
+    {
+        StridedSeries::record(SamplePoint{t_seconds, value});
+    }
 
     const std::string &key() const { return key_; }
 
-    /** @return a consistent copy of the recorded points. */
-    std::vector<SamplePoint> points() const;
-
-    std::size_t size() const;
-
-    /** @return the last recorded point (all-zero when empty). */
-    SamplePoint back() const;
-
   private:
     const std::string key_;
-    const std::size_t capacity_;
-
-    mutable std::mutex mtx_;
-    std::vector<SamplePoint> points_;
-    std::uint64_t tick_ = 0;
-    std::uint64_t stride_ = 1;
 };
 
 /** Periodic registry snapshotter; one per process in practice. */

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <ostream>
 
+#include "obs/log.hh"
 #include "obs/metrics.hh"
 
 namespace graphabcd {
@@ -127,20 +128,6 @@ TraceRecorder::clear()
 
 namespace {
 
-/** Event names are library-controlled literals, but escape defensively
- *  so a stray quote can never produce unloadable JSON. */
-void
-writeJsonString(std::ostream &os, const char *s)
-{
-    os << '"';
-    for (; *s; s++) {
-        if (*s == '"' || *s == '\\')
-            os << '\\';
-        os << *s;
-    }
-    os << '"';
-}
-
 struct FlatEvent
 {
     TraceEvent event;
@@ -176,8 +163,7 @@ TraceRecorder::writeChromeTrace(std::ostream &os) const
         if (!first)
             os << ",";
         first = false;
-        os << "\n{\"name\":";
-        writeJsonString(os, fe.event.name);
+        os << "\n{\"name\":" << obs::jsonQuote(fe.event.name);
         os << ",\"ph\":\"" << fe.event.phase << "\"";
         os << ",\"ts\":" << fe.event.tsMicros;
         if (fe.event.phase == 'X')

@@ -54,31 +54,6 @@ makeQosConfig(const ServeConfig &cfg)
     return qos;
 }
 
-/** JSON string literal (quotes included) for the flight provider;
- *  mirrors the flight recorder's own escaping. */
-std::string
-flightQuote(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    out.push_back('"');
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out.push_back('\\');
-            out.push_back(c);
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char esc[8];
-            std::snprintf(esc, sizeof(esc), "\\u%04x",
-                          static_cast<unsigned char>(c));
-            out += esc;
-        } else {
-            out.push_back(c);
-        }
-    }
-    out.push_back('"');
-    return out;
-}
-
 } // namespace
 
 JobManager::JobManager(GraphRegistry &registry, ServeConfig config)
@@ -663,12 +638,12 @@ JobManager::flightJson() const
     for (const auto &[id, job] : jobs_) {
         const Progress &p = *job->progress;
         os << (first ? "" : ",") << "\n{\"id\":" << id << ",\"state\":"
-           << flightQuote(to_string(
+           << obs::jsonQuote(to_string(
                   job->state.load(std::memory_order_acquire)))
-           << ",\"tenant\":" << flightQuote(job->req.tenant)
-           << ",\"graph\":" << flightQuote(job->req.graph)
-           << ",\"algo\":" << flightQuote(job->req.algo)
-           << ",\"engine\":" << flightQuote(job->req.engine)
+           << ",\"tenant\":" << obs::jsonQuote(job->req.tenant)
+           << ",\"graph\":" << obs::jsonQuote(job->req.graph)
+           << ",\"algo\":" << obs::jsonQuote(job->req.algo)
+           << ",\"engine\":" << obs::jsonQuote(job->req.engine)
            << ",\"span_root\":" << job->traceRoot.span
            << ",\"submitted_at\":" << job->submittedAt
            << ",\"started_at\":" << job->startedAt
@@ -684,7 +659,7 @@ JobManager::flightJson() const
            << ",\"stalled\":"
            << (job->stalled.load(std::memory_order_acquire) ? "true"
                                                             : "false")
-           << ",\"error\":" << flightQuote(job->error) << "}";
+           << ",\"error\":" << obs::jsonQuote(job->error) << "}";
         first = false;
     }
     os << "]}";

@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include "algorithms/cf.hh"
+#include "algorithms/extras.hh"
 #include "algorithms/reference.hh"
+#include "algorithms/sssp.hh"
 #include "baselines/graphmat/cpu_model.hh"
 #include "baselines/graphmat/engine.hh"
-#include "baselines/graphmat/programs.hh"
 #include "graph/generators.hh"
 
 namespace graphabcd {
@@ -18,19 +20,22 @@ namespace {
 
 using namespace graphmat;
 
+/** GraphMat runs over a plain partition; the block size is unused. */
+constexpr VertexId kBlock = 64;
+
 TEST(GraphMat, PageRankMatchesPowerIteration)
 {
     Rng rng(71);
     EdgeList el = generateRmat(300, 2400, rng);
-    auto degs = el.outDegrees();
-    GraphMatEngine<PageRankSpmv> engine(el, PageRankSpmv(0.85, degs));
-    std::vector<PageRankSpmv::Value> x;
+    BlockPartition g(el, kBlock);
+    GraphMatEngine<PageRankProgram> engine(g, PageRankProgram(0.85));
+    std::vector<double> x;
     GraphMatReport report = engine.run(x, 1e-12);
     EXPECT_TRUE(report.converged);
 
     std::vector<double> ref = pagerankReference(el, 0.85);
     for (VertexId v = 0; v < el.numVertices(); v++)
-        EXPECT_NEAR(x[v].rank, ref[v], 1e-7);
+        EXPECT_NEAR(x[v], ref[v], 1e-7);
 }
 
 TEST(GraphMat, PageRankIterationsAreSupersteps)
@@ -39,9 +44,9 @@ TEST(GraphMat, PageRankIterationsAreSupersteps)
     // effective epoch count is close to the superstep count.
     Rng rng(72);
     EdgeList el = generateRmat(500, 5000, rng);
-    auto degs = el.outDegrees();
-    GraphMatEngine<PageRankSpmv> engine(el, PageRankSpmv(0.85, degs));
-    std::vector<PageRankSpmv::Value> x;
+    BlockPartition g(el, kBlock);
+    GraphMatEngine<PageRankProgram> engine(g, PageRankProgram(0.85));
+    std::vector<double> x;
     GraphMatReport report = engine.run(x, 1e-9);
     EXPECT_GT(report.iterations, 5u);
     EXPECT_NEAR(report.effectiveEpochs, report.iterations,
@@ -52,7 +57,8 @@ TEST(GraphMat, SsspMatchesDijkstra)
 {
     Rng rng(73);
     EdgeList el = generateRmat(300, 2400, rng, {.weighted = true});
-    GraphMatEngine<SsspSpmv> engine(el, SsspSpmv(0));
+    BlockPartition g(el, kBlock);
+    GraphMatEngine<SsspProgram> engine(g, SsspProgram(0));
     std::vector<double> dist;
     GraphMatReport report = engine.run(dist, 1e-9);
     EXPECT_TRUE(report.converged);
@@ -68,7 +74,8 @@ TEST(GraphMat, SsspActiveFilteringShrinksWork)
     // processed each superstep.
     Rng rng(74);
     EdgeList el = generateGrid2d(40, 40, rng, true);
-    GraphMatEngine<SsspSpmv> engine(el, SsspSpmv(0));
+    BlockPartition g(el, kBlock);
+    GraphMatEngine<SsspProgram> engine(g, SsspProgram(0));
     std::vector<double> dist;
     GraphMatReport report = engine.run(dist, 1e-9);
     EXPECT_TRUE(report.converged);
@@ -80,7 +87,8 @@ TEST(GraphMat, BfsMatchesReference)
 {
     Rng rng(75);
     EdgeList el = generateRmat(256, 1500, rng);
-    GraphMatEngine<BfsSpmv> engine(el, BfsSpmv(0));
+    BlockPartition g(el, kBlock);
+    GraphMatEngine<BfsProgram> engine(g, BfsProgram(0));
     std::vector<double> depth;
     engine.run(depth, 1e-9);
     std::vector<double> ref = bfsReference(el, 0);
@@ -92,8 +100,8 @@ TEST(GraphMat, CcMatchesUnionFind)
 {
     Rng rng(76);
     EdgeList el = generateErdosRenyi(400, 300, rng);
-    EdgeList sym = el.symmetrized();
-    GraphMatEngine<CcSpmv> engine(sym, CcSpmv());
+    BlockPartition g(el.symmetrized(), kBlock);
+    GraphMatEngine<CcProgram> engine(g, CcProgram());
     std::vector<double> labels;
     engine.run(labels, 1e-9);
     std::vector<double> ref = ccReference(el);
@@ -106,27 +114,47 @@ TEST(GraphMat, CfReducesRmse)
     Rng rng(77);
     BipartiteGraph bg = generateRatings(100, 40, 3000, rng,
                                         {.latent_dim = 8});
-    EdgeList sym = bg.graph.symmetrized();
-    CfSpmv<8> prog(0.2, 0.02);
+    BlockPartition g(bg.graph.symmetrized(), kBlock);
+    CfProgram<8> prog(0.2, 0.02);
 
-    std::vector<std::array<float, 8>> init;
-    for (VertexId v = 0; v < sym.numVertices(); v++)
-        init.push_back(prog.init(v, sym.numVertices()));
-    double rmse0 = cfSpmvRmse<8>(bg.graph, init);
+    std::vector<FeatureVec<8>> init;
+    for (VertexId v = 0; v < g.numVertices(); v++)
+        init.push_back(prog.init(v, g));
+    double rmse0 = cfRmse<8>(g, init);
 
-    GraphMatEngine<CfSpmv<8>> engine(sym, prog);
-    std::vector<std::array<float, 8>> x;
+    GraphMatEngine<CfProgram<8>> engine(g, prog);
+    std::vector<FeatureVec<8>> x;
     engine.run(x, 1e-6, /*max_iters=*/30);
-    EXPECT_LT(cfSpmvRmse<8>(bg.graph, x), rmse0 * 0.8);
+    EXPECT_LT(cfRmse<8>(g, x), rmse0 * 0.8);
+}
+
+TEST(GraphMat, FilteringFollowsTheProgramsMinAccumulation)
+{
+    // Only min-accumulating programs may skip inactive sources: SSSP,
+    // BFS and CC filter; PageRank, PPR and CF sweep every in-edge.
+    Rng rng(79);
+    EdgeList el = generateRmat(128, 800, rng, {.weighted = true});
+    BlockPartition g(el.symmetrized(), kBlock);
+    auto filtered = [&g]<typename P>(P program) {
+        GraphMatEngine<P> engine(g, std::move(program));
+        std::vector<typename P::Value> x;
+        return engine.run(x, 1e-6, /*max_iters=*/3).filtered;
+    };
+    EXPECT_TRUE(filtered(SsspProgram(0)));
+    EXPECT_TRUE(filtered(BfsProgram(0)));
+    EXPECT_TRUE(filtered(CcProgram()));
+    EXPECT_FALSE(filtered(PageRankProgram(0.85)));
+    EXPECT_FALSE(filtered(PersonalizedPageRankProgram(0, 0.85)));
+    EXPECT_FALSE(filtered(CfProgram<8>(0.2, 0.02)));
 }
 
 TEST(GraphMat, IterCallbackCanStopEarly)
 {
     Rng rng(78);
     EdgeList el = generateRmat(200, 1200, rng);
-    auto degs = el.outDegrees();
-    GraphMatEngine<PageRankSpmv> engine(el, PageRankSpmv(0.85, degs));
-    std::vector<PageRankSpmv::Value> x;
+    BlockPartition g(el, kBlock);
+    GraphMatEngine<PageRankProgram> engine(g, PageRankProgram(0.85));
+    std::vector<double> x;
     GraphMatReport report = engine.run(
         x, 1e-12, 1000,
         [](std::uint32_t iter, const auto &) { return iter >= 3; });

@@ -28,7 +28,6 @@
 
 #include "algorithms/pagerank.hh"
 #include "baselines/graphmat/engine.hh"
-#include "baselines/graphmat/programs.hh"
 #include "core/async_engine.hh"
 #include "core/engine.hh"
 #include "graph/generators.hh"
@@ -802,14 +801,13 @@ TEST(EngineObs, AsyncEngineRecordsConvergenceAndFinalResidual)
 TEST(EngineObs, GraphMatBaselineRecordsOneSamplePerSuperstep)
 {
     Rng rng(65);
-    EdgeList el = generateRmat(200, 1600, rng);
-    const auto degs = el.outDegrees();
-    graphmat::GraphMatEngine<graphmat::PageRankSpmv> engine(
-        el, graphmat::PageRankSpmv(0.85, degs));
+    const BlockPartition g(generateRmat(200, 1600, rng), 64);
+    graphmat::GraphMatEngine<PageRankProgram> engine(g,
+                                                     PageRankProgram(0.85));
     auto series = std::make_shared<ConvergenceSeries>(3, "pr-graphmat");
     engine.setConvergenceSeries(series);
 
-    std::vector<graphmat::PageRankSpmv::Value> values;
+    std::vector<double> values;
     const graphmat::GraphMatReport report =
         engine.run(values, 1e-9, 200);
 
@@ -825,7 +823,8 @@ TEST(EngineObs, GraphMatBaselineRecordsOneSamplePerSuperstep)
 // A tiny recursive-descent JSON parser — just enough to *prove* the
 // Chrome-trace exporter and the flight recorder emit well-formed JSON
 // (the acceptance bar is "chrome://tracing and jq can load it", not
-// substring containment).  Not general: \u escapes decode to '?'.
+// substring containment).  Like jq, it rejects raw bytes below 0x20
+// inside strings.  Not general: \u escapes decode to '?'.
 struct JsonValue
 {
     enum class Kind { Null, Bool, Number, String, Array, Object };
@@ -962,6 +961,8 @@ class JsonParser
             const char c = in_[pos_++];
             if (c == '"')
                 return true;
+            if (static_cast<unsigned char>(c) < 0x20)
+                return fail("raw control byte in string");
             if (c != '\\') {
                 out->push_back(c);
                 continue;
@@ -1051,6 +1052,21 @@ bool
 parseJson(const std::string &text, JsonValue *out, std::string *why)
 {
     return JsonParser(text).parse(out, why);
+}
+
+TEST(Convergence, JsonEscapesControlBytesInLabels)
+{
+    // A label carries the graph's name, which LOAD takes verbatim: a
+    // control byte in it must still leave the document well-formed.
+    ConvergenceRecorder rec(2);
+    rec.begin(std::string("job1:a\x01" "b/pr"));
+    JsonValue doc;
+    std::string why;
+    ASSERT_TRUE(parseJson(rec.json(), &doc, &why)) << why;
+    const JsonValue *series = doc.find("series");
+    ASSERT_NE(series, nullptr);
+    ASSERT_EQ(series->items.size(), 1u);
+    EXPECT_EQ(series->items[0].find("label")->text, "job1:a?b/pr");
 }
 
 struct SpanNode

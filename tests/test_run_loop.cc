@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -238,9 +239,19 @@ TEST(BlockPump, StalenessStaysUnderTheWindowBound)
         AsyncEngine<PageRankProgram>(g, PageRankProgram(), opt).run(x);
     EXPECT_TRUE(report.converged);
     EXPECT_GT(report.blockUpdates, 4u * g.numBlocks());
+    // Quiescence promises that no vertex's last move exceeded tol, not
+    // a per-vertex distance to the fixed point: a hub can sit further
+    // off than any single move.  The PageRank update is an L1
+    // contraction by alpha, so ||x - x*||_1 <= ||r||_1 / (1 - alpha)
+    // for the residual r of one more sweep.  At quiescence ||r||_1 is
+    // of order |V| * tol: each vertex's last move was at most tol, and
+    // so was every move its in-neighbours made after it.  Allow 10x,
+    // as the Registry suite does for the PageRank mass.
     const std::vector<double> ref = pagerankReference(el, 0.85);
+    double l1 = 0.0;
     for (VertexId v = 0; v < el.numVertices(); v++)
-        ASSERT_NEAR(x[v], ref[v], 1e-7) << "vertex " << v;
+        l1 += std::abs(x[v] - ref[v]);
+    EXPECT_LE(l1, 10.0 * el.numVertices() * opt.tolerance / (1.0 - 0.85));
 }
 
 // ------------------------------------------------- pump cancel storm

@@ -204,6 +204,36 @@ PY
             | "./build/tools/abcd_serve" --cache=0 \
                 > "${obs_dir}/value.out" 2>&1
         [ "$(grep -c "^OK value" "${obs_dir}/value.out")" -eq 3 ]
+
+        # Paper benches at a small scale: each must exit 0 and print its
+        # GraphMat column with a number in every row (Table III) or in
+        # each of the 5 supersteps run (Fig. 5).
+        echo "== paper bench smoke (${preset}) =="
+        ./build/bench/table3_iterations --scale 0.05 \
+            > "${obs_dir}/table3.out"
+        ./build/bench/fig5_cf_rmse --scale 0.05 --iterations 5 \
+            > "${obs_dir}/fig5.out"
+        python3 - "${obs_dir}/table3.out" "GraphMat iters" 11 \
+            "${obs_dir}/fig5.out" "GraphMat RMSE" 5 <<'PY'
+import sys
+
+args = sys.argv[1:]
+for path, column, want in zip(args[0::3], args[1::3], args[2::3]):
+    rows = [[c.strip() for c in line.strip().strip("|").split("|")]
+            for line in open(path) if line.startswith("|")]
+    assert rows and column in rows[0], "%s: no %r column" % (path, column)
+    col = rows[0].index(column)
+    numeric = 0
+    for row in rows[2:]:
+        try:
+            float(row[col])
+            numeric += 1
+        except ValueError:
+            pass
+    assert numeric >= int(want), \
+        "%s: %r has %d numbers, want %s" % (path, column, numeric, want)
+    print("%s: %r has %d numbers" % (path, column, numeric))
+PY
         rm -rf "${obs_dir}"
     fi
 
