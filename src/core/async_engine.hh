@@ -101,9 +101,10 @@ class AsyncEngine
     /**
      * Fused GATHER-APPLY-SCATTER of one block directly against the
      * atomic arrays; the pump's kernel.  A vertex scattered earlier in
-     * the block is read at its new copy (in-block Gauss-Seidel).
-     * `scratch` is per-participant: pumps run concurrently, so each
-     * owns its own decode buffers.
+     * the block is read at its new copy (in-block Gauss-Seidel); the
+     * block's destination blocks are activated once, after its last
+     * vertex.  `scratch` is per-participant: pumps run concurrently, so
+     * each owns its own decode buffers and scatter queue.
      */
     BlockWork
     processAndCommit(BlockId b, LayoutScratch &scratch,
@@ -123,12 +124,12 @@ class AsyncEngine
             storeSlot(state.values[v], next);
             if (d > options.tolerance) {
                 work.active++;
-                work.scatters += state.scatter(graph, program, v, next,
-                                               scratch.scatter,
-                                               activations);
+                work.scatters +=
+                    state.publish(graph, program, v, next, scratch.scatter);
             }
         }
-        graph.chargeScatterBytes(scratch.scatter);
+        work.activationEntries =
+            activateDestinations(graph, b, scratch.scatter, activations);
         return work;
     }
 

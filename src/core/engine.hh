@@ -112,10 +112,11 @@ class SerialEngine
     commit(BcdState<Program> &state, BlockScheduler &sched,
            RunAccounting &acct, const BlockUpdate<Value> &update)
     {
-        const std::uint64_t scatters = state.commitBlock(
+        const ScatterCounts counts = state.commitBlock(
             graph, program, update, options.tolerance, &sched);
         const BlockWork work{update.newValues.size(), 1,
-                             graph.blockEdgeCount(update.block), scatters,
+                             graph.blockEdgeCount(update.block),
+                             counts.scatters, counts.activationEntries,
                              update.changed, update.l1Delta};
         acct.count(work);
         return work;

@@ -73,6 +73,8 @@ RunAccounting::finish(const BlockScheduler &sched, bool stopped,
     r.blockUpdates = blockUpdates();
     r.edgeTraversals = edgeTraversals_.load(std::memory_order_relaxed);
     r.scatterWrites = scatterWrites_.load(std::memory_order_relaxed);
+    r.activationEntries =
+        activationEntries_.load(std::memory_order_relaxed);
     r.epochs = epochs();
     r.stopped = stopped;
     r.converged = converged;
@@ -83,6 +85,8 @@ RunAccounting::finish(const BlockScheduler &sched, bool stopped,
         obs::counter("scheduler.activations").add(c.activations);
         obs::counter("scheduler.heap_pushes").add(c.heapPushes);
         obs::counter("scheduler.refreshes").add(c.refreshes);
+        obs::counter("scatter.activation_entries")
+            .add(r.activationEntries);
     }
     r.seconds = timer_.seconds();
     return r;

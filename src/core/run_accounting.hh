@@ -38,6 +38,7 @@ struct EngineReport
     std::uint64_t vertexUpdates = 0;
     std::uint64_t edgeTraversals = 0;
     std::uint64_t scatterWrites = 0;
+    std::uint64_t activationEntries = 0;   //!< see BlockWork
     bool converged = false;       //!< quiescent before maxEpochs
     bool stopped = false;         //!< ended early by EngineOptions::stop
     double seconds = 0.0;         //!< host wall-clock (monotonic) of the run
@@ -63,6 +64,11 @@ struct BlockWork
      *  destination plus each direct in-block combine — so it shows
      *  the pre-combining against `edges`. */
     std::uint64_t scatters = 0;
+    /** Entries the activation step walked: the destination-block
+     *  sidecar of each scattered vertex, or the block's union of it
+     *  (core/state.hh's activateDestinations).  0 for accum, whose
+     *  flush activates per combined destination. */
+    std::uint64_t activationEntries = 0;
     std::uint64_t active = 0;     //!< vertices moved by more than tol
     double l1 = 0.0;              //!< L1 value move
 };
@@ -103,8 +109,12 @@ class RunAccounting
         blockUpdates_.fetch_add(w.blocks, std::memory_order_relaxed);
         edgeTraversals_.fetch_add(w.edges, std::memory_order_relaxed);
         scatterWrites_.fetch_add(w.scatters, std::memory_order_relaxed);
-        if (progress_)
-            progress_->accumulate(w.vertices, w.blocks, w.edges, w.scatters);
+        activationEntries_.fetch_add(w.activationEntries,
+                                     std::memory_order_relaxed);
+        if (progress_) {
+            progress_->accumulate(w.vertices, w.blocks, w.edges, w.scatters,
+                                  w.activationEntries);
+        }
     }
 
     std::uint64_t
@@ -175,6 +185,7 @@ class RunAccounting
     std::atomic<std::uint64_t> blockUpdates_{0};
     std::atomic<std::uint64_t> edgeTraversals_{0};
     std::atomic<std::uint64_t> scatterWrites_{0};
+    std::atomic<std::uint64_t> activationEntries_{0};
     ConvergenceWindow window_;
 };
 

@@ -163,16 +163,19 @@ class RandomScheduler : public BlockScheduler
 };
 
 /**
- * One participant's activation batch: the blocks a SCATTER wrote into,
- * each with the L1 sum of the deltas written, deduplicated so a commit
- * calls activate() once per distinct block instead of once per edge.
+ * One participant's activation batch: the blocks a SCATTER activated,
+ * each with the L1 sum of the deltas added for it, deduplicated so a
+ * commit calls activate() once per distinct block instead of once per
+ * add().
  *
- * Exact, not an over-approximation: cyclic and random see the same
- * activation set (in first-touch order) as per-edge activation, and
- * priority the same per-block L1 sum up to summation order.  add()
- * applies PriorityScheduler's clamp (only positive deltas count), so a
- * zero-delta write still activates its block.  Not thread-safe: each
- * participant owns one.
+ * The batch keeps what it is given: the state-based engines' per-block
+ * activation step (activateDestinations in core/state.hh) adds either
+ * each scattered out-edge's block, which is exact, or the scattering
+ * block's whole union of destination blocks at the summed delta, which
+ * may over-activate (safe there: an unchanged block re-gathers to the
+ * same values).  add() applies PriorityScheduler's clamp (only
+ * positive deltas count), so a zero-delta add still activates its
+ * block.  Not thread-safe: each participant owns one.
  */
 class BlockActivations
 {

@@ -10,10 +10,10 @@
  * layout (Sec. IV-A2).  All of u's out-edges carry the same copy, so
  * one slot per vertex holds what the per-edge copies held.  GATHER
  * reads published[src] through the slice's source ids; SCATTER stores
- * the new copy once and walks the out-edges only to feed the
- * activation batch.  A vertex moving by <= tol does not scatter and
- * keeps its old copy.  HARP still charges the paper's edge-carried
- * bytes by formula (DESIGN.md §1).
+ * the new copy once, and then one activation step per block feeds the
+ * activation batch (activateDestinations).  A vertex moving by <= tol
+ * does not scatter and keeps its old copy.  HARP still charges the
+ * paper's edge-carried bytes by formula (DESIGN.md §1).
  *
  * ValueArrays is written once over its slot type: plain Values for the
  * single-threaded users (SerialEngine and the HARP simulator, through
@@ -69,6 +69,62 @@ storeSlot(std::atomic<V> &s, const V &v)
     s.store(v, std::memory_order_relaxed);
 }
 
+/** What SCATTER of one block did. */
+struct ScatterCounts
+{
+    EdgeId scatters = 0;            //!< out-edges scattered to
+    EdgeId activationEntries = 0;   //!< sidecar or union entries walked
+};
+
+/**
+ * SCATTER of block b, second half: add the destination blocks of the
+ * vertices ValueArrays::publish() queued in `scratch` to `activations`,
+ * then empty the queue and charge the bytes read.
+ *
+ * The dense/sparse frontier switch of Ligra's edgeMap and Beamer et
+ * al.'s direction-optimizing BFS, per block: when the queued vertices'
+ * out-degrees reach half of b's out-edges, the block adds its union of
+ * destination blocks once, each with the summed change of the queued
+ * copies, which may activate a block none of the queued vertices write
+ * into.  Otherwise it walks each queued vertex's sidecar with that
+ * vertex's change, exactly as per-edge activation.  Over-activation is
+ * safe for state-based engines: a block whose inputs did not move
+ * re-gathers to the same values.
+ * @return sidecar or union entries walked.
+ */
+inline EdgeId
+activateDestinations(const BlockPartition &g, BlockId b,
+                     ScatterScratch &scratch,
+                     BlockActivations &activations)
+{
+    if (scratch.scattered.empty())
+        return 0;
+    EdgeId walked = 0;
+    if (2 * scratch.scatteredEdges >= g.blockOutEdgeCount(b)) {
+        double sum = 0.0;
+        for (const auto &[v, delta] : scratch.scattered) {
+            if (delta > 0.0)
+                sum += delta;
+        }
+        const std::span<const BlockId> blocks = g.scatterUnion(b, scratch);
+        for (BlockId d : blocks)
+            activations.add(d, sum);
+        walked = blocks.size();
+    } else {
+        for (const auto &[v, delta] : scratch.scattered) {
+            const std::span<const BlockId> blocks =
+                g.scatterBlocks(v, scratch);
+            for (BlockId d : blocks)
+                activations.add(d, delta);
+            walked += blocks.size();
+        }
+    }
+    scratch.scattered.clear();
+    scratch.scatteredEdges = 0;
+    g.chargeScatterBytes(scratch);
+    return walked;
+}
+
 /**
  * The two value arrays of one run over `Slot` storage (Value or
  * std::atomic<Value>).  Threaded users keep one writer per vertex: a
@@ -115,26 +171,26 @@ struct ValueArrays
     }
 
     /**
-     * SCATTER v's new value: store its edge copy once and add each
-     * out-edge's destination block to `activations`.  The priority is
+     * SCATTER v's new value, first half: store its edge copy now, so a
+     * vertex later in the block reads it (in-block Gauss-Seidel), and
+     * queue v in `scratch` for the block's activateDestinations() with
      * the change of the copy (the Gauss-Southwell estimate: what a
      * destination block actually receives, e.g. rank/degree for PR).
      * @return out-edges scattered to.
      */
     EdgeId
-    scatter(const BlockPartition &g, const Program &p, VertexId v,
-            const Value &next, ScatterScratch &scratch,
-            BlockActivations &activations)
+    publish(const BlockPartition &g, const Program &p, VertexId v,
+            const Value &next, ScatterScratch &scratch)
     {
-        const std::span<const BlockId> blocks = g.scatterBlocks(v, scratch);
-        if (blocks.empty())
+        const EdgeId degree = g.outDegree(v);
+        if (degree == 0)
             return 0;
         const Value ev = p.edgeValue(v, next, g);
-        const double edge_delta = p.delta(loadSlot(published[v]), ev);
+        scratch.scattered.emplace_back(v, p.delta(loadSlot(published[v]),
+                                                  ev));
+        scratch.scatteredEdges += degree;
         storeSlot(published[v], ev);
-        for (BlockId b : blocks)
-            activations.add(b, edge_delta);
-        return blocks.size();
+        return degree;
     }
 
     /**
@@ -167,28 +223,29 @@ struct ValueArrays
     }
 
     /**
-     * SCATTER a block update: store the new values and scatter every
-     * vertex moving by more than `tol`.  State-based (whole values, not
-     * deltas), so replays are idempotent.
-     * @return out-edges scattered to.
+     * SCATTER a block update: store the new values, publish every
+     * vertex moving by more than `tol`, then activate their destination
+     * blocks.  State-based (whole values, not deltas), so replays are
+     * idempotent.
      */
-    EdgeId
+    ScatterCounts
     commit(const BlockPartition &g, const Program &p,
            const BlockUpdate<Value> &update, double tol,
            ScatterScratch &scratch, BlockActivations &activations)
     {
         const VertexId begin = g.blockBegin(update.block);
-        EdgeId scatters = 0;
+        ScatterCounts counts;
         for (std::size_t i = 0; i < update.newValues.size(); i++) {
             const VertexId v = begin + static_cast<VertexId>(i);
             storeSlot(values[v], update.newValues[i]);
             if (update.deltas[i] > tol) {
-                scatters += scatter(g, p, v, update.newValues[i], scratch,
-                                    activations);
+                counts.scatters +=
+                    publish(g, p, v, update.newValues[i], scratch);
             }
         }
-        g.chargeScatterBytes(scratch);
-        return scatters;
+        counts.activationEntries =
+            activateDestinations(g, update.block, scratch, activations);
+        return counts;
     }
 };
 
@@ -240,22 +297,21 @@ class BcdState
 
     /**
      * SCATTER: commit a block update (see ValueArrays::commit).
-     * @param sched if set, activated once per distinct block scattered
-     *        to, with the L1 sum of the edge-copy deltas sent into it.
-     * @return out-edges scattered to.
+     * @param sched if set, activated once per distinct block
+     *        activateDestinations() added.
      */
-    EdgeId
+    ScatterCounts
     commitBlock(const BlockPartition &g, const Program &p,
                 const BlockUpdate<Value> &update, double tol,
                 BlockScheduler *sched = nullptr)
     {
-        const EdgeId writes = arrays_.commit(g, p, update, tol,
-                                             scatterScratch_, activations_);
+        const ScatterCounts counts = arrays_.commit(
+            g, p, update, tol, scatterScratch_, activations_);
         if (sched)
             activations_.commit(*sched);
         else
             activations_.flush([](BlockId, double) {});
-        return writes;
+        return counts;
     }
 
   private:

@@ -201,12 +201,14 @@ struct Progress
     std::atomic<std::uint64_t> blockUpdates{0};
     std::atomic<std::uint64_t> edgeTraversals{0};
     std::atomic<std::uint64_t> scatterWrites{0};
+    std::atomic<std::uint64_t> activationEntries{0};
 
     /** Add per-block increments (RunAccounting::count, thread safe). */
     void
     accumulate(std::uint64_t vertex_updates, std::uint64_t block_updates,
                std::uint64_t edge_traversals,
-               std::uint64_t scatter_writes)
+               std::uint64_t scatter_writes,
+               std::uint64_t activation_entries)
     {
         vertexUpdates.fetch_add(vertex_updates, std::memory_order_relaxed);
         blockUpdates.fetch_add(block_updates, std::memory_order_relaxed);
@@ -214,6 +216,8 @@ struct Progress
                                  std::memory_order_relaxed);
         scatterWrites.fetch_add(scatter_writes,
                                 std::memory_order_relaxed);
+        activationEntries.fetch_add(activation_entries,
+                                    std::memory_order_relaxed);
     }
 };
 

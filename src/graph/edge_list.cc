@@ -26,10 +26,13 @@ EdgeList::addEdge(VertexId src, VertexId dst, float weight)
 void
 EdgeList::normalize(bool dedup)
 {
-    std::sort(edges_.begin(), edges_.end(),
-              [](const Edge &a, const Edge &b) {
-                  return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-              });
+    // Stable, so dedup keeps each (src, dst)'s first input occurrence:
+    // symmetrized() then keeps the same weight in both directions.
+    std::stable_sort(edges_.begin(), edges_.end(),
+                     [](const Edge &a, const Edge &b) {
+                         return a.src != b.src ? a.src < b.src
+                                               : a.dst < b.dst;
+                     });
     if (dedup) {
         auto last = std::unique(edges_.begin(), edges_.end(),
                                 [](const Edge &a, const Edge &b) {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <numeric>
 #include <ranges>
+#include <type_traits>
 #include <utility>
 
 #include "runtime/executor.hh"
@@ -341,18 +342,95 @@ BlockPartition::buildFromBoundaries(const EdgeList &el, Executor *exec)
         bucketSort(exec, m, nVertices, readSorted(scatterOffsets, out), in,
                    scatterBlk_.data(), inOffsets);
 
-    // The destination-block sidecar, over the sorts' key scratch.
-    runTasks(exec, taskCount(m), [&](std::size_t c) {
-        const auto [begin, end] = chunk(c, m);
-        for (EdgeId s = begin; s < end; s++)
-            scatterBlk_[s] = vertexBlock[outDst_[s]];
-    });
+    buildScatterBlocks(exec);
 
     outWeights_ = WeightColumn(std::move(out_wgt), mode);
     inWeights_ = WeightColumn(std::move(wgt), mode);
 
     if (compressed())
         packGatherStream(exec);
+}
+
+void
+BlockPartition::buildScatterBlocks(Executor *exec)
+{
+    // The destination-block sidecar, over the sorts' key scratch, and
+    // each block's union of it, in two passes over tasks that are runs
+    // of whole blocks of about kGrain out-edges.  A task flags a
+    // block's destinations in a byte per block (plain stores, no
+    // read-modify-write chain) and collects the flagged blocks in
+    // ascending order: by scanning the flags over the block's
+    // destination range, or, where that range is much wider than the
+    // block's out-edges (tiny blocks of a large partition), by sorting
+    // the distinct ones.  Pass 1 also fills the sidecar and only counts
+    // each union; a prefix sum turns the counts into offsets, and pass
+    // 2 writes every union in place in one exact-size array.
+    std::vector<BlockId> taskBegin{0};
+    for (BlockId b = 1; b < nBlocks; b++) {
+        if (scatterOffsets[blockBegins[b]] -
+                scatterOffsets[blockBegins[taskBegin.back()]] >= kGrain)
+            taskBegin.push_back(b);
+    }
+    taskBegin.push_back(nBlocks);
+
+    auto pass = [&](auto emit) {
+        runTasks(exec, taskBegin.size() - 1, [&](std::size_t t) {
+            std::vector<std::uint8_t> flag_store(nBlocks);
+            // Local pointers: a byte store may alias member storage.
+            std::uint8_t *flag = flag_store.data();
+            const VertexId *dst = outDst_.data();
+            const BlockId *block_of = vertexBlock.data();
+            BlockId *blk = scatterBlk_.data();
+            for (BlockId b = taskBegin[t]; b < taskBegin[t + 1]; b++) {
+                const EdgeId begin = scatterOffsets[blockBegin(b)];
+                const EdgeId end = scatterOffsets[blockEnd(b)];
+                for (EdgeId s = begin; s < end; s++) {
+                    if constexpr (!emit)
+                        blk[s] = block_of[dst[s]];
+                    flag[blk[s]] = 1;
+                }
+                if (begin == end)
+                    continue;
+                // Each vertex's sidecar ascends: its ends bound the range.
+                BlockId lo = nBlocks, hi = 0;
+                for (VertexId v = blockBegin(b); v < blockEnd(b); v++) {
+                    if (scatterOffsets[v] < scatterOffsets[v + 1]) {
+                        lo = std::min(lo, blk[scatterOffsets[v]]);
+                        hi = std::max(hi, blk[scatterOffsets[v + 1] - 1]);
+                    }
+                }
+                BlockId *const out =
+                    emit ? unionBlk_.data() + unionOffsets_[b] : nullptr;
+                EdgeId count = 0;
+                auto take = [&](BlockId d) {
+                    if (flag[d]) {
+                        if constexpr (emit)
+                            out[count] = d;
+                        count++;
+                        flag[d] = 0;
+                    }
+                };
+                if (hi - lo < 8 * (end - begin)) {
+                    for (BlockId d = lo; d <= hi; d++)
+                        take(d);
+                } else {
+                    for (EdgeId s = begin; s < end; s++)
+                        take(blk[s]);
+                    if constexpr (emit)
+                        std::sort(out, out + count);
+                }
+                if constexpr (!emit)
+                    unionOffsets_[b + 1] = count;
+            }
+        });
+    };
+
+    unionOffsets_.assign(std::size_t{nBlocks} + 1, 0);
+    pass(std::false_type{});
+    std::partial_sum(unionOffsets_.begin(), unionOffsets_.end(),
+                     unionOffsets_.begin());
+    unionBlk_.resize(unionOffsets_[nBlocks]);
+    pass(std::true_type{});
 }
 
 void

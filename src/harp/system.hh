@@ -453,10 +453,11 @@ class HarpSystem
     BlockWork
     commit(const Task &task)
     {
-        const std::uint64_t scatters = state->commitBlock(
+        const ScatterCounts counts = state->commitBlock(
             graph, program, task.update, engineOpt.tolerance, sched.get());
         const BlockWork work{task.update.newValues.size(), 1,
-                             graph.blockEdgeCount(task.block), scatters,
+                             graph.blockEdgeCount(task.block),
+                             counts.scatters, counts.activationEntries,
                              task.update.changed, task.update.l1Delta};
         acct->count(work);
         return work;

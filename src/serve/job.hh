@@ -116,6 +116,7 @@ struct JobStatus
     std::uint64_t blockUpdates = 0;
     std::uint64_t edgeTraversals = 0;
     std::uint64_t scatterWrites = 0;
+    std::uint64_t activationEntries = 0;   //!< activation walk length
 
     double queuedSeconds = 0.0;   //!< time spent waiting for a worker
     double runSeconds = 0.0;      //!< time spent executing so far

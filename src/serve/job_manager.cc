@@ -656,6 +656,8 @@ JobManager::flightJson() const
            << p.edgeTraversals.load(std::memory_order_relaxed)
            << ",\"scatter_writes\":"
            << p.scatterWrites.load(std::memory_order_relaxed)
+           << ",\"activation_entries\":"
+           << p.activationEntries.load(std::memory_order_relaxed)
            << ",\"stalled\":"
            << (job->stalled.load(std::memory_order_acquire) ? "true"
                                                             : "false")
@@ -738,6 +740,7 @@ JobManager::status(JobId id) const
             st.blockUpdates = job->report->blockUpdates;
             st.edgeTraversals = job->report->edgeTraversals;
             st.scatterWrites = job->report->scatterWrites;
+            st.activationEntries = job->report->activationEntries;
             st.converged = job->report->converged;
         }
     } else {
@@ -755,6 +758,8 @@ JobManager::status(JobId id) const
             p.edgeTraversals.load(std::memory_order_relaxed);
         st.scatterWrites =
             p.scatterWrites.load(std::memory_order_relaxed);
+        st.activationEntries =
+            p.activationEntries.load(std::memory_order_relaxed);
     }
     return st;
 }

@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests of the per-block activation batch (BlockActivations): a commit
- * must activate exactly the blocks its SCATTER wrote into, each once,
- * with the L1 sum of the deltas written — the same set and priorities
- * as activating per edge, read from the destination-block sidecar
- * instead of a per-edge block search.
+ * Tests of the per-block activation batch (BlockActivations) and the
+ * per-block activation step feeding it: a commit activates each block
+ * once, either exactly the blocks its SCATTER wrote into with the L1
+ * sum of the deltas written (read from the destination-block sidecar),
+ * or, when most of the block's out-edges scattered, the block's union
+ * of destination blocks at the summed delta.
  */
 
 #include <gtest/gtest.h>
@@ -89,7 +90,14 @@ expectMatches(BlockScheduler &sched, const Reference &ref, BlockId blocks)
 const Schedule kSchedules[] = {Schedule::Cyclic, Schedule::Priority,
                                Schedule::Random};
 
-TEST(Activation, BatchEqualsPerEdgeSums)
+/**
+ * A state-based commit activates per block (activateDestinations):
+ * under the half-out-edge threshold exactly the per-edge sums, over it
+ * exactly the block's union of destination blocks, each at the summed
+ * change of the scattered copies — a superset of the per-edge set.
+ * Operation-based DeltaState keeps its exact per-edge walk.
+ */
+TEST(Activation, BatchIsPerEdgeSumsOrTheBlockUnion)
 {
     const EdgeList el = activationGraph();
     const BlockPartition g(el, 4);
@@ -100,40 +108,77 @@ TEST(Activation, BatchEqualsPerEdgeSums)
         SCOPED_TRACE(to_string(schedule));
         BcdState<PageRankProgram> state(g, pr);
         DeltaState<PageRankDeltaProgram> delta(g, prd);
-        bool zero_only_block = false;
-        for (BlockId b = 0; b < g.numBlocks(); b++) {
-            SCOPED_TRACE("block " + std::to_string(b));
+        // The published copies: a vertex's copy moves only when it
+        // scatters (moves by more than tol and has out-edges).
+        std::vector<double> pub(g.numVertices());
+        for (VertexId v = 0; v < g.numVertices(); v++)
+            pub[v] = pr.edgeValue(v, state.value(v), g);
 
-            // State-based: the edge delta is old-vs-new edge value,
-            // read before the commit overwrites it.
-            BlockUpdate<double> update =
-                state.processBlock(g, pr, b, 0.0);
-            Reference ref;
+        // Commit `update` at `tol` and check the activated set, its
+        // priorities and the returned counts against the model.
+        std::size_t dense = 0, sparse = 0;
+        auto commit = [&](const BlockUpdate<double> &update, double tol) {
+            const BlockId b = update.block;
+            Reference per_edge, written;
+            EdgeId scattered_edges = 0;
+            double sum = 0.0;
             for (std::size_t i = 0; i < update.newValues.size(); i++) {
                 const VertexId v =
                     g.blockBegin(b) + static_cast<VertexId>(i);
-                if (!(update.deltas[i] > 0.0) || g.outDegree(v) == 0)
+                addPerEdge(g, v, 0.0, written);
+                if (!(update.deltas[i] > tol) || g.outDegree(v) == 0)
                     continue;
-                const double old_ev = pr.edgeValue(v, state.value(v), g);
-                const double new_ev =
-                    pr.edgeValue(v, update.newValues[i], g);
-                addPerEdge(g, v, pr.delta(old_ev, new_ev), ref);
+                const double ev = pr.edgeValue(v, update.newValues[i], g);
+                const double d = pr.delta(pub[v], ev);
+                pub[v] = ev;
+                addPerEdge(g, v, d, per_edge);
+                scattered_edges += g.outDegree(v);
+                sum += d;
             }
             auto sched = makeScheduler(schedule, g.numBlocks(), 7);
-            state.commitBlock(g, pr, update, 0.0, sched.get());
-            expectMatches(*sched, ref, g.numBlocks());
+            const ScatterCounts counts =
+                state.commitBlock(g, pr, update, tol, sched.get());
+            EXPECT_EQ(counts.scatters, scattered_edges);
+            if (scattered_edges == 0) {
+                EXPECT_EQ(counts.activationEntries, 0u);
+                expectMatches(*sched, {}, g.numBlocks());
+            } else if (2 * scattered_edges >= g.blockOutEdgeCount(b)) {
+                dense++;
+                Reference want;
+                for (const auto &[d, unused] : written)
+                    want[d] = sum;
+                for (const auto &[d, unused] : per_edge)
+                    EXPECT_EQ(want.count(d), 1u) << "block " << d;
+                EXPECT_EQ(counts.activationEntries, want.size());
+                expectMatches(*sched, want, g.numBlocks());
+            } else {
+                sparse++;
+                EXPECT_EQ(counts.activationEntries, scattered_edges);
+                expectMatches(*sched, per_edge, g.numBlocks());
+            }
+            return sum;
+        };
 
-            // Re-commit the block's current values as if each vertex
-            // had moved: every edge delta is exactly zero, and every
-            // written block must still activate.
-            BlockUpdate<double> same = update;
-            std::fill(same.deltas.begin(), same.deltas.end(), 1.0);
-            Reference zero;
-            for (VertexId v = g.blockBegin(b); v < g.blockEnd(b); v++)
-                addPerEdge(g, v, 0.0, zero);
-            auto zsched = makeScheduler(schedule, g.numBlocks(), 7);
-            state.commitBlock(g, pr, same, 0.0, zsched.get());
-            expectMatches(*zsched, zero, g.numBlocks());
+        bool zero_only_block = false;
+        for (BlockId b = 0; b < g.numBlocks(); b++) {
+            SCOPED_TRACE("block " + std::to_string(b));
+            BlockUpdate<double> update = state.processBlock(g, pr, b, 0.0);
+            if (b % 2 == 0) {
+                commit(update, 0.0);
+                // Re-commit the block's current values as if each
+                // vertex had moved: every edge delta is exactly zero,
+                // and every block written to must still activate.
+                BlockUpdate<double> same = update;
+                std::fill(same.deltas.begin(), same.deltas.end(), 1.0);
+                EXPECT_EQ(commit(same, 0.0), 0.0);
+            } else {
+                // Only the vertices moving most scatter, which keeps a
+                // block whose other vertices have out-edges under the
+                // threshold.
+                std::vector<double> sorted = update.deltas;
+                std::ranges::sort(sorted);
+                commit(update, sorted[sorted.size() - 2]);
+            }
 
             // Operation-based: every non-skipped vertex activates with
             // its own |delta|; tol < 0 scatters zero deltas too.
@@ -154,6 +199,8 @@ TEST(Activation, BatchEqualsPerEdgeSums)
             expectMatches(*dsched, dref, g.numBlocks());
         }
         EXPECT_TRUE(zero_only_block);
+        EXPECT_GT(dense, 0u);
+        EXPECT_GT(sparse, 0u);
     }
 }
 

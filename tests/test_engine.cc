@@ -326,7 +326,8 @@ TEST(Published, SubToleranceMoveKeepsThePreviousCopy)
     small.newValues = {0.5005};
     small.deltas = {0.0005};
     auto sched = makeScheduler(Schedule::Priority, g.numBlocks(), 7);
-    EXPECT_EQ(state.commitBlock(g, pr, small, tol, sched.get()), 0u);
+    EXPECT_EQ(state.commitBlock(g, pr, small, tol, sched.get()).scatters,
+              0u);
     EXPECT_DOUBLE_EQ(state.value(0), 0.5005);
     EXPECT_FALSE(sched->next().has_value());
     // 0.15 / 2 + 0.85 * (0.5 / outdeg 1): the copy of 0.5, not 0.5005.
@@ -337,7 +338,8 @@ TEST(Published, SubToleranceMoveKeepsThePreviousCopy)
     big.block = 0;
     big.newValues = {0.6};
     big.deltas = {0.0995};
-    EXPECT_EQ(state.commitBlock(g, pr, big, tol, sched.get()), 1u);
+    EXPECT_EQ(state.commitBlock(g, pr, big, tol, sched.get()).scatters,
+              1u);
     EXPECT_NEAR(sched->priority(1), 0.6 - 0.5, 1e-15);
     EXPECT_DOUBLE_EQ(state.processBlock(g, pr, 1, tol).newValues[0],
                      0.075 + 0.85 * 0.6);

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <numeric>
 
 #include "graph/csr.hh"
@@ -78,6 +79,37 @@ TEST(EdgeList, SymmetrizedHasBothDirections)
     el.addEdge(1, 2);
     EdgeList sym = el.symmetrized();
     EXPECT_EQ(sym.numEdges(), 4u);   // (0,1),(1,0),(1,2),(2,1)
+}
+
+TEST(EdgeList, SymmetrizedKeepsTheFirstRatingBothWays)
+{
+    // Every (user, item) pair rated three times, with distinct
+    // ratings, in scrambled input order: both directions of the pair
+    // must keep the rating that came first.
+    const VertexId users = 40, items = 12;
+    EdgeList el(users + items);
+    std::map<std::pair<VertexId, VertexId>, float> first;
+    Rng rng(57);
+    for (int round = 0; round < 3; round++) {
+        for (VertexId k = 0; k < users * items; k++) {
+            const VertexId u = (k * 7 + static_cast<VertexId>(round)) % users;
+            const VertexId i = users + (k * 5 + u) % items;
+            const float rating =
+                1.0f + static_cast<float>(rng.nextBounded(1000));
+            el.addEdge(u, i, rating);
+            first.try_emplace({u, i}, rating);
+        }
+    }
+    const EdgeList sym = el.symmetrized();
+    std::map<std::pair<VertexId, VertexId>, float> kept;
+    for (const Edge &e : sym.edges())
+        ASSERT_TRUE(kept.emplace(std::pair{e.src, e.dst}, e.weight).second);
+    ASSERT_EQ(kept.size(), 2 * first.size());
+    for (const auto &[pair, rating] : first) {
+        const auto [u, i] = pair;
+        EXPECT_EQ(kept.at({u, i}), rating) << u << "->" << i;
+        EXPECT_EQ(kept.at({i, u}), rating) << i << "->" << u;
+    }
 }
 
 TEST(EdgeList, DegreesMatchHandCount)

@@ -1378,6 +1378,39 @@ TEST(ServeObs, SerialJobFlushesSchedulerCounters)
     manager.shutdown();
 }
 
+/** A job's activation walk reaches its status and the registry: the
+ *  counter grows by what the job's report counted. */
+TEST(ServeObs, JobStatusAndRegistryCountTheActivationWalk)
+{
+    obs::Counter &walked = obs::counter("scatter.activation_entries");
+    walked.reset();
+    Rng rng(19);
+    GraphRegistry registry;
+    registry.add("g", generateRmat(400, 3200, rng), 32);
+    ServeConfig cfg;
+    cfg.workers = 1;
+    JobManager manager(registry, cfg);
+
+    for (const char *engine : {"serial", "async"}) {
+        SCOPED_TRACE(engine);
+        const std::uint64_t before = walked.value();
+        JobRequest req;
+        req.graph = "g";
+        req.algo = "pr";
+        req.engine = engine;
+        req.allowCached = false;
+        req.allowWarmStart = false;
+        const auto sub = manager.submit(req);
+        ASSERT_TRUE(sub.ok());
+        ASSERT_TRUE(manager.wait(sub.id, 30.0));
+        const std::optional<JobStatus> st = manager.status(sub.id);
+        ASSERT_TRUE(st.has_value());
+        EXPECT_GT(st->activationEntries, 0u);
+        EXPECT_EQ(walked.value() - before, st->activationEntries);
+    }
+    manager.shutdown();
+}
+
 TEST(ServeObs, TenantMetricKeysAreSanitized)
 {
     EXPECT_EQ(obs::sanitizeMetricComponent("bad tenant\"name"),

@@ -618,6 +618,97 @@ TEST(PartitionBuild, MatchesNaiveBuildAtOneAndFourWorkers)
     }
 }
 
+/** Per block, its vertices' sidecar entries, sorted and distinct. */
+std::vector<std::vector<BlockId>>
+unionOracle(const BlockPartition &g)
+{
+    std::vector<std::vector<BlockId>> out(g.numBlocks());
+    ScatterScratch scratch;
+    for (BlockId b = 0; b < g.numBlocks(); b++) {
+        for (VertexId v = g.blockBegin(b); v < g.blockEnd(b); v++) {
+            for (BlockId d : g.scatterBlocks(v, scratch))
+                out[b].push_back(d);
+        }
+        std::ranges::sort(out[b]);
+        out[b].erase(std::unique(out[b].begin(), out[b].end()),
+                     out[b].end());
+    }
+    return out;
+}
+
+std::vector<std::vector<BlockId>>
+unions(const BlockPartition &g)
+{
+    std::vector<std::vector<BlockId>> out(g.numBlocks());
+    ScatterScratch scratch;
+    for (BlockId b = 0; b < g.numBlocks(); b++) {
+        const std::span<const BlockId> u = g.scatterUnion(b, scratch);
+        out[b].assign(u.begin(), u.end());
+    }
+    return out;
+}
+
+/**
+ * Each block's union is the sorted distinct set of its vertices'
+ * destination blocks, on plain and on compressed + hub partitions cut
+ * into one-vertex blocks (on the larger graphs most unions are then
+ * sorted rather than scanned), 64-vertex blocks and a single block,
+ * and the build gives the same unions on one worker as on four.
+ */
+TEST(PartitionUnion, MatchesTheSidecarsAtOneAndFourWorkers)
+{
+    std::vector<std::pair<std::string, EdgeList>> graphs = buildGraphs();
+    // Vertices 64..127 have in-edges only: at 64-vertex blocks, block 1
+    // has no out-edges and an empty union.
+    EdgeList sinks(256);
+    Rng rng(77);
+    for (int i = 0; i < 2000; i++) {
+        auto src = static_cast<VertexId>(rng.nextBounded(192));
+        if (src >= 64)
+            src += 64;
+        sinks.addEdge(src, static_cast<VertexId>(rng.nextBounded(256)));
+    }
+    graphs.emplace_back("a block of sinks", std::move(sinks));
+
+    Executor one(1), four(4);
+    for (const auto &[name, el] : graphs) {
+        SCOPED_TRACE(name);
+        for (const LayoutOptions lo :
+             {LayoutOptions{GraphLayout::Plain, VertexReorder::None},
+              LayoutOptions{GraphLayout::Compressed, VertexReorder::Hub}}) {
+            for (VertexId bs :
+                 {VertexId{1}, VertexId{64},
+                  std::max<VertexId>(1, el.numVertices())}) {
+                SCOPED_TRACE(std::string(to_string(lo.layout)) +
+                             " block size " + std::to_string(bs));
+                const BlockPartition at1(el, bs, lo, &one);
+                const BlockPartition at4(el, bs, lo, &four);
+                const auto got = unions(at1);
+                EXPECT_EQ(got, unionOracle(at1));
+                EXPECT_EQ(unions(at4), got);
+                for (BlockId b = 0; b < at1.numBlocks(); b++) {
+                    EdgeId out = 0;
+                    for (VertexId v = at1.blockBegin(b); v < at1.blockEnd(b);
+                         v++)
+                        out += at1.outDegree(v);
+                    ASSERT_EQ(at1.blockOutEdgeCount(b), out) << b;
+                    EXPECT_EQ(got[b].empty(), out == 0) << b;
+                }
+                if (el.numEdges() == 0) {
+                    EXPECT_TRUE(std::ranges::all_of(
+                        got, [](const auto &u) { return u.empty(); }));
+                }
+                if (name == "a block of sinks" && bs == 64 &&
+                    lo.reorder == VertexReorder::None) {
+                    ASSERT_EQ(got.size(), 4u);
+                    EXPECT_TRUE(got[1].empty());
+                    EXPECT_EQ(got[0], (std::vector<BlockId>{0, 1, 2, 3}));
+                }
+            }
+        }
+    }
+}
+
 /** The hub permutation is the stable descending log2-degree order. */
 TEST(PartitionBuild, HubPermutationMatchesTheStableSortOrder)
 {

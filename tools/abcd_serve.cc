@@ -330,7 +330,7 @@ class ServeShell
         std::printf(
             "OK job %llu state=%s tenant=%s converged=%d cachehit=%d "
             "warm=%d epochs=%.2f blocks=%llu edges=%llu scatters=%llu "
-            "queued=%.3fs run=%.3fs%s%s\n",
+            "walked=%llu queued=%.3fs run=%.3fs%s%s\n",
             static_cast<unsigned long long>(st.id),
             to_string(st.state), st.tenant.c_str(),
             st.converged ? 1 : 0,
@@ -338,6 +338,7 @@ class ServeShell
             static_cast<unsigned long long>(st.blockUpdates),
             static_cast<unsigned long long>(st.edgeTraversals),
             static_cast<unsigned long long>(st.scatterWrites),
+            static_cast<unsigned long long>(st.activationEntries),
             st.queuedSeconds, st.runSeconds,
             st.error.empty() ? "" : " error=",
             st.error.empty() ? "" : st.error.c_str());
