@@ -28,6 +28,11 @@ benchMain(int argc, char **argv)
     if (!flags.parse(argc, argv))
         return 0;
 
+    if (flags.getInt("iterations") < 1) {
+        std::fprintf(stderr, "fig5_cf_rmse: --iterations must be at "
+                             "least 1\n");
+        return 1;
+    }
     Dataset ds = loadDataset(flags.get("graph"), flags);
     const auto budget =
         static_cast<std::uint32_t>(flags.getInt("iterations"));
@@ -92,18 +97,22 @@ benchMain(int argc, char **argv)
     }
     emitTable(table, flags);
 
-    auto at = [](const std::vector<std::pair<double, double>> &c,
-                 std::size_t i) {
-        return i < c.size() ? c[i].second : c.back().second;
-    };
+    // Rows reported (1-based, as the table's iteration column):
+    // priority's 20th, or its last when it has fewer; GraphMat's last.
+    const std::size_t pri_row = std::min<std::size_t>(20, pri.size());
+    const std::size_t gm_row = gm_curve.size();
     std::fprintf(stderr,
                  "info: paper Fig. 5 anchor: GraphABCD RMSE=1.04 @ 20 "
                  "iters vs GraphMat RMSE=1.34 @ 60 iters.\n");
+    if (pri_row == 0 || gm_row == 0) {
+        std::fprintf(stderr, "fig5_cf_rmse: a run recorded no RMSE\n");
+        return 1;
+    }
     std::fprintf(stderr,
-                 "info: ours: GraphABCD(priority) %.4f @ 20 vs GraphMat "
-                 "%.4f @ %u.\n",
-                 at(pri, 19), at(gm_curve, gm_curve.size() - 1),
-                 budget);
+                 "info: ours: GraphABCD(priority) %.4f @ %zu vs GraphMat "
+                 "%.4f @ %zu.\n",
+                 pri[pri_row - 1].second, pri_row,
+                 gm_curve[gm_row - 1].second, gm_row);
     return 0;
 }
 

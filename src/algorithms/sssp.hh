@@ -34,6 +34,10 @@ struct SsspProgram
     /** Finite stand-in for "unreached" that survives + weight. */
     static constexpr double unreachable = 1e18;
 
+    /** edgeTerm clamps at `unreachable`, which is exact only for
+     *  finite, non-negative weights; serve refuses other graphs. */
+    static constexpr bool needsNonNegativeWeights = true;
+
     explicit SsspProgram(VertexId src = 0) : source(src) {}
 
     Value
@@ -44,12 +48,13 @@ struct SsspProgram
 
     Accum identity() const { return unreachable; }
 
+    /** Branch-free: an unreached source (edge_value == unreachable)
+     *  plus a non-negative weight clamps back to unreachable. */
     Accum
     edgeTerm(const Value &, const Value &edge_value, float weight) const
     {
-        return edge_value >= unreachable
-            ? unreachable
-            : edge_value + static_cast<double>(weight);
+        return std::min(edge_value + static_cast<double>(weight),
+                        unreachable);
     }
 
     Accum combine(Accum a, Accum b) const { return std::min(a, b); }
@@ -80,12 +85,15 @@ struct SsspProgram
  */
 struct BfsProgram : SsspProgram
 {
+    /** Reads no weight, so any weights will do. */
+    static constexpr bool needsNonNegativeWeights = false;
+
     explicit BfsProgram(VertexId src = 0) : SsspProgram(src) {}
 
     Accum
     edgeTerm(const Value &, const Value &edge_value, float) const
     {
-        return edge_value >= unreachable ? unreachable : edge_value + 1.0;
+        return std::min(edge_value + 1.0, unreachable);
     }
 };
 

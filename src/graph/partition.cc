@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <numeric>
 #include <ranges>
 #include <type_traits>
@@ -316,18 +317,27 @@ BlockPartition::buildFromBoundaries(const EdgeList &el, Executor *exec)
     // CSC by destination: in-coming edges of the same vertex become
     // contiguous, in input order; since blocks are contiguous vertex
     // ranges, each block's edge slice is contiguous too (the paper's
-    // layout).  Ids go through the permutation as they are read.
+    // layout).  Ids go through the permutation as they are read, and
+    // the weights are checked for a negative or non-finite one on the
+    // way (branch-free, on the cache lines the ids already brought in).
     const Edge *edges = el.edges().data();
-    auto read_input = [this, edges](EdgeId begin, EdgeId end,
-                                    auto &&emit) {
+    std::atomic<bool> bad_weight{false};
+    auto read_input = [this, edges, &bad_weight](EdgeId begin, EdgeId end,
+                                                 auto &&emit) {
+        bool bad = false;
         for (EdgeId i = begin; i < end; i++) {
             const Edge &e = edges[i];
+            bad |= !(e.weight >= 0.0f &&
+                     e.weight <= std::numeric_limits<float>::max());
             emit(perm_.toInternal(e.dst),
                  SortItem{perm_.toInternal(e.src), e.weight});
         }
+        if (bad)
+            bad_weight.store(true, std::memory_order_relaxed);
     };
     bucketSort(exec, m, nVertices, read_input, in, outDst_.data(),
                inOffsets);
+    nonNegativeWeights_ = !bad_weight.load(std::memory_order_relaxed);
 
     // Out-edge adjacency by source, over the CSC: each source's slots
     // ascend by destination, a destination's multi-edges in CSC order.

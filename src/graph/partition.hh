@@ -243,6 +243,10 @@ class BlockPartition
 
     WeightMode weightMode() const { return inWeights_.mode(); }
 
+    /** @return whether every edge weight is finite and non-negative
+     *  (what SSSP's clamped relaxation needs), as seen by the build. */
+    bool nonNegativeWeights() const { return nonNegativeWeights_; }
+
     /**
      * @return nominal vertices per block (the constructor argument for
      * fixed-size partitions; the mean block size for edge-balanced
@@ -511,6 +515,7 @@ class BlockPartition
     VertexId blockSize_ = 0;
     BlockId nBlocks = 0;
     EdgeId nEdges_ = 0;
+    bool nonNegativeWeights_ = true;
 
     LayoutOptions layoutOpts_;
     VertexPermutation perm_;

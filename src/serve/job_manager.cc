@@ -135,7 +135,7 @@ JobManager::submit(JobRequest req)
     auto graph = registry_.get(req.graph);
     if (!graph)
         return reject(SubmitError::UnknownGraph);
-    if (!inputsValid(req, graph->numVertices(), &why))
+    if (!inputsValid(req, *graph, &why))
         return reject(SubmitError::BadRequest, why);
 
     // Normalise: the partition's geometry is fixed at LOAD time, and
@@ -168,28 +168,6 @@ JobManager::submit(JobRequest req)
     req.options.progress = job->progress;
     job->req = std::move(req);
 
-    // Fast path: an identical job already converged — answer from the
-    // cache without consuming a queue slot or a worker.
-    if (job->req.allowCached) {
-        if (auto cached = cache_.get(job->key)) {
-            job->cacheHit = true;
-            job->report = cached->report;
-            job->result = std::move(cached);
-            job->startedAt = job->finishedAt = monotonicSeconds();
-            job->state.store(JobState::Done, std::memory_order_release);
-            std::lock_guard<std::mutex> lock(mtx_);
-            stats_.submitted++;
-            stats_.completed++;
-            stats_.cacheHits++;
-            TenantEntry &entry = tenantEntryLocked(job->req.tenant);
-            entry.stats.submitted++;
-            entry.stats.completed++;
-            entry.stats.cacheHits++;
-            jobs_.emplace(job->id, job);
-            return Submitted{job->id, SubmitError::None, {}};
-        }
-    }
-
     // Pre-register the job *before* queue admission: the instant
     // tryPush succeeds a worker may pop and claim it, and the claim's
     // guarded queued-- must observe this queued++ — registering after
@@ -203,6 +181,11 @@ JobManager::submit(JobRequest req)
         publishTenantGauges(entry);
         jobs_.emplace(job->id, job);
     }
+
+    // Fast path: an identical job already converged — answer from the
+    // cache without consuming a queue slot or a worker.
+    if (serveFromCache(job))
+        return Submitted{job->id, SubmitError::None, {}};
 
     // Deadlines are measured from submission on the same clock the
     // queue uses for its wait estimate, so admission can tell whether
@@ -294,63 +277,20 @@ JobManager::runJob(const std::shared_ptr<Job> &job)
     }
 
     // Re-check the cache: an identical job may have converged while
-    // this one sat in the queue.  All non-atomic Job fields are
-    // guarded by mtx_ once the job is published in jobs_, so status()
-    // snapshots never race the worker.  The outcome fields are written
-    // only inside the on-win hook: a concurrent cancel() that wins the
-    // Queued->Done race must not find a result (or a started stamp)
-    // hanging off its Cancelled job.
-    if (job->req.allowCached) {
-        if (auto cached = cache_.get(job->key)) {
-            finishJob(job, JobState::Queued, JobState::Done, "",
-                      [this, &job, &cached] {
-                          job->cacheHit = true;
-                          job->report = cached->report;
-                          job->result = std::move(cached);
-                          job->startedAt = monotonicSeconds();
-                          stats_.cacheHits++;
-                          tenantEntryLocked(job->req.tenant)
-                              .stats.cacheHits++;
-                      });
-            return;
-        }
-    }
-
-    // Warm start: a converged result from the same fixpoint family
-    // (same graph/algo/params, any engine options) seeds this run.
-    // The family key deliberately ignores the tenant: one tenant's
-    // converged fixpoint legitimately warms another's run of the same
-    // family (the values are a function of the request, not of who
-    // asked).
-    if (job->req.allowWarmStart) {
-        std::shared_ptr<const JobResult> seed;
-        {
-            std::lock_guard<std::mutex> lock(mtx_);
-            auto it = lastFixpoint_.find(job->familyKey);
-            if (it != lastFixpoint_.end())
-                seed = it->second.lock();
-        }
-        if (seed && seed->values.size() ==
-                        job->graph->numVertices()) {
-            // Aliasing shared_ptr: keeps the whole JobResult alive,
-            // points at its value vector — no copy.
-            job->req.options.warmStart =
-                std::shared_ptr<const std::vector<double>>(
-                    seed, &seed->values);
-            std::lock_guard<std::mutex> lock(mtx_);
-            job->warmStarted = true;
-            stats_.warmStarts++;
-            tenantEntryLocked(job->req.tenant).stats.warmStarts++;
-        }
-    }
+    // this one sat in the queue.
+    if (serveFromCache(job))
+        return;
 
     {
         std::lock_guard<std::mutex> lock(mtx_);
         // Claim Queued -> Running; cancel() may have claimed the job
-        // between the worker's pop and this point.  The claim is the
-        // one place a starting job's startedAt is stamped (terminal
-        // paths only backfill a still-zero stamp), so queue-wait and
-        // run-time accounting stay monotonic:
+        // between the worker's pop and this point.  All non-atomic Job
+        // fields are guarded by mtx_ once the job is published in
+        // jobs_, and a Running job is terminalised only by this worker,
+        // so the run below may read job->graph and job->req unlocked.
+        // The claim is the one place a starting job's startedAt is
+        // stamped (terminal paths only backfill a still-zero stamp), so
+        // queue-wait and run-time accounting stay monotonic:
         //   submittedAt <= startedAt <= finishedAt.
         JobState expected = JobState::Queued;
         if (!job->state.compare_exchange_strong(expected,
@@ -358,6 +298,29 @@ JobManager::runJob(const std::shared_ptr<Job> &job)
             return;
         job->startedAt = monotonicSeconds();
         TenantEntry &entry = tenantEntryLocked(job->req.tenant);
+
+        // Warm start: a converged result from the same fixpoint family
+        // (same graph/algo/params, any engine options) seeds this run.
+        // The family key deliberately ignores the tenant: one tenant's
+        // converged fixpoint legitimately warms another's run of the
+        // same family (the values are a function of the request, not of
+        // who asked).
+        if (job->req.allowWarmStart) {
+            auto it = lastFixpoint_.find(job->familyKey);
+            std::shared_ptr<const JobResult> seed =
+                it == lastFixpoint_.end() ? nullptr : it->second.lock();
+            if (seed && seed->values.size() == job->graph->numVertices()) {
+                // Aliasing shared_ptr: keeps the whole JobResult alive,
+                // points at its value vector — no copy.
+                job->req.options.warmStart =
+                    std::shared_ptr<const std::vector<double>>(
+                        seed, &seed->values);
+                job->warmStarted = true;
+                stats_.warmStarts++;
+                entry.stats.warmStarts++;
+            }
+        }
+
         if (entry.stats.queued > 0)
             entry.stats.queued--;
         entry.stats.running++;
@@ -468,8 +431,36 @@ JobManager::runJob(const std::shared_ptr<Job> &job)
               [this, &job, &result] {
                   job->report = result->report;
                   job->result = result;
+                  // The index holds weak references: drop the entries
+                  // whose fixpoints nothing holds any more, so it stays
+                  // as small as the results still alive.
+                  std::erase_if(lastFixpoint_, [](const auto &entry) {
+                      return entry.second.expired();
+                  });
                   lastFixpoint_[job->familyKey] = std::move(result);
               });
+}
+
+bool
+JobManager::serveFromCache(const std::shared_ptr<Job> &job)
+{
+    if (!job->req.allowCached)
+        return false;
+    std::shared_ptr<const JobResult> cached = cache_.get(job->key);
+    if (!cached)
+        return false;
+    // The outcome fields are written only inside the on-win hook: a
+    // concurrent cancel() that wins the Queued -> Done race must not
+    // find a result hanging off its Cancelled job.
+    finishJob(job, JobState::Queued, JobState::Done, "",
+              [this, &job, &cached] {
+                  job->cacheHit = true;
+                  job->report = cached->report;
+                  job->result = std::move(cached);
+                  stats_.cacheHits++;
+                  tenantEntryLocked(job->req.tenant).stats.cacheHits++;
+              });
+    return true;
 }
 
 bool
@@ -485,6 +476,12 @@ JobManager::finishJob(const std::shared_ptr<Job> &job, JobState from,
             return false;   // lost to a concurrent transition
         if (on_win)
             on_win();
+        // A terminal record keeps only what status()/result() answer
+        // from: the partition it ran on and a borrowed warm-start seed
+        // go, so a retained record pins neither a replaced graph nor
+        // an old fixpoint.
+        job->graph.reset();
+        job->req.options.warmStart.reset();
         job->error = std::move(error);
         job->finishedAt = monotonicSeconds();
         if (job->startedAt == 0.0)
@@ -730,8 +727,6 @@ JobManager::status(JobId id) const
     st.warmStarted = job->warmStarted;
     st.error = job->error;
 
-    const double now = monotonicSeconds();
-    const double n = std::max<double>(job->graph->numVertices(), 1.0);
     if (isTerminal(st.state)) {
         st.queuedSeconds = job->startedAt - job->submittedAt;
         st.runSeconds = job->finishedAt - job->startedAt;
@@ -744,6 +739,8 @@ JobManager::status(JobId id) const
             st.converged = job->report->converged;
         }
     } else {
+        const double now = monotonicSeconds();
+        const double n = std::max<double>(job->graph->numVertices(), 1.0);
         const bool running = st.state == JobState::Running;
         st.queuedSeconds =
             (running ? job->startedAt : now) - job->submittedAt;
@@ -797,7 +794,10 @@ JobManager::wait(JobId id, double timeout_seconds) const
         return isTerminal(job->state.load(std::memory_order_acquire));
     };
     std::unique_lock<std::mutex> lock(mtx_);
-    if (timeout_seconds < 0.0) {
+    // wait_for converts to the clock's integer ticks, which overflows
+    // (and returns at once) for timeouts of centuries: wait forever.
+    constexpr double kForeverSeconds = 1e9;
+    if (timeout_seconds < 0.0 || timeout_seconds >= kForeverSeconds) {
         doneCv_.wait(lock, terminal);
         return true;
     }

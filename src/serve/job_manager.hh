@@ -5,8 +5,9 @@
  * Threading model (documented in DESIGN.md "Serve layer"):
  *
  *  - submit() runs on the client thread: it resolves the graph handle,
- *    consults the ResultCache (an exact hit completes the job without
- *    ever queueing), and admits the job to the tenant-aware
+ *    registers the job, consults the ResultCache (an exact hit
+ *    completes the job through finishJob without ever queueing), and
+ *    admits the job to the tenant-aware
  *    FairShareQueue (serve/qos.hh).  A saturated queue backpressures
  *    the most over-share tenant with QueueFull, displaces the newest
  *    queued job of an over-share tenant (terminal state Shed) to admit
@@ -36,6 +37,13 @@
  * job's result/bookkeeping happen *after* the terminal CAS is won
  * (finishJob's on_win hook), so a losing finisher never leaves state
  * behind on a job someone else terminalised.
+ *
+ * finishJob is the one terminal path of every job, cache hits
+ * included: it counts the outcome, logs it, closes the job's root
+ * span, prunes the job table to maxRetainedJobs, and strips the record
+ * down to what status()/result() answer from — the frozen report,
+ * timestamps, error and (until fetched) the result.  A terminal record
+ * pins neither the partition it ran on nor a borrowed warm-start seed.
  */
 
 #ifndef GRAPHABCD_SERVE_JOB_MANAGER_HH
@@ -103,7 +111,10 @@ class JobManager
      */
     bool cancel(JobId id);
 
-    /** @return a point-in-time snapshot, or nullopt for unknown ids. */
+    /**
+     * @return a point-in-time snapshot, or nullopt for unknown ids.  A
+     * terminal job's counters come from its final report.
+     */
     std::optional<JobStatus> status(JobId id) const;
 
     /**
@@ -118,7 +129,8 @@ class JobManager
 
     /**
      * Block until the job reaches a terminal state.
-     * @param timeout_seconds negative = wait forever.
+     * @param timeout_seconds negative (or 1e9 and more) = wait
+     *        forever.
      * @return whether the job is terminal on return.
      */
     bool wait(JobId id, double timeout_seconds = -1.0) const;
@@ -154,7 +166,11 @@ class JobManager
     struct Job
     {
         JobId id = 0;
+        /** The request as run; its warm-start seed is dropped once the
+         *  job is terminal. */
         JobRequest req;
+        /** The partition the job runs on; null once terminal, so a
+         *  retained record does not keep a replaced graph alive. */
         std::shared_ptr<const BlockPartition> graph;
         std::uint64_t key = 0;         //!< exact cache fingerprint
         std::uint64_t familyKey = 0;   //!< warm-start fingerprint
@@ -209,7 +225,8 @@ class JobManager
      * Terminalise a job with CAS `from -> to` under mtx_.  The CAS is
      * what makes finishing race-free: cancel() and a worker can both
      * try to terminalise the same Queued job, and exactly one of them
-     * wins and does the bookkeeping (stats, error, timestamps).
+     * wins and does the bookkeeping (stats, error, timestamps), then
+     * drops the record's graph and warm-start seed.
      * @param on_win runs under mtx_ only after the CAS is won — the
      *        single place a finisher may write job->result and other
      *        outcome fields, so the losing side leaves no trace.
@@ -218,6 +235,14 @@ class JobManager
     bool finishJob(const std::shared_ptr<Job> &job, JobState from,
                    JobState to, std::string error,
                    const std::function<void()> &on_win = nullptr);
+
+    /**
+     * Terminalise a Queued job Done from an exact ResultCache hit
+     * (through finishJob, so it is counted and pruned like any job).
+     * @return whether the cache held the result; the job is terminal
+     *         then, whether this call or a concurrent cancel won.
+     */
+    bool serveFromCache(const std::shared_ptr<Job> &job);
 
     /** The tenant's accounting entry, created on first sight (mtx_). */
     TenantEntry &tenantEntryLocked(const std::string &tenant);

@@ -167,6 +167,11 @@ engineFor(const JobRequest &req, std::string *why)
 template <typename P>
 constexpr bool kUsesSource = requires(const P p) { p.source; };
 
+/** A program needs finite non-negative weights iff it says so. */
+template <typename P>
+constexpr bool kNeedsNonNegativeWeights =
+    requires { requires P::needsNonNegativeWeights; };
+
 template <typename P>
 bool
 runsOn(const JobRequest &req, std::string *why)
@@ -191,13 +196,15 @@ row(std::string_view name, bool values_are_ids, bool symmetric,
     const char *value_name)
 {
     return {name,       kUsesSource<P>, values_are_ids, symmetric,
-            value_name, &runsOn<P>,     &runRow<P>};
+            kNeedsNonNegativeWeights<P>, value_name, &runsOn<P>,
+            &runRow<P>};
 }
 
 /**
  * The served algorithms: (name, values are vertex ids, wants symmetric
- * input, value name).  Whether one reads a source is derived from its
- * program, and so is every engine it can run on.
+ * input, value name).  Whether one reads a source or needs
+ * non-negative weights is derived from its program, and so is every
+ * engine it can run on.
  */
 constexpr AlgoInfo kAlgos[] = {
     row<PageRankProgram>("pr", false, false, "rank"),
@@ -334,7 +341,7 @@ isRunnable(const JobRequest &req, std::string *why)
 }
 
 bool
-inputsValid(const JobRequest &req, VertexId num_vertices, std::string *why)
+inputsValid(const JobRequest &req, const BlockPartition &g, std::string *why)
 {
     auto reject = [&](const std::string &reason) {
         if (why)
@@ -349,9 +356,13 @@ inputsValid(const JobRequest &req, VertexId num_vertices, std::string *why)
     if (req.options.numThreads == 0)
         return reject("threads must be positive");
     const AlgoInfo *algo = findAlgo(req.algo);
-    if (algo && algo->usesSource && req.source >= num_vertices) {
+    if (algo && algo->usesSource && req.source >= g.numVertices()) {
         return reject("source " + std::to_string(req.source) +
                       " is not a vertex of the graph");
+    }
+    if (algo && algo->needsNonNegativeWeights && !g.nonNegativeWeights()) {
+        return reject(std::string(algo->name) +
+                      " needs finite non-negative edge weights");
     }
     return true;
 }

@@ -61,6 +61,7 @@ struct AlgoInfo
     bool usesSource;           //!< fixpoint depends on JobRequest::source
     bool valuesAreVertexIds;   //!< labels (cc, lp): a reorder maps them
     bool symmetricInput;       //!< meant for a symmetrized graph
+    bool needsNonNegativeWeights;   //!< refuses negative/non-finite ones
     const char *valueName;     //!< what one value means ("rank", ...)
     /** Whether req.engine can run this algorithm (why if not). */
     bool (*runsOn)(const JobRequest &req, std::string *why);
@@ -111,13 +112,13 @@ RunOutcome runProgram(const BlockPartition &g, const Program &program,
 bool isRunnable(const JobRequest &req, std::string *why = nullptr);
 
 /**
- * @return whether req's inputs make sense on a graph of `num_vertices`:
- * a finite, non-negative tolerance, a positive epoch cap, at least one
- * thread and, for the algorithms that read one, an existing source
- * vertex.  Each mistake would otherwise run to a silently wrong or
- * empty answer.
+ * @return whether req's inputs make sense on `g`: a finite,
+ * non-negative tolerance, a positive epoch cap, at least one thread,
+ * for the algorithms that read one, an existing source vertex and, for
+ * sssp, finite non-negative edge weights.  Each mistake would otherwise
+ * run to a silently wrong or empty answer.
  */
-bool inputsValid(const JobRequest &req, VertexId num_vertices,
+bool inputsValid(const JobRequest &req, const BlockPartition &g,
                  std::string *why = nullptr);
 
 /** Exact-match ResultCache key (see file comment). */

@@ -878,7 +878,7 @@ checkEveryRunnableCell(const EdgeList &directed, LayoutOptions lo = {},
                 rejected.push_back(engine + "/" + name);
                 continue;
             }
-            if (!inputsValid(req, el.numVertices())) {
+            if (!inputsValid(req, g)) {
                 invalid.push_back(engine + "/" + name);
                 continue;
             }
@@ -1053,6 +1053,130 @@ TEST_F(ServeTest, FinishedJobsDoNotPinFetchedResults)
     EXPECT_EQ(manager.result(ids.front()), nullptr);
 }
 
+TEST_F(ServeTest, ReplacedGraphExpiresOnceItsJobsAreTerminal)
+{
+    // A LOAD that replaces a graph drops the registry's reference; the
+    // old partition must go once its cold, cache-hit and warm-started
+    // jobs are terminal and their results fetched, however many
+    // records the service retains.
+    JobManager manager(registry);
+    auto old_graph = registry.add("replaced", web, 32);
+    std::weak_ptr<const BlockPartition> weak = old_graph;
+    old_graph.reset();
+
+    JobRequest req = request("replaced", "pr", "serial");
+    req.allowCached = true;
+    req.allowWarmStart = true;
+    req.options.tolerance = 1e-6;
+    JobRequest finer = req;
+    finer.options.tolerance = 1e-8;
+    std::vector<JobId> ids;
+    for (const JobRequest &r : {req, req, finer}) {
+        JobManager::Submitted sub = manager.submit(r);
+        ASSERT_TRUE(sub.ok());
+        ASSERT_TRUE(manager.wait(sub.id, 60.0));
+        ASSERT_NE(manager.result(sub.id), nullptr);
+        ids.push_back(sub.id);
+    }
+    EXPECT_FALSE(manager.status(ids[0])->cacheHit);
+    EXPECT_TRUE(manager.status(ids[1])->cacheHit);
+    EXPECT_TRUE(manager.status(ids[2])->warmStarted);
+
+    EXPECT_FALSE(weak.expired());   // still registered
+    registry.add("replaced", road, 32);
+    EXPECT_TRUE(weak.expired());
+    for (JobId id : ids)
+        EXPECT_EQ(manager.status(id)->state, JobState::Done);
+}
+
+TEST_F(ServeTest, CacheHitTrafficStaysWithinMaxRetainedJobs)
+{
+    // Cache hits finish at submit; they are pruned, counted and
+    // gauged like every other job.
+    ServeConfig cfg;
+    cfg.workers = 1;
+    cfg.maxRetainedJobs = 4;
+    JobManager manager(registry, cfg);
+    JobRequest req = request("web", "pr", "serial");
+    req.allowCached = true;
+    req.tenant = "hits";
+
+    constexpr int kJobs = 20;
+    std::vector<JobId> ids;
+    for (int i = 0; i < kJobs; i++) {
+        JobManager::Submitted sub = manager.submit(req);
+        ASSERT_TRUE(sub.ok());
+        ASSERT_TRUE(manager.wait(sub.id, 60.0));
+        ids.push_back(sub.id);
+    }
+    std::size_t retained = 0;
+    for (JobId id : ids)
+        retained += manager.status(id).has_value();
+    EXPECT_LE(retained, cfg.maxRetainedJobs);
+    EXPECT_TRUE(manager.status(ids.back()).has_value());
+    EXPECT_TRUE(manager.status(ids.back())->cacheHit);
+
+    const ServeStats stats = manager.stats();
+    EXPECT_EQ(stats.submitted, static_cast<std::uint64_t>(kJobs));
+    EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kJobs));
+    EXPECT_EQ(stats.cacheHits, static_cast<std::uint64_t>(kJobs - 1));
+    const TenantServeStats tenant = manager.tenantStats().at("hits");
+    EXPECT_EQ(tenant.cacheHits, static_cast<std::uint64_t>(kJobs - 1));
+    EXPECT_EQ(tenant.queued, 0u);
+    EXPECT_EQ(tenant.running, 0u);
+}
+
+TEST_F(ServeTest, TerminalStatusOutlivesTheJobsGraph)
+{
+    // status() of a finished job answers from its frozen report, so it
+    // still works once the job's graph has been unloaded and freed.
+    JobManager manager(registry);
+    registry.add("gone", web, 32);
+    std::weak_ptr<const BlockPartition> weak = registry.get("gone");
+    JobManager::Submitted sub =
+        manager.submit(request("gone", "sssp", "async", 3));
+    ASSERT_TRUE(sub.ok());
+    ASSERT_TRUE(manager.wait(sub.id, 60.0));
+    ASSERT_TRUE(registry.remove("gone"));
+    EXPECT_TRUE(weak.expired());
+
+    auto st = manager.status(sub.id);
+    ASSERT_TRUE(st.has_value());
+    EXPECT_EQ(st->state, JobState::Done);
+    EXPECT_TRUE(st->converged);
+    EXPECT_GT(st->epochs, 0.0);
+    EXPECT_GT(st->blockUpdates, 0u);
+    EXPECT_NE(manager.result(sub.id), nullptr);
+}
+
+TEST_F(ServeTest, SsspRejectsNegativeAndNanWeights)
+{
+    // SSSP's relaxation clamps at `unreachable`, exact only for finite
+    // non-negative weights; bfs reads no weight and runs anyway.
+    JobManager manager(registry);
+    for (float bad : {-1.0f, std::numeric_limits<float>::quiet_NaN(),
+                      std::numeric_limits<float>::infinity()}) {
+        for (GraphLayout layout :
+             {GraphLayout::Plain, GraphLayout::Compressed}) {
+            EdgeList el = generateChain(40, /*weighted=*/true);
+            el.addEdge(7, 3, bad);
+            registry.add("bad", el, 8, {.layout = layout});
+            SCOPED_TRACE(std::to_string(bad) + " " + to_string(layout));
+            EXPECT_FALSE(registry.get("bad")->nonNegativeWeights());
+            JobManager::Submitted sub =
+                manager.submit(request("bad", "sssp", "serial"));
+            EXPECT_EQ(sub.error, SubmitError::BadRequest);
+            EXPECT_NE(sub.reason.find("non-negative"), std::string::npos)
+                << sub.reason;
+            sub = manager.submit(request("bad", "bfs", "serial"));
+            ASSERT_TRUE(sub.ok()) << sub.reason;
+            EXPECT_TRUE(manager.wait(sub.id, 60.0));
+        }
+    }
+    EXPECT_TRUE(registry.get("web")->nonNegativeWeights());
+    EXPECT_TRUE(manager.submit(request("web", "sssp", "serial")).ok());
+}
+
 TEST_F(ServeTest, FamilyMemberWarmStartsFromCachedFixpoint)
 {
     JobManager manager(registry);
@@ -1127,6 +1251,26 @@ TEST_F(ServeTest, CancelMidRunReportsCancelledWithoutBlockingOthers)
     EXPECT_EQ(manager.result(endless.id), nullptr);
     EXPECT_FALSE(manager.cancel(endless.id));
     EXPECT_EQ(manager.stats().cancelled, 1u);
+}
+
+TEST_F(ServeTest, WaitWithAHugeTimeoutBlocksUntilTheJobEnds)
+{
+    // A timeout too long for the clock's integer ticks used to
+    // overflow and return at once; it waits like an unbounded one.
+    JobManager manager(registry);
+    JobManager::Submitted endless = manager.submit(endlessRequest());
+    ASSERT_TRUE(endless.ok());
+    std::atomic<bool> returned{false};
+    std::thread waiter([&] {
+        EXPECT_TRUE(manager.wait(endless.id, 1e300));
+        returned = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_FALSE(returned.load());
+    EXPECT_TRUE(manager.cancel(endless.id));
+    waiter.join();
+    EXPECT_TRUE(returned.load());
+    EXPECT_FALSE(manager.wait(endless.id + 1000, 1e300));   // unknown id
 }
 
 TEST_F(ServeTest, ConcurrentCancelStormCountsEachJobExactlyOnce)
@@ -1321,10 +1465,10 @@ TEST_F(ServeTest, RejectsNonPositiveMaxEpochs)
     std::string why;
     JobRequest req = request("web", "pr", "serial");
     req.options.maxEpochs = -5.0;
-    EXPECT_FALSE(inputsValid(req, 250, &why));
+    EXPECT_FALSE(inputsValid(req, *registry.get("web"), &why));
     EXPECT_NE(why.find("max-epochs"), std::string::npos) << why;
     req.options.maxEpochs = 0.5;
-    EXPECT_TRUE(inputsValid(req, 250, &why)) << why;
+    EXPECT_TRUE(inputsValid(req, *registry.get("web"), &why)) << why;
 }
 
 TEST_F(ServeTest, RejectsZeroThreads)

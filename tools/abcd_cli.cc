@@ -181,8 +181,9 @@ run(int argc, char **argv)
             std::max_element(deg.begin(), deg.end()) - deg.begin());
     }
 
-    // The rest of the checks JobManager::submit runs: they need |V|.
-    if (!inputsValid(req, g.numVertices(), &why))
+    // The rest of the checks JobManager::submit runs: they need the
+    // graph.
+    if (!inputsValid(req, g, &why))
         fatal("rejected: ", why);
 
     RunOutcome out;

@@ -14,7 +14,7 @@
  *       [threads=N] [max-epochs=F] [cached=0|1]
  *       [warm=0|1]
  *   STATUS <job-id>
- *   WAIT <job-id> [timeout-seconds]
+ *   WAIT <job-id> [timeout-seconds]   (negative or omitted: forever)
  *   CANCEL <job-id>
  *   VALUE <job-id> <vertex>
  *   TENANTS               per-tenant QoS counters and gauges
@@ -375,17 +375,37 @@ class ServeShell
         if (!parseId(tokens, id))
             return;
         const double timeout =
-            tokens.size() > 2 ? std::stod(tokens[2]) : -1.0;
-        if (!manager_.wait(id, timeout)) {
-            std::printf("ERR Timeout job %llu still running\n",
-                        static_cast<unsigned long long>(id));
-            return;
-        }
-        if (auto st = manager_.status(id))
-            printStatus(*st);
-        else
+            tokens.size() > 2 ? timeoutSeconds(tokens[2]) : -1.0;
+        const bool terminal = manager_.wait(id, timeout);
+        if (auto st = manager_.status(id)) {
+            if (terminal)
+                printStatus(*st);
+            else
+                std::printf("ERR Timeout job %llu still running\n",
+                            static_cast<unsigned long long>(id));
+        } else {
             std::printf("ERR NotFound no job %llu\n",
                         static_cast<unsigned long long>(id));
+        }
+    }
+
+    /** WAIT's timeout: a finite number of seconds, negative = forever;
+     *  anything else throws (ERR BadCommand). */
+    static double
+    timeoutSeconds(const std::string &token)
+    {
+        std::size_t used = 0;
+        double x = 0.0;
+        try {
+            x = std::stod(token, &used);
+        } catch (const std::exception &) {
+            used = 0;
+        }
+        if (used != token.size() || !std::isfinite(x))
+            throw std::invalid_argument("timeout '" + token +
+                                        "' must be a finite number of "
+                                        "seconds");
+        return x;
     }
 
     void

@@ -205,6 +205,28 @@ PY
                 > "${obs_dir}/value.out" 2>&1
         [ "$(grep -c "^OK value" "${obs_dir}/value.out")" -eq 3 ]
 
+        # A terminal job keeps no handle on the partition it ran on:
+        # once a cold and a cache-served run of one graph have finished,
+        # the registry holds its only reference (refs=1).  WAIT on an
+        # unknown id answers NotFound at once, and a timeout that is
+        # not a finite number is a BadCommand naming it.
+        echo "== terminal job drill (${preset}) =="
+        printf '%s\n' \
+            "LOAD web WT scale=0.02" \
+            "RUN web pr" \
+            "WAIT 1 60" \
+            "RUN web pr" \
+            "WAIT 2 60" \
+            "GRAPHS" \
+            "WAIT 99 1" \
+            "WAIT 1 nan" \
+            "QUIT" \
+            | "./build/tools/abcd_serve" > "${obs_dir}/terminal.out" 2>&1
+        grep -q "^OK job 2 state=done .*cachehit=1" "${obs_dir}/terminal.out"
+        grep -q "^  web .* refs=1$" "${obs_dir}/terminal.out"
+        grep -q "^ERR NotFound no job 99$" "${obs_dir}/terminal.out"
+        grep -q "^ERR BadCommand timeout 'nan'" "${obs_dir}/terminal.out"
+
         # Paper benches at a small scale: each must exit 0 and print its
         # GraphMat column with a number in every row (Table III) or in
         # each of the 5 supersteps run (Fig. 5).  The NF stand-in has
