@@ -85,10 +85,11 @@ struct EngineOptions
     std::uint64_t seed = 1;
 
     /**
-     * Participation bound of the threaded asynchronous engine: at most
-     * this many pool workers (plus the calling thread) execute one run
-     * concurrently.  The engine never spawns threads of its own; it
-     * borrows them from `executor`.
+     * Participation bound of the threaded engines (async, accum): at
+     * most this many participants execute one run concurrently, the
+     * calling thread included, so a run occupies at most
+     * numThreads - 1 pool workers.  The engine never spawns threads of
+     * its own; it borrows them from `executor`.
      */
     std::uint32_t numThreads = 4;
 

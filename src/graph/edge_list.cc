@@ -6,15 +6,6 @@
 
 namespace graphabcd {
 
-EdgeList::EdgeList(VertexId num_vertices, std::vector<Edge> edge_vec)
-    : nVertices(num_vertices), edges_(std::move(edge_vec))
-{
-    for (const Edge &e : edges_) {
-        GRAPHABCD_ASSERT(e.src < nVertices && e.dst < nVertices,
-                         "edge endpoint outside the vertex id space");
-    }
-}
-
 void
 EdgeList::addEdge(VertexId src, VertexId dst, float weight)
 {

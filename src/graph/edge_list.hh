@@ -12,11 +12,20 @@
 #define GRAPHABCD_GRAPH_EDGE_LIST_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "graph/types.hh"
 
 namespace graphabcd {
+
+/**
+ * An edge list's storage.  resize() leaves the new edges unwritten
+ * (UninitAllocator), so the binary loader reads the file straight into
+ * pages that nothing touched before; every other way of adding an edge
+ * constructs it as usual.
+ */
+using EdgeVector = UninitVector<Edge>;
 
 /**
  * A directed multigraph as a flat list of edges plus a vertex count.
@@ -30,8 +39,14 @@ class EdgeList
     /** @param num_vertices fixes the id space; edges added later. */
     explicit EdgeList(VertexId num_vertices) : nVertices(num_vertices) {}
 
-    /** @param num_vertices id space; @param edge_vec takes ownership. */
-    EdgeList(VertexId num_vertices, std::vector<Edge> edge_vec);
+    /**
+     * @param num_vertices id space; @param edge_vec takes ownership.
+     * Every endpoint must lie inside the id space: the loaders check
+     * each edge as they read it and report a bad one as bad input.
+     */
+    EdgeList(VertexId num_vertices, EdgeVector edge_vec) noexcept
+        : nVertices(num_vertices), edges_(std::move(edge_vec))
+    {}
 
     /** Append one edge; endpoints must be inside the id space. */
     void addEdge(VertexId src, VertexId dst, float weight = 1.0f);
@@ -39,8 +54,8 @@ class EdgeList
     VertexId numVertices() const { return nVertices; }
     EdgeId numEdges() const { return static_cast<EdgeId>(edges_.size()); }
 
-    const std::vector<Edge> &edges() const { return edges_; }
-    std::vector<Edge> &edges() { return edges_; }
+    const EdgeVector &edges() const { return edges_; }
+    EdgeVector &edges() { return edges_; }
 
     const Edge &edge(EdgeId e) const { return edges_[e]; }
 
@@ -70,7 +85,7 @@ class EdgeList
 
   private:
     VertexId nVertices = 0;
-    std::vector<Edge> edges_;
+    EdgeVector edges_;
 };
 
 } // namespace graphabcd

@@ -1,6 +1,11 @@
 #include "graph/io.hh"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -11,6 +16,7 @@
 
 #include "graph/codec.hh"
 #include "graph/layout.hh"
+#include "runtime/parallel_for.hh"
 #include "support/logging.hh"
 
 namespace graphabcd {
@@ -109,21 +115,69 @@ saveEdgeListBinary(const EdgeList &el, const std::string &path)
         fatal("short write to '", path, "'");
 }
 
-EdgeList
-loadEdgeListBinary(const std::string &path)
+namespace {
+
+/** Owns a file descriptor: closes it when it goes out of scope. */
+class FileDescriptor
 {
-    std::ifstream ifs(path, std::ios::binary);
-    if (!ifs)
+  public:
+    explicit FileDescriptor(int descriptor) : fd(descriptor) {}
+
+    ~FileDescriptor()
+    {
+        if (fd >= 0)
+            ::close(fd);
+    }
+
+    FileDescriptor(const FileDescriptor &) = delete;
+    FileDescriptor &operator=(const FileDescriptor &) = delete;
+
+    const int fd;
+};
+
+/** pread() until `bytes` are in or the file ends.
+ *  @return bytes read, or -1 with errno set. */
+std::int64_t
+preadFully(int fd, void *buf, std::uint64_t bytes, std::uint64_t offset)
+{
+    auto *out = static_cast<char *>(buf);
+    std::uint64_t done = 0;
+    while (done < bytes) {
+        const ssize_t got = ::pread(fd, out + done, bytes - done,
+                                    static_cast<off_t>(offset + done));
+        if (got < 0 && errno == EINTR)
+            continue;
+        if (got < 0)
+            return -1;
+        if (got == 0)
+            break;
+        done += static_cast<std::uint64_t>(got);
+    }
+    return static_cast<std::int64_t>(done);
+}
+
+/** Edges a load task reads and checks at a time: a slice stays in
+ *  cache between its read and its endpoint check. */
+constexpr EdgeId kLoadSlice = EdgeId{1} << 14;
+
+} // namespace
+
+EdgeList
+loadEdgeListBinary(const std::string &path, Executor *exec)
+{
+    const FileDescriptor file(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+    if (file.fd < 0)
         fatal("cannot open binary edge list '", path, "'");
-    char magic[4];
+    // magic[4], u32 version, u32 vertex count, u64 edge count.
+    char header[20];
     std::uint32_t version = 0, n = 0;
     std::uint64_t m = 0;
-    ifs.read(magic, sizeof(magic));
-    ifs.read(reinterpret_cast<char *>(&version), sizeof(version));
-    ifs.read(reinterpret_cast<char *>(&n), sizeof(n));
-    ifs.read(reinterpret_cast<char *>(&m), sizeof(m));
-    if (!ifs || std::memcmp(magic, binaryMagic, sizeof(magic)) != 0)
+    if (preadFully(file.fd, header, sizeof(header), 0) != sizeof(header) ||
+        std::memcmp(header, binaryMagic, sizeof(binaryMagic)) != 0)
         fatal("'", path, "' is not a graphabcd binary edge list");
+    std::memcpy(&version, header + 4, sizeof(version));
+    std::memcpy(&n, header + 8, sizeof(n));
+    std::memcpy(&m, header + 12, sizeof(m));
     if (version != binaryVersion)
         fatal("'", path, "' has format version ", version,
               ", expected ", binaryVersion);
@@ -131,24 +185,70 @@ loadEdgeListBinary(const std::string &path)
     // before allocating: a corrupt or malicious header must fail
     // cleanly here, not OOM the process on the vector below.  The
     // division form avoids overflowing m * sizeof(Edge).
-    const std::istream::pos_type data_pos = ifs.tellg();
-    ifs.seekg(0, std::ios::end);
-    const std::istream::pos_type end_pos = ifs.tellg();
-    if (data_pos == std::istream::pos_type(-1) ||
-        end_pos == std::istream::pos_type(-1) || end_pos < data_pos)
+    struct stat st;
+    if (::fstat(file.fd, &st) != 0 ||
+        st.st_size < static_cast<off_t>(sizeof(header)))
         fatal("cannot size '", path, "'");
     const std::uint64_t remaining =
-        static_cast<std::uint64_t>(end_pos - data_pos);
+        static_cast<std::uint64_t>(st.st_size) - sizeof(header);
     if (m > remaining / sizeof(Edge))
         fatal("'", path, "' header claims ", m, " edges but only ",
               remaining, " bytes (", remaining / sizeof(Edge),
               " edges) follow the header");
-    ifs.seekg(data_pos);
-    std::vector<Edge> edges(m);
-    ifs.read(reinterpret_cast<char *>(edges.data()),
-             static_cast<std::streamsize>(m * sizeof(Edge)));
-    if (!ifs)
-        fatal("'", path, "' is truncated");
+
+    // Unconstructed, so each task's reads are the first writes to its
+    // pages.  A task reports what went wrong in its chunk; the first
+    // chunk with a fault names it after every task has finished.
+    EdgeVector edges;
+    edges.resize(m);
+    struct ChunkFault
+    {
+        int readErrno = 0;
+        bool truncated = false;
+        EdgeId badEdge = ~EdgeId{0};
+    };
+    const std::size_t tasks = taskCount(m, kSetupGrain);
+    std::vector<ChunkFault> faults(tasks);
+    runTasks(exec, tasks, [&](std::size_t t) {
+        const auto [begin, end] = taskRange(t, m, kSetupGrain);
+        for (EdgeId lo = begin; lo < end; lo += kLoadSlice) {
+            const EdgeId hi = std::min(end, lo + kLoadSlice);
+            Edge *const slice = edges.data() + lo;
+            const std::uint64_t bytes = (hi - lo) * sizeof(Edge);
+            const std::int64_t got =
+                preadFully(file.fd, slice, bytes,
+                           sizeof(header) + lo * sizeof(Edge));
+            if (got != static_cast<std::int64_t>(bytes)) {
+                faults[t].readErrno = got < 0 ? errno : 0;
+                faults[t].truncated = got >= 0;
+                return;
+            }
+            // Branch-free over the slice; the bad edge is looked for
+            // only once there is one.
+            VertexId top = 0;
+            for (EdgeId i = 0; i < hi - lo; i++)
+                top = std::max(top, std::max(slice[i].src, slice[i].dst));
+            if (top >= n) {
+                EdgeId i = 0;
+                while (slice[i].src < n && slice[i].dst < n)
+                    i++;
+                faults[t].badEdge = lo + i;
+                return;
+            }
+        }
+    });
+    for (const ChunkFault &f : faults) {
+        if (f.readErrno != 0)
+            fatal("cannot read '", path, "': ", std::strerror(f.readErrno));
+        if (f.truncated)
+            fatal("'", path, "' is truncated");
+        if (f.badEdge != ~EdgeId{0}) {
+            const Edge &e = edges[f.badEdge];
+            fatal("'", path, "': edge ", f.badEdge, " (", e.src, " -> ",
+                  e.dst, ") has endpoint ", e.src >= n ? e.src : e.dst,
+                  ", outside the header's ", n, " vertices");
+        }
+    }
     return EdgeList(n, std::move(edges));
 }
 
@@ -305,7 +405,7 @@ loadEdgeListPacked(const std::string &path)
     if (!ifs)
         fatal("'", path, "' is truncated");
 
-    std::vector<Edge> edges;
+    EdgeVector edges;
     edges.reserve(m);
     const std::uint8_t *base = stream.data();
     const std::uint8_t *end = base + stream.size();

@@ -16,6 +16,8 @@
 
 namespace graphabcd {
 
+class Executor;
+
 /**
  * Load a whitespace-separated edge list.
  * @param path input file.
@@ -35,8 +37,15 @@ void saveEdgeList(const EdgeList &el, const std::string &path);
  */
 void saveEdgeListBinary(const EdgeList &el, const std::string &path);
 
-/** Load the binary format; fatal() on bad magic/version/truncation. */
-EdgeList loadEdgeListBinary(const std::string &path);
+/**
+ * Load the binary format; fatal() on bad magic/version/truncation and
+ * on an edge whose endpoint lies outside the header's vertex count.
+ * The payload is read and checked in tasks of kSetupGrain edges on
+ * `exec` (the shared pool when null), the calling thread taking part;
+ * a file of at most kSetupGrain edges loads on the calling thread.
+ */
+EdgeList loadEdgeListBinary(const std::string &path,
+                            Executor *exec = nullptr);
 
 /**
  * Write the packed binary format: magic "ABCZ", format version, vertex

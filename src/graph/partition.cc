@@ -8,67 +8,17 @@
 #include <type_traits>
 #include <utility>
 
-#include "runtime/executor.hh"
+#include "runtime/parallel_for.hh"
 #include "support/logging.hh"
 
 namespace graphabcd {
 
 namespace {
 
-/** Items per task of every build pass.  A graph of at most this many
- *  edges builds as one task on the calling thread. */
-constexpr EdgeId kGrain = EdgeId{1} << 19;
-
 /** Keys per bucket of the bucketed sort (log2): a bucket's key cursors
  *  and its slice of the output stay in cache while it is finished. */
 constexpr unsigned kBucketBits = 12;
 constexpr VertexId kBucketKeys = VertexId{1} << kBucketBits;
-
-/** @return tasks of kGrain items covering n items (at least one). */
-std::size_t
-taskCount(EdgeId n)
-{
-    return static_cast<std::size_t>(std::max<EdgeId>(1, (n + kGrain - 1) /
-                                                            kGrain));
-}
-
-/** @return [begin, end) of chunk c of n items. */
-std::pair<EdgeId, EdgeId>
-chunk(std::size_t c, EdgeId n)
-{
-    return {c * kGrain, std::min<EdgeId>(n, (c + 1) * kGrain)};
-}
-
-/**
- * Run body(t) for every t in [0, tasks) and return once all finished.
- * Up to size() - 1 workers of `exec` (the shared pool when null) help
- * the calling thread, which claims tasks too, so every task runs even
- * while no worker is free.  A single task runs inline without touching
- * the pool.
- */
-template <typename Fn>
-void
-runTasks(Executor *exec, std::size_t tasks, const Fn &body)
-{
-    if (tasks == 1) {
-        body(0);
-        return;
-    }
-    Executor &pool = exec ? *exec : *Executor::shared();
-    std::atomic<std::size_t> next{0};
-    auto drain = [&] {
-        for (std::size_t t;
-             (t = next.fetch_add(1, std::memory_order_relaxed)) < tasks;)
-            body(t);
-    };
-    const auto helpers = static_cast<std::uint32_t>(
-        std::min<std::size_t>(tasks, pool.size()) - 1);
-    auto job = pool.createJob(helpers);
-    for (std::uint32_t i = 0; i < helpers; i++)
-        job->submit(drain);
-    drain();
-    job->wait();
-}
 
 /** One edge as a sort pass carries it: an endpoint and the weight. */
 struct SortItem
@@ -118,17 +68,17 @@ struct SortColumns
 template <typename Read>
 void
 bucketSort(Executor *exec, EdgeId n, VertexId n_keys, const Read &read,
-           SortColumns out, VertexId *keys, std::vector<EdgeId> &offsets)
+           SortColumns out, VertexId *keys, UninitVector<EdgeId> &offsets)
 {
     const std::size_t buckets =
         (std::size_t{n_keys} + kBucketKeys - 1) >> kBucketBits;
-    const std::size_t chunks = taskCount(n);
+    const std::size_t chunks = taskCount(n, kSetupGrain);
 
     // cursor[c * buckets + b]: chunk c's count, then next slot, in b.
     std::vector<EdgeId> cursor(chunks * buckets, 0);
     runTasks(exec, chunks, [&](std::size_t c) {
         EdgeId *count = cursor.data() + c * buckets;
-        const auto [begin, end] = chunk(c, n);
+        const auto [begin, end] = taskRange(c, n, kSetupGrain);
         read(begin, end, [count](VertexId key, SortItem) {
             count[key >> kBucketBits]++;
         });
@@ -146,7 +96,7 @@ bucketSort(Executor *exec, EdgeId n, VertexId n_keys, const Read &read,
 
     runTasks(exec, chunks, [&](std::size_t c) {
         EdgeId *next = cursor.data() + c * buckets;
-        const auto [begin, end] = chunk(c, n);
+        const auto [begin, end] = taskRange(c, n, kSetupGrain);
         read(begin, end, [next, out, keys](VertexId key, SortItem item) {
             const EdgeId slot = next[key >> kBucketBits]++;
             out.store(slot, item);
@@ -154,10 +104,10 @@ bucketSort(Executor *exec, EdgeId n, VertexId n_keys, const Read &read,
         });
     });
 
-    // Step 3 tasks: runs of whole buckets holding about kGrain items.
+    // Step 3 tasks: runs of whole buckets holding about kSetupGrain items.
     std::vector<std::size_t> runBegin{0};
     for (std::size_t b = 1; b < buckets; b++) {
-        if (bucketBegin[b] - bucketBegin[runBegin.back()] >= kGrain)
+        if (bucketBegin[b] - bucketBegin[runBegin.back()] >= kSetupGrain)
             runBegin.push_back(b);
     }
     runBegin.push_back(buckets);
@@ -194,7 +144,7 @@ bucketSort(Executor *exec, EdgeId n, VertexId n_keys, const Read &read,
  * {v, cols.w[s]} — the same edge seen from its other endpoint.
  */
 auto
-readSorted(const std::vector<EdgeId> &offsets, SortColumns cols)
+readSorted(const UninitVector<EdgeId> &offsets, SortColumns cols)
 {
     return [&offsets, cols](EdgeId begin, EdgeId end, auto &&emit) {
         auto v = static_cast<VertexId>(
@@ -270,7 +220,7 @@ BlockPartition::BlockPartition(const EdgeList &el,
     buildFromBoundaries(el, exec);
 }
 
-WeightColumn::WeightColumn(std::vector<float> w, WeightMode mode)
+WeightColumn::WeightColumn(UninitVector<float> w, WeightMode mode)
     : mode_(mode)
 {
     switch (mode_) {
@@ -309,7 +259,7 @@ BlockPartition::buildFromBoundaries(const EdgeList &el, Executor *exec)
     edgeSrc_.resize(m);
     outDst_.resize(m);
     scatterBlk_.resize(m);
-    std::vector<float> wgt(weighted ? m : 0), out_wgt(weighted ? m : 0);
+    UninitVector<float> wgt(weighted ? m : 0), out_wgt(weighted ? m : 0);
     const SortColumns in{edgeSrc_.data(), weighted ? wgt.data() : nullptr};
     const SortColumns out{outDst_.data(),
                           weighted ? out_wgt.data() : nullptr};
@@ -366,7 +316,7 @@ BlockPartition::buildScatterBlocks(Executor *exec)
 {
     // The destination-block sidecar, over the sorts' key scratch, and
     // each block's union of it, in two passes over tasks that are runs
-    // of whole blocks of about kGrain out-edges.  A task flags a
+    // of whole blocks of about kSetupGrain out-edges.  A task flags a
     // block's destinations in a byte per block (plain stores, no
     // read-modify-write chain) and collects the flagged blocks in
     // ascending order: by scanning the flags over the block's
@@ -378,7 +328,7 @@ BlockPartition::buildScatterBlocks(Executor *exec)
     std::vector<BlockId> taskBegin{0};
     for (BlockId b = 1; b < nBlocks; b++) {
         if (scatterOffsets[blockBegins[b]] -
-                scatterOffsets[blockBegins[taskBegin.back()]] >= kGrain)
+                scatterOffsets[blockBegins[taskBegin.back()]] >= kSetupGrain)
             taskBegin.push_back(b);
     }
     taskBegin.push_back(nBlocks);
@@ -447,25 +397,26 @@ void
 BlockPartition::packGatherStream(Executor *exec)
 {
     // Per-vertex delta-varint source lists (each ascending by source),
-    // in two passes over tasks of about kGrain edges: each list's size
+    // in two passes over tasks of about kSetupGrain edges: each list's size
     // into gatherOffsets_[v + 1], a prefix sum turning sizes into byte
     // offsets (gatherOffsets_[v] is where v's list starts), then each
     // task encodes its lists in place.  Task t packs the vertices whose
     // lists start in edge chunk t.
-    const std::size_t tasks = taskCount(nEdges_);
+    const std::size_t tasks = taskCount(nEdges_, kSetupGrain);
     std::vector<VertexId> first(tasks + 1, nVertices);
     for (std::size_t t = 0; t < tasks; t++) {
         first[t] = static_cast<VertexId>(
             std::lower_bound(inOffsets.begin(),
                              inOffsets.begin() + nVertices,
-                             chunk(t, nEdges_).first) -
+                             taskRange(t, nEdges_, kSetupGrain).first) -
             inOffsets.begin());
     }
     auto list = [this](VertexId v) {
         return std::span<const VertexId>(edgeSrc_.data() + inOffsets[v],
                                          edgeSrc_.data() + inOffsets[v + 1]);
     };
-    gatherOffsets_.assign(static_cast<std::size_t>(nVertices) + 1, 0);
+    gatherOffsets_.resize(static_cast<std::size_t>(nVertices) + 1);
+    gatherOffsets_[0] = 0;
     runTasks(exec, tasks, [&](std::size_t t) {
         for (VertexId v = first[t]; v < first[t + 1]; v++)
             gatherOffsets_[v + 1] = codec::deltaList32Bytes(list(v));

@@ -43,7 +43,9 @@
  * The build is two (plain) or three (compressed) stable bucketed
  * counting sorts (DESIGN.md §11.2), run as fixed-size tasks on an
  * Executor with the caller taking part; the result does not depend on
- * how many threads ran them.
+ * how many threads ran them.  The arrays those tasks fill in full are
+ * UninitVectors, so the tasks, not a zero fill on the calling thread,
+ * write each of their pages first.
  */
 
 #ifndef GRAPHABCD_GRAPH_PARTITION_HH
@@ -115,7 +117,7 @@ class WeightColumn
 
     /** Store `w` at `mode`, which must hold every value exactly
      *  (narrowestWeightMode(w), or wider).  Unit ignores `w`. */
-    WeightColumn(std::vector<float> w, WeightMode mode);
+    WeightColumn(UninitVector<float> w, WeightMode mode);
 
     WeightMode mode() const { return mode_; }
 
@@ -151,8 +153,8 @@ class WeightColumn
 
   private:
     WeightMode mode_ = WeightMode::Float32;
-    std::vector<float> f32_;
-    std::vector<std::uint8_t> u8_;
+    UninitVector<float> f32_;
+    UninitVector<std::uint8_t> u8_;
 };
 
 /**
@@ -521,20 +523,20 @@ class BlockPartition
     VertexPermutation perm_;
 
     std::vector<VertexId> blockBegins;  //!< size numBlocks+1
-    std::vector<BlockId> vertexBlock;   //!< size V, vertex -> block
+    UninitVector<BlockId> vertexBlock;  //!< size V, vertex -> block
 
     // In-edges, CSC order (GATHER).
-    std::vector<EdgeId> inOffsets;        //!< size V+1, CSC row offsets
-    std::vector<VertexId> edgeSrc_;       //!< size E (plain only)
-    std::vector<std::uint8_t> gatherStream_;   //!< delta-varint src lists
-                                               //!< (compressed only)
-    std::vector<std::uint64_t> gatherOffsets_; //!< size V+1, byte offsets
+    UninitVector<EdgeId> inOffsets;       //!< size V+1, CSC row offsets
+    UninitVector<VertexId> edgeSrc_;      //!< size E (plain only)
+    UninitVector<std::uint8_t> gatherStream_;   //!< delta-varint src lists
+                                                //!< (compressed only)
+    UninitVector<std::uint64_t> gatherOffsets_; //!< size V+1, byte offsets
     WeightColumn inWeights_;
 
     // Out-edges, source order (SCATTER), the same in both layouts.
-    std::vector<EdgeId> scatterOffsets;   //!< size V+1
-    std::vector<VertexId> outDst_;        //!< size E, destination
-    std::vector<BlockId> scatterBlk_;     //!< size E, destination block
+    UninitVector<EdgeId> scatterOffsets;  //!< size V+1
+    UninitVector<VertexId> outDst_;       //!< size E, destination
+    UninitVector<BlockId> scatterBlk_;    //!< size E, destination block
     WeightColumn outWeights_;
 
     // Per block, the sorted distinct blocks its out-edges reach (CSR).

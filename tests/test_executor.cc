@@ -19,6 +19,7 @@
 #include "core/stop_token.hh"
 #include "graph/generators.hh"
 #include "runtime/executor.hh"
+#include "runtime/parallel_for.hh"
 
 namespace graphabcd {
 namespace {
@@ -34,6 +35,25 @@ TEST(Executor, RunsEveryTaskAndWaitJoins)
     job->wait();
     EXPECT_EQ(sum.load(), 5050);
     EXPECT_EQ(job->pending(), 0u);
+}
+
+/** runTasks runs each task once, the caller taking part; no task runs
+ *  for a count of zero. */
+TEST(RunTasks, RunsEveryTaskOnce)
+{
+    Executor one(1), four(4);
+    for (Executor *exec : {&one, &four}) {
+        for (std::size_t tasks : {0, 1, 2, 7, 64}) {
+            std::vector<std::atomic<int>> runs(tasks);
+            runTasks(exec, tasks, [&](std::size_t t) { runs[t]++; });
+            for (std::size_t t = 0; t < tasks; t++)
+                EXPECT_EQ(runs[t].load(), 1) << tasks << " tasks, " << t;
+        }
+    }
+    EXPECT_EQ(taskCount(0, 8), 1u);
+    EXPECT_EQ(taskCount(17, 8), 3u);
+    EXPECT_EQ(taskRange(2, 17, 8), (std::pair<std::uint64_t,
+                                              std::uint64_t>{16, 17}));
 }
 
 TEST(Executor, ZeroWorkersSizesToHardware)

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +18,8 @@
 #include "graph/generators.hh"
 #include "graph/io.hh"
 #include "graph/stats.hh"
+#include "runtime/executor.hh"
+#include "runtime/parallel_for.hh"
 #include "support/logging.hh"
 #include "temp_path.hh"
 
@@ -323,9 +326,11 @@ TEST(Io, BinaryDetectsTruncation)
     EdgeList el = generateErdosRenyi(50, 400, rng);
     std::string path = tempPath("io_trunc.bin");
     saveEdgeListBinary(el, path);
-    std::filesystem::resize_file(
-        path, std::filesystem::file_size(path) / 2);
-    EXPECT_THROW(loadEdgeListBinary(path), FatalError);
+    const auto size = std::filesystem::file_size(path);
+    for (auto cut : {size / 2, size - 1}) {
+        std::filesystem::resize_file(path, cut);
+        EXPECT_THROW(loadEdgeListBinary(path), FatalError) << cut;
+    }
     std::remove(path.c_str());
 }
 
@@ -374,6 +379,130 @@ TEST(Io, BinaryRejectsOversizedHeaderEdgeCount)
         fs.write(reinterpret_cast<const char *>(&huge), sizeof(huge));
     }
     EXPECT_THROW(loadEdgeListBinary(path), FatalError);
+    std::remove(path.c_str());
+}
+
+/** A graph over more than one load task: 2 x 2^19 + 777 edges (three
+ *  tasks, and a count that is not a multiple of three), every weight
+ *  distinct. */
+EdgeList
+multiTaskGraph()
+{
+    const VertexId n = 100003;
+    const EdgeId m = 2 * kSetupGrain + 777;
+    EdgeList el(n);
+    el.edges().reserve(m);
+    for (EdgeId i = 0; i < m; i++) {
+        el.addEdge(static_cast<VertexId>(i * 7919 % n),
+                   static_cast<VertexId>((i * 104729 + 13) % n),
+                   static_cast<float>(i) + 0.5f);
+    }
+    return el;
+}
+
+/** Overwrite edge e's destination in a saved binary edge list. */
+void
+patchDestination(const std::string &path, EdgeId e, VertexId dst)
+{
+    std::fstream fs(path, std::ios::binary | std::ios::in | std::ios::out);
+    fs.seekp(static_cast<std::streamoff>(20 + e * sizeof(Edge) +
+                                         offsetof(Edge, dst)));
+    fs.write(reinterpret_cast<const char *>(&dst), sizeof(dst));
+}
+
+TEST(Io, BinaryRoundTripAboveTheGrainAtOneAndFourWorkers)
+{
+    const EdgeList el = multiTaskGraph();
+    ASSERT_EQ(taskCount(el.numEdges(), kSetupGrain), 3u);
+    ASSERT_NE(el.numEdges() % 3, 0u);
+    const std::string path = tempPath("io_big.bin");
+    saveEdgeListBinary(el, path);
+    Executor one(1), four(4);
+    for (Executor *exec : {&one, &four, static_cast<Executor *>(nullptr)}) {
+        const EdgeList loaded = loadEdgeListBinary(path, exec);
+        ASSERT_EQ(loaded.numVertices(), el.numVertices());
+        ASSERT_EQ(loaded.numEdges(), el.numEdges());
+        EXPECT_TRUE(loaded.edges() == el.edges());
+    }
+    std::remove(path.c_str());
+}
+
+TEST(Io, BinaryRoundTripOfNoEdges)
+{
+    for (VertexId n : {VertexId{0}, VertexId{5}}) {
+        const std::string path = tempPath("io_empty.bin");
+        saveEdgeListBinary(EdgeList(n), path);
+        EXPECT_EQ(std::filesystem::file_size(path), 20u);
+        const EdgeList loaded = loadEdgeListBinary(path);
+        EXPECT_EQ(loaded.numVertices(), n);
+        EXPECT_EQ(loaded.numEdges(), 0u);
+        std::remove(path.c_str());
+    }
+}
+
+/** @return the FatalError message of loading `path`, or "" if none. */
+std::string
+binaryLoadError(const std::string &path, Executor *exec = nullptr)
+{
+    try {
+        loadEdgeListBinary(path, exec);
+    } catch (const FatalError &err) {
+        return err.what();
+    }
+    return "";
+}
+
+TEST(Io, BinaryBadEndpointIsBadInput)
+{
+    // Edge 2 -> 9 on four vertices: bad input, not a library bug.
+    const std::string path = tempPath("io_endpoint.bin");
+    EdgeList el(10);
+    el.addEdge(0, 1);
+    el.addEdge(2, 9);
+    saveEdgeListBinary(el, path);
+    {
+        std::fstream fs(path,
+                        std::ios::binary | std::ios::in | std::ios::out);
+        fs.seekp(8);   // the u32 vertex count, after magic and version
+        const std::uint32_t four = 4;
+        fs.write(reinterpret_cast<const char *>(&four), sizeof(four));
+    }
+    const std::string what = binaryLoadError(path);
+    EXPECT_NE(what.find("'" + path + "': edge 1 (2 -> 9) has endpoint 9"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("header's 4 vertices"), std::string::npos) << what;
+    EXPECT_EQ(what.find("assertion"), std::string::npos) << what;
+    std::remove(path.c_str());
+}
+
+TEST(Io, BinaryBadEndpointInTheLastChunkNamesTheFirstBadEdge)
+{
+    const EdgeList el = multiTaskGraph();
+    const EdgeId m = el.numEdges();
+    const VertexId n = el.numVertices();
+    const std::string path = tempPath("io_big_endpoint.bin");
+    saveEdgeListBinary(el, path);
+    Executor four(4);
+    // The last edge, then also one earlier in the last chunk: the
+    // message names the first bad edge of the file.
+    patchDestination(path, m - 1, n + 3);
+    std::string what = binaryLoadError(path, &four);
+    EXPECT_NE(what.find("edge " + std::to_string(m - 1) + " "),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("has endpoint " + std::to_string(n + 3)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("header's " + std::to_string(n) + " vertices"),
+              std::string::npos)
+        << what;
+    const EdgeId earlier = 2 * kSetupGrain + 5;
+    patchDestination(path, earlier, n);
+    what = binaryLoadError(path, &four);
+    EXPECT_NE(what.find("edge " + std::to_string(earlier) + " "),
+              std::string::npos)
+        << what;
     std::remove(path.c_str());
 }
 

@@ -74,7 +74,9 @@ run(int argc, char **argv)
     flags.declare("reorder", "none", "vertex order: none | hub");
     flags.declare("schedule", "cyclic",
                   "cyclic | priority | random");
-    flags.declareInt("threads", 4, "async engine worker threads");
+    flags.declareInt("threads", 4,
+                     "threads that run one async/accum job, the "
+                     "calling thread included");
     flags.declareInt("pes", 16, "sim: FPGA PEs");
     flags.declareBool("hybrid", false, "sim: CPU gather-apply workers");
     flags.declareInt("source", -1,

@@ -162,10 +162,20 @@ PY
         # Request validation: a negative count, unknown keys, a zero
         # block size and an unknown schedule are refused with ERR
         # BadCommand; zero threads and an unknown engine with ERR
-        # BadRequest and the runner's reason.  None of them runs.
+        # BadRequest and the runner's reason.  None of them runs.  A
+        # binary edge list whose edge 1 (2 -> 9) leaves its 4 vertices
+        # is bad input: ERR LoadFailed naming the file, not a failed
+        # assertion.
         echo "== request validation drill (${preset}) =="
+        local bad_bin="${obs_dir}/bad_endpoint.bin"
+        python3 -c 'import struct, sys
+open(sys.argv[1], "wb").write(
+    b"ABCD" + struct.pack("<IIQ", 1, 4, 2) +
+    struct.pack("<IIf", 0, 1, 1.0) + struct.pack("<IIf", 2, 9, 1.0))' \
+            "${bad_bin}"
         printf '%s\n' \
             "LOAD web WT scale=0.02" \
+            "LOAD bad ${bad_bin}" \
             "RUN web pr threads=-1" \
             "RUN web pr bogus=1" \
             "LOAD w WT scale=0.02 block-size=0" \
@@ -188,6 +198,10 @@ PY
         grep -q "ERR BadRequest unknown engine 'fragment'" \
             "${obs_dir}/validate.out"
         [ "$(grep -c "^OK job" "${obs_dir}/validate.out")" -eq 0 ]
+        grep -q \
+            "^ERR LoadFailed '${bad_bin}': edge 1 (2 -> 9) has endpoint 9" \
+            "${obs_dir}/validate.out"
+        [ "$(grep -c "assertion" "${obs_dir}/validate.out")" -eq 0 ]
 
         # A finished job hands its values out once and keeps only a
         # weak reference; with the result cache off, the shell must
