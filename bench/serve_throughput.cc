@@ -240,7 +240,7 @@ struct QosRow
     std::string tenant;
     double weight = 0.0;
     std::uint32_t clients = 0;
-    TenantServeStats stats;
+    ServeStats stats;
     double share = 0.0;    //!< completed / total completed
     double target = 0.0;   //!< weight / sum(weights)
     double err = 0.0;      //!< |share - target| / target

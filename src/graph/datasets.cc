@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <limits>
 
 #include "graph/generators.hh"
 #include "support/logging.hh"
@@ -41,9 +42,19 @@ Dataset
 makeDataset(const std::string &key, double scale, std::uint64_t seed)
 {
     const DatasetInfo &info = datasetInfo(key);
-    GRAPHABCD_ASSERT(scale > 0.0, "dataset scale must be positive");
-
     const double fraction = scale / static_cast<double>(info.divisor);
+    // Both counts must fit their id types: converting an out-of-range
+    // double to an integer is undefined.
+    const double vertices =
+        static_cast<double>(info.paperVertices) * fraction;
+    const double edges = static_cast<double>(info.paperEdges) * fraction;
+    if (!(scale > 0.0) ||
+        !(vertices < static_cast<double>(invalidVertex) + 1.0) ||
+        !(edges < static_cast<double>(
+                      std::numeric_limits<EdgeId>::max()) + 1.0))
+        fatal("dataset scale ", scale, " is out of range: ", info.key,
+              " needs a positive scale that gives it fewer than 2^32 "
+              "vertices and 2^64 edges");
     Rng rng(seed ^ (std::hash<std::string>{}(info.key) | 1));
 
     Dataset ds;

@@ -60,6 +60,8 @@ struct Dataset
  *        (case-insensitive).
  * @param scale multiplies the default (paper / divisor) size; scale ==
  *        divisor reproduces the paper's node/edge counts.
+ * @throws FatalError naming the scale when it is not positive, or its
+ *         vertex or edge count does not fit VertexId/EdgeId.
  * @param seed generator seed; equal seeds give identical graphs.
  */
 Dataset makeDataset(const std::string &key, double scale = 1.0,

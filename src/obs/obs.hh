@@ -477,12 +477,6 @@ fractionBuckets()
     return {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0};
 }
 
-inline std::vector<double>
-ringDepthBuckets()
-{
-    return {0, 1, 2, 4, 8, 16, 64, 256, 1024, 4096, 16384, 65536};
-}
-
 } // namespace obs
 } // namespace graphabcd
 

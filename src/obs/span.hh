@@ -78,15 +78,6 @@ currentSpan()
     return detail::currentSpanSlot();
 }
 
-/** @return a fresh child context of the thread's ambient span. */
-inline SpanContext
-childSpan(std::uint64_t job_id = 0)
-{
-    const SpanContext parent = currentSpan();
-    return SpanContext{job_id != 0 ? job_id : parent.job, nextSpanId(),
-                       parent.span};
-}
-
 /**
  * RAII: install a foreign context as the thread's ambient one (the
  * executor adopts the submitter's context around each task), restore
@@ -172,12 +163,6 @@ nextSpanId()
 
 inline SpanContext
 currentSpan()
-{
-    return {};
-}
-
-inline SpanContext
-childSpan(std::uint64_t = 0)
 {
     return {};
 }

@@ -16,8 +16,15 @@ TraceRecorder::global()
     return instance;
 }
 
+namespace {
+
+std::atomic<std::uint64_t> nextRecorderId{1};
+
+} // namespace
+
 TraceRecorder::TraceRecorder(std::size_t events_per_thread)
-    : ringCapacity_(events_per_thread == 0 ? 1 : events_per_thread)
+    : ringCapacity_(events_per_thread == 0 ? 1 : events_per_thread),
+      id_(nextRecorderId.fetch_add(1, std::memory_order_relaxed))
 {
 }
 
@@ -26,19 +33,21 @@ TraceRecorder::threadRing()
 {
     // One cached ring per (thread, recorder) pair; a thread that talks
     // to several recorders re-registers on each switch, which only
-    // happens in tests.
+    // happens in tests.  The cache keys on the recorder's id, not its
+    // address: a recorder built where a destroyed one lived must not
+    // inherit that one's ring.
     struct Cache
     {
-        TraceRecorder *owner = nullptr;
+        std::uint64_t owner = 0;
         std::shared_ptr<Ring> ring;
     };
     thread_local Cache cache;
-    if (cache.owner != this) {
+    if (cache.owner != id_) {
         std::lock_guard<std::mutex> lock(registerMtx_);
         auto ring = std::make_shared<Ring>(
             ringCapacity_, static_cast<std::uint32_t>(rings_.size()));
         rings_.push_back(ring);
-        cache.owner = this;
+        cache.owner = id_;
         cache.ring = std::move(ring);
     }
     return *cache.ring;

@@ -81,15 +81,8 @@ class TraceRecorder
     /** @return microseconds since the process-local monotonic epoch. */
     static double nowMicros() { return monotonicSeconds() * 1e6; }
 
-    /** Record a finished span (no-op while disabled). */
-    void
-    complete(const char *name, double start_us, double dur_us)
-    {
-        if (enabled())
-            push(TraceEvent{name, start_us, dur_us, 'X'});
-    }
-
-    /** Record a finished span carrying causal ids (obs/span.hh). */
+    /** Record a finished span carrying causal ids (obs/span.hh; all 0
+     *  for an anonymous span); a no-op while disabled. */
     void
     complete(const char *name, double start_us, double dur_us,
              std::uint64_t job, std::uint64_t span, std::uint64_t parent)
@@ -97,14 +90,6 @@ class TraceRecorder
         if (enabled())
             push(TraceEvent{name, start_us, dur_us, 'X', job, span,
                             parent});
-    }
-
-    /** Record an instant event (no-op while disabled). */
-    void
-    instant(const char *name)
-    {
-        if (enabled())
-            push(TraceEvent{name, nowMicros(), 0.0, 'i'});
     }
 
     /** Record an instant event carrying causal ids. */
@@ -188,45 +173,12 @@ class TraceRecorder
     void noteDropped();
 
     const std::size_t ringCapacity_;
+    const std::uint64_t id_;   //!< unique per recorder (threadRing cache)
     std::atomic<bool> enabled_{false};
     std::atomic<std::uint64_t> dropped_{0};
     mutable std::mutex registerMtx_;   //!< rings_/tracks_ growth only
     std::vector<std::shared_ptr<Ring>> rings_;
     std::vector<std::shared_ptr<Ring>> tracks_;  //!< index = track id
-};
-
-/**
- * RAII span: stamps the start on construction, records one complete
- * event on destruction.  Cheap no-op while the recorder is disabled.
- */
-class TraceSpan
-{
-  public:
-    TraceSpan(TraceRecorder &recorder, const char *name)
-    {
-        if (recorder.enabled()) {
-            recorder_ = &recorder;
-            name_ = name;
-            startMicros_ = TraceRecorder::nowMicros();
-        }
-    }
-
-    ~TraceSpan()
-    {
-        if (recorder_) {
-            recorder_->complete(name_, startMicros_,
-                                TraceRecorder::nowMicros() -
-                                    startMicros_);
-        }
-    }
-
-    TraceSpan(const TraceSpan &) = delete;
-    TraceSpan &operator=(const TraceSpan &) = delete;
-
-  private:
-    TraceRecorder *recorder_ = nullptr;
-    const char *name_ = nullptr;
-    double startMicros_ = 0.0;
 };
 
 } // namespace graphabcd

@@ -64,8 +64,7 @@ enum class SubmitError
     None,          //!< admitted (or served directly from the cache)
     QueueFull,     //!< admission queue saturated — retry later
     UnknownGraph,  //!< no such name in the GraphRegistry
-    BadRequest,    //!< unsupported algorithm/engine combination, or
-                   //!< invalid inputs (see inputsValid)
+    BadRequest,    //!< refused by validate() (serve/runner.hh)
     ShuttingDown,  //!< the service is stopping
     Shed,          //!< shed at admission: the estimated queue wait
                    //!< alone would blow the job's deadline
@@ -191,7 +190,8 @@ struct ServeConfig
     bool cancelOnStall = false;
 };
 
-/** Monotonic service counters plus instantaneous gauges. */
+/** Monotonic counters plus instantaneous gauges, of the whole service
+ *  or of one tenant (JobManager::tenantStats). */
 struct ServeStats
 {
     std::uint64_t submitted = 0;   //!< submit() calls
@@ -205,22 +205,6 @@ struct ServeStats
     std::uint64_t cacheHits = 0;   //!< jobs served from the ResultCache
     std::uint64_t warmStarts = 0;  //!< jobs seeded from a cached fixpoint
     std::size_t queueDepth = 0;    //!< gauge: jobs waiting
-    std::size_t running = 0;       //!< gauge: jobs executing now
-};
-
-/** Per-tenant slice of the service counters (see JobManager::tenantStats). */
-struct TenantServeStats
-{
-    std::uint64_t submitted = 0;   //!< submit() calls naming this tenant
-    std::uint64_t rejected = 0;    //!< not admitted (any SubmitError)
-    std::uint64_t completed = 0;   //!< reached Done
-    std::uint64_t cancelled = 0;   //!< reached Cancelled
-    std::uint64_t failed = 0;      //!< reached Failed
-    std::uint64_t shed = 0;        //!< queued jobs displaced to Shed
-    std::uint64_t shedAdmission = 0; //!< submissions shed at admission
-    std::uint64_t cacheHits = 0;   //!< served from the ResultCache
-    std::uint64_t warmStarts = 0;  //!< seeded from a cached fixpoint
-    std::size_t queued = 0;        //!< gauge: jobs waiting
     std::size_t running = 0;       //!< gauge: jobs executing now
 };
 

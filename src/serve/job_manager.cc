@@ -119,24 +119,22 @@ JobManager::submit(JobRequest req)
                            LOGF("graph", graph_name),
                            LOGF("algo", algo));
         std::lock_guard<std::mutex> lock(mtx_);
-        stats_.submitted++;
-        stats_.rejected++;
-        TenantEntry &entry = tenantEntryLocked(tenant);
-        entry.stats.submitted++;
-        entry.stats.rejected++;
+        ServeStats &stats = tenantEntryLocked(tenant).stats;
+        stats.submitted++;
+        stats.rejected++;
         return Submitted{0, error, std::move(detail)};
     };
 
     if (shutdown_.load(std::memory_order_acquire))
         return reject(SubmitError::ShuttingDown);
-    std::string why;
-    if (!isRunnable(req, &why))
-        return reject(SubmitError::BadRequest, why);
+    // An invalid request is a BadRequest even on an unknown graph:
+    // without one, validate() runs the checks that need only req.
     auto graph = registry_.get(req.graph);
+    std::string why;
+    if (!validate(req, graph.get(), &why))
+        return reject(SubmitError::BadRequest, why);
     if (!graph)
         return reject(SubmitError::UnknownGraph);
-    if (!inputsValid(req, *graph, &why))
-        return reject(SubmitError::BadRequest, why);
 
     // Normalise: the partition's geometry is fixed at LOAD time, and
     // the fingerprint must reflect the geometry actually run.
@@ -174,10 +172,9 @@ JobManager::submit(JobRequest req)
     // the push loses the decrement and pins the gauge high forever.
     {
         std::lock_guard<std::mutex> lock(mtx_);
-        stats_.submitted++;
         TenantEntry &entry = tenantEntryLocked(job->req.tenant);
         entry.stats.submitted++;
-        entry.stats.queued++;
+        entry.stats.queueDepth++;
         publishTenantGauges(entry);
         jobs_.emplace(job->id, job);
     }
@@ -216,13 +213,11 @@ JobManager::submit(JobRequest req)
         // it as a rejection would double-book it.
         if (job->state.load(std::memory_order_acquire) ==
             JobState::Queued) {
-            stats_.rejected++;
             TenantEntry &entry = tenantEntryLocked(job->req.tenant);
             entry.stats.rejected++;
-            if (entry.stats.queued > 0)
-                entry.stats.queued--;
+            if (entry.stats.queueDepth > 0)
+                entry.stats.queueDepth--;
             if (error == SubmitError::Shed) {
-                stats_.shedAdmission++;
                 entry.stats.shedAdmission++;
                 entry.shedCounter->add(1);
             }
@@ -269,7 +264,7 @@ JobManager::runJob(const std::shared_ptr<Job> &job)
         return;
     if (job->req.options.stop.stopRequested()) {
         // CAS: cancel() may terminalise the job concurrently, and
-        // only the winner may count it (else stats_.cancelled is
+        // only the winner may count it (else the cancellation is
         // double-counted and the error double-written).
         finishJob(job, JobState::Queued, JobState::Cancelled,
                   stopCauseError(*job, /*queued=*/true));
@@ -316,13 +311,12 @@ JobManager::runJob(const std::shared_ptr<Job> &job)
                     std::shared_ptr<const std::vector<double>>(
                         seed, &seed->values);
                 job->warmStarted = true;
-                stats_.warmStarts++;
                 entry.stats.warmStarts++;
             }
         }
 
-        if (entry.stats.queued > 0)
-            entry.stats.queued--;
+        if (entry.stats.queueDepth > 0)
+            entry.stats.queueDepth--;
         entry.stats.running++;
         publishTenantGauges(entry);
         if constexpr (obs::kEnabled) {
@@ -457,7 +451,6 @@ JobManager::serveFromCache(const std::shared_ptr<Job> &job)
                   job->cacheHit = true;
                   job->report = cached->report;
                   job->result = std::move(cached);
-                  stats_.cacheHits++;
                   tenantEntryLocked(job->req.tenant).stats.cacheHits++;
               });
     return true;
@@ -487,26 +480,22 @@ JobManager::finishJob(const std::shared_ptr<Job> &job, JobState from,
         if (job->startedAt == 0.0)
             job->startedAt = job->finishedAt;
         TenantEntry &entry = tenantEntryLocked(job->req.tenant);
-        if (from == JobState::Queued && entry.stats.queued > 0)
-            entry.stats.queued--;
+        if (from == JobState::Queued && entry.stats.queueDepth > 0)
+            entry.stats.queueDepth--;
         if (from == JobState::Running && entry.stats.running > 0)
             entry.stats.running--;
         switch (to) {
           case JobState::Done:
-            stats_.completed++;
             entry.stats.completed++;
             entry.completedCounter->add(1);
             break;
           case JobState::Cancelled:
-            stats_.cancelled++;
             entry.stats.cancelled++;
             break;
           case JobState::Failed:
-            stats_.failed++;
             entry.stats.failed++;
             break;
           case JobState::Shed:
-            stats_.shed++;
             entry.stats.shed++;
             entry.shedCounter->add(1);
             break;
@@ -698,7 +687,7 @@ JobManager::publishTenantGauges(const TenantEntry &entry)
     if constexpr (obs::kEnabled) {
         if (entry.queuedGauge) {
             entry.queuedGauge->set(
-                static_cast<double>(entry.stats.queued));
+                static_cast<double>(entry.stats.queueDepth));
         }
         if (entry.runningGauge) {
             entry.runningGauge->set(
@@ -811,17 +800,28 @@ JobManager::stats() const
     ServeStats out;
     {
         std::lock_guard<std::mutex> lock(mtx_);
-        out = stats_;
+        for (const auto &[tenant, entry] : tenants_) {
+            const ServeStats &t = entry.stats;
+            out.submitted += t.submitted;
+            out.rejected += t.rejected;
+            out.completed += t.completed;
+            out.cancelled += t.cancelled;
+            out.failed += t.failed;
+            out.shed += t.shed;
+            out.shedAdmission += t.shedAdmission;
+            out.cacheHits += t.cacheHits;
+            out.warmStarts += t.warmStarts;
+        }
     }
     out.queueDepth = queue_.size();
     out.running = running_.load(std::memory_order_relaxed);
     return out;
 }
 
-std::map<std::string, TenantServeStats>
+std::map<std::string, ServeStats>
 JobManager::tenantStats() const
 {
-    std::map<std::string, TenantServeStats> out;
+    std::map<std::string, ServeStats> out;
     std::lock_guard<std::mutex> lock(mtx_);
     for (const auto &[tenant, entry] : tenants_)
         out.emplace(tenant, entry.stats);

@@ -21,12 +21,12 @@
  *    sink of relaxed atomics they publish into, so status() snapshots
  *    never touch an engine lock.
  *
- *  - One mutex guards the job table, stats (global and per-tenant),
- *    and the warm-start index; it is never held across an engine run,
- *    a partition build, or a queue wait.  The ResultCache and
- *    FairShareQueue have their own locks, always acquired after
- *    (never while holding) the manager lock held only for map/stat
- *    updates — no lock-order cycles.
+ *  - One mutex guards the job table, the per-tenant stats (the
+ *    service's are their sum) and the warm-start index; it is never
+ *    held across an engine run, a partition build, or a queue wait.
+ *    The ResultCache and FairShareQueue have their own locks, always
+ *    acquired after (never while holding) the manager lock held only
+ *    for map/stat updates — no lock-order cycles.
  *
  * Cancellation is cooperative and race-free: cancel() atomically
  * claims a Queued job (the popping worker then skips it) or requests a
@@ -135,15 +135,16 @@ class JobManager
      */
     bool wait(JobId id, double timeout_seconds = -1.0) const;
 
-    /** Service counters and gauges. */
+    /** Service counters (the sum over tenants) and gauges. */
     ServeStats stats() const;
 
     /**
      * Per-tenant counters/gauges, one entry per tenant ever seen
-     * (including rejected-only tenants).  Gauges (queued/running) are
-     * point-in-time; counters are monotonic.
+     * (including rejected-only tenants).  Gauges (queueDepth/running:
+     * the tenant's jobs waiting and executing) are point-in-time;
+     * counters are monotonic.
      */
-    std::map<std::string, TenantServeStats> tenantStats() const;
+    std::map<std::string, ServeStats> tenantStats() const;
 
     /**
      * The job's convergence curve (one sample per trace interval),
@@ -206,11 +207,12 @@ class JobManager
         bool warmStarted = false;
     };
 
-    /** Per-tenant accounting plus lazily resolved obs instruments
+    /** Per-tenant accounting, the service's one ledger, plus lazily
+     *  resolved obs instruments
      *  (serve.tenant.<name>.{queued,running,completed,shed,wait_us}). */
     struct TenantEntry
     {
-        TenantServeStats stats;
+        ServeStats stats;
         obs::Gauge *queuedGauge = nullptr;
         obs::Gauge *runningGauge = nullptr;
         obs::Counter *completedCounter = nullptr;
@@ -276,12 +278,11 @@ class JobManager
     FairShareQueue<std::shared_ptr<Job>> queue_;
     std::shared_ptr<Executor> executor_;   //!< engine worker pool
 
-    mutable std::mutex mtx_;   //!< jobs_, warm-start index, stats_
+    mutable std::mutex mtx_;   //!< jobs_, warm-start index, tenants_
     mutable std::condition_variable doneCv_;
     std::map<JobId, std::shared_ptr<Job>> jobs_;
     std::unordered_map<std::uint64_t, std::weak_ptr<const JobResult>>
         lastFixpoint_;   //!< familyKey -> most recent converged result
-    ServeStats stats_;
     std::map<std::string, TenantEntry> tenants_;   //!< under mtx_
 
     std::atomic<JobId> nextId_{1};

@@ -124,16 +124,6 @@ class FairShareQueue
         std::vector<T> shed;   //!< displaced victims (caller terminalises)
     };
 
-    /** Point-in-time view of one lane (stats, TENANTS verb, tests). */
-    struct LaneSnapshot
-    {
-        std::string tenant;
-        std::size_t queued = 0;
-        std::size_t running = 0;
-        double weight = 1.0;
-        double vtime = 0.0;
-    };
-
     explicit FairShareQueue(QosConfig config)
         : cfg_(std::move(config)), ewmaService_(cfg_.initialServiceSeconds)
     {
@@ -290,23 +280,6 @@ class FairShareQueue
     {
         std::lock_guard<std::mutex> lock(mtx_);
         return closed_;
-    }
-
-    /** @return configured total capacity (0 = unbounded). */
-    std::size_t capacity() const { return cfg_.capacity; }
-
-    /** One snapshot row per lane ever seen, sorted by tenant. */
-    std::vector<LaneSnapshot>
-    lanes() const
-    {
-        std::lock_guard<std::mutex> lock(mtx_);
-        std::vector<LaneSnapshot> out;
-        out.reserve(lanes_.size());
-        for (const auto &[tenant, lane] : lanes_) {
-            out.push_back({tenant, lane.heap.size(), lane.running,
-                           lane.qos.weight, lane.vtime});
-        }
-        return out;
     }
 
     /** Publish total backlog depth into `g` on every push/pop. */

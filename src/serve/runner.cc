@@ -113,16 +113,25 @@ runWedge(const BlockPartition &g, const P &, const JobRequest &req,
     out.report.seconds = timer.seconds();
 }
 
+/** A program reads a source vertex iff it has one. */
+template <typename P>
+constexpr bool kUsesSource = requires(const P p) { p.source; };
+
+/** A program needs finite non-negative weights iff it says so. */
+template <typename P>
+constexpr bool kNeedsNonNegativeWeights =
+    requires { requires P::needsNonNegativeWeights; };
+
 /**
- * The one engine dispatch: the runner of req.engine for program type
- * P, or null (with the reason in *why) when that engine does not exist,
- * cannot run P or does not run the request's execution mode (the
- * threaded engines run only Async).  Eligibility on P is a compile-time
- * property of P.
+ * The one engine dispatch and the one request check: the runner of
+ * req.engine for program type P, or null (with the reason in *why) when
+ * the request is invalid for P (see validate()).  Which engines can run
+ * P, and whether it reads a source or needs non-negative weights, are
+ * compile-time properties of P.
  */
 template <typename P>
 EngineFn<P>
-engineFor(const JobRequest &req, std::string *why)
+engineFor(const JobRequest &req, const BlockPartition *g, std::string *why)
 {
     auto reject = [&](const std::string &reason) -> EngineFn<P> {
         if (why)
@@ -137,6 +146,30 @@ engineFor(const JobRequest &req, std::string *why)
         return reject("mode '" + std::string(to_string(req.options.mode)) +
                       "' does not run on engine=" + req.engine +
                       "; engine=serial or engine=sim runs it");
+    // Each of these would otherwise run to a silently wrong or empty
+    // answer: a NaN tolerance fails every compare and "converges" after
+    // one sweep.  A NaN priority breaks the admission heap's order.
+    const EngineOptions &opt = req.options;
+    if (!std::isfinite(opt.tolerance) || opt.tolerance < 0.0)
+        return reject("tolerance must be finite and non-negative");
+    if (!(opt.maxEpochs > 0.0))
+        return reject("max-epochs must be positive");
+    if (opt.numThreads == 0)
+        return reject("threads must be positive");
+    if (!std::isfinite(req.priority))
+        return reject("priority must be finite");
+    if (!std::isfinite(req.timeoutSeconds) || req.timeoutSeconds < 0.0)
+        return reject("timeout must be finite and non-negative");
+    if constexpr (kUsesSource<P>) {
+        if (g && req.source >= g->numVertices())
+            return reject("source " + std::to_string(req.source) +
+                          " is not a vertex of the graph");
+    }
+    if constexpr (kNeedsNonNegativeWeights<P>) {
+        if (g && !g->nonNegativeWeights())
+            return reject(req.algo +
+                          " needs finite non-negative edge weights");
+    }
     switch (*kind) {
       case EngineKind::Serial:
         return &runEngine<SerialEngine<P>, P>;
@@ -163,20 +196,11 @@ engineFor(const JobRequest &req, std::string *why)
 
 // --------------------------------------------------------- algorithms
 
-/** A program reads a source vertex iff it has one. */
-template <typename P>
-constexpr bool kUsesSource = requires(const P p) { p.source; };
-
-/** A program needs finite non-negative weights iff it says so. */
-template <typename P>
-constexpr bool kNeedsNonNegativeWeights =
-    requires { requires P::needsNonNegativeWeights; };
-
 template <typename P>
 bool
-runsOn(const JobRequest &req, std::string *why)
+validateFor(const JobRequest &req, const BlockPartition *g, std::string *why)
 {
-    return engineFor<P>(req, why) != nullptr;
+    return engineFor<P>(req, g, why) != nullptr;
 }
 
 template <typename P>
@@ -195,16 +219,15 @@ constexpr AlgoInfo
 row(std::string_view name, bool values_are_ids, bool symmetric,
     const char *value_name)
 {
-    return {name,       kUsesSource<P>, values_are_ids, symmetric,
-            kNeedsNonNegativeWeights<P>, value_name, &runsOn<P>,
-            &runRow<P>};
+    return {name,       kUsesSource<P>,  values_are_ids, symmetric,
+            value_name, &validateFor<P>, &runRow<P>};
 }
 
 /**
  * The served algorithms: (name, values are vertex ids, wants symmetric
  * input, value name).  Whether one reads a source or needs
  * non-negative weights is derived from its program, and so is every
- * engine it can run on.
+ * engine it can run on and the check of every request for it.
  */
 constexpr AlgoInfo kAlgos[] = {
     row<PageRankProgram>("pr", false, false, "rank"),
@@ -235,7 +258,7 @@ runProgram(const BlockPartition &g, const Program &program,
            const JobRequest &req, const HarpConfig &harp)
 {
     RunOutcome out;
-    if (EngineFn<Program> run = engineFor<Program>(req, &out.error))
+    if (EngineFn<Program> run = engineFor<Program>(req, &g, &out.error))
         run(g, program, req, harp, out);
     return out;
 }
@@ -276,12 +299,11 @@ RunOutcome
 runAnalyticsJob(const BlockPartition &g, const JobRequest &req,
                 std::shared_ptr<Executor> executor, const HarpConfig &harp)
 {
+    // Refuse before translating anything; runProgram checks again.
+    RunOutcome refused;
+    if (!validate(req, &g, &refused.error))
+        return refused;
     const AlgoInfo *algo = findAlgo(req.algo);
-    if (!algo) {
-        RunOutcome out;
-        out.error = "unknown algorithm '" + req.algo + "'";
-        return out;
-    }
 
     // The pool is an execution resource, not a semantic option, so it
     // is injected here (per call) rather than fingerprinted.
@@ -329,7 +351,7 @@ runAnalyticsJob(const BlockPartition &g, const JobRequest &req,
 }
 
 bool
-isRunnable(const JobRequest &req, std::string *why)
+validate(const JobRequest &req, const BlockPartition *g, std::string *why)
 {
     const AlgoInfo *algo = findAlgo(req.algo);
     if (!algo) {
@@ -337,34 +359,7 @@ isRunnable(const JobRequest &req, std::string *why)
             *why = "unknown algorithm '" + req.algo + "'";
         return false;
     }
-    return algo->runsOn(req, why);
-}
-
-bool
-inputsValid(const JobRequest &req, const BlockPartition &g, std::string *why)
-{
-    auto reject = [&](const std::string &reason) {
-        if (why)
-            *why = reason;
-        return false;
-    };
-    const double tol = req.options.tolerance;
-    if (!std::isfinite(tol) || tol < 0.0)
-        return reject("tolerance must be finite and non-negative");
-    if (!(req.options.maxEpochs > 0.0))
-        return reject("max-epochs must be positive");
-    if (req.options.numThreads == 0)
-        return reject("threads must be positive");
-    const AlgoInfo *algo = findAlgo(req.algo);
-    if (algo && algo->usesSource && req.source >= g.numVertices()) {
-        return reject("source " + std::to_string(req.source) +
-                      " is not a vertex of the graph");
-    }
-    if (algo && algo->needsNonNegativeWeights && !g.nonNegativeWeights()) {
-        return reject(std::string(algo->name) +
-                      " needs finite non-negative edge weights");
-    }
-    return true;
+    return algo->validate(req, g, why);
 }
 
 std::uint64_t

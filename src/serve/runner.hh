@@ -4,9 +4,11 @@
  * served algorithm and one engine dispatch turn a JobRequest into a
  * (vertex program x engine) instantiation and run it.  Eligibility is
  * a compile-time trait of the program (`accum` needs Accumulable,
- * `async` a lock-free Value); isRunnable reads the same dispatch, and
- * serve, the CLI and the tests all enumerate the same table.  Also
- * here: the fingerprints that key the ResultCache.
+ * `async` a lock-free Value).  The same dispatch is the one request
+ * check: validate() answers from it, every run through it refuses what
+ * validate() refuses, and serve, the CLI and the tests all enumerate
+ * the same table.  Also here: the fingerprints that key the
+ * ResultCache.
  *
  * Two fingerprints per job:
  *
@@ -61,10 +63,10 @@ struct AlgoInfo
     bool usesSource;           //!< fixpoint depends on JobRequest::source
     bool valuesAreVertexIds;   //!< labels (cc, lp): a reorder maps them
     bool symmetricInput;       //!< meant for a symmetrized graph
-    bool needsNonNegativeWeights;   //!< refuses negative/non-finite ones
     const char *valueName;     //!< what one value means ("rank", ...)
-    /** Whether req.engine can run this algorithm (why if not). */
-    bool (*runsOn)(const JobRequest &req, std::string *why);
+    /** validate() for a request of this algorithm. */
+    bool (*validate)(const JobRequest &req, const BlockPartition *g,
+                     std::string *why);
     /** Run req on g in internal vertex ids. */
     RunOutcome (*run)(const BlockPartition &g, const JobRequest &req,
                       const HarpConfig &harp);
@@ -81,8 +83,9 @@ std::vector<std::string> engineNames();
 
 /**
  * Execute `req` against `g` synchronously on the calling thread.  The
- * engine honours req.options.stop / progress / warmStart.  Unsupported
- * algo/engine combinations return an error outcome (never throw).
+ * engine honours req.options.stop / progress / warmStart.  A request
+ * validate() refuses returns an error outcome with its reason and runs
+ * no engine (never throws).
  * When `g` was built with a vertex reorder, req.source / warmStart and
  * the returned values are translated at this boundary: callers always
  * speak original vertex ids (DESIGN.md §11).
@@ -99,27 +102,29 @@ RunOutcome runAnalyticsJob(const BlockPartition &g, const JobRequest &req,
 /**
  * Run `program` on req.engine through the same dispatch, in internal
  * vertex ids: for the CLI-only KCoreProgram and ColoringProgram (the
- * instantiations), which have no request form.
+ * instantiations), which have no request form.  Every run passes
+ * through here: it refuses, with the reason in RunOutcome::error, what
+ * validate() would refuse for `program`'s type on `g`.
  */
 template <typename Program>
 RunOutcome runProgram(const BlockPartition &g, const Program &program,
                       const JobRequest &req, const HarpConfig &harp = {});
 
 /**
- * @return whether runAnalyticsJob recognises req.algo and req.engine
- * and that engine runs req.options.mode.
+ * The one check of a job request; serve, the CLI and every run call
+ * it.  @return whether req names a served algorithm and an engine that
+ * runs it in req.options.mode, with a finite non-negative tolerance, a
+ * positive epoch cap, at least one thread, a finite priority and a
+ * finite non-negative timeout.  With a graph it also checks, for the
+ * algorithms that read them, that the source is a vertex of `g` and
+ * that its edge weights are finite and non-negative.  Each mistake
+ * would otherwise run to a silently wrong or empty answer.
+ * @param g the graph the request will run on, or null for the checks
+ *        that need only the request.
+ * @param why set to the reason when the request is refused.
  */
-bool isRunnable(const JobRequest &req, std::string *why = nullptr);
-
-/**
- * @return whether req's inputs make sense on `g`: a finite,
- * non-negative tolerance, a positive epoch cap, at least one thread,
- * for the algorithms that read one, an existing source vertex and, for
- * sssp, finite non-negative edge weights.  Each mistake would otherwise
- * run to a silently wrong or empty answer.
- */
-bool inputsValid(const JobRequest &req, const BlockPartition &g,
-                 std::string *why = nullptr);
+bool validate(const JobRequest &req, const BlockPartition *g,
+              std::string *why = nullptr);
 
 /** Exact-match ResultCache key (see file comment). */
 std::uint64_t jobFingerprint(std::uint64_t graph_fingerprint,

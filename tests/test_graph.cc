@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <numeric>
 
@@ -566,6 +567,34 @@ TEST(Datasets, BipartiteStandInHasUsersAndItems)
     EXPECT_GT(sac.users, 0u);
     EXPECT_GT(sac.items, 0u);
     EXPECT_EQ(sac.numVertices(), sac.users + sac.items);
+}
+
+TEST(Datasets, OutOfRangeScaleIsAFatalErrorNamingIt)
+{
+    // Bad input, not a library bug; a scale past the id range must not
+    // reach the double -> integer cast, which would be undefined.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::pair<double, const char *> cases[] = {
+        {-1.0, "-1"}, {0.0, "0"}, {nan, "nan"}, {inf, "inf"},
+        {1e30, "1e+30"}, {-inf, "-inf"}};
+    for (const auto &[scale, printed] : cases) {
+        for (const char *key : {"WT", "NF"}) {
+            SCOPED_TRACE(std::string(key) + " scale " + printed);
+            try {
+                makeDataset(key, scale);
+                ADD_FAILURE() << "no error";
+            } catch (const FatalError &e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              std::string("dataset scale ") + printed +
+                              " is out of range"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+    // TW's vertex count passes 2^32 first: 41.65M / 768 per unit.
+    EXPECT_THROW(makeDataset("TW", 80000.0), FatalError);
 }
 
 TEST(Datasets, DeterministicPerSeed)

@@ -217,11 +217,13 @@ TEST(MetricsRegistry, DumpListsEveryMetricAndResetZeroes)
 
 // ----------------------------------------------------------------- trace
 
+// Events with all causal ids 0 are anonymous: no span tree, no args.
+
 TEST(TraceRecorder, DisabledRecorderRetainsNothing)
 {
     TraceRecorder rec(8);
-    rec.complete("x", 0.0, 1.0);
-    rec.instant("y");
+    rec.complete("x", 0.0, 1.0, 0, 0, 0);
+    rec.instant("y", 0, 0, 0);
     EXPECT_EQ(rec.eventCount(), 0u);
 }
 
@@ -229,9 +231,27 @@ TEST(TraceRecorder, RingWrapKeepsCapacityNewestEvents)
 {
     TraceRecorder rec(8);
     rec.setEnabled(true);
-    for (int i = 0; i < 20; i++)
-        rec.complete("span", static_cast<double>(i), 1.0);
+    // Recorded newest-first: the export still orders by timestamp.
+    for (int i = 19; i >= 0; i--)
+        rec.complete("span", static_cast<double>(i), 1.0, 0, 0, 0);
     EXPECT_EQ(rec.eventCount(), 8u);
+
+    std::ostringstream os;
+    rec.writeChromeTrace(os);
+    const std::string json = os.str();
+    std::size_t prev = 0;
+    for (int ts = 0; ts < 20; ts++) {
+        const std::size_t at =
+            json.find("\"ts\":" + std::to_string(ts) + ",");
+        if (ts >= 8) {
+            EXPECT_EQ(at, std::string::npos) << "ts " << ts;
+            continue;
+        }
+        ASSERT_NE(at, std::string::npos) << "ts " << ts;
+        EXPECT_GT(at, prev) << "ts " << ts;
+        prev = at;
+    }
+    EXPECT_EQ(json.find("\"args\""), std::string::npos);
     rec.clear();
     EXPECT_EQ(rec.eventCount(), 0u);
 }
@@ -240,12 +260,9 @@ TEST(TraceRecorder, ChromeJsonExportIsLoadable)
 {
     TraceRecorder rec(64);
     rec.setEnabled(true);
-    rec.complete("gas", 10.0, 5.0);
-    rec.instant("activated");
-    {
-        TraceSpan span(rec, "scoped");
-    }
-    EXPECT_EQ(rec.eventCount(), 3u);
+    rec.complete("gas", 10.0, 5.0, 0, 0, 0);
+    rec.instant("activated", 0, 0, 0);
+    EXPECT_EQ(rec.eventCount(), 2u);
 
     std::ostringstream os;
     rec.writeChromeTrace(os);
@@ -266,8 +283,8 @@ TEST(TraceRecorder, ThreadsGetDistinctRings)
 {
     TraceRecorder rec(16);
     rec.setEnabled(true);
-    std::thread t1([&] { rec.instant("a"); });
-    std::thread t2([&] { rec.instant("b"); });
+    std::thread t1([&] { rec.instant("a", 0, 0, 0); });
+    std::thread t2([&] { rec.instant("b", 0, 0, 0); });
     t1.join();
     t2.join();
     EXPECT_EQ(rec.eventCount(), 2u);
@@ -1110,7 +1127,7 @@ TEST(TraceRecorder, RingOverwriteCountsDrops)
     TraceRecorder rec(4);
     rec.setEnabled(true);
     for (int i = 0; i < 10; i++)
-        rec.complete("e", static_cast<double>(i), 1.0);
+        rec.complete("e", static_cast<double>(i), 1.0, 0, 0, 0);
 
     EXPECT_EQ(rec.eventCount(), 4u);    // ring keeps the newest 4
     EXPECT_EQ(rec.droppedCount(), 6u);  // ...and owns up to the rest
@@ -1130,7 +1147,7 @@ TEST(TraceRecorder, ChromeExportWithSpanArgsIsWellFormedJson)
     rec.complete("root", 10.0, 5.0, /*job=*/7, /*span=*/100,
                  /*parent=*/0);
     rec.complete("child", 11.0, 1.0, 7, 101, 100);
-    rec.instant("na\"me\nwith\\escapes");  // exporter must escape these
+    rec.instant("na\"me\nwith\\escapes", 0, 0, 0);  // must be escaped
 
     std::ostringstream os;
     rec.writeChromeTrace(os);

@@ -672,20 +672,22 @@ TEST_F(ServeTest, AccumEngineJobsRunThroughTheServeLayer)
 TEST_F(ServeTest, AccumEngineRejectsAlgosWithoutADeltaForm)
 {
     std::string why;
-    EXPECT_TRUE(isRunnable(request("web", "pr", "accum"), &why)) << why;
-    EXPECT_TRUE(isRunnable(request("web", "sssp", "accum"), &why))
-        << why;
-    EXPECT_TRUE(isRunnable(request("web", "bfs", "accum"), &why)) << why;
-    EXPECT_TRUE(isRunnable(request("web", "cc", "accum"), &why)) << why;
+    auto valid = [&](const char *algo, const char *engine) {
+        return validate(request("web", algo, engine), nullptr, &why);
+    };
+    EXPECT_TRUE(valid("pr", "accum")) << why;
+    EXPECT_TRUE(valid("sssp", "accum")) << why;
+    EXPECT_TRUE(valid("bfs", "accum")) << why;
+    EXPECT_TRUE(valid("cc", "accum")) << why;
 
     // ppr's delta form is derived from its GAS program like pr's.
-    EXPECT_TRUE(isRunnable(request("web", "ppr", "accum"), &why)) << why;
+    EXPECT_TRUE(valid("ppr", "accum")) << why;
 
-    EXPECT_FALSE(isRunnable(request("web", "lp", "accum"), &why));
+    EXPECT_FALSE(valid("lp", "accum"));
     EXPECT_NE(why.find("accumulative"), std::string::npos) << why;
 
     // The same algos stay runnable on the other engines.
-    EXPECT_TRUE(isRunnable(request("web", "lp", "serial"), &why)) << why;
+    EXPECT_TRUE(valid("lp", "serial")) << why;
 
     // And the runner reports the unsupported combination as a job
     // error, not a crash.
@@ -710,7 +712,7 @@ TEST_F(ServeTest, ThreadedEnginesRefuseSynchronousModes)
             JobRequest req = request("web", "pr", engine);
             req.options.mode = mode;
             std::string why;
-            EXPECT_FALSE(isRunnable(req, &why));
+            EXPECT_FALSE(validate(req, nullptr, &why));
             const RunOutcome out = runAnalyticsJob(*g, req);
             EXPECT_FALSE(out.ok());
             EXPECT_EQ(out.error, why);
@@ -724,7 +726,7 @@ TEST_F(ServeTest, ThreadedEnginesRefuseSynchronousModes)
         JobRequest req = request("web", "pr", engine);
         req.options.mode = ExecMode::Bsp;
         std::string why;
-        EXPECT_TRUE(isRunnable(req, &why)) << engine << ": " << why;
+        EXPECT_TRUE(validate(req, nullptr, &why)) << engine << ": " << why;
     }
 }
 
@@ -812,8 +814,8 @@ expectSameComponents(const std::vector<double> &labels,
  * fixpoint depends on the update order, so it is only checked for a
  * well-formed labelling.  Every pr cell must also conserve the
  * reference's rank mass, since every engine's GATHER reads published
- * copies.  On the empty graph no source is a vertex, so the source
- * algorithms are refused by inputsValid, as serve refuses them.
+ * copies.  On the empty graph no source is a vertex, so validate
+ * refuses the source algorithms there, as serve refuses them.
  */
 void
 checkEveryRunnableCell(const EdgeList &directed, LayoutOptions lo = {},
@@ -874,11 +876,11 @@ checkEveryRunnableCell(const EdgeList &directed, LayoutOptions lo = {},
             req.engine = engine;
             req.source = source;
             req.options = opt;
-            if (!isRunnable(req)) {
+            if (!validate(req, nullptr)) {
                 rejected.push_back(engine + "/" + name);
                 continue;
             }
-            if (!inputsValid(req, g)) {
+            if (!validate(req, &g)) {
                 invalid.push_back(engine + "/" + name);
                 continue;
             }
@@ -1120,9 +1122,9 @@ TEST_F(ServeTest, CacheHitTrafficStaysWithinMaxRetainedJobs)
     EXPECT_EQ(stats.submitted, static_cast<std::uint64_t>(kJobs));
     EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kJobs));
     EXPECT_EQ(stats.cacheHits, static_cast<std::uint64_t>(kJobs - 1));
-    const TenantServeStats tenant = manager.tenantStats().at("hits");
+    const ServeStats tenant = manager.tenantStats().at("hits");
     EXPECT_EQ(tenant.cacheHits, static_cast<std::uint64_t>(kJobs - 1));
-    EXPECT_EQ(tenant.queued, 0u);
+    EXPECT_EQ(tenant.queueDepth, 0u);
     EXPECT_EQ(tenant.running, 0u);
 }
 
@@ -1465,10 +1467,10 @@ TEST_F(ServeTest, RejectsNonPositiveMaxEpochs)
     std::string why;
     JobRequest req = request("web", "pr", "serial");
     req.options.maxEpochs = -5.0;
-    EXPECT_FALSE(inputsValid(req, *registry.get("web"), &why));
+    EXPECT_FALSE(validate(req, registry.get("web").get(), &why));
     EXPECT_NE(why.find("max-epochs"), std::string::npos) << why;
     req.options.maxEpochs = 0.5;
-    EXPECT_TRUE(inputsValid(req, *registry.get("web"), &why)) << why;
+    EXPECT_TRUE(validate(req, registry.get("web").get(), &why)) << why;
 }
 
 TEST_F(ServeTest, RejectsZeroThreads)
@@ -1487,6 +1489,117 @@ TEST_F(ServeTest, RejectsZeroThreads)
     const JobManager::Submitted sub = manager.submit(one);
     ASSERT_TRUE(sub.ok()) << sub.reason;
     EXPECT_TRUE(manager.wait(sub.id, 60.0));
+}
+
+TEST_F(ServeTest, RejectsNonFinitePriorityAndBadTimeouts)
+{
+    // A NaN priority breaks the admission heap's strict weak order, and
+    // a NaN or negative timeout is not "no deadline" (that is 0).
+    JobManager manager(registry);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double priority : {nan, inf, -inf}) {
+        JobRequest req = request("web", "pr", "serial");
+        req.priority = priority;
+        const JobManager::Submitted sub = manager.submit(req);
+        EXPECT_EQ(sub.error, SubmitError::BadRequest) << priority;
+        EXPECT_EQ(sub.reason, "priority must be finite") << priority;
+    }
+    for (double timeout : {nan, inf, -5.0}) {
+        JobRequest req = request("web", "pr", "serial");
+        req.timeoutSeconds = timeout;
+        const JobManager::Submitted sub = manager.submit(req);
+        EXPECT_EQ(sub.error, SubmitError::BadRequest) << timeout;
+        EXPECT_EQ(sub.reason, "timeout must be finite and non-negative")
+            << timeout;
+    }
+    JobRequest ok = request("web", "pr", "serial");
+    ok.priority = -3.0;
+    ok.timeoutSeconds = 60.0;
+    const JobManager::Submitted sub = manager.submit(ok);
+    ASSERT_TRUE(sub.ok()) << sub.reason;
+    EXPECT_TRUE(manager.wait(sub.id, 60.0));
+    EXPECT_EQ(manager.status(sub.id)->state, JobState::Done);
+}
+
+TEST_F(ServeTest, InvalidRequestOnAnUnknownGraphIsABadRequest)
+{
+    // Without a graph, validate runs the checks that need only the
+    // request; the graph is looked up for nothing else.
+    JobManager manager(registry);
+    JobRequest req = request("nope", "pr", "serial");
+    req.options.tolerance = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(manager.submit(req).error, SubmitError::BadRequest);
+    // A source is checked only against a graph.
+    EXPECT_EQ(manager.submit(request("nope", "sssp", "serial", 99999999))
+                  .error,
+              SubmitError::UnknownGraph);
+}
+
+/**
+ * The library entry point refuses what serve refuses.  Run, the NaN
+ * tolerance and the missing source would both report converged=1 after
+ * one epoch.
+ */
+TEST_F(ServeTest, RunnerRefusesInvalidRequestsWithoutRunning)
+{
+    auto g = registry.get("web");
+    const VertexId n = g->numVertices();
+    struct Case
+    {
+        const char *name;
+        JobRequest req;
+    };
+    std::vector<Case> cases;
+    for (const char *engine : {"serial", "async", "accum", "sim"}) {
+        JobRequest nan_tol = request("web", "pr", engine);
+        nan_tol.options.tolerance =
+            std::numeric_limits<double>::quiet_NaN();
+        cases.push_back({"tolerance", nan_tol});
+        cases.push_back({"source", request("web", "sssp", engine, n)});
+        JobRequest no_threads = request("web", "pr", engine);
+        no_threads.options.numThreads = 0;
+        cases.push_back({"threads", no_threads});
+        for (double cap : {0.0, -1.0}) {
+            JobRequest capped = request("web", "pr", engine);
+            capped.options.maxEpochs = cap;
+            cases.push_back({"max-epochs", capped});
+        }
+    }
+    for (Case &c : cases) {
+        SCOPED_TRACE(c.req.engine + " " + c.name);
+        auto progress = std::make_shared<Progress>();
+        c.req.options.progress = progress;
+        std::string why;
+        EXPECT_FALSE(validate(c.req, g.get(), &why));
+        const RunOutcome out = runAnalyticsJob(*g, c.req);
+        EXPECT_FALSE(out.ok());
+        EXPECT_EQ(out.error, why);
+        EXPECT_NE(out.error.find(c.name), std::string::npos) << out.error;
+        EXPECT_TRUE(out.values.empty());
+        EXPECT_FALSE(out.report.converged);
+        EXPECT_EQ(out.report.blockUpdates, 0u);
+        EXPECT_EQ(progress->blockUpdates.load(), 0u);
+        EXPECT_EQ(progress->vertexUpdates.load(), 0u);
+    }
+}
+
+TEST_F(ServeTest, RunProgramRefusesCliOnlyProgramsOnInvalidRequests)
+{
+    // kcore and color have no table row, so nothing but the runner
+    // itself checks their requests.
+    auto g = registry.get("web");
+    JobRequest req = request("web", "kcore", "serial");
+    req.options.tolerance = std::numeric_limits<double>::quiet_NaN();
+    RunOutcome out = runProgram(*g, KCoreProgram(3), req);
+    EXPECT_FALSE(out.ok());
+    EXPECT_NE(out.error.find("tolerance"), std::string::npos) << out.error;
+    EXPECT_TRUE(out.values.empty());
+
+    req.options.tolerance = 1e-9;
+    out = runProgram(*g, KCoreProgram(3), req);
+    EXPECT_TRUE(out.ok()) << out.error;
+    EXPECT_EQ(out.values.size(), g->numVertices());
 }
 
 TEST_F(ServeTest, CacheHitVsCancelStormNeverLeaksResults)
@@ -1929,7 +2042,7 @@ TEST(ServeQosStress, MultiTenantCancelShedStorm)
         EXPECT_EQ(s.failed, 0u) << "iter " << iter;
 
         // The per-tenant slices sum to the global counters.
-        TenantServeStats sum;
+        ServeStats sum;
         for (const auto &[tenant, ts] : manager.tenantStats()) {
             sum.submitted += ts.submitted;
             sum.rejected += ts.rejected;
@@ -1940,7 +2053,7 @@ TEST(ServeQosStress, MultiTenantCancelShedStorm)
             sum.shedAdmission += ts.shedAdmission;
             sum.cacheHits += ts.cacheHits;
             sum.warmStarts += ts.warmStarts;
-            EXPECT_EQ(ts.queued, 0u) << tenant << " iter " << iter;
+            EXPECT_EQ(ts.queueDepth, 0u) << tenant << " iter " << iter;
             EXPECT_EQ(ts.running, 0u) << tenant << " iter " << iter;
         }
         EXPECT_EQ(sum.submitted, s.submitted) << "iter " << iter;

@@ -134,8 +134,10 @@ run(int argc, char **argv)
         fatal("unknown --reorder '", flags.get("reorder"),
               "' (none | hub)");
 
+    // kcore and color are checked by runProgram once the graph is
+    // built; the runner checks the source and weights of the others.
     std::string why;
-    if (!cli_only && !isRunnable(req, &why))
+    if (!cli_only && !validate(req, nullptr, &why))
         fatal("rejected: ", why);
 
     // ---------------------------------------------------------- graph
@@ -172,7 +174,7 @@ run(int argc, char **argv)
 
     // --source speaks original vertex ids, as requests do; the runner
     // translates it under a reorder.  Ids past the VertexId range are
-    // clamped to one no graph has, so validation rejects them.
+    // clamped to one no graph has, so the runner rejects them.
     const std::int64_t source = flags.getInt("source");
     if (source >= 0) {
         req.source = static_cast<VertexId>(std::min<std::int64_t>(
@@ -182,11 +184,6 @@ run(int argc, char **argv)
         req.source = static_cast<VertexId>(
             std::max_element(deg.begin(), deg.end()) - deg.begin());
     }
-
-    // The rest of the checks JobManager::submit runs: they need the
-    // graph.
-    if (!inputsValid(req, g, &why))
-        fatal("rejected: ", why);
 
     RunOutcome out;
     const char *value_name = nullptr;

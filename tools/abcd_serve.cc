@@ -25,10 +25,12 @@
  *   GRAPHS | STATS | HELP | QUIT
  *
  * LOAD and RUN take only the keys listed; an unknown key, an unknown
- * schedule, a negative or fractional count or id (N), or block-size=0
- * is refused with ERR BadCommand.  Requests the runner cannot run or
- * whose inputs are invalid (see serve/runner.hh) are refused with
- * ERR BadRequest and the runner's reason.
+ * schedule, a negative or fractional count or id (N), a switch other
+ * than 0 or 1, or block-size=0 is refused with ERR BadCommand.  A
+ * dataset scale out of range is ERR LoadFailed naming the scale.  A
+ * request validate() refuses (serve/runner.hh: a non-finite tolerance
+ * or priority, a negative or non-finite timeout, an engine that cannot
+ * run the algorithm, ...) is ERR BadRequest with its reason.
  *
  * Debugging: --flight=PATH arms the flight recorder — fatal errors,
  * fatal signals, and watchdog stalls dump the black box (recent logs,
@@ -157,6 +159,18 @@ countParam(const std::map<std::string, std::string> &params,
     return static_cast<T>(x);
 }
 
+/** A 0|1 switch; any other value throws (ERR BadCommand). */
+bool
+switchParam(const std::map<std::string, std::string> &params,
+            const std::string &key, bool fallback)
+{
+    const std::string value =
+        param(params, key, std::string(fallback ? "1" : "0"));
+    if (value != "0" && value != "1")
+        throw std::invalid_argument(key + " must be 0 or 1");
+    return value == "1";
+}
+
 /** A named-enum parameter; an unknown name throws (ERR BadCommand). */
 template <typename Parse>
 auto
@@ -258,7 +272,7 @@ class ServeShell
             countParam<VertexId>(params, "block-size", 512);
         if (block_size == 0)
             throw std::invalid_argument("block-size must be positive");
-        const bool undirected = param(params, "undirected", 0.0) != 0.0;
+        const bool undirected = switchParam(params, "undirected", false);
         LayoutOptions lo;
         lo.layout = enumParam(params, "layout", "plain", parseGraphLayout);
         lo.reorder =
@@ -306,8 +320,8 @@ class ServeShell
         req.source = countParam<VertexId>(params, "source", 0);
         req.priority = param(params, "priority", 0.0);
         req.timeoutSeconds = param(params, "timeout", 0.0);
-        req.allowCached = param(params, "cached", 1.0) != 0.0;
-        req.allowWarmStart = param(params, "warm", 1.0) != 0.0;
+        req.allowCached = switchParam(params, "cached", true);
+        req.allowWarmStart = switchParam(params, "warm", true);
         req.options.tolerance = param(params, "tolerance", 1e-7);
         req.options.maxEpochs = param(params, "max-epochs", 10000.0);
         req.options.numThreads =
@@ -489,7 +503,7 @@ class ServeShell
                 static_cast<unsigned long long>(t.shedAdmission),
                 static_cast<unsigned long long>(t.cacheHits),
                 static_cast<unsigned long long>(t.warmStarts),
-                t.queued, t.running);
+                t.queueDepth, t.running);
         }
     }
 

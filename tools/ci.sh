@@ -34,6 +34,14 @@ run_preset() {
         GRAPHABCD_CODEC_FUZZ_ITERS=2000 \
             "./build-asan/tests/abcd_tests" \
             --gtest_filter='Codec*'
+
+        # The serve shell parses every request line from outside:
+        # feed it a seeded mix of verbs, keys and odd values (0, -1,
+        # nan, inf, 1e30, empty, garbage) under ASan.  Each reply must
+        # start OK or ERR, and no converged job may show zero block
+        # updates.
+        echo "== serve protocol fuzz (${preset}) =="
+        python3 tools/serve_fuzz.py ./build-asan/tools/abcd_serve 1
     fi
 
     # The obs-off build must still compile and pass the compressed
@@ -160,12 +168,14 @@ PY
         grep -q "error=stalled:" "${obs_dir}/wedge.out"
 
         # Request validation: a negative count, unknown keys, a zero
-        # block size and an unknown schedule are refused with ERR
-        # BadCommand; zero threads and an unknown engine with ERR
-        # BadRequest and the runner's reason.  None of them runs.  A
-        # binary edge list whose edge 1 (2 -> 9) leaves its 4 vertices
-        # is bad input: ERR LoadFailed naming the file, not a failed
-        # assertion.
+        # block size, an unknown schedule and a switch other than 0|1
+        # are refused with ERR BadCommand; zero threads, an unknown
+        # engine, a non-finite priority and a NaN or negative timeout
+        # with ERR BadRequest and validate's reason.  None of them
+        # runs.  A binary edge list whose edge 1 (2 -> 9) leaves its 4
+        # vertices, and a dataset scale that is not positive or does
+        # not fit the id types, are bad input: ERR LoadFailed naming
+        # the file or the scale, not a failed assertion.
         echo "== request validation drill (${preset}) =="
         local bad_bin="${obs_dir}/bad_endpoint.bin"
         python3 -c 'import struct, sys
@@ -183,10 +193,32 @@ open(sys.argv[1], "wb").write(
             "RUN web pr threads=0" \
             "RUN web pr engine=fragment" \
             "RUN web pr engine=accum schedule=obim" \
+            "RUN web pr priority=nan" \
+            "RUN web pr priority=inf" \
+            "RUN web pr timeout=nan" \
+            "RUN web pr timeout=-5" \
+            "RUN web pr cached=7" \
+            "LOAD u WT scale=0.02 undirected=nan" \
+            "LOAD x WT scale=inf" \
+            "LOAD y WT scale=-1" \
+            "LOAD z WT scale=1e30" \
             "QUIT" \
             | "./build/tools/abcd_serve" > "${obs_dir}/validate.out" 2>&1
-        [ "$(grep -c "ERR BadCommand" "${obs_dir}/validate.out")" -eq 5 ]
-        [ "$(grep -c "ERR BadRequest" "${obs_dir}/validate.out")" -eq 2 ]
+        [ "$(grep -c "ERR BadCommand" "${obs_dir}/validate.out")" -eq 7 ]
+        [ "$(grep -c "ERR BadRequest" "${obs_dir}/validate.out")" -eq 6 ]
+        [ "$(grep -c "ERR BadRequest priority must be finite" \
+            "${obs_dir}/validate.out")" -eq 2 ]
+        [ "$(grep -c \
+            "ERR BadRequest timeout must be finite and non-negative" \
+            "${obs_dir}/validate.out")" -eq 2 ]
+        grep -q "ERR BadCommand cached must be 0 or 1" \
+            "${obs_dir}/validate.out"
+        grep -q "ERR BadCommand undirected must be 0 or 1" \
+            "${obs_dir}/validate.out"
+        for scale in inf -1 1e+30; do
+            grep -q "^ERR LoadFailed dataset scale ${scale} is out of range" \
+                "${obs_dir}/validate.out"
+        done
         grep -q "ERR BadCommand block-size must be positive" \
             "${obs_dir}/validate.out"
         grep -q "ERR BadCommand unknown key 'fragments'" \
